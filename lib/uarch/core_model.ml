@@ -8,12 +8,32 @@ type commit_record = {
 
 type uop_state = Dispatched | Issued | Wait_mem | Exec_done | Done
 
+type op_class = Class_alu | Class_mul | Class_div | Class_load | Class_store
+
+let classify (i : Instr.t) =
+  match i with
+  | Instr.Rtype ((MUL | MULH | MULHSU | MULHU | MULW), _, _, _) -> Class_mul
+  | Instr.Rtype ((DIV | DIVU | REM | REMU | DIVW | DIVUW | REMW | REMUW), _, _, _)
+    ->
+      Class_div
+  | _ when Instr.is_load i -> Class_load
+  | _ when Instr.is_store i -> Class_store
+  | _ -> Class_alu
+
 type uop = {
   eff : Golden.effect;
   trace_pos : int;  (* -1 for transient micro-ops *)
   transient : bool;
   secret_dep : bool;
   id : int;
+  cls : op_class;
+  dest : int;  (* destination register index, -1 for none *)
+  src1 : int;  (* source register indices, -1 for none *)
+  src2 : int;
+  mutable prod1 : uop;
+  mutable prod2 : uop;
+      (* youngest older writer of [src1] / [src2], linked at dispatch;
+         [no_uop] for x0, no source, or no writer in the ROB *)
   mutable state : uop_state;
   mutable complete_at : int;
   mutable dispatch_cycle : int;
@@ -24,6 +44,44 @@ type uop = {
          a register data dependency resolved at dispatch *)
 }
 
+(* Placeholder effect for "nothing left to fetch" and for [no_uop]. *)
+let no_eff =
+  {
+    Golden.seq = -1;
+    index = -1;
+    pc = 0L;
+    instr = Instr.Fence;
+    wb = None;
+    mem = None;
+    taken = None;
+    fault = None;
+    transient = false;
+  }
+
+(* The shared "no producer" link and ring filler: [Done] since forever, so
+   it reads as a ready value.  Shared by every core in every domain, it is
+   never written — the stages mutate only uops inside a ring's length. *)
+let rec no_uop =
+  {
+    eff = no_eff;
+    trace_pos = -1;
+    transient = false;
+    secret_dep = false;
+    id = -1;
+    cls = Class_alu;
+    dest = -1;
+    src1 = -1;
+    src2 = -1;
+    prod1 = no_uop;
+    prod2 = no_uop;
+    state = Done;
+    complete_at = min_int;
+    dispatch_cycle = -1;
+    mispredicted = false;
+    resolved_target = 0L;
+    tainted = false;
+  }
+
 type fetch_source = Arch | Trans of Golden.effect array * int
 
 type stbuf_state = Drain_new | Drain_waiting
@@ -32,6 +90,43 @@ type stbuf_entry = {
   sb_uop : uop;
   mutable sb_state : stbuf_state;
 }
+
+let no_entry = { sb_uop = no_uop; sb_state = Drain_new }
+
+(* Fixed-capacity FIFO over an array allocated once, oldest entry first.
+   Slots outside [0, length) hold stale entries or the filler and are
+   never read. *)
+module Ring = struct
+  type 'a t = { buf : 'a array; mutable head : int; mutable len : int }
+
+  let create cap filler = { buf = Array.make (max cap 1) filler; head = 0; len = 0 }
+  let length r = r.len
+  let is_empty r = r.len = 0
+
+  let clear r =
+    r.head <- 0;
+    r.len <- 0
+
+  let slot r i =
+    let j = r.head + i in
+    if j >= Array.length r.buf then j - Array.length r.buf else j
+
+  let get r i = r.buf.(slot r i)
+  let peek r = r.buf.(r.head)
+
+  (* Capacities come from the configuration's admission checks (fetch
+     buffer, ROB, store queue), so a full push is a model bug. *)
+  let push r x =
+    if r.len >= Array.length r.buf then invalid_arg "Core_model.Ring.push: full";
+    r.buf.(slot r r.len) <- x;
+    r.len <- r.len + 1
+
+  let pop r =
+    r.head <- slot r 1;
+    r.len <- r.len - 1
+
+  let truncate r n = r.len <- n
+end
 
 type t = {
   cfg : Config.t;
@@ -52,12 +147,17 @@ type t = {
   mutable blocked_on_branch : int option;  (* uop id *)
   line_avail : (int64, int) Hashtbl.t;
   line_pending : (int64, unit) Hashtbl.t;
-  (* Pipeline structures (oldest first). *)
-  mutable fb : uop list;
-  mutable rob : uop list;
-  mutable stbuf : stbuf_entry list;
-  by_id : (int, uop) Hashtbl.t;
+  (* Pipeline structures, oldest first; ids increase from head to tail. *)
+  fb : uop Ring.t;
+  rob : uop Ring.t;
+  stbuf : stbuf_entry Ring.t;
   taint_reg : bool array;  (* architectural-register taint, dispatch order *)
+  last_writer : uop array;
+      (* per register, the youngest dispatched writer still in the ROB (or
+         since committed); [no_uop] when there is none *)
+  mutable rob_dests : int;  (* ROB uops with a destination register *)
+  mutable rob_loads : int;
+  mutable rob_stores : int;
   mutable next_id : int;
   pool : Exec_unit.t;
   bp : Branch_pred.t;
@@ -117,11 +217,14 @@ let create cfg reg ms ~core_id ~outcome ~secret_range ~drives_window =
       blocked_on_branch = None;
       line_avail = Hashtbl.create 32;
       line_pending = Hashtbl.create 8;
-      fb = [];
-      rob = [];
-      stbuf = [];
-      by_id = Hashtbl.create 64;
+      fb = Ring.create cfg.fetch_buffer no_uop;
+      rob = Ring.create cfg.rob_entries no_uop;
+      stbuf = Ring.create cfg.stq_entries no_entry;
       taint_reg = Array.make 32 false;
+      last_writer = Array.make 32 no_uop;
+      rob_dests = 0;
+      rob_loads = 0;
+      rob_stores = 0;
       next_id = 0;
       pool = Exec_unit.create cfg reg ~core:core_id;
       bp = Branch_pred.create cfg;
@@ -171,11 +274,14 @@ let prepare t ~outcome ~secret_range =
   t.blocked_on_branch <- None;
   Hashtbl.reset t.line_avail;
   Hashtbl.reset t.line_pending;
-  t.fb <- [];
-  t.rob <- [];
-  t.stbuf <- [];
-  Hashtbl.reset t.by_id;
+  Ring.clear t.fb;
+  Ring.clear t.rob;
+  Ring.clear t.stbuf;
   Array.fill t.taint_reg 0 (Array.length t.taint_reg) false;
+  Array.fill t.last_writer 0 (Array.length t.last_writer) no_uop;
+  t.rob_dests <- 0;
+  t.rob_loads <- 0;
+  t.rob_stores <- 0;
   t.next_id <- 0;
   Exec_unit.reset t.pool;
   Branch_pred.reset t.bp;
@@ -190,14 +296,12 @@ let line_of t pc =
 
 (* --- Fetch --- *)
 
+(* The effect fetch consumes next, or [no_eff] at the end of its source. *)
 let peek_next t =
   match t.fetch_source with
   | Arch ->
-      if t.fetch_pos < Array.length t.trace then
-        Some (t.trace.(t.fetch_pos), t.fetch_pos, false)
-      else None
-  | Trans (cont, idx) ->
-      if idx < Array.length cont then Some (cont.(idx), -1, true) else None
+      if t.fetch_pos < Array.length t.trace then t.trace.(t.fetch_pos) else no_eff
+  | Trans (cont, idx) -> if idx < Array.length cont then cont.(idx) else no_eff
 
 let consume_next t =
   match t.fetch_source with
@@ -239,28 +343,36 @@ let line_ready t line ~cycle ~tainted =
         | Memsys.Blocked _ -> false
       end
 
-let fb_count t = List.length t.fb
-
 let make_uop t eff trace_pos transient ~cycle =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let u =
-    {
-      eff;
-      trace_pos;
-      transient;
-      secret_dep = is_secret_dep t eff;
-      id;
-      state = Dispatched;
-      complete_at = max_int;
-      dispatch_cycle = cycle;
-      mispredicted = false;
-      resolved_target = 0L;
-      tainted = is_secret_dep t eff || transient;
-    }
+  let instr = eff.Golden.instr in
+  let src1, src2 =
+    match Instr.sources instr with
+    | [] -> (-1, -1)
+    | [ a ] -> (Reg.to_int a, -1)
+    | [ a; b ] -> (Reg.to_int a, Reg.to_int b)
+    | _ -> assert false (* RV64IMA: at most two sources *)
   in
-  Hashtbl.replace t.by_id id u;
-  u
+  {
+    eff;
+    trace_pos;
+    transient;
+    secret_dep = is_secret_dep t eff;
+    id;
+    cls = classify instr;
+    dest = (match Instr.dest instr with Some d -> Reg.to_int d | None -> -1);
+    src1;
+    src2;
+    prod1 = no_uop;
+    prod2 = no_uop;
+    state = Dispatched;
+    complete_at = max_int;
+    dispatch_cycle = cycle;
+    mispredicted = false;
+    resolved_target = 0L;
+    tainted = is_secret_dep t eff || transient;
+  }
 
 let step_fetch t ~cycle =
   if
@@ -272,67 +384,72 @@ let step_fetch t ~cycle =
     let fetched_any = ref false in
     let fetched_tainted = ref false in
     let stop = ref false in
-    while (not !stop) && !budget > 0 && fb_count t < t.cfg.fetch_buffer do
-      match peek_next t with
-      | None -> stop := true
-      | Some (eff, pos, transient) ->
-          let static_taint = is_secret_dep t eff || transient in
-          let line = line_of t eff.pc in
-          if not (line_ready t line ~cycle ~tainted:static_taint) then stop := true
-          else begin
-            consume_next t;
-            let u = make_uop t eff pos transient ~cycle in
-            let slot = t.cfg.fetch_width - !budget in
-            Cpoint.request ~tainted:u.tainted t.reg t.p_fb_enq ~source:slot
-              ~data:eff.pc;
-            t.fb <- t.fb @ [ u ];
-            decr budget;
-            fetched_any := true;
-            if u.tainted then fetched_tainted := true;
-            (* Branch prediction. *)
-            (match eff.instr with
-            | Instr.Branch (_, _, _, off) ->
-                Cpoint.request ~tainted:u.tainted t.reg t.p_bpd_update ~source:0
-                  ~data:eff.pc;
-                let taken = Option.value ~default:false eff.taken in
-                let target = Int64.add eff.pc (Int64.of_int off) in
-                u.resolved_target <- target;
-                let correct = Branch_pred.predict t.bp ~pc:eff.pc ~taken ~target in
-                if not correct then begin
-                  u.mispredicted <- true;
-                  t.blocked_on_branch <- Some u.id;
-                  stop := true
-                end
-            | Instr.Jal (_, off) ->
-                let target = Int64.add eff.pc (Int64.of_int off) in
-                u.resolved_target <- target;
-                if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
-                  u.mispredicted <- true;
-                  t.blocked_on_branch <- Some u.id;
-                  stop := true
-                end
-            | Instr.Jalr _ ->
-                let target = next_pc_after t pos eff in
-                u.resolved_target <- target;
-                if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
-                  u.mispredicted <- true;
-                  t.blocked_on_branch <- Some u.id;
-                  stop := true
-                end
-            | _ -> ());
-            (* Architectural faults fork the transient continuation. *)
-            (if (not transient) && pos >= 0 then
-               match eff.fault with
-               | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> (
-                   match Hashtbl.find_opt t.transients pos with
-                   | Some cont -> t.fetch_source <- Trans (cont, 0)
-                   | None -> ())
-               | Some _ | None -> ());
-            if eff.instr = Instr.Ebreak && not transient then begin
-              t.fetch_halted <- true;
-              stop := true
-            end
+    while (not !stop) && !budget > 0 && Ring.length t.fb < t.cfg.fetch_buffer do
+      let eff = peek_next t in
+      if eff == no_eff then stop := true
+      else begin
+        let transient =
+          match t.fetch_source with Arch -> false | Trans _ -> true
+        in
+        let pos = if transient then -1 else t.fetch_pos in
+        let static_taint = is_secret_dep t eff || transient in
+        let line = line_of t eff.pc in
+        if not (line_ready t line ~cycle ~tainted:static_taint) then stop := true
+        else begin
+          consume_next t;
+          let u = make_uop t eff pos transient ~cycle in
+          let slot = t.cfg.fetch_width - !budget in
+          Cpoint.request ~tainted:u.tainted t.reg t.p_fb_enq ~source:slot
+            ~data:eff.pc;
+          Ring.push t.fb u;
+          decr budget;
+          fetched_any := true;
+          if u.tainted then fetched_tainted := true;
+          (* Branch prediction. *)
+          (match eff.instr with
+          | Instr.Branch (_, _, _, off) ->
+              Cpoint.request ~tainted:u.tainted t.reg t.p_bpd_update ~source:0
+                ~data:eff.pc;
+              let taken = Option.value ~default:false eff.taken in
+              let target = Int64.add eff.pc (Int64.of_int off) in
+              u.resolved_target <- target;
+              let correct = Branch_pred.predict t.bp ~pc:eff.pc ~taken ~target in
+              if not correct then begin
+                u.mispredicted <- true;
+                t.blocked_on_branch <- Some u.id;
+                stop := true
+              end
+          | Instr.Jal (_, off) ->
+              let target = Int64.add eff.pc (Int64.of_int off) in
+              u.resolved_target <- target;
+              if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
+                u.mispredicted <- true;
+                t.blocked_on_branch <- Some u.id;
+                stop := true
+              end
+          | Instr.Jalr _ ->
+              let target = next_pc_after t pos eff in
+              u.resolved_target <- target;
+              if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
+                u.mispredicted <- true;
+                t.blocked_on_branch <- Some u.id;
+                stop := true
+              end
+          | _ -> ());
+          (* Architectural faults fork the transient continuation. *)
+          (if (not transient) && pos >= 0 then
+             match eff.fault with
+             | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> (
+                 match Hashtbl.find_opt t.transients pos with
+                 | Some cont -> t.fetch_source <- Trans (cont, 0)
+                 | None -> ())
+             | Some _ | None -> ());
+          if eff.instr = Instr.Ebreak && not transient then begin
+            t.fetch_halted <- true;
+            stop := true
           end
+        end
+      end
     done;
     if !fetched_any then
       Cpoint.request ~tainted:!fetched_tainted t.reg t.p_pc_sel ~source:0
@@ -341,132 +458,122 @@ let step_fetch t ~cycle =
 
 (* --- Dispatch --- *)
 
-let dests_in_flight t =
-  List.length
-    (List.filter (fun u -> Option.is_some (Instr.dest u.eff.Golden.instr)) t.rob)
+(* Producer links.  Dispatch is in program order, so at dispatch the
+   [last_writer] entry of each source is its youngest older writer.  A
+   linked writer that has since committed is [Done] with [complete_at] at
+   or before the cycle, so it reads as ready — exactly like having no
+   writer in the ROB at all. *)
+let producer t src = if src > 0 then t.last_writer.(src) else no_uop
 
-let loads_in_flight t =
-  List.length (List.filter (fun u -> Instr.is_load u.eff.Golden.instr) t.rob)
+let count_in t u d =
+  if u.dest >= 0 then t.rob_dests <- t.rob_dests + d;
+  match u.cls with
+  | Class_load -> t.rob_loads <- t.rob_loads + d
+  | Class_store -> t.rob_stores <- t.rob_stores + d
+  | Class_alu | Class_mul | Class_div -> ()
 
-let stores_in_flight t =
-  List.length (List.filter (fun u -> Instr.is_store u.eff.Golden.instr) t.rob)
-  + List.length t.stbuf
+(* Enter [u] into the ROB's dependency state: link its sources, then
+   become its destination's youngest writer. *)
+let link t u =
+  u.prod1 <- producer t u.src1;
+  u.prod2 <- producer t u.src2;
+  if u.dest >= 0 then t.last_writer.(u.dest) <- u;
+  count_in t u 1
+
+(* Rebuild the writer table, the links and the occupancy counts from the
+   ROB after a squash (the table may name squashed uops) or a checkpoint
+   restore (re-pointed uops are fresh records, so old links are stale). *)
+let relink t =
+  Array.fill t.last_writer 0 (Array.length t.last_writer) no_uop;
+  t.rob_dests <- 0;
+  t.rob_loads <- 0;
+  t.rob_stores <- 0;
+  for i = 0 to Ring.length t.rob - 1 do
+    link t (Ring.get t.rob i)
+  done
+
+let src_tainted t src = src >= 0 && t.taint_reg.(src)
 
 let step_dispatch t ~cycle =
   let phys_budget = max 8 (t.cfg.int_phys_regs - 32) in
   let budget = ref t.cfg.decode_width in
   let stop = ref false in
   while (not !stop) && !budget > 0 do
-    match t.fb with
-    | [] -> stop := true
-    | u :: rest ->
-        let rob_full = List.length t.rob >= t.cfg.rob_entries in
-        let phys_full =
-          Option.is_some (Instr.dest u.eff.Golden.instr)
-          && dests_in_flight t >= phys_budget
-        in
-        let ldq_full =
-          Instr.is_load u.eff.Golden.instr
-          &&
-          match t.cfg.ldq_entries with
-          | Some n -> loads_in_flight t >= n
-          | None -> false
-        in
-        let stq_full =
-          Instr.is_store u.eff.Golden.instr
-          && stores_in_flight t >= t.cfg.stq_entries
-        in
-        if rob_full || phys_full || ldq_full || stq_full then stop := true
-        else begin
-          t.fb <- rest;
-          u.dispatch_cycle <- cycle;
-          (* Forward dataflow taint: dispatch happens in program order. *)
-          u.tainted <-
-            u.tainted
-            || List.exists
-                 (fun r -> t.taint_reg.(Reg.to_int r))
-                 (Instr.sources u.eff.Golden.instr);
-          (match Instr.dest u.eff.Golden.instr with
-          | Some d -> t.taint_reg.(Reg.to_int d) <- u.tainted
-          | None -> ());
-          t.rob <- t.rob @ [ u ];
-          let slot = t.cfg.decode_width - !budget in
-          Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
-            ~data:u.eff.Golden.pc;
-          decr budget;
-          if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
-          then Cpoint.open_window t.reg
-        end
+    if Ring.is_empty t.fb then stop := true
+    else begin
+      let u = Ring.peek t.fb in
+      let rob_full = Ring.length t.rob >= t.cfg.rob_entries in
+      let phys_full = u.dest >= 0 && t.rob_dests >= phys_budget in
+      let ldq_full =
+        u.cls = Class_load
+        &&
+        match t.cfg.ldq_entries with
+        | Some n -> t.rob_loads >= n
+        | None -> false
+      in
+      let stq_full =
+        u.cls = Class_store
+        && t.rob_stores + Ring.length t.stbuf >= t.cfg.stq_entries
+      in
+      if rob_full || phys_full || ldq_full || stq_full then stop := true
+      else begin
+        Ring.pop t.fb;
+        u.dispatch_cycle <- cycle;
+        (* Forward dataflow taint: dispatch happens in program order. *)
+        u.tainted <- u.tainted || src_tainted t u.src1 || src_tainted t u.src2;
+        if u.dest >= 0 then t.taint_reg.(u.dest) <- u.tainted;
+        link t u;
+        Ring.push t.rob u;
+        let slot = t.cfg.decode_width - !budget in
+        Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
+          ~data:u.eff.Golden.pc;
+        decr budget;
+        if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
+        then Cpoint.open_window t.reg
+      end
+    end
   done
 
 (* --- Operand readiness --- *)
-
-let producer_of t u reg_src =
-  (* Youngest older uop in the ROB writing [reg_src]. *)
-  List.fold_left
-    (fun acc v ->
-      if v.id < u.id then
-        match Instr.dest v.eff.Golden.instr with
-        | Some d when Reg.equal d reg_src -> (
-            match acc with
-            | Some best when best.id > v.id -> acc
-            | Some _ | None -> Some v)
-        | Some _ | None -> acc
-      else acc)
-    None t.rob
 
 let value_ready v ~cycle =
   match v.state with
   | Exec_done | Done -> v.complete_at <= cycle
   | Dispatched | Issued | Wait_mem -> false
 
-let operands_ready t u ~cycle =
-  List.for_all
-    (fun r ->
-      Reg.equal r Reg.x0
-      ||
-      match producer_of t u r with
-      | Some v -> value_ready v ~cycle
-      | None -> true)
-    (Instr.sources u.eff.Golden.instr)
+let operands_ready u ~cycle =
+  value_ready u.prod1 ~cycle && value_ready u.prod2 ~cycle
 
-(* Older store to the same 8-byte word: forwarding source or hazard. *)
-let older_store_same_addr t u =
+let word a = Int64.logand a (-8L)
+
+(* Youngest older store to the same 8-byte word as the load at ROB index
+   [i] — forwarding source or hazard — or [no_uop]. *)
+let older_store_same_addr t u i =
   match u.eff.Golden.mem with
-  | None -> None
+  | None -> no_uop
   | Some m ->
-      let word a = Int64.logand a (-8L) in
-      List.fold_left
-        (fun acc v ->
-          if v.id < u.id && Instr.is_store v.eff.Golden.instr then
-            match v.eff.Golden.mem with
-            | Some vm when Int64.equal (word vm.addr) (word m.addr) -> Some v
-            | Some _ | None -> acc
-          else acc)
-        None t.rob
+      let found = ref no_uop in
+      let j = ref (i - 1) in
+      while !found == no_uop && !j >= 0 do
+        let v = Ring.get t.rob !j in
+        (if v.cls = Class_store then
+           match v.eff.Golden.mem with
+           | Some vm when Int64.equal (word vm.addr) (word m.addr) -> found := v
+           | Some _ | None -> ());
+        decr j
+      done;
+      !found
 
 let in_store_buffer t addr =
-  let word a = Int64.logand a (-8L) in
-  List.exists
-    (fun e ->
-      match e.sb_uop.eff.Golden.mem with
-      | Some m -> Int64.equal (word m.addr) (word addr)
-      | None -> false)
-    t.stbuf
+  let hit = ref false in
+  for i = 0 to Ring.length t.stbuf - 1 do
+    match (Ring.get t.stbuf i).sb_uop.eff.Golden.mem with
+    | Some m when Int64.equal (word m.addr) (word addr) -> hit := true
+    | Some _ | None -> ()
+  done;
+  !hit
 
 (* --- Issue --- *)
-
-type op_class = Class_alu | Class_mul | Class_div | Class_load | Class_store
-
-let classify (i : Instr.t) =
-  match i with
-  | Instr.Rtype ((MUL | MULH | MULHSU | MULHU | MULW), _, _, _) -> Class_mul
-  | Instr.Rtype ((DIV | DIVU | REM | REMU | DIVW | DIVUW | REMW | REMUW), _, _, _)
-    ->
-      Class_div
-  | _ when Instr.is_load i -> Class_load
-  | _ when Instr.is_store i -> Class_store
-  | _ -> Class_alu
 
 let magnitude_of (e : Golden.effect) =
   match e.Golden.wb with Some (_, v) -> v | None -> 1024L
@@ -502,116 +609,95 @@ let is_access_fault = function
   | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> true
   | Some _ | None -> false
 
+(* [u] leaves [Dispatched]: a transient uop counts as executed. *)
+let start t u state =
+  u.state <- state;
+  if u.transient then t.transient_issued <- t.transient_issued + 1
+
+let issue_until t u c =
+  u.complete_at <- c;
+  start t u Issued
+
+let issue_opt t u = function Some c -> issue_until t u c | None -> ()
+
 let step_issue t ~cycle =
-  List.iter
-    (fun u ->
-      if u.state = Dispatched && operands_ready t u ~cycle then begin
-        let early_fault =
-          is_access_fault u.eff.Golden.fault
-          && t.cfg.exception_policy = Config.Early_at_execute
-          && not u.transient
-        in
-        match classify u.eff.Golden.instr with
-        | Class_alu ->
-            (match Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted with
-            | Some c ->
-                u.state <- Issued;
-                u.complete_at <- c;
-                if u.transient then t.transient_issued <- t.transient_issued + 1
-            | None -> ())
-        | Class_mul ->
-            (match
-               Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
-                 ~tainted:u.tainted
-             with
-            | Some c ->
-                u.state <- Issued;
-                u.complete_at <- c;
-                if u.transient then t.transient_issued <- t.transient_issued + 1
-            | None -> ())
-        | Class_div ->
-            (match
-               Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
-                 ~tainted:u.tainted
-             with
-            | Some c ->
-                u.state <- Issued;
-                u.complete_at <- c;
-                if u.transient then t.transient_issued <- t.transient_issued + 1
-            | None -> ())
-        | Class_store ->
-            if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
-              Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
-                ~data:u.eff.Golden.pc;
-              u.state <- Issued;
-              u.complete_at <- cycle + 1;
-              if u.transient then t.transient_issued <- t.transient_issued + 1;
-              if early_fault && t.pending_early_squash = None then
+  for i = 0 to Ring.length t.rob - 1 do
+    let u = Ring.get t.rob i in
+    if u.state = Dispatched && operands_ready u ~cycle then begin
+      let early_fault =
+        is_access_fault u.eff.Golden.fault
+        && t.cfg.exception_policy = Config.Early_at_execute
+        && not u.transient
+      in
+      match u.cls with
+      | Class_alu ->
+          issue_opt t u (Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted)
+      | Class_mul ->
+          issue_opt t u
+            (Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
+               ~tainted:u.tainted)
+      | Class_div ->
+          issue_opt t u
+            (Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
+               ~tainted:u.tainted)
+      | Class_store ->
+          if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
+            Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
+              ~data:u.eff.Golden.pc;
+            issue_until t u (cycle + 1);
+            if early_fault && Option.is_none t.pending_early_squash then
+              t.pending_early_squash <- Some u
+          end
+      | Class_load ->
+          if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
+            Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
+              ~data:u.eff.Golden.pc;
+            if early_fault then begin
+              issue_until t u (cycle + 1);
+              if Option.is_none t.pending_early_squash then
                 t.pending_early_squash <- Some u
             end
-        | Class_load ->
-            if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
-              Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
-                ~data:u.eff.Golden.pc;
-              if early_fault then begin
-                u.state <- Issued;
-                u.complete_at <- cycle + 1;
-                if u.transient then t.transient_issued <- t.transient_issued + 1;
-                if t.pending_early_squash = None then
-                  t.pending_early_squash <- Some u
+            else begin
+              let v = older_store_same_addr t u i in
+              if v != no_uop then begin
+                (* Store-to-load forwarding; otherwise a hazard: stay
+                   Dispatched, mem slot wasted this cycle. *)
+                if value_ready v ~cycle then issue_until t u (cycle + 1)
               end
               else begin
-                match older_store_same_addr t u with
-                | Some v ->
-                    if value_ready v ~cycle then begin
-                      (* Store-to-load forwarding. *)
-                      u.state <- Issued;
-                      u.complete_at <- cycle + 1;
-                      if u.transient then
-                        t.transient_issued <- t.transient_issued + 1
-                    end
-                    (* Hazard: stay Dispatched, mem slot wasted this cycle. *)
-                | None -> (
-                    let addr =
-                      match u.eff.Golden.mem with
-                      | Some m -> m.addr
-                      | None -> 0L
-                    in
-                    if in_store_buffer t addr then begin
-                      u.state <- Issued;
-                      u.complete_at <- cycle + 1;
-                      if u.transient then
-                        t.transient_issued <- t.transient_issued + 1
-                    end
-                    else
-                      match
-                        Memsys.dload t.ms ~core:t.core_id ~seq:u.id ~rob:u.id
-                          ~addr ~cycle ~tainted:u.tainted
-                      with
-                      | Memsys.Ready c ->
-                          u.state <- Issued;
-                          u.complete_at <- c;
-                          if u.transient then
-                            t.transient_issued <- t.transient_issued + 1
-                      | Memsys.Waiting ->
-                          u.state <- Wait_mem;
-                          if u.transient then
-                            t.transient_issued <- t.transient_issued + 1
-                      | Memsys.Blocked _ -> ())
+                let addr =
+                  match u.eff.Golden.mem with Some m -> m.addr | None -> 0L
+                in
+                if in_store_buffer t addr then issue_until t u (cycle + 1)
+                else
+                  match
+                    Memsys.dload t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr
+                      ~cycle ~tainted:u.tainted
+                  with
+                  | Memsys.Ready c -> issue_until t u c
+                  | Memsys.Waiting -> start t u Wait_mem
+                  | Memsys.Blocked _ -> ()
               end
             end
-      end)
-    t.rob
+          end
+    end
+  done
 
 (* --- Squash --- *)
 
+(* Drop every entry younger than [than_id]: ids increase along a ring, so
+   the survivors are a prefix. *)
+let keep_through r ~than_id =
+  let n = ref 0 in
+  while !n < Ring.length r && (Ring.get r !n).id <= than_id do
+    incr n
+  done;
+  Ring.truncate r !n
+
 let squash_younger t ~than_id =
-  let keep u = u.id <= than_id in
-  List.iter
-    (fun u -> if not (keep u) then Hashtbl.remove t.by_id u.id)
-    (t.rob @ t.fb);
-  t.rob <- List.filter keep t.rob;
-  t.fb <- List.filter keep t.fb;
+  keep_through t.rob ~than_id;
+  keep_through t.fb ~than_id;
+  relink t;
   Exec_unit.purge_writeback t.pool ~keep:(fun id -> id <= than_id);
   (match t.blocked_on_branch with
   | Some id when id > than_id -> t.blocked_on_branch <- None
@@ -631,71 +717,80 @@ let handle_fault_redirect t u ~cycle =
 (* --- Complete / writeback --- *)
 
 let wb_class_of u =
-  match classify u.eff.Golden.instr with
+  match u.cls with
   | Class_alu -> Exec_unit.Wb_alu
   | Class_mul -> Exec_unit.Wb_mul
   | Class_div -> Exec_unit.Wb_div
   | Class_load | Class_store -> Exec_unit.Wb_mem
 
 let step_complete t ~cycle =
-  List.iter
-    (fun u ->
-      match u.state with
-      | Issued when u.complete_at <= cycle ->
-          (* Control resolves here: train the predictor, unblock fetch. *)
-          (match u.eff.Golden.instr with
-          | Instr.Branch _ ->
-              Branch_pred.update t.bp ~pc:u.eff.Golden.pc
-                ~taken:(Option.value ~default:false u.eff.Golden.taken)
-                ~target:u.resolved_target
-          | Instr.Jal _ | Instr.Jalr _ ->
-              Branch_pred.update_jump t.bp ~pc:u.eff.Golden.pc
-                ~target:u.resolved_target
-          | _ -> ());
-          if u.mispredicted then begin
-            t.blocked_on_branch <- None;
-            t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
-            Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
-              ~data:u.eff.Golden.pc;
-            u.mispredicted <- false
-          end;
-          if
-            Instr.is_store u.eff.Golden.instr
-            && Option.is_none (Instr.dest u.eff.Golden.instr)
-          then u.state <- Done
-          else if Option.is_none (Instr.dest u.eff.Golden.instr) then
-            u.state <- Done
-          else begin
+  for i = 0 to Ring.length t.rob - 1 do
+    let u = Ring.get t.rob i in
+    match u.state with
+    | Issued when u.complete_at <= cycle ->
+        (* Control resolves here: train the predictor, unblock fetch. *)
+        (match u.eff.Golden.instr with
+        | Instr.Branch _ ->
+            Branch_pred.update t.bp ~pc:u.eff.Golden.pc
+              ~taken:(Option.value ~default:false u.eff.Golden.taken)
+              ~target:u.resolved_target
+        | Instr.Jal _ | Instr.Jalr _ ->
+            Branch_pred.update_jump t.bp ~pc:u.eff.Golden.pc
+              ~target:u.resolved_target
+        | _ -> ());
+        if u.mispredicted then begin
+          t.blocked_on_branch <- None;
+          t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+          Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
+            ~data:u.eff.Golden.pc;
+          u.mispredicted <- false
+        end;
+        if u.dest < 0 then u.state <- Done
+        else begin
+          u.state <- Exec_done;
+          Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
+            ~tainted:u.tainted
+        end
+    | Wait_mem -> (
+        match Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id with
+        | Some c when c <= cycle ->
+            u.complete_at <- c;
+            if u.mispredicted then begin
+              t.blocked_on_branch <- None;
+              t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+              u.mispredicted <- false
+            end;
             u.state <- Exec_done;
             Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
               ~tainted:u.tainted
-          end
-      | Wait_mem -> (
-          match Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id with
-          | Some c when c <= cycle ->
-              u.complete_at <- c;
-              if u.mispredicted then begin
-                t.blocked_on_branch <- None;
-                t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
-                u.mispredicted <- false
-              end;
-              u.state <- Exec_done;
-              Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
-                ~tainted:u.tainted
-          | Some _ | None -> ())
-      | Dispatched | Issued | Exec_done | Done -> ())
-    t.rob
+        | Some _ | None -> ())
+    | Dispatched | Issued | Exec_done | Done -> ()
+  done
+
+(* The ROB uop with id [id], or [no_uop]: binary search, since ids increase
+   from head to tail.  Every uop awaiting writeback is in the ROB. *)
+let rob_find t id =
+  let lo = ref 0 and hi = ref (Ring.length t.rob) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if (Ring.get t.rob mid).id < id then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Ring.length t.rob && (Ring.get t.rob !lo).id = id then
+    Ring.get t.rob !lo
+  else no_uop
+
+let rec write_back t ~cycle = function
+  | [] -> ()
+  | id :: rest ->
+      let u = rob_find t id in
+      if u.state = Exec_done then begin
+        u.state <- Done;
+        u.complete_at <- min u.complete_at cycle
+      end;
+      write_back t ~cycle rest
 
 let step_writeback t ~cycle =
-  let granted = Exec_unit.arbitrate_writeback t.pool ~cycle in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.by_id id with
-      | Some u when u.state = Exec_done ->
-          u.state <- Done;
-          u.complete_at <- min u.complete_at cycle
-      | Some _ | None -> ())
-    granted
+  write_back t ~cycle (Exec_unit.arbitrate_writeback t.pool ~cycle)
 
 (* --- Commit --- *)
 
@@ -703,68 +798,67 @@ let step_commit t ~cycle =
   let budget = ref t.cfg.commit_width in
   let stop = ref false in
   while (not !stop) && !budget > 0 do
-    match t.rob with
-    | u :: rest when u.state = Done && u.complete_at <= cycle ->
-        assert (not u.transient);
-        t.rob <- rest;
-        Hashtbl.remove t.by_id u.id;
-        let slot = t.cfg.commit_width - !budget in
-        Cpoint.request ~tainted:u.tainted t.reg t.p_rob_commit ~source:slot
-          ~data:u.eff.Golden.pc;
-        decr budget;
-        t.commit_log <-
-          { c_eff = u.eff; c_cycle = cycle; c_dispatch = u.dispatch_cycle }
-          :: t.commit_log;
-        if Instr.is_store u.eff.Golden.instr then
-          t.stbuf <- t.stbuf @ [ { sb_uop = u; sb_state = Drain_new } ];
-        if u.secret_dep then begin
-          t.secret_committed <- t.secret_committed + 1;
-          if t.drives_window && t.secret_committed >= t.secret_total then
-            Cpoint.close_window t.reg
-        end;
-        (* Lazy exception handling: the squash happens here. *)
-        if
-          is_access_fault u.eff.Golden.fault
-          && t.cfg.exception_policy = Config.Lazy_at_commit
-        then begin
-          handle_fault_redirect t u ~cycle;
-          stop := true
-        end
-    | _ -> stop := true
+    let u = if Ring.is_empty t.rob then no_uop else Ring.peek t.rob in
+    if u != no_uop && u.state = Done && u.complete_at <= cycle then begin
+      assert (not u.transient);
+      Ring.pop t.rob;
+      count_in t u (-1);
+      let slot = t.cfg.commit_width - !budget in
+      Cpoint.request ~tainted:u.tainted t.reg t.p_rob_commit ~source:slot
+        ~data:u.eff.Golden.pc;
+      decr budget;
+      t.commit_log <-
+        { c_eff = u.eff; c_cycle = cycle; c_dispatch = u.dispatch_cycle }
+        :: t.commit_log;
+      if u.cls = Class_store then
+        Ring.push t.stbuf { sb_uop = u; sb_state = Drain_new };
+      if u.secret_dep then begin
+        t.secret_committed <- t.secret_committed + 1;
+        if t.drives_window && t.secret_committed >= t.secret_total then
+          Cpoint.close_window t.reg
+      end;
+      (* Lazy exception handling: the squash happens here. *)
+      if
+        is_access_fault u.eff.Golden.fault
+        && t.cfg.exception_policy = Config.Lazy_at_commit
+      then begin
+        handle_fault_redirect t u ~cycle;
+        stop := true
+      end
+    end
+    else stop := true
   done
 
 (* --- Store buffer drain --- *)
 
 let step_stbuf t ~cycle =
-  match t.stbuf with
-  | [] -> ()
-  | entry :: rest -> (
-      let u = entry.sb_uop in
-      let addr = match u.eff.Golden.mem with Some m -> m.addr | None -> 0L in
-      let is_sc =
-        match u.eff.Golden.instr with Instr.Sc_d _ -> true | _ -> false
-      in
-      match entry.sb_state with
-      | Drain_new -> (
-          Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
-            ~data:addr;
-          match
-            Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
-              ~cycle ~tainted:u.tainted
-          with
-          | Memsys.Ready _ -> t.stbuf <- rest
-          | Memsys.Waiting -> entry.sb_state <- Drain_waiting
-          | Memsys.Blocked _ -> ())
-      | Drain_waiting -> (
-          match Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id with
-          | Some c when c <= cycle -> t.stbuf <- rest
-          | Some _ | None -> ()))
+  if not (Ring.is_empty t.stbuf) then begin
+    let entry = Ring.peek t.stbuf in
+    let u = entry.sb_uop in
+    let addr = match u.eff.Golden.mem with Some m -> m.addr | None -> 0L in
+    let is_sc = match u.eff.Golden.instr with Instr.Sc_d _ -> true | _ -> false in
+    match entry.sb_state with
+    | Drain_new -> (
+        Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
+          ~data:addr;
+        match
+          Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
+            ~cycle ~tainted:u.tainted
+        with
+        | Memsys.Ready _ -> Ring.pop t.stbuf
+        | Memsys.Waiting -> entry.sb_state <- Drain_waiting
+        | Memsys.Blocked _ -> ())
+    | Drain_waiting -> (
+        match Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id with
+        | Some c when c <= cycle -> Ring.pop t.stbuf
+        | Some _ | None -> ())
+  end
 
 (* --- Top level --- *)
 
 let step t ~cycle =
   t.cycles <- cycle;
-  Exec_unit.new_cycle t.pool ~cycle;
+  Exec_unit.new_cycle t.pool;
   step_complete t ~cycle;
   step_writeback t ~cycle;
   step_commit t ~cycle;
@@ -783,7 +877,9 @@ let fetch_done t =
   | Arch -> t.fetch_halted || t.fetch_pos >= Array.length t.trace
   | Trans _ -> false
 
-let finished t = fetch_done t && t.fb = [] && t.rob = [] && t.stbuf = []
+let finished t =
+  fetch_done t && Ring.is_empty t.fb && Ring.is_empty t.rob
+  && Ring.is_empty t.stbuf
 let commits t = List.rev t.commit_log
 let transient_executed t = t.transient_issued
 let cycles_run t = t.cycles
@@ -833,7 +929,7 @@ let fetch_bound t ~cycle =
       if t.fetch_halted || cycle < t.fetch_stall_until || t.blocked_on_branch <> None
       then t.fetch_pos
       else begin
-        let fb = fb_count t in
+        let fb = Ring.length t.fb in
         let headroom =
           min t.cfg.fetch_width
             (t.cfg.fetch_buffer - fb + min fb t.cfg.decode_width)
@@ -887,29 +983,26 @@ let producer_possibly_ready t v ~cycle =
   | Dispatched -> false
 
 let could_issue t u ~cycle =
-  List.for_all
-    (fun r ->
-      Reg.equal r Reg.x0
-      ||
-      match producer_of t u r with
-      | Some v -> producer_possibly_ready t v ~cycle
-      | None -> true)
-    (Instr.sources u.eff.Golden.instr)
+  producer_possibly_ready t u.prod1 ~cycle
+  && producer_possibly_ready t u.prod2 ~cycle
 
 let rob_issue_reaches t ~fork ~cycle =
-  List.exists
-    (fun u ->
+  let reaches = ref false and i = ref 0 in
+  while (not !reaches) && !i < Ring.length t.rob do
+    let u = Ring.get t.rob !i in
+    reaches :=
       u.trace_pos >= fork
-      && (u.state <> Dispatched
-         || Instr.is_store u.eff.Golden.instr
-         || could_issue t u ~cycle))
-    t.rob
+      && (u.state <> Dispatched || u.cls = Class_store || could_issue t u ~cycle);
+    incr i
+  done;
+  !reaches
 
 (* Checkpoint support.  Uops are mutable, so capture deep-copies each one
-   ([{ u with state = u.state }] — the immutable [eff] is shared); [by_id]
-   is exactly fb ∪ rob (commit removes an entry before any store-buffer
-   insertion), so restore rebuilds it instead of saving it.  The commit
-   log's records are immutable, so its spine is shared.  [fetch_source]'s
+   ([{ u with state = u.state }] — the immutable [eff] is shared).  The
+   copies' producer links still name the live uops, so restore rebuilds
+   the links, the writer table and the occupancy counts from the restored
+   ROB ([relink]) instead of saving them.  The commit log's records are
+   immutable, so its spine is shared.  [fetch_source]'s
    [Trans] payload is replaced, never mutated, so saving it by value is
    faithful. *)
 
@@ -957,11 +1050,16 @@ let make_save () =
   }
 
 let copy_uop u = { u with state = u.state }
+let ring_to_list r f = List.init (Ring.length r) (fun i -> f (Ring.get r i))
+
+let ring_of_list r l f =
+  Ring.clear r;
+  List.iter (fun x -> Ring.push r (f x)) l
 
 let capture t sv =
   (* [pending_early_squash] is set and consumed within one [step], so it
      is always [None] at a cycle boundary. *)
-  assert (t.pending_early_squash = None);
+  assert (Option.is_none t.pending_early_squash);
   sv.s_secret_committed <- t.secret_committed;
   sv.s_fetch_pos <- t.fetch_pos;
   sv.s_fetch_source <- t.fetch_source;
@@ -970,9 +1068,9 @@ let capture t sv =
   sv.s_blocked_on_branch <- t.blocked_on_branch;
   sv.s_line_avail <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.line_avail [];
   sv.s_line_pending <- Hashtbl.fold (fun k () acc -> k :: acc) t.line_pending [];
-  sv.s_fb <- List.map copy_uop t.fb;
-  sv.s_rob <- List.map copy_uop t.rob;
-  sv.s_stbuf <- List.map (fun e -> (copy_uop e.sb_uop, e.sb_state)) t.stbuf;
+  sv.s_fb <- ring_to_list t.fb copy_uop;
+  sv.s_rob <- ring_to_list t.rob copy_uop;
+  sv.s_stbuf <- ring_to_list t.stbuf (fun e -> (copy_uop e.sb_uop, e.sb_state));
   Array.blit t.taint_reg 0 sv.s_taint_reg 0 32;
   sv.s_next_id <- t.next_id;
   Exec_unit.capture t.pool sv.s_pool;
@@ -1001,20 +1099,18 @@ let restore ?(fork = max_int) t sv =
      [prepare]d — trace makes the restored state exactly what the other
      run would have built.  All dynamic uop fields (taint, prediction
      outcome, resolved target, dispatch cycle, issue timing) are
-     equal across the runs up to that point, so the shallow rebuild is
+     equal across the runs up to that point, and so is the instruction
+     (fetch stayed below the fetch-visible fork) with the class,
+     destination and sources derived from it, so the shallow rebuild is
      faithful. *)
   let repoint u =
     if u.trace_pos >= fork then { u with eff = t.trace.(u.trace_pos) } else u
   in
-  t.fb <- (if fork = max_int then sv.s_fb else List.map repoint sv.s_fb);
-  t.rob <- (if fork = max_int then sv.s_rob else List.map repoint sv.s_rob);
-  t.stbuf <-
-    List.map
-      (fun (u, st) -> { sb_uop = repoint u; sb_state = st })
-      sv.s_stbuf;
-  Hashtbl.reset t.by_id;
-  List.iter (fun u -> Hashtbl.replace t.by_id u.id u) t.fb;
-  List.iter (fun u -> Hashtbl.replace t.by_id u.id u) t.rob;
+  ring_of_list t.fb sv.s_fb repoint;
+  ring_of_list t.rob sv.s_rob repoint;
+  ring_of_list t.stbuf sv.s_stbuf (fun (u, st) ->
+      { sb_uop = repoint u; sb_state = st });
+  relink t;
   Array.blit sv.s_taint_reg 0 t.taint_reg 0 32;
   t.next_id <- sv.s_next_id;
   Exec_unit.restore t.pool sv.s_pool;

@@ -97,8 +97,9 @@ val restore : ?fork:int -> t -> save -> unit
     re-pointed at the {e current} golden trace (call {!prepare} with the
     new outcome first): such uops may carry the captured run's divergent
     values, which are unread until the uop's first post-dispatch issue
-    opportunity — after the capture, by {!rob_reaches}. Default
-    [max_int]: no re-pointing. *)
+    opportunity — after the capture, by {!rob_issue_reaches}. Default
+    [max_int]: no re-pointing. Operand producer links are rebuilt from
+    the restored ROB either way. *)
 
 val finished : t -> bool
 (** Trace fully committed and all buffers drained. *)

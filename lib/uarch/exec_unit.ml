@@ -45,8 +45,7 @@ let create (cfg : Config.t) reg ~core =
     p_mdu = (if cfg.unified_mdu then Some (pt "mdu.req" Exec [ "mul"; "div" ]) else None);
   }
 
-let new_cycle t ~cycle =
-  ignore cycle;
+let new_cycle t =
   t.alu_used <- 0;
   t.mem_used <- 0;
   t.mul_issued <- false

@@ -17,7 +17,7 @@ type t
 
 val create : Config.t -> Cpoint.registry -> core:int -> t
 
-val new_cycle : t -> cycle:int -> unit
+val new_cycle : t -> unit
 (** Reset per-cycle issue-slot accounting. Call at the top of each cycle. *)
 
 val try_issue_alu : t -> cycle:int -> tainted:bool -> int option

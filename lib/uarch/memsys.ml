@@ -490,49 +490,61 @@ let complete_transfer t tr ~cycle =
         | None -> ())
   end
 
+(* Complete the transfers due this cycle, in list order; whether any did. *)
+let rec complete_due t ~cycle any = function
+  | [] -> any
+  | tr :: rest ->
+      let due =
+        match tr.complete_at with
+        | Some c -> c <= cycle && not tr.processed
+        | None -> false
+      in
+      if due then complete_transfer t tr ~cycle;
+      complete_due t ~cycle (any || due) rest
+
+let rec any_grantable ~cycle = function
+  | [] -> false
+  | tr :: rest ->
+      (Option.is_none tr.granted_at && tr.ready_at <= cycle) || any_grantable ~cycle rest
+
 let tick t ~cycle =
-  (* Completions due this cycle. *)
-  List.iter
-    (fun tr ->
-      match tr.complete_at with
-      | Some c when c <= cycle && not tr.processed -> complete_transfer t tr ~cycle
-      | Some _ | None -> ())
-    t.transfers;
-  t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
+  (* Completions due this cycle; the list is rebuilt only when one
+     happened. *)
+  if complete_due t ~cycle false t.transfers then
+    t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
   (* Channel grant. *)
-  if t.channel_busy_until <= cycle then begin
+  if t.channel_busy_until <= cycle && any_grantable ~cycle t.transfers then begin
     let ready =
-      List.filter (fun tr -> tr.granted_at = None && tr.ready_at <= cycle) t.transfers
+      List.filter
+        (fun tr -> Option.is_none tr.granted_at && tr.ready_at <= cycle)
+        t.transfers
     in
-    match ready with
-    | [] -> ()
-    | _ ->
-        List.iter
-          (fun tr ->
-            Cpoint.request t.reg t.p_channel ~tainted:tr.tainted
-              ~source:
-                (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback)
-              ~data:tr.line)
-          ready;
-        let winner =
-          List.fold_left
-            (fun best tr ->
-              match best with
-              | None -> Some tr
-              | Some b ->
-                  if grant_priority tr < grant_priority b then Some tr else best)
-            None ready
-        in
-        Option.iter
-          (fun tr ->
-            Cpoint.grant t.reg t.p_channel
-              ~source:
-                (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback);
-            let beats = if tr.writeback then writeback_beats else read_beats in
-            tr.granted_at <- Some cycle;
-            tr.complete_at <- Some (cycle + beats);
-            t.channel_busy_until <- cycle + beats)
-          winner
+    List.iter
+      (fun tr ->
+        Cpoint.request t.reg t.p_channel ~tainted:tr.tainted
+          ~source:
+            (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback)
+          ~data:tr.line)
+      ready;
+    let winner =
+      List.fold_left
+        (fun best tr ->
+          match best with
+          | None -> Some tr
+          | Some b ->
+              if grant_priority tr < grant_priority b then Some tr else best)
+        None ready
+    in
+    Option.iter
+      (fun tr ->
+        Cpoint.grant t.reg t.p_channel
+          ~source:
+            (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback);
+        let beats = if tr.writeback then writeback_beats else read_beats in
+        tr.granted_at <- Some cycle;
+        tr.complete_at <- Some (cycle + beats);
+        t.channel_busy_until <- cycle + beats)
+      winner
   end
 
 let dcache_probe t ~core ~addr = Cache.probe t.l1d.(core) addr

@@ -190,18 +190,18 @@ let test_cache_fill_info () =
 let test_exec_alu_slots () =
   let reg = registry () in
   let pool = Exec_unit.create Config.boom reg ~core:0 in
-  Exec_unit.new_cycle pool ~cycle:1;
+  Exec_unit.new_cycle pool;
   checkb "slot 1" true (Exec_unit.try_issue_alu pool ~cycle:1 ~tainted:false <> None);
   checkb "slot 2" true (Exec_unit.try_issue_alu pool ~cycle:1 ~tainted:false <> None);
   checkb "slot 3" true (Exec_unit.try_issue_alu pool ~cycle:1 ~tainted:false <> None);
   checkb "no slot 4" true (Exec_unit.try_issue_alu pool ~cycle:1 ~tainted:false = None);
-  Exec_unit.new_cycle pool ~cycle:2;
+  Exec_unit.new_cycle pool;
   checkb "fresh next cycle" true (Exec_unit.try_issue_alu pool ~cycle:2 ~tainted:false <> None)
 
 let test_exec_div_unpipelined () =
   let reg = registry () in
   let pool = Exec_unit.create Config.boom reg ~core:0 in
-  Exec_unit.new_cycle pool ~cycle:1;
+  Exec_unit.new_cycle pool;
   let first = Exec_unit.try_issue_div pool ~cycle:1 ~operand:1000L ~tainted:false in
   checkb "first div accepted" true (first <> None);
   checkb "second div refused" true
@@ -226,7 +226,7 @@ let test_exec_wb_priority () =
 let test_exec_mdu_shared () =
   let reg = Cpoint.create Config.nutshell in
   let pool = Exec_unit.create Config.nutshell reg ~core:0 in
-  Exec_unit.new_cycle pool ~cycle:1;
+  Exec_unit.new_cycle pool;
   checkb "mul takes mdu" true
     (Exec_unit.try_issue_mul pool ~cycle:1 ~operand:10L ~tainted:false <> None);
   checkb "div blocked by mul" true
@@ -375,6 +375,92 @@ let test_machine_ctx_allocates_less () =
     true
     (reused < 0.25 *. fresh)
 
+let test_machine_words_per_cycle () =
+  (* Minor-heap words per simulated cycle of a ctx-reused checkpointed
+     dual run.  The pipeline keeps its fetch buffer, ROB and store buffer
+     in per-core rings and links operands at dispatch, so a cycle no
+     longer copies lists or allocates operand lists: measured 163
+     words/cycle on this testcase, against 713 for the list-based model
+     it replaced (which this bound therefore rejects).  The bound is
+     about 1.5x the measured value. *)
+  let tc = Sonar.Testcase.random (Sonar.Rng.create 7L) ~id:7 ~dual:true in
+  let i0 = Sonar.Testcase.materialize tc ~secret:0 in
+  let i1 = Sonar.Testcase.materialize tc ~secret:1 in
+  let ctx = Machine.Ctx.create Config.boom in
+  let run () = Machine.run_dual ~ctx Config.boom i0 i1 in
+  ignore (run ());
+  let cycles = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 5 do
+    let r0, r1, st = run () in
+    cycles :=
+      !cycles + r0.Machine.cycles + r1.Machine.cycles - st.Machine.cycles_saved
+  done;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int !cycles in
+  checkb
+    (Printf.sprintf "minor words per simulated cycle %.1f <= 245" per_cycle)
+    true (per_cycle <= 245.)
+
+(* The victim core of materialized testcase inputs, run in user mode with
+   the secret page kernel-protected: its secret load faults, so the secret
+   flows only through the transient continuation, which a squash then
+   discards (at commit on BOOM, at execute on NutShell). *)
+let meltdown (inputs : Machine.core_input array) =
+  Array.mapi
+    (fun k (c : Machine.core_input) ->
+      if k > 0 then c
+      else
+        {
+          c with
+          Machine.program =
+            {
+              c.program with
+              Program.start_priv = Program.User;
+              protected_range = Some Sonar.Layout.kernel_range;
+            };
+        })
+    inputs
+
+(* Digest of 32 seeded testcases for each of {boom, nutshell} x {single,
+   dual}, run through a reused context with checkpointing on: both results
+   (commits with their cycles, snapshots, point stats, window, cycle
+   count, cycle-limit flag) and the dual-run statistics.  The constants
+   were computed with the list-based pipeline model that predates the ring
+   buffers and producer links, so they pin the timing model cycle for
+   cycle, not just to itself.  Random testcases never fault, so the same
+   corpus runs again as [meltdown] variants to pin the squash paths. *)
+let corpus_digest ~fault =
+  let digests = Buffer.create 2048 in
+  List.iter
+    (fun cfg ->
+      let ctx = Machine.Ctx.create cfg in
+      List.iter
+        (fun dual ->
+          for seed = 1 to 32 do
+            let rng = Sonar.Rng.create (Int64.of_int seed) in
+            let tc = Sonar.Testcase.random rng ~id:seed ~dual in
+            let inputs secret =
+              let i = Sonar.Testcase.materialize tc ~secret in
+              if fault then meltdown i else i
+            in
+            let res =
+              Machine.run_dual ~ctx ~checkpoint:true cfg (inputs 0) (inputs 1)
+            in
+            Buffer.add_string digests
+              (Digest.string (Marshal.to_string res [ Marshal.No_sharing ]))
+          done)
+        [ false; true ])
+    [ Config.boom; Config.nutshell ];
+  Digest.to_hex (Digest.string (Buffer.contents digests))
+
+let test_machine_cycle_exact_pin () =
+  Alcotest.(check string)
+    "random corpus" "51a25de1f6948b1b5bf5b4e8c17fc6e9"
+    (corpus_digest ~fault:false);
+  Alcotest.(check string)
+    "meltdown corpus" "fea99f19b4ea642a83393e0fd62cc6e1"
+    (corpus_digest ~fault:true)
+
 (* --- Prefix-checkpointed dual runs --- *)
 
 let test_checkpoint_fork_at_first_instr () =
@@ -409,22 +495,29 @@ let test_checkpoint_fork_at_first_instr () =
 (* Checkpointed dual runs are bit-identical to full dual runs and to two
    independent [Machine.run] calls — commits, snapshots, point stats,
    window, and cycle counts all included in the structural comparison —
-   over random testcases at both core counts. *)
+   over random testcases at both core counts, on both designs, plain and
+   as [meltdown] variants.  The variants squash transient work (at execute
+   on NutShell), so they also cover the producer-link rebuild after a
+   squash and after a restore inside a checkpointed run. *)
 let prop_checkpoint_equivalent =
   QCheck2.Test.make
-    ~name:"checkpointed dual run = full dual run (random testcases)" ~count:40
-    QCheck2.Gen.(pair (int_range 1 10_000) bool)
-    (fun (seed, dual) ->
+    ~name:"checkpointed dual run = full dual run (random testcases)" ~count:80
+    QCheck2.Gen.(quad (int_range 1 10_000) bool bool bool)
+    (fun (seed, dual, nutshell, fault) ->
+      let cfg = if nutshell then Config.nutshell else Config.boom in
       let rng = Sonar.Rng.create (Int64.of_int seed) in
       let tc = Sonar.Testcase.random rng ~id:seed ~dual in
-      let i0 = Sonar.Testcase.materialize tc ~secret:0 in
-      let i1 = Sonar.Testcase.materialize tc ~secret:1 in
-      let c0, c1, _ = Machine.run_dual ~checkpoint:true Config.boom i0 i1 in
-      let f0, f1, fcp = Machine.run_dual ~checkpoint:false Config.boom i0 i1 in
+      let inputs secret =
+        let i = Sonar.Testcase.materialize tc ~secret in
+        if fault then meltdown i else i
+      in
+      let i0 = inputs 0 and i1 = inputs 1 in
+      let c0, c1, _ = Machine.run_dual ~checkpoint:true cfg i0 i1 in
+      let f0, f1, fcp = Machine.run_dual ~checkpoint:false cfg i0 i1 in
       fcp.Machine.cycles_saved = 0
       && c0 = f0 && c1 = f1
-      && c0 = Machine.run Config.boom i0
-      && c1 = Machine.run Config.boom i1)
+      && c0 = Machine.run cfg i0
+      && c1 = Machine.run cfg i1)
 
 (* Golden/uarch architectural equivalence over random testcases. *)
 let prop_machine_matches_golden =
@@ -489,6 +582,10 @@ let () =
             test_machine_ctx_config_mismatch;
           Alcotest.test_case "ctx allocates less" `Quick
             test_machine_ctx_allocates_less;
+          Alcotest.test_case "minor words per simulated cycle" `Quick
+            test_machine_words_per_cycle;
+          Alcotest.test_case "cycle-exact pin" `Quick
+            test_machine_cycle_exact_pin;
           Alcotest.test_case "checkpoint fork at instruction 0" `Quick
             test_checkpoint_fork_at_first_instr;
         ]
