@@ -308,25 +308,24 @@ let fig10 () =
 let fig11 () =
   section "fig11" "Sonar vs SpecDoctor: new contention points; instrumentation complexity";
   let iters = max 200 (fuzz_iterations / 2) in
-  let p = Lazy.force pool in
-  let sonar_f =
-    Sonar.Domain_pool.submit p (fun () ->
-        Sonar.Fuzzer.run
-          ~options:{ Sonar.Fuzzer.Options.default with seed = 11L }
-          Sonar_uarch.Config.boom Sonar.Feedback.sonar ~iterations:iters)
+  (* Both fuzzers race through the same loop with the same options; only
+     the strategy differs. *)
+  let run strategy =
+    Sonar.Fuzzer.run
+      ~options:{ Sonar.Fuzzer.Options.default with seed = 11L }
+      Sonar_uarch.Config.boom strategy ~iterations:iters
   in
+  let p = Lazy.force pool in
+  let sonar_f = Sonar.Domain_pool.submit p (fun () -> run Sonar.Feedback.sonar) in
   let sd_f =
-    Sonar.Domain_pool.submit p (fun () ->
-        Sonar.Baseline.specdoctor ~seed:11L Sonar_uarch.Config.boom
-          ~iterations:iters)
+    Sonar.Domain_pool.submit p (fun () -> run Sonar.Feedback.specdoctor)
   in
   let sonar = Sonar.Domain_pool.await sonar_f in
   let sd = Sonar.Domain_pool.await sd_f in
-  let sd_final = (List.nth sd (List.length sd - 1)).Sonar.Fuzzer.coverage in
   Printf.printf "after %d iterations: sonar %.0f vs specdoctor %.0f contention \
                  points (%.2fx; paper: 2.13x)\n"
-    iters sonar.final_coverage sd_final
-    (sonar.final_coverage /. Float.max 1. sd_final);
+    iters sonar.final_coverage sd.final_coverage
+    (sonar.final_coverage /. Float.max 1. sd.final_coverage);
   (* Instrumentation complexity: O(n) vs O(n^2) over module size. *)
   Printf.printf "\ninstrumentation scaling (statements -> seconds):\n";
   Printf.printf "%8s %12s %12s %14s\n" "stmts" "sonar O(n)" "specdoc O(n^2)" "pair checks";

@@ -31,6 +31,21 @@ let format_arg =
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FMT" ~doc)
 
+(* Count flags are checked by their converter: a nonsensical value is a
+   usage error, never silently clamped — a clamped `--jobs 0` would report
+   jobs=1 results under a flag that said otherwise. *)
+let int_in ~lo ~hi expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when lo <= v && v <= hi -> Ok v
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive = int_in ~lo:1 ~hi:max_int "an integer >= 1"
+let port = int_in ~lo:0 ~hi:65535 "a port number 0-65535"
+
 let config_of_name name =
   match Sonar_uarch.Config.by_name name with
   | Some cfg -> Ok cfg
@@ -122,23 +137,8 @@ let analyze dut format profile =
           print_endline (Json.to_string doc));
       0
 
-let valid_port ~flag = function
-  | Some p when p < 0 || p > 65535 ->
-      Printf.eprintf "sonar: %s must be a port number 0-65535 (got %d)\n" flag p;
-      exit 1
-  | p -> p
-
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
-
-(* Strict validation: a nonsensical value is a user error, not something to
-   silently clamp — a clamped `--jobs 0` would report jobs=1 results under a
-   flag that said otherwise. *)
-let positive_or_die ~flag = function
-  | Some v when v < 1 ->
-      Printf.eprintf "sonar fuzz: %s must be >= 1 (got %d)\n" flag v;
-      exit 1
-  | v -> v
 
 let list_strategies () =
   List.iter
@@ -151,35 +151,18 @@ let unknown_strategy name =
     (String.concat ", " Sonar.Feedback.names);
   1
 
-let fuzz dut iterations seed strategy_name list random_mode dual jobs batch
-    chunk no_checkpoint trace timings rotate_bytes rotate_generations
-    serve_port stats progress format =
+let fuzz dut iterations seed strategy_name list dual jobs batch chunk
+    no_checkpoint trace timings rotate_bytes rotate_generations serve_port
+    stats progress format =
   if list then list_strategies ()
   else
-  let jobs = positive_or_die ~flag:"--jobs" jobs in
   let checkpoint = not no_checkpoint in
-  let batch =
-    Option.get (positive_or_die ~flag:"--batch" (Some batch))
-  in
-  let chunk = positive_or_die ~flag:"--chunk" chunk in
-  let rotate_bytes = positive_or_die ~flag:"--rotate-bytes" rotate_bytes in
-  let rotate_generations =
-    positive_or_die ~flag:"--rotate-generations" rotate_generations
-  in
   let rotate = rotate_bytes <> None || rotate_generations <> None in
   if rotate && trace = None then begin
     Printf.eprintf
       "sonar fuzz: --rotate-bytes/--rotate-generations need --trace FILE\n";
     exit 1
   end;
-  let serve_port = valid_port ~flag:"--serve" serve_port in
-  (* --strategy NAME wins; --random remains shorthand for --strategy
-     random; the default is the paper's policy. *)
-  let strategy_name =
-    match strategy_name with
-    | Some name -> name
-    | None -> if random_mode then "random" else "sonar"
-  in
   match Sonar.Feedback.create strategy_name with
   | None -> unknown_strategy strategy_name
   | Some strategy -> (
@@ -205,7 +188,7 @@ let fuzz dut iterations seed strategy_name list random_mode dual jobs batch
       let t0 = Unix.gettimeofday () in
       let progress_sink =
         Option.map
-          (fun every -> Telemetry.progress ~every:(max 1 every) ~total:iterations ())
+          (fun every -> Telemetry.progress ~every ~total:iterations ())
           progress
       in
       let server =
@@ -374,7 +357,6 @@ let report traces top format output sidecar no_sidecar strict label =
    being tailed for appended complete lines — point it at the trace of a
    campaign still running. *)
 let serve traces port follow =
-  let port = Option.get (valid_port ~flag:"--port" (Some port)) in
   let health =
     [ ("traces", Json.List (List.map (fun t -> Json.String t) traces)) ]
   in
@@ -508,18 +490,18 @@ let analyze_cmd =
 let fuzz_cmd =
   let doc = "run a contention-guided fuzzing campaign" in
   let iters =
-    Arg.(value & opt int 200 & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Iterations.")
+    Arg.(value & opt positive 200 & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Iterations.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let strategy =
     Arg.(
       value
-      & opt (some string) None
+      & opt string "sonar"
       & info [ "strategy" ] ~docv:"NAME"
           ~doc:
             "Feedback strategy driving the campaign (see \
              $(b,--list-strategies)). Default: $(b,sonar), the paper's \
-             policy; $(b,--random) is shorthand for $(b,--strategy random).")
+             policy.")
   in
   let list =
     Arg.(
@@ -528,16 +510,13 @@ let fuzz_cmd =
       & info [ "list-strategies" ]
           ~doc:"List the shipped feedback strategies and exit.")
   in
-  let random_mode =
-    Arg.(value & flag & info [ "random" ] ~doc:"Disable all guidance (baseline).")
-  in
   let dual =
     Arg.(value & flag & info [ "dual" ] ~doc:"Dual-core testcases (Figure 4b).")
   in
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for parallel testcase execution (default: \
@@ -547,7 +526,7 @@ let fuzz_cmd =
   let batch =
     Arg.(
       value
-      & opt int Sonar.Fuzzer.default_batch
+      & opt positive Sonar.Fuzzer.default_batch
       & info [ "batch" ] ~docv:"N"
           ~doc:
             "Generation size (candidates drawn before feedback lands). \
@@ -556,7 +535,7 @@ let fuzz_cmd =
   let chunk =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "chunk" ] ~docv:"N"
           ~doc:
             "Testcases per parallel executor task (a slice of the \
@@ -600,7 +579,7 @@ let fuzz_cmd =
   let rotate_bytes =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "rotate-bytes" ] ~docv:"N"
           ~doc:
             "Rotate the $(b,--trace) file into numbered segments \
@@ -613,7 +592,7 @@ let fuzz_cmd =
   let rotate_generations =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "rotate-generations" ] ~docv:"N"
           ~doc:
             "Rotate the $(b,--trace) file after every $(docv) \
@@ -623,7 +602,7 @@ let fuzz_cmd =
   let serve =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some port) None
       & info [ "serve" ] ~docv:"PORT"
           ~doc:
             "Serve live observability over HTTP on 127.0.0.1:$(docv) \
@@ -645,14 +624,13 @@ let fuzz_cmd =
   let progress =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "progress" ] ~docv:"N"
           ~doc:"Report progress on stderr every $(docv) testcases.")
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const fuzz $ dut_arg $ iters $ seed $ strategy $ list $ random_mode
-      $ dual $ jobs $ batch $ chunk $ no_checkpoint $ trace $ timings
+      const fuzz $ dut_arg $ iters $ seed $ strategy $ list $ dual $ jobs $ batch $ chunk $ no_checkpoint $ trace $ timings
       $ rotate_bytes $ rotate_generations $ serve $ stats $ progress
       $ format_arg)
 
@@ -687,7 +665,7 @@ let report_cmd =
   let top =
     Arg.(
       value
-      & opt int 10
+      & opt positive 10
       & info [ "top" ] ~docv:"N"
           ~doc:"Contention points shown in the histogram table.")
   in
@@ -769,7 +747,7 @@ let serve_cmd =
   let port =
     Arg.(
       value
-      & opt int 8642
+      & opt port 8642
       & info [ "port" ] ~docv:"PORT"
           ~doc:"Port to listen on (0 picks a free port, printed on stderr).")
   in
@@ -793,8 +771,8 @@ let channels_cmd =
 let attack_cmd =
   let doc = "run a Meltdown-style exploitability PoC (§8.5)" in
   let id = Arg.(value & opt string "S11" & info [ "id" ] ~docv:"Sx" ~doc:"Channel id.") in
-  let trials = Arg.(value & opt int 5 & info [ "t"; "trials" ] ~doc:"Trials.") in
-  let bits = Arg.(value & opt int 32 & info [ "bits" ] ~doc:"Key bits.") in
+  let trials = Arg.(value & opt positive 5 & info [ "t"; "trials" ] ~doc:"Trials.") in
+  let bits = Arg.(value & opt positive 32 & info [ "bits" ] ~doc:"Key bits.") in
   Cmd.v (Cmd.info "attack" ~doc) Term.(const attack $ id $ trials $ bits)
 
 let () =

@@ -92,7 +92,6 @@ let add_pair t (pair : Executor.pair) =
   absorb_run t pair.run0 +. absorb_run t pair.run1
 
 let total t = t.total
-let distinct_subs t = Hashtbl.length t.subs
 let single_valid_weight t = if t.total = 0. then 0. else t.sv_weight /. t.total
 
 let per_component t =

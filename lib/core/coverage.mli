@@ -30,9 +30,6 @@ val add_pair_delta : t -> Executor.pair -> float * (string * float) list
 
 val total : t -> float
 
-val distinct_subs : t -> int
-(** Distinct (point, kind, sub) triples triggered so far. *)
-
 val single_valid_weight : t -> float
 (** Share of {!total} located at single-valid points (Figure 9). *)
 

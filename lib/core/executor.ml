@@ -219,17 +219,3 @@ let triggered pair =
   absorb pair.run1;
   Hashtbl.fold (fun k w acc -> (k, w) :: acc) table []
   |> List.sort compare_triggered
-
-let single_valid_share pair =
-  let single = Hashtbl.create 32 in
-  List.iter
-    (fun (ps : Machine.point_stat) ->
-      if ps.ps_single_valid then Hashtbl.replace single ps.ps_name ())
-    pair.run0.point_stats;
-  let total = ref 0. and sv = ref 0. in
-  List.iter
-    (fun (((name, _, _) : string * Cpoint.kind * int), w) ->
-      total := !total +. w;
-      if Hashtbl.mem single name then sv := !sv +. w)
-    (triggered pair);
-  if !total = 0. then 0. else !sv /. !total

@@ -85,7 +85,3 @@ val min_intervals : pair -> ((string * int) * int) list
 val triggered : pair -> ((string * Sonar_uarch.Cpoint.kind * int) * float) list
 (** Union over both runs of triggered sub-points, with the netlist weight
     ([fanout / max_subs]) each contributes to contention coverage. *)
-
-val single_valid_share : pair -> float
-(** Fraction of this pair's triggered weight located at single-valid points
-    (Figure 9's dominance metric). *)

@@ -43,6 +43,7 @@ type t = {
   select : campaign -> Rng.t -> selection option;
   consider : campaign -> Testcase.t -> observation -> bool;
   reward : campaign -> observation -> unit;
+  fresh : Rng.t -> id:int -> dual:bool -> Testcase.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -82,7 +83,7 @@ let directed_reward (c : campaign) (obs : observation) =
                })
       | Some _ | None -> ())
 
-let of_flags ?name ?description ?(mutate_ratio = 0.8) (f : flags) =
+let of_flags ?name ?description (f : flags) =
   let name =
     match name with
     | Some n -> n
@@ -128,11 +129,12 @@ let of_flags ?name ?description ?(mutate_ratio = 0.8) (f : flags) =
   {
     name;
     description;
-    mutate_ratio;
+    mutate_ratio = 0.8;
     directed_mutation = f.directed_mutation;
     select;
     consider;
     reward = directed_reward;
+    fresh = Testcase.random;
   }
 
 let sonar =
@@ -159,6 +161,12 @@ let uniform_select op (c : campaign) rng =
     Some { entry = Rng.pick rng (Corpus.entries c.corpus); target = None; op }
   else None
 
+(* Retention for strategies whose novelty criterion is not interval
+   improvement: add the testcase when [novel]; [novel] is the verdict. *)
+let retain_if novel (c : campaign) tc (obs : observation) =
+  if novel then Corpus.add ?emit:c.emit c.corpus tc ~intervals:obs.intervals;
+  novel
+
 let timing_coverage () =
   (* WhisperFuzz-style: the novelty domain is (point, source pair,
      power-of-two interval bucket) cells — "timing coverage" — plus
@@ -172,11 +180,7 @@ let timing_coverage () =
       List.exists (fun iv -> not (Hashtbl.mem seen (cell iv))) obs.intervals
     in
     List.iter (fun iv -> Hashtbl.replace seen (cell iv) ()) obs.intervals;
-    if novel_cell || obs.component_delta <> [] then begin
-      Corpus.add ?emit:c.emit c.corpus tc ~intervals:obs.intervals;
-      true
-    end
-    else false
+    retain_if (novel_cell || obs.component_delta <> []) c tc obs
   in
   {
     name = "timing-coverage";
@@ -188,6 +192,7 @@ let timing_coverage () =
     select = uniform_select Composite;
     consider;
     reward = (fun _ _ -> ());
+    fresh = Testcase.random;
   }
 
 let state_transition () =
@@ -228,11 +233,7 @@ let state_transition () =
     in
     Array.iter walk_core obs.pair.Executor.run0.Sonar_uarch.Machine.cores;
     Array.iter walk_core obs.pair.Executor.run1.Sonar_uarch.Machine.cores;
-    if !novel then begin
-      Corpus.add ?emit:c.emit c.corpus tc ~intervals:obs.intervals;
-      true
-    end
-    else false
+    retain_if !novel c tc obs
   in
   {
     name = "state-transition";
@@ -244,6 +245,7 @@ let state_transition () =
     select = uniform_select Composite;
     consider;
     reward = (fun _ _ -> ());
+    fresh = Testcase.random;
   }
 
 let bandit () =
@@ -309,15 +311,10 @@ let bandit () =
           +. (5. *. float_of_int (List.length obs.report.Detector.findings))
   in
   let consider (c : campaign) tc (obs : observation) =
-    if Corpus.consider ?emit:c.emit c.corpus tc ~intervals:obs.intervals then
-      true
-    else if obs.coverage_added > 0. then begin
-      (* Coverage-bearing testcases feed the arm statistics even when they
-         do not improve any interval. *)
-      Corpus.add ?emit:c.emit c.corpus tc ~intervals:obs.intervals;
-      true
-    end
-    else false
+    Corpus.consider ?emit:c.emit c.corpus tc ~intervals:obs.intervals
+    (* Coverage-bearing testcases feed the arm statistics even when they
+       do not improve any interval. *)
+    || retain_if (obs.coverage_added > 0.) c tc obs
   in
   {
     name = "bandit";
@@ -329,6 +326,43 @@ let bandit () =
     select;
     consider;
     reward;
+    fresh = Testcase.random;
+  }
+
+let specdoctor =
+  (* SpecDoctor-style (Figure 11's comparison): every fresh testcase
+     carries the same gated transient secret region and no dependency
+     chains, and a testcase is retained when it triggers new contention
+     points — SpecDoctor keeps testcases that reach new RTL states and has
+     no notion of inter-request timing. *)
+  let transient =
+    let open Sonar_isa in
+    Testcase.Gated
+      {
+        body =
+          [
+            Instr.Itype (Instr.SLLI, Reg.of_int 6, Reg.of_int 5, 6);
+            Instr.Rtype (Instr.ADD, Reg.of_int 6, Reg.of_int 6, Reg.of_int 11);
+            Instr.Load (Instr.LD, Reg.of_int 7, Reg.of_int 6, 0);
+          ];
+      }
+  in
+  let consider c tc (obs : observation) =
+    retain_if (obs.coverage_added > 0.) c tc obs
+  in
+  {
+    name = "specdoctor";
+    description =
+      "SpecDoctor-style: gated transient secret region, no chains; retain \
+       on new contention coverage; uniform undirected mutation (Figure 11)";
+    mutate_ratio = 0.6;
+    directed_mutation = false;
+    select = uniform_select Composite;
+    consider;
+    reward = (fun _ _ -> ());
+    fresh =
+      (fun rng ~id ~dual ->
+        { (Testcase.random rng ~id ~dual) with flavor = transient; chains = [] });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -341,6 +375,7 @@ let builders =
     ("timing-coverage", timing_coverage);
     ("state-transition", state_transition);
     ("bandit", bandit);
+    ("specdoctor", fun () -> specdoctor);
   ]
 
 let names = List.map fst builders

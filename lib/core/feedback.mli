@@ -3,15 +3,17 @@
     The seed fuzzer hard-wired one policy — retain on min-[reqsIntvl]
     improvement, select the point nearest zero — behind three booleans.
     This module makes the policy a value: {!Fuzzer.run} drives any {!t}
-    through three hooks, and ships the paper's policy ({!sonar}) alongside
-    a blind baseline ({!random}) and three competitors drawn from related
+    through four hooks, and ships the paper's policy ({!sonar}) alongside
+    a blind baseline ({!random}) and four competitors drawn from related
     work (see {!all}).
 
     {b The contract.} Per candidate, the fuzzer calls:
 
     + [select campaign rng] at generation time — pick a corpus seed to
       mutate (and the mutation {!operator} to apply, plus an optional
-      directed-mutation {!target}), or [None] for a fresh random testcase;
+      directed-mutation {!target}), or [None] for a fresh testcase;
+    + [fresh rng ~id ~dual] at generation time, only when [select]
+      returned [None] — build that fresh testcase from the same [rng];
     + [reward campaign observation] at fold time — learn from the executed
       candidate (directed-mutation feedback, bandit statistics, ...);
     + [consider campaign testcase observation] at fold time — decide
@@ -25,8 +27,8 @@
     {b Determinism obligations for strategy authors.} The campaign outcome
     must stay a pure function of (seed, strategy, iterations, batch):
 
-    - draw randomness only from the [rng] handed to [select] (a
-      per-candidate {!Rng.split} stream), never from global state;
+    - draw randomness only from the [rng] handed to [select] and [fresh]
+      (a per-candidate {!Rng.split} stream), never from global state;
     - update internal learner state only inside the hooks (they run on the
       campaign's domain, in candidate order, for every [jobs]/[chunk]);
     - treat the [intervals]/[triggered]/[component_delta] lists of an
@@ -103,6 +105,9 @@ type t = {
   select : campaign -> Rng.t -> selection option;
   consider : campaign -> Testcase.t -> observation -> bool;
   reward : campaign -> observation -> unit;
+  fresh : Rng.t -> id:int -> dual:bool -> Testcase.t;
+      (** the testcase to generate when [select] returns [None];
+          {!Testcase.random} for every shipped strategy but {!specdoctor} *)
 }
 
 (** {1 Presets derived from the legacy strategy booleans} *)
@@ -113,14 +118,13 @@ type flags = {
   directed_mutation : bool;  (** adaptive chain-length mutation (§6.2) *)
 }
 
-val of_flags :
-  ?name:string -> ?description:string -> ?mutate_ratio:float -> flags -> t
+val of_flags : ?name:string -> ?description:string -> flags -> t
 (** The seed policy family: [of_flags] reproduces the historical fuzzer
     behaviour for any boolean combination — the same RNG draw sequence,
     retention rule and directed-mutation feedback — so outcomes are
-    bit-identical to the pre-interface fuzzer. [mutate_ratio] defaults to
-    the historical [0.8] (only drawn on the retention-without-selection
-    path). Stateless: the returned value may be shared across campaigns. *)
+    bit-identical to the pre-interface fuzzer. [mutate_ratio] is the
+    historical [0.8] (only drawn on the retention-without-selection path).
+    Stateless: the returned value may be shared across campaigns. *)
 
 val sonar : t
 (** The paper's full policy (all flags on): interval-guided selection,
@@ -130,6 +134,15 @@ val sonar : t
 val random : t
 (** All flags off: a fresh random testcase every iteration, nothing
     retained — the Figure 8 baseline. *)
+
+val specdoctor : t
+(** SpecDoctor-style, the Figure 11 comparison (§8.3.4). Every fresh
+    testcase carries one gated transient (Meltdown-style) secret region and
+    no dependency chains. A testcase is retained when it adds contention
+    coverage: SpecDoctor keeps testcases that reach new RTL states and has
+    no notion of inter-request timing. Selection mutates a uniformly
+    random corpus seed with probability [0.6], without directed mutation.
+    Stateless. *)
 
 (** {1 Competitor strategies}
 

@@ -144,7 +144,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
           cand_iteration = iteration;
           cand_target = None;
           cand_op = None;
-          cand_tc = Testcase.random crng ~id:iteration ~dual;
+          cand_tc = strategy.Feedback.fresh crng ~id:iteration ~dual;
         }
   in
   (* Fold phase: absorb one executed candidate. Runs sequentially in

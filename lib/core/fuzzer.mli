@@ -12,11 +12,12 @@
       finding-bearing testcase.
 
     The feedback policy is a first-class {!Feedback.t} value: the loop
-    dispatches seed selection, post-execution learning and retention
-    through its hooks, so the paper's policy ({!Feedback.sonar}), the
-    random baseline ({!Feedback.random}), the boolean breakdown of
-    Figure 10 ({!Feedback.of_flags}) and the competitor strategies all run
-    through one campaign loop.
+    dispatches seed selection, fresh-testcase generation, post-execution
+    learning and retention through its hooks, so the paper's policy
+    ({!Feedback.sonar}), the random baseline ({!Feedback.random}), the
+    boolean breakdown of Figure 10 ({!Feedback.of_flags}), the
+    SpecDoctor-style fuzzer of Figure 11 ({!Feedback.specdoctor}) and the
+    other competitor strategies all run through one campaign loop.
 
     {b Parallel execution.} The loop is organised in {e generations}: each
     generation draws [batch] candidates sequentially (each from its own

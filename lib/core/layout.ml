@@ -1,6 +1,4 @@
-let code_base = 0x8000_0000L
 let buffer_base = 0x1000_0000L
-let buffer_size = 32768
 let secret_addr = 0x2000_0000L
 let kernel_range = (0x2000_0000L, 0x2000_1000L)
 let attacker_base = 0x3000_0000L

@@ -1,14 +1,8 @@
 (** Memory layout shared by generated testcases and attack programs. *)
 
-val code_base : int64
 val buffer_base : int64
 (** Read/write scratch buffer available to generated code (base held in
     register a1). *)
-
-val buffer_size : int
-(** 32 KiB: spans multiple 4 KiB tag strides of the L1 DCache, so two
-    accesses can share a set index while differing in tag (the S5/S12
-    precondition). *)
 
 val secret_addr : int64
 (** Address of the secret value (base held in a0). Normal memory for fuzzing

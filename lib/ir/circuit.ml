@@ -10,8 +10,6 @@ let module_count c = List.length c.modules
 let stmt_count c =
   List.fold_left (fun acc m -> acc + Fmodule.stmt_count m) 0 c.modules
 
-let map_modules f c = { c with modules = List.map f c.modules }
-
 let pp fmt c =
   Format.fprintf fmt "@[<v 2>circuit %s :@,%a@]" c.name
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Fmodule.pp)

@@ -14,5 +14,4 @@ val stmt_count : t -> int
 (** Total statements over all modules — the "lines of IR" measure used to
     report instrumentation code-size overhead (paper Table 2). *)
 
-val map_modules : (Fmodule.t -> Fmodule.t) -> t -> t
 val pp : Format.formatter -> t -> unit

@@ -24,4 +24,3 @@ let classify_module m =
   let ctx = Validity.context m in
   List.map (classify_in ctx) (Mux_tree.points_of_module m)
 let monitored = List.filter (fun c -> c.monitored)
-let filtered_out = List.filter (fun c -> not c.monitored)

@@ -25,4 +25,3 @@ val classify_module : Fmodule.t -> classified list
 (** {!Mux_tree.points_of_module} composed with {!classify}. *)
 
 val monitored : classified list -> classified list
-val filtered_out : classified list -> classified list

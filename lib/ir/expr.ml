@@ -25,7 +25,6 @@ type t =
 
 let reference name = Ref name
 let lit ?(width = 64) value = Lit { value; width = min width 63 }
-let lit_int ?width v = lit ?width (Int64.of_int v)
 let mux sel tval fval = Mux { sel; tval; fval }
 let prim op args = Prim { op; args }
 

@@ -34,9 +34,6 @@ type t =
 val reference : string -> t
 val lit : ?width:int -> int64 -> t
 
-val lit_int : ?width:int -> int -> t
-(** Convenience wrapper over {!lit} for small literals. *)
-
 val mux : t -> t -> t -> t
 (** [mux sel tval fval]. *)
 

@@ -59,12 +59,6 @@ let registers m =
 
 let stmt_count m = List.length m.stmts
 
-let find_decl m name =
-  List.find_opt
-    (fun s ->
-      match Stmt.declared_name s with Some n -> String.equal n name | None -> false)
-    m.stmts
-
 let pp fmt m =
   Format.fprintf fmt "@[<v 2>module %s [%a] :@,%a@]" m.name Component.pp
     m.component

@@ -29,7 +29,4 @@ val registers : t -> (string, Expr.t option) Hashtbl.t
 
 val stmt_count : t -> int
 
-val find_decl : t -> string -> Stmt.t option
-(** Declaration statement of a signal, if any. *)
-
 val pp : Format.formatter -> t -> unit

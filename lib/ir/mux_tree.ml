@@ -156,19 +156,3 @@ let points_of_module m =
   List.rev !points
 
 let request_count p = List.length p.requests
-
-let pp_point fmt p =
-  Format.fprintf fmt
-    "@[<v 2>point %s (component %a):@,\
-     output %s, depth %d, %d mux(es)@,\
-     selects: %a@,\
-     requests: %a@]"
-    p.id Component.pp p.component p.output p.depth p.absorbed_muxes
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Format.pp_print_string)
-    p.selects
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Expr.pp)
-    p.requests

@@ -35,4 +35,3 @@ val naive_mux_count : Fmodule.t -> int
 (** Total number of 2:1 MUX nodes in the module (Figure 6's baseline). *)
 
 val request_count : point -> int
-val pp_point : Format.formatter -> point -> unit

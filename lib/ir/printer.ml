@@ -6,6 +6,4 @@ let with_buffer pp v =
   Buffer.contents buf
 
 let expr_to_string = with_buffer Expr.pp
-let stmt_to_string = with_buffer Stmt.pp
-let module_to_string = with_buffer Fmodule.pp
 let circuit_to_string c = with_buffer Circuit.pp c ^ "\n"

@@ -1,6 +1,4 @@
 (** Textual emission of circuits in the format accepted by {!Parser}. *)
 
 val expr_to_string : Expr.t -> string
-val stmt_to_string : Stmt.t -> string
-val module_to_string : Fmodule.t -> string
 val circuit_to_string : Circuit.t -> string

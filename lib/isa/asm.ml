@@ -1,5 +1,4 @@
 let nop = Instr.Itype (Instr.ADDI, Reg.x0, Reg.x0, 0)
-let mv rd rs = Instr.Itype (Instr.ADDI, rd, rs, 0)
 let halt = Instr.Ebreak
 
 let fits_simm12 v = Int64.compare v (-2048L) >= 0 && Int64.compare v 2047L <= 0
@@ -41,7 +40,3 @@ let rec li rd v =
     @ [ Instr.Itype (Instr.SLLI, rd, rd, 12 + extra) ]
     @ (if low <> 0 then [ Instr.Itype (Instr.ADDI, rd, rd, low) ] else [])
   end
-
-let program_to_string instrs =
-  String.concat "\n"
-    (List.mapi (fun i instr -> Printf.sprintf "%4d:  %s" i (Instr.to_string instr)) instrs)

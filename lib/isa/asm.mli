@@ -1,12 +1,10 @@
 (** Assembler conveniences: pseudo-instructions and program building.
 
     Generated testcases compose instruction lists; these helpers cover the
-    common pseudo-instructions (nop, li, mv) including full 64-bit constant
+    common pseudo-instructions (nop, li) including full 64-bit constant
     materialisation, which needs an instruction sequence. *)
 
 val nop : Instr.t
-val mv : Reg.t -> Reg.t -> Instr.t
-(** [mv rd rs] = [addi rd, rs, 0]. *)
 
 val li : Reg.t -> int64 -> Instr.t list
 (** Materialise an arbitrary 64-bit constant (1-8 instructions; the
@@ -14,6 +12,3 @@ val li : Reg.t -> int64 -> Instr.t list
 
 val halt : Instr.t
 (** [ebreak] — terminates golden-model and timing-model execution. *)
-
-val program_to_string : Instr.t list -> string
-(** One instruction per line, with indices. *)

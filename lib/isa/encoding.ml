@@ -317,13 +317,3 @@ let decode word =
       | 3 -> Ok (Instr.Csr (CSRRC, rd, rs1, field word 31 20))
       | _ -> err "unknown SYSTEM funct3")
   | _ -> err "unknown opcode"
-
-let encode_program instrs = List.map encode instrs
-
-let decode_program words =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | w :: rest -> (
-        match decode w with Ok i -> go (i :: acc) rest | Error e -> Error e)
-  in
-  go [] words

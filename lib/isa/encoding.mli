@@ -11,6 +11,3 @@ val encode : Instr.t -> int32
 (** @raise Encode_error when an immediate does not fit its field. *)
 
 val decode : int32 -> (Instr.t, string) result
-
-val encode_program : Instr.t list -> int32 list
-val decode_program : int32 list -> (Instr.t list, string) result

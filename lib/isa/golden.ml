@@ -458,10 +458,3 @@ let pp_fault fmt f =
     | Illegal_instruction -> "illegal-instruction"
     | Breakpoint -> "breakpoint"
     | Env_call -> "env-call")
-
-let pp_effect fmt e =
-  Format.fprintf fmt "[%d] %08Lx %a%s%s" e.seq e.pc Instr.pp e.instr
-    (match e.fault with
-    | Some f -> Format.asprintf " !%a" pp_fault f
-    | None -> "")
-    (if e.transient then " (transient)" else "")

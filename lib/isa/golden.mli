@@ -60,5 +60,4 @@ val run :
 (** Execute to completion: falling off the end of the code, [ebreak], or the
     instruction budget. *)
 
-val pp_effect : Format.formatter -> effect -> unit
 val pp_fault : Format.formatter -> fault -> unit

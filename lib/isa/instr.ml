@@ -43,7 +43,6 @@ let uses_mul_div = function
 
 let is_load = function Load _ | Lr_d _ -> true | _ -> false
 let is_store = function Store _ | Sc_d _ -> true | _ -> false
-let is_mem i = is_load i || is_store i
 let is_branch = function Branch _ | Jal _ | Jalr _ -> true | _ -> false
 
 let dest = function

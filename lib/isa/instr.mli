@@ -45,7 +45,6 @@ val uses_mul_div : t -> bool
 
 val is_load : t -> bool
 val is_store : t -> bool
-val is_mem : t -> bool
 val is_branch : t -> bool
 (** Conditional branches and jumps. *)
 

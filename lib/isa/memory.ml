@@ -49,5 +49,3 @@ let store t ~addr ~size v =
       (Int64.add addr (Int64.of_int i))
       (Int64.shift_right_logical v (8 * i))
   done
-
-let footprint t = Hashtbl.length t

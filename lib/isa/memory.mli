@@ -14,6 +14,3 @@ val load : t -> addr:int64 -> size:int -> int64
 
 val load_signed : t -> addr:int64 -> size:int -> int64
 val store : t -> addr:int64 -> size:int -> int64 -> unit
-
-val footprint : t -> int
-(** Number of distinct 8-byte words touched. *)

@@ -25,9 +25,6 @@ let pc_to_index t pc =
 
 let index_to_pc t i = Int64.add t.base (Int64.of_int (4 * i))
 
-let instr_at t pc =
-  Option.map (fun i -> t.instrs.(i)) (pc_to_index t pc)
-
 let pp fmt t =
   Array.iteri
     (fun i instr ->

@@ -36,7 +36,3 @@ let equal = Int.equal
 let compare = Int.compare
 let pp fmt t = Format.pp_print_string fmt (name t)
 let all = List.init 32 (fun i -> i)
-
-let temporaries =
-  (* t0-t2, t3-t6: free scratch for generated instruction regions. *)
-  [ 5; 6; 7; 28; 29; 30; 31 ]

@@ -25,7 +25,3 @@ val pp : Format.formatter -> t -> unit
 
 val all : t list
 (** x0..x31 in order. *)
-
-val temporaries : t list
-(** Caller-saved registers safe for generated code (t0-t6, a0-a7, s2-s11 are
-    excluded deliberately: a0/a1 carry testcase parameters). *)

@@ -66,14 +66,11 @@ let backend t = t.backend
 
 (* --- slot API --- *)
 
-let num_slots t = Array.length t.store
-
 let slot t name =
   match Hashtbl.find_opt t.slots name with
   | Some s -> s
   | None -> raise (Unknown_signal name)
 
-let slot_name t s = t.names.(s)
 let slot_width t s = t.widths.(s)
 
 (* Re-assemble one lane's value from a signal's planes: bit [b] of the
@@ -979,4 +976,3 @@ let reset t =
   t.cycles <- 0
 
 let signal_names t = Array.to_list t.names
-let signal_width t name = t.widths.(slot t name)

@@ -77,20 +77,15 @@ val reset : t -> unit
 val signal_names : t -> string list
 (** All signals, in declaration order (used by the VCD writer). *)
 
-val signal_width : t -> string -> int
-
 (** {2 Slot API}
 
     Consumers on the per-cycle path (the runtime monitor, the VCD writer)
     resolve names to slots once and then read slots directly — no string
     hashing per sample. *)
 
-val num_slots : t -> int
-
 val slot : t -> string -> int
 (** Resolve a signal name to its slot. @raise Unknown_signal *)
 
-val slot_name : t -> int -> string
 val slot_width : t -> int -> int
 
 val read_slot : t -> int -> int

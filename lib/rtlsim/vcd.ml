@@ -70,9 +70,3 @@ let dump t =
   t.timestamp <- t.timestamp + 1
 
 let contents t = Buffer.contents t.buf
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (contents t))

@@ -14,5 +14,3 @@ val dump : t -> unit
 
 val contents : t -> string
 (** The complete VCD document accumulated so far. *)
-
-val write_file : t -> string -> unit

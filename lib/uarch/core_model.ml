@@ -882,7 +882,6 @@ let finished t =
   && Ring.is_empty t.stbuf
 let commits t = List.rev t.commit_log
 let transient_executed t = t.transient_issued
-let cycles_run t = t.cycles
 
 (* Exclusive upper bound on the architectural trace positions fetch can
    consume during the coming cycle, evaluated at the top of the cycle

@@ -110,5 +110,3 @@ val commits : t -> commit_record list
 val transient_executed : t -> int
 (** Transient micro-ops that issued before being squashed (the size of the
     Meltdown window actually exploited). *)
-
-val cycles_run : t -> int

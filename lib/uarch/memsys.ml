@@ -547,5 +547,4 @@ let tick t ~cycle =
       winner
   end
 
-let dcache_probe t ~core ~addr = Cache.probe t.l1d.(core) addr
 let busy t = t.transfers <> []

@@ -78,8 +78,5 @@ val tick : t -> cycle:int -> unit
 (** Advance channel arbitration, transfers, refill completions. Call once
     per machine cycle after the cores have issued their accesses. *)
 
-val dcache_probe : t -> core:int -> addr:int64 -> bool
-(** Hit test without side effects (used by tests and examples). *)
-
 val busy : t -> bool
 (** Any transfer still in flight (used for drain loops at end of run). *)

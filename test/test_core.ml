@@ -374,7 +374,7 @@ let test_fuzzer_strategy_traces_identical () =
     Feedback.names
 
 let test_feedback_registry () =
-  checki "five shipped strategies" 5 (List.length Feedback.names);
+  checki "six shipped strategies" 6 (List.length Feedback.names);
   List.iter
     (fun name ->
       checkb (name ^ " resolvable") true (Feedback.create name <> None);
@@ -603,12 +603,28 @@ let test_fuzzer_finds_diffs () =
   checkb "keeps reports" true (o.reports <> [])
 
 let test_baseline_specdoctor_runs () =
-  let series =
-    Baseline.specdoctor ~seed:20L Sonar_uarch.Config.boom ~iterations:10
+  let o =
+    Fuzzer.run
+      ~options:{ Fuzzer.Options.default with seed = 20L }
+      Sonar_uarch.Config.boom
+      (Option.get (Feedback.create "specdoctor"))
+      ~iterations:10
   in
-  checki "series length" 10 (List.length series);
+  checki "series length" 10 (List.length o.Fuzzer.series);
   checkb "covers something" true
-    ((List.nth series 9).Fuzzer.coverage > 0.)
+    ((List.nth o.series 9).Fuzzer.coverage > 0.)
+
+(* SpecDoctor's generator: a gated transient secret region and no
+   dependency chains on every fresh testcase. *)
+let test_specdoctor_fresh () =
+  let rng = Rng.create 5L in
+  for id = 1 to 20 do
+    let tc = Feedback.specdoctor.Feedback.fresh rng ~id ~dual:(id mod 2 = 0) in
+    checkb "gated flavour" true
+      (match tc.Testcase.flavor with Testcase.Gated _ -> true | _ -> false);
+    checkb "no chains" true (tc.Testcase.chains = []);
+    checkb "dual honoured" (id mod 2 = 0) (tc.Testcase.dual <> None)
+  done
 
 (* --- Channels (Table 3) --- *)
 
@@ -754,6 +770,7 @@ let () =
           Alcotest.test_case "series monotonic" `Quick test_fuzzer_series_monotonic;
           Alcotest.test_case "finds differences" `Quick test_fuzzer_finds_diffs;
           Alcotest.test_case "specdoctor baseline" `Quick test_baseline_specdoctor_runs;
+          Alcotest.test_case "specdoctor fresh testcases" `Quick test_specdoctor_fresh;
         ] );
       ( "channels",
         Alcotest.test_case "catalogue" `Quick test_channels_catalogue
