@@ -93,12 +93,6 @@ let close s = s.close ()
 
 let emit_all sinks ev = List.iter (fun s -> s.emit ev) sinks
 
-let synchronized m s =
-  {
-    emit = (fun ev -> Mutex.protect m (fun () -> s.emit ev));
-    close = (fun () -> Mutex.protect m (fun () -> s.close ()));
-  }
-
 (* ------------------------------------------------------------------ *)
 (* JSON encoding (schema in DESIGN.md §9).                             *)
 

@@ -138,12 +138,6 @@ val close : sink -> unit
 
 val emit_all : sink list -> event -> unit
 
-val synchronized : Mutex.t -> sink -> sink
-(** Wrap a sink so [emit] and [close] hold the mutex. Sinks are normally
-    invoked only from the campaign's own domain; use this when another
-    domain also reads the sink's state under the same mutex ({!state}
-    needs none: its state is immutable). *)
-
 (** {1 JSON encoding}
 
     One object per event: [{"event":"<name>", ...payload}]. The schema is

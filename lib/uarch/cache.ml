@@ -11,7 +11,7 @@ type line = {
 type victim = { victim_addr : int64; was_dirty : bool }
 
 type t = {
-  sets : line array array;
+  lines : line array;  (* flat: set [s], way [w] at slot [s * ways + w] *)
   line_bytes : int;
   n_sets : int;
   ways : int;
@@ -20,6 +20,13 @@ type t = {
   mutable tick : int;
   (* Per set: last few evicted tags with the evicting fill's seq (S12). *)
   evicted : (int * int64, int * bool) Hashtbl.t;
+  (* Touched-line index: the slot of every valid line, each exactly once.
+     [fill] appends a slot when it installs into an invalid way, and a
+     valid line is only ever invalidated by [reset] or [restore], which
+     rebuild the index — so those two and [capture] visit the lines a run
+     filled instead of the whole cache. *)
+  touched : int array;
+  mutable n_touched : int;
 }
 
 let log2 n =
@@ -29,17 +36,17 @@ let log2 n =
 let create (cfg : Config.cache_cfg) =
   let total = cfg.size_kb * 1024 in
   let n_sets = max 1 (total / (cfg.ways * cfg.line_bytes)) in
+  let n_lines = n_sets * cfg.ways in
   {
-    sets =
-      Array.init n_sets (fun _ ->
-          Array.init cfg.ways (fun _ ->
-              {
-                tag = 0L;
-                valid = false;
-                dirty = false;
-                lru = 0;
-                info = { filler_seq = -1; fill_cycle = -1; filler_tainted = false };
-              }));
+    lines =
+      Array.init n_lines (fun _ ->
+          {
+            tag = 0L;
+            valid = false;
+            dirty = false;
+            lru = 0;
+            info = { filler_seq = -1; fill_cycle = -1; filler_tainted = false };
+          });
     line_bytes = cfg.line_bytes;
     n_sets;
     ways = cfg.ways;
@@ -47,6 +54,8 @@ let create (cfg : Config.cache_cfg) =
     offset_bits = log2 cfg.line_bytes;
     tick = 0;
     evicted = Hashtbl.create 64;
+    touched = Array.make n_lines 0;
+    n_touched = 0;
   }
 
 let n_sets t = t.n_sets
@@ -63,12 +72,13 @@ let line_addr t addr =
   Int64.logand addr (Int64.lognot (Int64.of_int (t.line_bytes - 1)))
 
 let find_line t addr =
-  let set = t.sets.(set_index t addr) in
+  let base = set_index t addr * t.ways in
   let tag = tag_of t addr in
   let rec go i =
     if i >= t.ways then None
-    else if set.(i).valid && Int64.equal set.(i).tag tag then Some set.(i)
-    else go (i + 1)
+    else
+      let l = t.lines.(base + i) in
+      if l.valid && Int64.equal l.tag tag then Some l else go (i + 1)
   in
   go 0
 
@@ -89,20 +99,26 @@ let reconstruct_addr t set_idx tag =
 
 let fill t addr ~seq ~cycle ~tainted =
   let set_idx = set_index t addr in
-  let set = t.sets.(set_idx) in
+  let base = set_idx * t.ways in
   let tag = tag_of t addr in
-  (* Reuse an existing line for the same tag, else the LRU way. *)
+  (* Reuse an existing line for the same tag, else the LRU way (the last
+     invalid way if there is one). *)
   let line =
     match find_line t addr with
     | Some l -> l
     | None ->
-        let victim = ref set.(0) in
-        Array.iter
-          (fun l ->
-            if not l.valid then victim := l
-            else if !victim.valid && l.lru < !victim.lru then victim := l)
-          set;
-        !victim
+        let v = ref base in
+        for slot = base to base + t.ways - 1 do
+          let l = t.lines.(slot) in
+          if not l.valid then v := slot
+          else if t.lines.(!v).valid && l.lru < t.lines.(!v).lru then v := slot
+        done;
+        let l = t.lines.(!v) in
+        if not l.valid then begin
+          t.touched.(t.n_touched) <- !v;
+          t.n_touched <- t.n_touched + 1
+        end;
+        l
   in
   let evicted =
     if line.valid && not (Int64.equal line.tag tag) then begin
@@ -138,29 +154,27 @@ let reset t =
      invalidated lines are never read before being overwritten by [fill]
      (victim selection among invalid ways ignores them), but [tick] feeds
      every line's LRU stamp, so it must rewind for reuse to be
-     bit-identical to a fresh cache. *)
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun l ->
-          l.valid <- false;
-          l.dirty <- false)
-        set)
-    t.sets;
+     bit-identical to a fresh cache.  Only indexed lines can be valid. *)
+  for i = 0 to t.n_touched - 1 do
+    let l = t.lines.(t.touched.(i)) in
+    l.valid <- false;
+    l.dirty <- false
+  done;
+  t.n_touched <- 0;
   t.tick <- 0;
   Hashtbl.reset t.evicted
 
-(* Checkpoint support: capture the full observable cache state (valid
-   lines only — invalid lines carry no readable state, see [reset]) into
-   preallocated arrays, and restore it later.  Restore first invalidates
-   everything, then reinstalls each saved line in place, so any line
-   filled between capture and restore disappears and the LRU clock
-   rewinds — restored state is bit-identical to the captured one. *)
+(* Checkpoint support: capture the full observable cache state (the
+   indexed lines — invalid lines carry no readable state, see [reset])
+   into preallocated arrays, and restore it later.  Restore first
+   invalidates the currently indexed lines, then reinstalls each saved
+   line in place and makes the saved slots the index, so any line filled
+   between capture and restore disappears and the LRU clock rewinds —
+   restored state is bit-identical to the captured one. *)
 
 type save = {
   mutable n_saved : int;
-  s_set : int array;
-  s_way : int array;
+  s_slot : int array;
   s_tag : int64 array;
   s_dirty : bool array;
   s_lru : int array;
@@ -170,11 +184,10 @@ type save = {
 }
 
 let make_save t =
-  let n = t.n_sets * t.ways in
+  let n = Array.length t.lines in
   {
     n_saved = 0;
-    s_set = Array.make n 0;
-    s_way = Array.make n 0;
+    s_slot = Array.make n 0;
     s_tag = Array.make n 0L;
     s_dirty = Array.make n false;
     s_lru = Array.make n 0;
@@ -185,36 +198,34 @@ let make_save t =
   }
 
 let capture t sv =
-  let k = ref 0 in
-  for set_idx = 0 to t.n_sets - 1 do
-    let set = t.sets.(set_idx) in
-    for way = 0 to t.ways - 1 do
-      let l = set.(way) in
-      if l.valid then begin
-        sv.s_set.(!k) <- set_idx;
-        sv.s_way.(!k) <- way;
-        sv.s_tag.(!k) <- l.tag;
-        sv.s_dirty.(!k) <- l.dirty;
-        sv.s_lru.(!k) <- l.lru;
-        sv.s_info.(!k) <- l.info;
-        incr k
-      end
-    done
+  for i = 0 to t.n_touched - 1 do
+    let slot = t.touched.(i) in
+    let l = t.lines.(slot) in
+    sv.s_slot.(i) <- slot;
+    sv.s_tag.(i) <- l.tag;
+    sv.s_dirty.(i) <- l.dirty;
+    sv.s_lru.(i) <- l.lru;
+    sv.s_info.(i) <- l.info
   done;
-  sv.n_saved <- !k;
+  sv.n_saved <- t.n_touched;
   sv.s_tick <- t.tick;
   sv.s_evicted <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.evicted []
 
 let restore t sv =
-  Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) t.sets;
+  for i = 0 to t.n_touched - 1 do
+    t.lines.(t.touched.(i)).valid <- false
+  done;
   for i = 0 to sv.n_saved - 1 do
-    let l = t.sets.(sv.s_set.(i)).(sv.s_way.(i)) in
+    let slot = sv.s_slot.(i) in
+    let l = t.lines.(slot) in
     l.tag <- sv.s_tag.(i);
     l.valid <- true;
     l.dirty <- sv.s_dirty.(i);
     l.lru <- sv.s_lru.(i);
-    l.info <- sv.s_info.(i)
+    l.info <- sv.s_info.(i);
+    t.touched.(i) <- slot
   done;
+  t.n_touched <- sv.n_saved;
   t.tick <- sv.s_tick;
   Hashtbl.reset t.evicted;
   List.iter (fun (k, v) -> Hashtbl.replace t.evicted k v) sv.s_evicted

@@ -44,15 +44,19 @@ val reset : t -> unit
     LRU clock rewound, eviction history cleared) without reallocating the
     line arrays. A reset cache behaves bit-identically to a fresh
     {!create} of the same configuration — the property the reusable
-    {!Machine.Ctx} run contexts rely on. *)
+    {!Machine.Ctx} run contexts rely on. Costs O(lines filled since the
+    last reset or restore), not O(capacity): the cache indexes the slot of
+    every valid line. *)
 
 type save
 (** Preallocated checkpoint buffer sized for one cache's line arrays. *)
 
 val make_save : t -> save
 val capture : t -> save -> unit
+(** Save the valid lines; O(valid lines). *)
+
 val restore : t -> save -> unit
 (** [restore t sv] returns [t] to the exact state [capture t sv] saw:
     observable behaviour after restore is bit-identical to the captured
     cache. A [save] may only be restored into a cache of the same
-    geometry it was made for. *)
+    geometry it was made for. O(valid lines now + lines saved). *)

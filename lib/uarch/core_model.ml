@@ -164,7 +164,6 @@ type t = {
   (* Results *)
   mutable commit_log : commit_record list;  (* reverse order *)
   mutable transient_issued : int;
-  mutable cycles : int;
   mutable pending_early_squash : uop option;
   (* Contention points owned by the core. *)
   p_fb_enq : Cpoint.t;
@@ -230,7 +229,6 @@ let create cfg reg ms ~core_id ~outcome ~secret_range ~drives_window =
       bp = Branch_pred.create cfg;
       commit_log = [];
       transient_issued = 0;
-      cycles = 0;
       pending_early_squash = None;
       p_fb_enq =
         pt ~single_valid:true "frontend.fb_enq" Frontend
@@ -287,7 +285,6 @@ let prepare t ~outcome ~secret_range =
   Branch_pred.reset t.bp;
   t.commit_log <- [];
   t.transient_issued <- 0;
-  t.cycles <- 0;
   t.pending_early_squash <- None;
   if t.drives_window && secret_range = None then Cpoint.open_window t.reg
 
@@ -857,7 +854,6 @@ let step_stbuf t ~cycle =
 (* --- Top level --- *)
 
 let step t ~cycle =
-  t.cycles <- cycle;
   Exec_unit.new_cycle t.pool;
   step_complete t ~cycle;
   step_writeback t ~cycle;
@@ -1023,7 +1019,6 @@ type save = {
   s_bp : Branch_pred.save;
   mutable s_commit_log : commit_record list;
   mutable s_transient_issued : int;
-  mutable s_cycles : int;
 }
 
 let make_save () =
@@ -1045,7 +1040,6 @@ let make_save () =
     s_bp = Branch_pred.make_save ();
     s_commit_log = [];
     s_transient_issued = 0;
-    s_cycles = 0;
   }
 
 let copy_uop u = { u with state = u.state }
@@ -1075,8 +1069,7 @@ let capture t sv =
   Exec_unit.capture t.pool sv.s_pool;
   Branch_pred.capture t.bp sv.s_bp;
   sv.s_commit_log <- t.commit_log;
-  sv.s_transient_issued <- t.transient_issued;
-  sv.s_cycles <- t.cycles
+  sv.s_transient_issued <- t.transient_issued
 
 let restore ?(fork = max_int) t sv =
   t.secret_committed <- sv.s_secret_committed;
@@ -1129,5 +1122,4 @@ let restore ?(fork = max_int) t sv =
          sv.s_commit_log
      end);
   t.transient_issued <- sv.s_transient_issued;
-  t.cycles <- sv.s_cycles;
   t.pending_early_squash <- None

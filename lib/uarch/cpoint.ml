@@ -199,11 +199,25 @@ let window_bounds reg =
 
 let points reg = List.rev reg.order
 
+(* Monomorphic orders equal to polymorphic [compare] on these tuples
+   ([Volatile] sorts before [Persistent], as constructor order does). *)
+let compare_sub (k1, i1) (k2, i2) =
+  match (k1, k2) with
+  | Volatile, Persistent -> -1
+  | Persistent, Volatile -> 1
+  | _ -> Int.compare i1 i2
+
+let compare_pair ((a1 : int), (b1 : int)) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
 let triggered_subs p =
-  Hashtbl.fold (fun k () acc -> k :: acc) p.triggered [] |> List.sort compare
+  Hashtbl.fold (fun k () acc -> k :: acc) p.triggered []
+  |> List.sort compare_sub
 
 let pair_intervals p =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min [] |> List.sort compare
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min []
+  |> List.sort compare_pair
 
 (* Invert the triangular pair enumeration of [pair_sub]. *)
 let pair_name p pair =
@@ -334,17 +348,17 @@ type snapshot = {
   s_digest : int;
 }
 
-let snapshot p =
+let snapshot_with p triggered =
   {
     point_name = p.name;
     s_hits = Array.copy p.hits;
     s_min_pair = p.min_pair;
     s_min_self = p.min_self;
-    s_triggered = triggered_subs p;
+    s_triggered = triggered;
     s_digest = p.digest;
   }
 
-let snapshots reg = List.map snapshot (points reg)
+let snapshot p = snapshot_with p (triggered_subs p)
 
 let opt_str = function None -> "-" | Some v -> string_of_int v
 

@@ -135,7 +135,10 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val snapshots : registry -> snapshot list
+
+val snapshot_with : t -> (kind * int) list -> snapshot
+(** [snapshot_with p subs] is [snapshot p] for [subs = triggered_subs p],
+    letting a caller that already holds the sorted sub-points reuse them. *)
 
 val diff_snapshots : snapshot list -> snapshot list -> (string * string) list
 (** Contention-state discrepancies between two runs, as

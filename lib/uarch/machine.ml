@@ -84,7 +84,7 @@ module Ctx = struct
         sl
 end
 
-let point_stat (p : Cpoint.t) =
+let point_stat (p : Cpoint.t) triggered =
   {
     ps_name = p.name;
     ps_component = p.component;
@@ -93,7 +93,7 @@ let point_stat (p : Cpoint.t) =
     ps_n_sources = Array.length p.sources;
     ps_single_valid = p.single_valid;
     ps_min_pair = p.min_pair;
-    ps_triggered = Cpoint.triggered_subs p;
+    ps_triggered = triggered;
     ps_weight = Cpoint.triggered_weight p;
     ps_pair_intervals = Cpoint.pair_intervals p;
   }
@@ -152,6 +152,8 @@ let sim_loop reg ms cores ~from ~max_cycles =
   !cycle
 
 let collect reg cores ~cycles ~max_cycles =
+  let points = Cpoint.points reg in
+  let triggered = List.map Cpoint.triggered_subs points in
   {
     cores =
       Array.map
@@ -162,9 +164,9 @@ let collect reg cores ~cycles ~max_cycles =
           })
         cores;
     cycles;
-    snapshots = Cpoint.snapshots reg;
+    snapshots = List.map2 Cpoint.snapshot_with points triggered;
     window = Cpoint.window_bounds reg;
-    point_stats = List.map point_stat (Cpoint.points reg);
+    point_stats = List.map2 point_stat points triggered;
     hit_cycle_limit = cycles >= max_cycles;
   }
 

@@ -693,25 +693,6 @@ let test_rotating_validation () =
   checkb "max_generations >= 1" true
     (bad (fun () -> Telemetry.rotating_jsonl ~max_generations:0 "/tmp/x.jsonl"))
 
-(* --- synchronized sink --- *)
-
-let test_synchronized_sink () =
-  let count = ref 0 in
-  let m = Mutex.create () in
-  let sink = Telemetry.synchronized m (Telemetry.make (fun _ -> incr count)) in
-  let ev =
-    Telemetry.Testcase_executed { testcase_id = 1; cycles0 = 5; cycles1 = 5 }
-  in
-  let spin () =
-    for _ = 1 to 10_000 do
-      sink.Telemetry.emit ev
-    done
-  in
-  let d1 = Domain.spawn spin and d2 = Domain.spawn spin in
-  Domain.join d1;
-  Domain.join d2;
-  checki "no emission lost across domains" 20_000 !count
-
 (* --- state sink read across domains --- *)
 
 let test_state_read_across_domains () =
@@ -1151,7 +1132,6 @@ let () =
           Alcotest.test_case "rotating trace writer" `Quick test_rotating_jsonl;
           Alcotest.test_case "rotation validation" `Quick
             test_rotating_validation;
-          Alcotest.test_case "synchronized sink" `Quick test_synchronized_sink;
           Alcotest.test_case "state sink read across domains" `Quick
             test_state_read_across_domains;
           Alcotest.test_case "observatory merge" `Quick test_observatory_merge;

@@ -185,6 +185,114 @@ let test_cache_fill_info () =
       checkb "filler taint" true info.filler_tainted
   | None -> Alcotest.fail "expected hit"
 
+(* Rewinds ([reset], [capture]..[restore]) visit only the lines a run
+   filled; whatever they touch, the rewound cache must be observably a
+   fresh cache that replays the operations leading to the rewound state:
+   everything since the last reset, or everything up to the capture.  A
+   4-set, 4-way cache over a pool of 6 tags per set forces conflicts and
+   dirty evictions. *)
+
+type cache_op =
+  | Fill of int64 * int * bool  (* address, filler seq, tainted *)
+  | Lookup of int64
+  | Mark_dirty of int64
+  | Reset
+  | Capture
+  | Restore
+
+let rewind_cfg = { Config.size_kb = 1; ways = 4; line_bytes = 64; hit_latency = 1 }
+let rewind_pool = Array.init 24 (fun i -> Int64.of_int ((i * 64) + (i mod 3 * 8)))
+
+(* Four tags outside the pool for every set: filling them evicts each
+   set's whole contents in LRU order, exposing tags and dirtiness. *)
+let rewind_followup = List.init 16 (fun k -> Int64.of_int ((24 + k) * 64))
+
+let apply_cache_op c = function
+  | Fill (a, seq, tainted) -> ignore (Cache.fill c a ~seq ~cycle:seq ~tainted)
+  | Lookup a -> ignore (Cache.lookup c a)
+  | Mark_dirty a -> ignore (Cache.mark_dirty c a)
+  | Reset | Capture | Restore -> ()
+
+(* The observation mutates (lookups touch LRU, fills evict), so it is
+   itself a fixed operation sequence the replay log must then include. *)
+let observe_ops =
+  List.map (fun a -> Lookup a) (Array.to_list rewind_pool)
+  @ List.map (fun a -> Fill (a, 999, false)) rewind_followup
+
+let observe c =
+  let pool = Array.to_list rewind_pool in
+  let passive =
+    List.map
+      (fun a -> (Cache.probe c a, Cache.is_dirty c a, Cache.recently_evicted c a))
+      pool
+  in
+  let infos = List.map (Cache.lookup c) pool in
+  let victims =
+    List.map (fun a -> Cache.fill c a ~seq:999 ~cycle:999 ~tainted:false)
+      rewind_followup
+  in
+  (passive, infos, victims)
+
+let show_cache_op = function
+  | Fill (a, seq, t) -> Printf.sprintf "fill %Ld seq=%d%s" a seq (if t then " t" else "")
+  | Lookup a -> Printf.sprintf "lookup %Ld" a
+  | Mark_dirty a -> Printf.sprintf "dirty %Ld" a
+  | Reset -> "reset"
+  | Capture -> "capture"
+  | Restore -> "restore"
+
+let prop_cache_rewind =
+  let gen =
+    let open QCheck2.Gen in
+    let addr = map (fun i -> rewind_pool.(i)) (int_bound 23) in
+    list_size (int_range 0 80)
+      (frequency
+         [
+           (5, map3 (fun a seq t -> Fill (a, seq, t)) addr (int_bound 100) bool);
+           (2, map (fun a -> Lookup a) addr);
+           (2, map (fun a -> Mark_dirty a) addr);
+           (1, pure Reset);
+           (1, pure Capture);
+           (1, pure Restore);
+         ])
+  in
+  QCheck2.Test.make ~name:"cache rewind = fresh replay" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
+    gen
+    (fun ops ->
+      let c = Cache.create rewind_cfg in
+      let sv = Cache.make_save c in
+      (* [log]: reversed ops that take a fresh cache to [c]'s state. *)
+      let log = ref [] and saved = ref None in
+      let matches_replay () =
+        let fresh = Cache.create rewind_cfg in
+        List.iter (apply_cache_op fresh) (List.rev !log);
+        let same = observe c = observe fresh in
+        log := List.rev_append observe_ops !log;
+        same
+      in
+      List.for_all
+        (fun op ->
+          match (op, !saved) with
+          | Reset, _ ->
+              Cache.reset c;
+              log := [];
+              matches_replay ()
+          | Capture, _ ->
+              Cache.capture c sv;
+              saved := Some !log;
+              true
+          | Restore, None -> true
+          | Restore, Some l ->
+              Cache.restore c sv;
+              log := l;
+              matches_replay ()
+          | op, _ ->
+              apply_cache_op c op;
+              log := op :: !log;
+              true)
+        ops)
+
 (* --- Exec units --- *)
 
 let test_exec_alu_slots () =
@@ -379,10 +487,11 @@ let test_machine_words_per_cycle () =
   (* Minor-heap words per simulated cycle of a ctx-reused checkpointed
      dual run.  The pipeline keeps its fetch buffer, ROB and store buffer
      in per-core rings and links operands at dispatch, so a cycle no
-     longer copies lists or allocates operand lists: measured 163
-     words/cycle on this testcase, against 713 for the list-based model
-     it replaced (which this bound therefore rejects).  The bound is
-     about 1.5x the measured value. *)
+     longer copies lists or allocates operand lists, and each run's
+     contention-point triggers are sorted once: measured 154 words/cycle
+     on this testcase, against 713 for the list-based model (which this
+     bound therefore rejects).  The bound is about 1.6x the measured
+     value. *)
   let tc = Sonar.Testcase.random (Sonar.Rng.create 7L) ~id:7 ~dual:true in
   let i0 = Sonar.Testcase.materialize tc ~secret:0 in
   let i1 = Sonar.Testcase.materialize tc ~secret:1 in
@@ -560,7 +669,8 @@ let () =
           Alcotest.test_case "eviction + LRU" `Quick test_cache_eviction;
           Alcotest.test_case "dirty bits" `Quick test_cache_dirty;
           Alcotest.test_case "fill info" `Quick test_cache_fill_info;
-        ] );
+        ]
+        @ qcheck [ prop_cache_rewind ] );
       ( "exec_unit",
         [
           Alcotest.test_case "alu slots" `Quick test_exec_alu_slots;
