@@ -77,31 +77,42 @@ let consider ?emit t tc ~intervals =
   end
   else false
 
+(* The order of polymorphic [compare] on the candidates: [best] has one
+   binding per point, so the points alone order them. *)
+let compare_candidate (((na, pa) : point), _) ((nb, pb), _) =
+  match String.compare na nb with 0 -> Int.compare pa pb | c -> c
+
 let select t rng =
   (* Points with smaller non-zero best intervals are more likely to be
      chosen (weighted sampling, §6.2.1 "more likely to be selected"). *)
   let candidates =
     Hashtbl.fold (fun point v acc -> if v > 0 then (point, v) :: acc else acc) t.best []
-    |> List.sort compare
+    |> List.sort compare_candidate
   in
   let target =
     match candidates with
     | [] -> None
     | _ ->
-        let weight (point, v) =
-          let stuck =
-            Option.value ~default:0 (Hashtbl.find_opt t.attempts point)
-          in
-          1. /. (float_of_int ((v * v) + 1) *. (1. +. (float_of_int stuck /. 8.)))
+        let weighted =
+          List.map
+            (fun ((point, v) as c) ->
+              let stuck =
+                Option.value ~default:0 (Hashtbl.find_opt t.attempts point)
+              in
+              ( c,
+                1.
+                /. (float_of_int ((v * v) + 1)
+                   *. (1. +. (float_of_int stuck /. 8.))) ))
+            candidates
         in
-        let total = List.fold_left (fun a c -> a +. weight c) 0. candidates in
+        let total = List.fold_left (fun a (_, w) -> a +. w) 0. weighted in
         let roll = float_of_int (Rng.int rng 1_000_000) /. 1_000_000. *. total in
         let rec walk acc = function
-          | [ last ] -> Some last
-          | c :: rest -> if acc +. weight c >= roll then Some c else walk (acc +. weight c) rest
+          | [ (last, _) ] -> Some last
+          | (c, w) :: rest -> if acc +. w >= roll then Some c else walk (acc +. w) rest
           | [] -> None
         in
-        walk 0. candidates
+        walk 0. weighted
   in
   match target with
   | None -> None

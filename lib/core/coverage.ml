@@ -1,16 +1,18 @@
 open Sonar_uarch
 
+(* Per contention point: its shape, and which of its sub-points and source
+   pairs the campaign has credited so far. *)
 type meta = {
   fanout : int;
   pairs : int;
   persistent_slots : int;
   single_valid : bool;
   component : Sonar_ir.Component.t;
+  subs : Itbl.t;  (* keyed by [Cpoint.sub_key] *)
+  pairs_seen : Itbl.t;
 }
 
 type t = {
-  subs : (string * Cpoint.kind * int, unit) Hashtbl.t;
-  pairs_seen : (string * int, unit) Hashtbl.t;
   metas : (string, meta) Hashtbl.t;
   mutable total : float;
   mutable sv_weight : float;
@@ -19,51 +21,54 @@ type t = {
 
 let create () =
   {
-    subs = Hashtbl.create 1024;
-    pairs_seen = Hashtbl.create 256;
     metas = Hashtbl.create 64;
     total = 0.;
     sv_weight = 0.;
     comp_weight = Hashtbl.create 8;
   }
 
-let note_meta t (ps : Machine.point_stat) =
-  if not (Hashtbl.mem t.metas ps.ps_name) then begin
-    let pairs = max 1 (ps.ps_n_sources * (ps.ps_n_sources - 1) / 2) in
-    Hashtbl.replace t.metas ps.ps_name
-      {
-        fanout = ps.ps_fanout;
-        pairs;
-        persistent_slots = max 0 (ps.ps_max_subs - (pairs * Cpoint.data_buckets));
-        single_valid = ps.ps_single_valid;
-        component = ps.ps_component;
-      }
-  end
+let meta_of t (ps : Machine.point_stat) =
+  match Hashtbl.find_opt t.metas ps.ps_name with
+  | Some meta -> meta
+  | None ->
+      let pairs = max 1 (ps.ps_n_sources * (ps.ps_n_sources - 1) / 2) in
+      let meta =
+        {
+          fanout = ps.ps_fanout;
+          pairs;
+          persistent_slots =
+            max 0 (ps.ps_max_subs - (pairs * Cpoint.data_buckets));
+          single_valid = ps.ps_single_valid;
+          component = ps.ps_component;
+          subs = Itbl.create 16;
+          pairs_seen = Itbl.create 4;
+        }
+      in
+      Hashtbl.replace t.metas ps.ps_name meta;
+      meta
 
 (* Fanout shares (see interface). *)
 let shares meta =
   if meta.persistent_slots > 0 then (0.4, 0.3, 0.3) else (0.55, 0.45, 0.)
 
-let credit t name meta w =
+let credit t meta w =
   t.total <- t.total +. w;
   if meta.single_valid then t.sv_weight <- t.sv_weight +. w;
   let cur = Option.value ~default:0. (Hashtbl.find_opt t.comp_weight meta.component) in
-  Hashtbl.replace t.comp_weight meta.component (cur +. w);
-  ignore name
+  Hashtbl.replace t.comp_weight meta.component (cur +. w)
 
 let absorb_run t (r : Machine.result) =
   let added = ref 0. in
   List.iter
     (fun (ps : Machine.point_stat) ->
-      note_meta t ps;
-      let meta = Hashtbl.find t.metas ps.ps_name in
+      let meta = meta_of t ps in
       let pair_share, bucket_share, persist_share = shares meta in
       let fanout = float_of_int meta.fanout in
       List.iter
         (fun (kind, sub) ->
-          let key = (ps.ps_name, kind, sub) in
-          if not (Hashtbl.mem t.subs key) then begin
-            Hashtbl.replace t.subs key ();
+          let key = Cpoint.sub_key kind sub in
+          if not (Itbl.mem meta.subs key) then begin
+            Itbl.replace meta.subs key 0;
             let w =
               match kind with
               | Cpoint.Volatile ->
@@ -72,16 +77,16 @@ let absorb_run t (r : Machine.result) =
                     bucket_share *. fanout
                     /. float_of_int (meta.pairs * Cpoint.data_buckets)
                   in
-                  if Hashtbl.mem t.pairs_seen (ps.ps_name, pair) then bucket_w
+                  if Itbl.mem meta.pairs_seen pair then bucket_w
                   else begin
-                    Hashtbl.replace t.pairs_seen (ps.ps_name, pair) ();
+                    Itbl.replace meta.pairs_seen pair 0;
                     bucket_w +. (pair_share *. fanout /. float_of_int meta.pairs)
                   end
               | Cpoint.Persistent ->
                   persist_share *. fanout
                   /. float_of_int (max 1 meta.persistent_slots)
             in
-            credit t ps.ps_name meta w;
+            credit t meta w;
             added := !added +. w
           end)
         ps.ps_triggered)

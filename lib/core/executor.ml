@@ -60,40 +60,42 @@ let execute ?max_cycles ?checkpoint ?emit cfg tc =
   (match emit with Some emit -> emit (executed_event tc pair) | None -> ());
   pair
 
-(* Monomorphic comparator for the sorted [min_intervals] output below. The
-   ordering is identical to polymorphic [compare] on the same tuples
-   (byte-lexicographic strings), but dispatches directly; table keys are
-   unique, so comparing the keys alone is a total order on the entries. *)
-let compare_interval ((na, pa), _) ((nb, pb), _) =
-  match String.compare na nb with 0 -> Int.compare pa pb | c -> c
+(* The per-testcase fold. Each point's stats list its pair intervals and
+   triggered sub-points sorted, so the two runs merge point by point; the
+   points then sort by name, which orders the output as a sort of every
+   (point, key) entry would, since point names are unique. *)
+
+(* Both runs' stats of each point, in name order. Both runs of a pair come
+   from one registry, so their lists name the same points in the same
+   order and pair up by position. *)
+let points_by_name (pair : pair) =
+  let a = pair.run0.Machine.point_stats and b = pair.run1.Machine.point_stats in
+  List.iter2
+    (fun (x : Machine.point_stat) (y : Machine.point_stat) ->
+      assert (String.equal x.ps_name y.ps_name))
+    a b;
+  List.sort
+    (fun ((x : Machine.point_stat), _) ((y : Machine.point_stat), _) ->
+      String.compare x.ps_name y.ps_name)
+    (List.combine a b)
+
+(* Union of two ascending (pair id, interval) lists, keeping the smaller
+   interval of a pair both have. *)
+let rec merge_min a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((pa, va) as x) :: ra, ((pb, vb) as y) :: rb ->
+      if pa < pb then x :: merge_min ra b
+      else if pb < pa then y :: merge_min a rb
+      else (if vb < va then y else x) :: merge_min ra rb
 
 let min_intervals pair =
-  (* Keyed per (point, source pair); tuple keys avoid allocating a
-     formatted string per interval per run on the fuzzer's hot path. The
-     table is pre-sized to the interval count so absorption never rehashes. *)
-  let size (r : Machine.result) =
-    List.fold_left
-      (fun a (ps : Machine.point_stat) -> a + List.length ps.ps_pair_intervals)
-      0 r.point_stats
-  in
-  let table = Hashtbl.create (max 16 (size pair.run0 + size pair.run1)) in
-  let absorb (r : Machine.result) =
-    List.iter
-      (fun (ps : Machine.point_stat) ->
-        let name = ps.ps_name in
-        List.iter
-          (fun (pair_id, v) ->
-            let key = (name, pair_id) in
-            match Hashtbl.find_opt table key with
-            | Some m when m <= v -> ()
-            | Some _ | None -> Hashtbl.replace table key v)
-          ps.ps_pair_intervals)
-      r.point_stats
-  in
-  absorb pair.run0;
-  absorb pair.run1;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) table []
-  |> List.sort compare_interval
+  List.concat_map
+    (fun ((x : Machine.point_stat), (y : Machine.point_stat)) ->
+      List.map
+        (fun (pair_id, v) -> ((x.ps_name, pair_id), v))
+        (merge_min x.ps_pair_intervals y.ps_pair_intervals))
+    (points_by_name pair)
 
 let observe_intervals hists pair =
   List.iter
@@ -184,38 +186,25 @@ let execute_batch ?max_cycles ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
           List.mapi (fun i tc -> finish tc pairs.(i)) slice)
         futures
 
-(* Monomorphic comparator for [triggered]: identical ordering to polymorphic
-   [compare] on the same tuples (byte-lexicographic strings, constructor
-   order for [Cpoint.kind]), but dispatches directly; table keys are unique,
-   so comparing the keys alone is a total order on the entries. *)
-let kind_rank = function Cpoint.Volatile -> 0 | Cpoint.Persistent -> 1
+let weight (ps : Machine.point_stat) =
+  float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs
 
-let compare_triggered ((na, ka, sa), _) ((nb, kb, sb), _) =
-  match String.compare na nb with
-  | 0 -> (
-      match Int.compare (kind_rank ka) (kind_rank kb) with
-      | 0 -> Int.compare sa sb
-      | c -> c)
-  | c -> c
-
+(* Union of two runs' sorted triggered sub-points of one point, each with
+   its run's weight; a sub-point both runs triggered takes run 1's. *)
 let triggered pair =
-  let size (r : Machine.result) =
-    List.fold_left
-      (fun a (ps : Machine.point_stat) -> a + List.length ps.ps_triggered)
-      0 r.point_stats
-  in
-  let table = Hashtbl.create (max 16 (size pair.run0 + size pair.run1)) in
-  let absorb (r : Machine.result) =
-    List.iter
-      (fun (ps : Machine.point_stat) ->
-        let name = ps.ps_name in
-        let w = float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs in
-        List.iter
-          (fun (kind, sub) -> Hashtbl.replace table (name, kind, sub) w)
-          ps.ps_triggered)
-      r.point_stats
-  in
-  absorb pair.run0;
-  absorb pair.run1;
-  Hashtbl.fold (fun k w acc -> (k, w) :: acc) table []
-  |> List.sort compare_triggered
+  List.concat_map
+    (fun ((x : Machine.point_stat), (y : Machine.point_stat)) ->
+      let name = x.ps_name and wx = weight x and wy = weight y in
+      let tag (kind, sub) w = ((name, kind, sub), w) in
+      let rec merge a b =
+        match (a, b) with
+        | [], l -> List.map (fun s -> tag s wy) l
+        | l, [] -> List.map (fun s -> tag s wx) l
+        | sa :: ra, sb :: rb ->
+            let c = Cpoint.compare_sub sa sb in
+            if c < 0 then tag sa wx :: merge ra b
+            else if c > 0 then tag sb wy :: merge a rb
+            else tag sb wy :: merge ra rb
+      in
+      merge x.ps_triggered y.ps_triggered)
+    (points_by_name pair)

@@ -1,7 +1,7 @@
 type fill_info = { filler_seq : int; fill_cycle : int; filler_tainted : bool }
 
 type line = {
-  mutable tag : int64;
+  mutable tag : int;  (* [addr lsr (offset_bits + index_bits)], lossless *)
   mutable valid : bool;
   mutable dirty : bool;
   mutable lru : int;
@@ -18,8 +18,9 @@ type t = {
   index_bits : int;
   offset_bits : int;
   mutable tick : int;
-  (* Per set: last few evicted tags with the evicting fill's seq (S12). *)
-  evicted : (int * int64, int * bool) Hashtbl.t;
+  (* Evicted lines by line number ([line_key]), with the evicting fill's
+     seq and taint packed as [seq lsl 1 lor taint] (S12). *)
+  evicted : Itbl.t;
   (* Touched-line index: the slot of every valid line, each exactly once.
      [fill] appends a slot when it installs into an invalid way, and a
      valid line is only ever invalidated by [reset] or [restore], which
@@ -41,7 +42,7 @@ let create (cfg : Config.cache_cfg) =
     lines =
       Array.init n_lines (fun _ ->
           {
-            tag = 0L;
+            tag = 0;
             valid = false;
             dirty = false;
             lru = 0;
@@ -53,7 +54,7 @@ let create (cfg : Config.cache_cfg) =
     index_bits = log2 n_sets;
     offset_bits = log2 cfg.line_bytes;
     tick = 0;
-    evicted = Hashtbl.create 64;
+    evicted = Itbl.create 64;
     touched = Array.make n_lines 0;
     n_touched = 0;
   }
@@ -66,36 +67,43 @@ let set_index t addr =
        (Int64.shift_right_logical addr t.offset_bits)
        (Int64.of_int (t.n_sets - 1)))
 
-let tag_of t addr = Int64.shift_right_logical addr (t.offset_bits + t.index_bits)
+let tag_of t addr =
+  Int64.to_int (Int64.shift_right_logical addr (t.offset_bits + t.index_bits))
+
+let line_key t addr = Int64.to_int (Int64.shift_right_logical addr t.offset_bits)
 
 let line_addr t addr =
   Int64.logand addr (Int64.lognot (Int64.of_int (t.line_bytes - 1)))
 
+(* The slot of the valid line holding [addr], or -1. A loop rather than
+   a local recursive function, which would allocate a closure per access. *)
 let find_line t addr =
   let base = set_index t addr * t.ways in
   let tag = tag_of t addr in
-  let rec go i =
-    if i >= t.ways then None
-    else
-      let l = t.lines.(base + i) in
-      if l.valid && Int64.equal l.tag tag then Some l else go (i + 1)
-  in
-  go 0
+  let found = ref (-1) and slot = ref base in
+  while !found < 0 && !slot < base + t.ways do
+    let l = t.lines.(!slot) in
+    if l.valid && l.tag = tag then found := !slot;
+    incr slot
+  done;
+  !found
 
-let probe t addr = Option.is_some (find_line t addr)
+let probe t addr = find_line t addr >= 0
 
 let lookup t addr =
-  match find_line t addr with
-  | Some line ->
-      t.tick <- t.tick + 1;
-      line.lru <- t.tick;
-      Some line.info
-  | None -> None
+  let slot = find_line t addr in
+  if slot < 0 then None
+  else begin
+    let line = t.lines.(slot) in
+    t.tick <- t.tick + 1;
+    line.lru <- t.tick;
+    Some line.info
+  end
+
+let key_of_tag t set_idx tag = (tag lsl t.index_bits) lor set_idx
 
 let reconstruct_addr t set_idx tag =
-  Int64.logor
-    (Int64.shift_left tag (t.offset_bits + t.index_bits))
-    (Int64.shift_left (Int64.of_int set_idx) t.offset_bits)
+  Int64.shift_left (Int64.of_int (key_of_tag t set_idx tag)) t.offset_bits
 
 let fill t addr ~seq ~cycle ~tainted =
   let set_idx = set_index t addr in
@@ -105,8 +113,8 @@ let fill t addr ~seq ~cycle ~tainted =
      invalid way if there is one). *)
   let line =
     match find_line t addr with
-    | Some l -> l
-    | None ->
+    | slot when slot >= 0 -> t.lines.(slot)
+    | _ ->
         let v = ref base in
         for slot = base to base + t.ways - 1 do
           let l = t.lines.(slot) in
@@ -121,8 +129,9 @@ let fill t addr ~seq ~cycle ~tainted =
         l
   in
   let evicted =
-    if line.valid && not (Int64.equal line.tag tag) then begin
-      Hashtbl.replace t.evicted (set_idx, line.tag) (seq, tainted);
+    if line.valid && line.tag <> tag then begin
+      Itbl.replace t.evicted (key_of_tag t set_idx line.tag)
+        ((seq lsl 1) lor Bool.to_int tainted);
       Some
         { victim_addr = reconstruct_addr t set_idx line.tag; was_dirty = line.dirty }
     end
@@ -137,17 +146,18 @@ let fill t addr ~seq ~cycle ~tainted =
   evicted
 
 let mark_dirty t addr =
-  match find_line t addr with
-  | Some line ->
-      line.dirty <- true;
-      true
-  | None -> false
+  let slot = find_line t addr in
+  if slot >= 0 then t.lines.(slot).dirty <- true;
+  slot >= 0
 
 let is_dirty t addr =
-  match find_line t addr with Some line -> line.dirty | None -> false
+  let slot = find_line t addr in
+  slot >= 0 && t.lines.(slot).dirty
 
 let recently_evicted t addr =
-  Hashtbl.find_opt t.evicted (set_index t addr, tag_of t addr)
+  match Itbl.find t.evicted (line_key t addr) ~default:min_int with
+  | packed when packed = min_int -> None
+  | packed -> Some (packed asr 1, packed land 1 = 1)
 
 let reset t =
   (* Restores the cold-start state exactly: stale [tag]/[lru]/[info] on
@@ -162,7 +172,7 @@ let reset t =
   done;
   t.n_touched <- 0;
   t.tick <- 0;
-  Hashtbl.reset t.evicted
+  Itbl.clear t.evicted
 
 (* Checkpoint support: capture the full observable cache state (the
    indexed lines — invalid lines carry no readable state, see [reset])
@@ -175,12 +185,12 @@ let reset t =
 type save = {
   mutable n_saved : int;
   s_slot : int array;
-  s_tag : int64 array;
+  s_tag : int array;
   s_dirty : bool array;
   s_lru : int array;
   s_info : fill_info array;
   mutable s_tick : int;
-  mutable s_evicted : ((int * int64) * (int * bool)) list;
+  s_evicted : Itbl.t;
 }
 
 let make_save t =
@@ -188,13 +198,13 @@ let make_save t =
   {
     n_saved = 0;
     s_slot = Array.make n 0;
-    s_tag = Array.make n 0L;
+    s_tag = Array.make n 0;
     s_dirty = Array.make n false;
     s_lru = Array.make n 0;
     s_info =
       Array.make n { filler_seq = -1; fill_cycle = -1; filler_tainted = false };
     s_tick = 0;
-    s_evicted = [];
+    s_evicted = Itbl.create 64;
   }
 
 let capture t sv =
@@ -209,7 +219,7 @@ let capture t sv =
   done;
   sv.n_saved <- t.n_touched;
   sv.s_tick <- t.tick;
-  sv.s_evicted <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.evicted []
+  Itbl.blit ~src:t.evicted ~dst:sv.s_evicted
 
 let restore t sv =
   for i = 0 to t.n_touched - 1 do
@@ -227,5 +237,4 @@ let restore t sv =
   done;
   t.n_touched <- sv.n_saved;
   t.tick <- sv.s_tick;
-  Hashtbl.reset t.evicted;
-  List.iter (fun (k, v) -> Hashtbl.replace t.evicted k v) sv.s_evicted
+  Itbl.blit ~src:sv.s_evicted ~dst:t.evicted

@@ -20,6 +20,11 @@ val set_index : t -> int64 -> int
 val line_addr : t -> int64 -> int64
 (** Align an address down to its cache line. *)
 
+val line_key : t -> int64 -> int
+(** The line number [addr lsr offset_bits] as a native int: the same for
+    every address in a line, distinct across lines, and never negative —
+    the key the memory system's per-line tables use. *)
+
 val probe : t -> int64 -> bool
 (** Hit test without touching replacement state. *)
 

@@ -144,9 +144,10 @@ type t = {
   mutable fetch_source : fetch_source;
   mutable fetch_stall_until : int;
   mutable fetch_halted : bool;
-  mutable blocked_on_branch : int option;  (* uop id *)
-  line_avail : (int64, int) Hashtbl.t;
-  line_pending : (int64, unit) Hashtbl.t;
+  mutable blocked_on_branch : int;  (* uop id, -1 for none *)
+  lines : Itbl.t;
+      (* per ICache line number ([Memsys.ifetch_line_key]): the cycle the line is
+         available, or [line_pending] while its refill is in flight *)
   (* Pipeline structures, oldest first; ids increase from head to tail. *)
   fb : uop Ring.t;
   rob : uop Ring.t;
@@ -164,7 +165,7 @@ type t = {
   (* Results *)
   mutable commit_log : commit_record list;  (* reverse order *)
   mutable transient_issued : int;
-  mutable pending_early_squash : uop option;
+  mutable pending_early_squash : uop;  (* [no_uop] for none *)
   (* Contention points owned by the core. *)
   p_fb_enq : Cpoint.t;
   p_pc_sel : Cpoint.t;
@@ -213,9 +214,8 @@ let create cfg reg ms ~core_id ~outcome ~secret_range ~drives_window =
       fetch_source = Arch;
       fetch_stall_until = 0;
       fetch_halted = false;
-      blocked_on_branch = None;
-      line_avail = Hashtbl.create 32;
-      line_pending = Hashtbl.create 8;
+      blocked_on_branch = -1;
+      lines = Itbl.create 32;
       fb = Ring.create cfg.fetch_buffer no_uop;
       rob = Ring.create cfg.rob_entries no_uop;
       stbuf = Ring.create cfg.stq_entries no_entry;
@@ -229,7 +229,7 @@ let create cfg reg ms ~core_id ~outcome ~secret_range ~drives_window =
       bp = Branch_pred.create cfg;
       commit_log = [];
       transient_issued = 0;
-      pending_early_squash = None;
+      pending_early_squash = no_uop;
       p_fb_enq =
         pt ~single_valid:true "frontend.fb_enq" Frontend
           (List.init cfg.fetch_width (Printf.sprintf "slot%d"));
@@ -269,9 +269,8 @@ let prepare t ~outcome ~secret_range =
   t.fetch_source <- Arch;
   t.fetch_stall_until <- 0;
   t.fetch_halted <- false;
-  t.blocked_on_branch <- None;
-  Hashtbl.reset t.line_avail;
-  Hashtbl.reset t.line_pending;
+  t.blocked_on_branch <- -1;
+  Itbl.clear t.lines;
   Ring.clear t.fb;
   Ring.clear t.rob;
   Ring.clear t.stbuf;
@@ -285,11 +284,15 @@ let prepare t ~outcome ~secret_range =
   Branch_pred.reset t.bp;
   t.commit_log <- [];
   t.transient_issued <- 0;
-  t.pending_early_squash <- None;
+  t.pending_early_squash <- no_uop;
   if t.drives_window && secret_range = None then Cpoint.open_window t.reg
 
 let line_of t pc =
   Int64.logand pc (Int64.lognot (Int64.of_int (t.cfg.icache.line_bytes - 1)))
+
+let line_key t pc = Memsys.ifetch_line_key t.ms ~core:t.core_id pc
+
+let line_pending = -2
 
 (* --- Fetch --- *)
 
@@ -316,29 +319,28 @@ let next_pc_after t pos (eff : Golden.effect) =
   | Arch when pos >= 0 && pos + 1 < Array.length t.trace -> t.trace.(pos + 1).pc
   | Arch | Trans _ -> Int64.add eff.pc 4L
 
-let line_ready t line ~cycle ~tainted =
-  match Hashtbl.find_opt t.line_avail line with
-  | Some c -> c <= cycle
-  | None ->
-      if Hashtbl.mem t.line_pending line then begin
-        match Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:line with
-        | Some c ->
-            Hashtbl.remove t.line_pending line;
-            Hashtbl.replace t.line_avail line c;
-            c <= cycle
-        | None -> false
-      end
-      else begin
-        match Memsys.ifetch t.ms ~core:t.core_id ~addr:line ~cycle ~tainted with
-        | Memsys.Ready c ->
-            Hashtbl.replace t.line_avail line c;
-            c <= cycle
-        | Memsys.Waiting ->
-            Cpoint.request ~tainted t.reg t.p_icache_mshr ~source:0 ~data:line;
-            Hashtbl.replace t.line_pending line ();
-            false
-        | Memsys.Blocked _ -> false
-      end
+let line_ready t pc ~cycle ~tainted =
+  let key = line_key t pc in
+  let avail = Itbl.find t.lines key ~default:(-1) in
+  if avail >= 0 then avail <= cycle
+  else if avail = line_pending then begin
+    let c = Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:pc in
+    if c >= 0 then Itbl.replace t.lines key c;
+    c >= 0 && c <= cycle
+  end
+  else begin
+    let line = line_of t pc in
+    match Memsys.ifetch t.ms ~core:t.core_id ~addr:line ~cycle ~tainted with
+    | Memsys.Ready c ->
+        Itbl.replace t.lines key c;
+        c <= cycle
+    | Memsys.Waiting ->
+        Cpoint.request ~tainted t.reg t.p_icache_mshr ~source:0
+          ~data:(Int64.to_int line);
+        Itbl.replace t.lines key line_pending;
+        false
+    | Memsys.Blocked _ -> false
+  end
 
 let make_uop t eff trace_pos transient ~cycle =
   let id = t.next_id in
@@ -374,7 +376,7 @@ let make_uop t eff trace_pos transient ~cycle =
 let step_fetch t ~cycle =
   if
     t.fetch_halted || cycle < t.fetch_stall_until
-    || t.blocked_on_branch <> None
+    || t.blocked_on_branch >= 0
   then ()
   else begin
     let budget = ref t.cfg.fetch_width in
@@ -390,14 +392,13 @@ let step_fetch t ~cycle =
         in
         let pos = if transient then -1 else t.fetch_pos in
         let static_taint = is_secret_dep t eff || transient in
-        let line = line_of t eff.pc in
-        if not (line_ready t line ~cycle ~tainted:static_taint) then stop := true
+        if not (line_ready t eff.pc ~cycle ~tainted:static_taint) then stop := true
         else begin
           consume_next t;
           let u = make_uop t eff pos transient ~cycle in
           let slot = t.cfg.fetch_width - !budget in
           Cpoint.request ~tainted:u.tainted t.reg t.p_fb_enq ~source:slot
-            ~data:eff.pc;
+            ~data:(Int64.to_int eff.pc);
           Ring.push t.fb u;
           decr budget;
           fetched_any := true;
@@ -406,14 +407,14 @@ let step_fetch t ~cycle =
           (match eff.instr with
           | Instr.Branch (_, _, _, off) ->
               Cpoint.request ~tainted:u.tainted t.reg t.p_bpd_update ~source:0
-                ~data:eff.pc;
+                ~data:(Int64.to_int eff.pc);
               let taken = Option.value ~default:false eff.taken in
               let target = Int64.add eff.pc (Int64.of_int off) in
               u.resolved_target <- target;
               let correct = Branch_pred.predict t.bp ~pc:eff.pc ~taken ~target in
               if not correct then begin
                 u.mispredicted <- true;
-                t.blocked_on_branch <- Some u.id;
+                t.blocked_on_branch <- u.id;
                 stop := true
               end
           | Instr.Jal (_, off) ->
@@ -421,7 +422,7 @@ let step_fetch t ~cycle =
               u.resolved_target <- target;
               if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
                 u.mispredicted <- true;
-                t.blocked_on_branch <- Some u.id;
+                t.blocked_on_branch <- u.id;
                 stop := true
               end
           | Instr.Jalr _ ->
@@ -429,7 +430,7 @@ let step_fetch t ~cycle =
               u.resolved_target <- target;
               if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
                 u.mispredicted <- true;
-                t.blocked_on_branch <- Some u.id;
+                t.blocked_on_branch <- u.id;
                 stop := true
               end
           | _ -> ());
@@ -450,7 +451,7 @@ let step_fetch t ~cycle =
     done;
     if !fetched_any then
       Cpoint.request ~tainted:!fetched_tainted t.reg t.p_pc_sel ~source:0
-        ~data:(Int64.of_int cycle)
+        ~data:cycle
   end
 
 (* --- Dispatch --- *)
@@ -523,7 +524,7 @@ let step_dispatch t ~cycle =
         Ring.push t.rob u;
         let slot = t.cfg.decode_width - !budget in
         Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
-          ~data:u.eff.Golden.pc;
+          ~data:(Int64.to_int u.eff.Golden.pc);
         decr budget;
         if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
         then Cpoint.open_window t.reg
@@ -615,7 +616,8 @@ let issue_until t u c =
   u.complete_at <- c;
   start t u Issued
 
-let issue_opt t u = function Some c -> issue_until t u c | None -> ()
+(* [c] is an [Exec_unit.try_issue_*] result: -1 when the unit refused. *)
+let issue_at t u c = if c >= 0 then issue_until t u c
 
 let step_issue t ~cycle =
   for i = 0 to Ring.length t.rob - 1 do
@@ -628,31 +630,31 @@ let step_issue t ~cycle =
       in
       match u.cls with
       | Class_alu ->
-          issue_opt t u (Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted)
+          issue_at t u (Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted)
       | Class_mul ->
-          issue_opt t u
+          issue_at t u
             (Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
                ~tainted:u.tainted)
       | Class_div ->
-          issue_opt t u
+          issue_at t u
             (Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
                ~tainted:u.tainted)
       | Class_store ->
           if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
             Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
-              ~data:u.eff.Golden.pc;
+              ~data:(Int64.to_int u.eff.Golden.pc);
             issue_until t u (cycle + 1);
-            if early_fault && Option.is_none t.pending_early_squash then
-              t.pending_early_squash <- Some u
+            if early_fault && t.pending_early_squash == no_uop then
+              t.pending_early_squash <- u
           end
       | Class_load ->
           if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
             Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
-              ~data:u.eff.Golden.pc;
+              ~data:(Int64.to_int u.eff.Golden.pc);
             if early_fault then begin
               issue_until t u (cycle + 1);
-              if Option.is_none t.pending_early_squash then
-                t.pending_early_squash <- Some u
+              if t.pending_early_squash == no_uop then
+                t.pending_early_squash <- u
             end
             else begin
               let v = older_store_same_addr t u i in
@@ -696,15 +698,12 @@ let squash_younger t ~than_id =
   keep_through t.fb ~than_id;
   relink t;
   Exec_unit.purge_writeback t.pool ~keep:(fun id -> id <= than_id);
-  (match t.blocked_on_branch with
-  | Some id when id > than_id -> t.blocked_on_branch <- None
-  | Some _ | None -> ())
+  if t.blocked_on_branch > than_id then t.blocked_on_branch <- -1
 
 let handle_fault_redirect t u ~cycle =
-  Cpoint.request ~tainted:u.tainted t.reg t.p_rob_exception ~source:0
-    ~data:u.eff.Golden.pc;
-  Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:2
-    ~data:u.eff.Golden.pc;
+  let data = Int64.to_int u.eff.Golden.pc in
+  Cpoint.request ~tainted:u.tainted t.reg t.p_rob_exception ~source:0 ~data;
+  Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:2 ~data;
   squash_younger t ~than_id:u.id;
   t.fetch_source <- Arch;
   t.fetch_pos <- u.trace_pos + 1;
@@ -736,31 +735,31 @@ let step_complete t ~cycle =
               ~target:u.resolved_target
         | _ -> ());
         if u.mispredicted then begin
-          t.blocked_on_branch <- None;
+          t.blocked_on_branch <- -1;
           t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
           Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
-            ~data:u.eff.Golden.pc;
+            ~data:(Int64.to_int u.eff.Golden.pc);
           u.mispredicted <- false
         end;
         if u.dest < 0 then u.state <- Done
         else begin
           u.state <- Exec_done;
-          Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
+          Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id
             ~tainted:u.tainted
         end
-    | Wait_mem -> (
-        match Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id with
-        | Some c when c <= cycle ->
-            u.complete_at <- c;
-            if u.mispredicted then begin
-              t.blocked_on_branch <- None;
-              t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
-              u.mispredicted <- false
-            end;
-            u.state <- Exec_done;
-            Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
-              ~tainted:u.tainted
-        | Some _ | None -> ())
+    | Wait_mem ->
+        let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id in
+        if c >= 0 && c <= cycle then begin
+          u.complete_at <- c;
+          if u.mispredicted then begin
+            t.blocked_on_branch <- -1;
+            t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+            u.mispredicted <- false
+          end;
+          u.state <- Exec_done;
+          Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id
+            ~tainted:u.tainted
+        end
     | Dispatched | Issued | Exec_done | Done -> ()
   done
 
@@ -776,18 +775,14 @@ let rob_find t id =
     Ring.get t.rob !lo
   else no_uop
 
-let rec write_back t ~cycle = function
-  | [] -> ()
-  | id :: rest ->
-      let u = rob_find t id in
-      if u.state = Exec_done then begin
-        u.state <- Done;
-        u.complete_at <- min u.complete_at cycle
-      end;
-      write_back t ~cycle rest
-
 let step_writeback t ~cycle =
-  write_back t ~cycle (Exec_unit.arbitrate_writeback t.pool ~cycle)
+  for k = 0 to Exec_unit.arbitrate_writeback t.pool - 1 do
+    let u = rob_find t (Exec_unit.granted t.pool k) in
+    if u.state = Exec_done then begin
+      u.state <- Done;
+      u.complete_at <- min u.complete_at cycle
+    end
+  done
 
 (* --- Commit --- *)
 
@@ -802,7 +797,7 @@ let step_commit t ~cycle =
       count_in t u (-1);
       let slot = t.cfg.commit_width - !budget in
       Cpoint.request ~tainted:u.tainted t.reg t.p_rob_commit ~source:slot
-        ~data:u.eff.Golden.pc;
+        ~data:(Int64.to_int u.eff.Golden.pc);
       decr budget;
       t.commit_log <-
         { c_eff = u.eff; c_cycle = cycle; c_dispatch = u.dispatch_cycle }
@@ -837,7 +832,7 @@ let step_stbuf t ~cycle =
     match entry.sb_state with
     | Drain_new -> (
         Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
-          ~data:addr;
+          ~data:(Int64.to_int addr);
         match
           Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
             ~cycle ~tainted:u.tainted
@@ -845,10 +840,9 @@ let step_stbuf t ~cycle =
         | Memsys.Ready _ -> Ring.pop t.stbuf
         | Memsys.Waiting -> entry.sb_state <- Drain_waiting
         | Memsys.Blocked _ -> ())
-    | Drain_waiting -> (
-        match Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id with
-        | Some c when c <= cycle -> Ring.pop t.stbuf
-        | Some _ | None -> ())
+    | Drain_waiting ->
+        let c = Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id in
+        if c >= 0 && c <= cycle then Ring.pop t.stbuf
   end
 
 (* --- Top level --- *)
@@ -859,11 +853,11 @@ let step t ~cycle =
   step_writeback t ~cycle;
   step_commit t ~cycle;
   step_issue t ~cycle;
-  (match t.pending_early_squash with
-  | Some u ->
-      t.pending_early_squash <- None;
-      handle_fault_redirect t u ~cycle
-  | None -> ());
+  (let u = t.pending_early_squash in
+   if u != no_uop then begin
+     t.pending_early_squash <- no_uop;
+     handle_fault_redirect t u ~cycle
+   end);
   step_stbuf t ~cycle;
   step_dispatch t ~cycle;
   step_fetch t ~cycle
@@ -905,23 +899,22 @@ let transient_executed t = t.transient_issued
    query sees at the top of the cycle is the table [step_fetch] sees.
    Untouched lines are conservatively assumed ready (a first-touch
    [Memsys.ifetch] could hit). *)
-let line_known_unready t line ~cycle =
-  match Hashtbl.find_opt t.line_avail line with
-  | Some c -> c > cycle
-  | None ->
-      Hashtbl.mem t.line_pending line
-      &&
-      (* Pure variant of [line_ready]'s pending path: peek at the refill
-         completion without migrating the entry between the core tables. *)
-      (match Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:line with
-      | Some c -> c > cycle
-      | None -> true)
+let line_known_unready t pc ~cycle =
+  let avail = Itbl.find t.lines (line_key t pc) ~default:(-1) in
+  if avail >= 0 then avail > cycle
+  else
+    avail = line_pending
+    &&
+    (* Pure variant of [line_ready]'s pending path: peek at the refill
+       completion without recording it in the core's table. *)
+    let c = Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:pc in
+    c < 0 || c > cycle
 
 let fetch_bound t ~cycle =
   match t.fetch_source with
   | Trans _ -> t.fetch_pos
   | Arch ->
-      if t.fetch_halted || cycle < t.fetch_stall_until || t.blocked_on_branch <> None
+      if t.fetch_halted || cycle < t.fetch_stall_until || t.blocked_on_branch >= 0
       then t.fetch_pos
       else begin
         let fb = Ring.length t.fb in
@@ -933,8 +926,7 @@ let fetch_bound t ~cycle =
         let bound = ref (t.fetch_pos + headroom) in
         (try
            for p = t.fetch_pos to last - 1 do
-             if line_known_unready t (line_of t t.trace.(p).Golden.pc) ~cycle
-             then begin
+             if line_known_unready t t.trace.(p).Golden.pc ~cycle then begin
                bound := p;
                raise Exit
              end
@@ -966,14 +958,15 @@ let fetch_bound t ~cycle =
    Only [Dispatched] producers (which issue at the earliest this cycle,
    completing later) and [Issued] ones with [complete_at > cycle] provably
    stay unready.  Transient uops carry position -1 and never trip the
-   test. *)
+   test.  Architectural positions increase along the ROB, so the scan runs
+   from the tail and stops at the first architectural uop before [fork]:
+   only the suffix at or past the fork can trip the test. *)
 let producer_possibly_ready t v ~cycle =
   match v.state with
   | Exec_done | Done -> true
-  | Wait_mem -> (
-      match Memsys.load_ready t.ms ~core:t.core_id ~rob:v.id with
-      | Some c -> c <= cycle
-      | None -> false)
+  | Wait_mem ->
+      let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:v.id in
+      c >= 0 && c <= cycle
   | Issued -> v.complete_at <= cycle
   | Dispatched -> false
 
@@ -982,13 +975,18 @@ let could_issue t u ~cycle =
   && producer_possibly_ready t u.prod2 ~cycle
 
 let rob_issue_reaches t ~fork ~cycle =
-  let reaches = ref false and i = ref 0 in
-  while (not !reaches) && !i < Ring.length t.rob do
+  let reaches = ref false and i = ref (Ring.length t.rob - 1) in
+  while
+    (not !reaches) && !i >= 0
+    &&
+    let pos = (Ring.get t.rob !i).trace_pos in
+    pos >= fork || pos < 0
+  do
     let u = Ring.get t.rob !i in
     reaches :=
       u.trace_pos >= fork
       && (u.state <> Dispatched || u.cls = Class_store || could_issue t u ~cycle);
-    incr i
+    decr i
   done;
   !reaches
 
@@ -1007,9 +1005,8 @@ type save = {
   mutable s_fetch_source : fetch_source;
   mutable s_fetch_stall_until : int;
   mutable s_fetch_halted : bool;
-  mutable s_blocked_on_branch : int option;
-  mutable s_line_avail : (int64 * int) list;
-  mutable s_line_pending : int64 list;
+  mutable s_blocked_on_branch : int;
+  s_lines : Itbl.t;
   mutable s_fb : uop list;
   mutable s_rob : uop list;
   mutable s_stbuf : (uop * stbuf_state) list;
@@ -1028,9 +1025,8 @@ let make_save () =
     s_fetch_source = Arch;
     s_fetch_stall_until = 0;
     s_fetch_halted = false;
-    s_blocked_on_branch = None;
-    s_line_avail = [];
-    s_line_pending = [];
+    s_blocked_on_branch = -1;
+    s_lines = Itbl.create 32;
     s_fb = [];
     s_rob = [];
     s_stbuf = [];
@@ -1051,16 +1047,15 @@ let ring_of_list r l f =
 
 let capture t sv =
   (* [pending_early_squash] is set and consumed within one [step], so it
-     is always [None] at a cycle boundary. *)
-  assert (Option.is_none t.pending_early_squash);
+     is always [no_uop] at a cycle boundary. *)
+  assert (t.pending_early_squash == no_uop);
   sv.s_secret_committed <- t.secret_committed;
   sv.s_fetch_pos <- t.fetch_pos;
   sv.s_fetch_source <- t.fetch_source;
   sv.s_fetch_stall_until <- t.fetch_stall_until;
   sv.s_fetch_halted <- t.fetch_halted;
   sv.s_blocked_on_branch <- t.blocked_on_branch;
-  sv.s_line_avail <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.line_avail [];
-  sv.s_line_pending <- Hashtbl.fold (fun k () acc -> k :: acc) t.line_pending [];
+  Itbl.blit ~src:t.lines ~dst:sv.s_lines;
   sv.s_fb <- ring_to_list t.fb copy_uop;
   sv.s_rob <- ring_to_list t.rob copy_uop;
   sv.s_stbuf <- ring_to_list t.stbuf (fun e -> (copy_uop e.sb_uop, e.sb_state));
@@ -1078,10 +1073,7 @@ let restore ?(fork = max_int) t sv =
   t.fetch_stall_until <- sv.s_fetch_stall_until;
   t.fetch_halted <- sv.s_fetch_halted;
   t.blocked_on_branch <- sv.s_blocked_on_branch;
-  Hashtbl.reset t.line_avail;
-  List.iter (fun (k, v) -> Hashtbl.replace t.line_avail k v) sv.s_line_avail;
-  Hashtbl.reset t.line_pending;
-  List.iter (fun k -> Hashtbl.replace t.line_pending k ()) sv.s_line_pending;
+  Itbl.blit ~src:sv.s_lines ~dst:t.lines;
   (* Uops at or past [fork] were captured with run 0's effect records.
      None of the fields the two runs disagree on was ever read — the
      capture fires before the first cycle in which issue could touch a
@@ -1122,4 +1114,4 @@ let restore ?(fork = max_int) t sv =
          sv.s_commit_log
      end);
   t.transient_issued <- sv.s_transient_issued;
-  t.pending_early_squash <- None
+  t.pending_early_squash <- no_uop

@@ -13,8 +13,8 @@ type t = {
   mutable min_self : int option;
   mutable active_sources : int;  (* sources with hits > 0, kept incrementally *)
   mutable single_valid_dominated : bool;
-  triggered : (kind * int, unit) Hashtbl.t;
-  pair_min : (int, int) Hashtbl.t;  (* per risky source pair: min interval *)
+  triggered : Itbl.t;  (* keyed by [sub_key]; values unused *)
+  pair_min : Itbl.t;  (* per risky source pair: min interval *)
   last_tainted : bool array;  (* was each source's latest request tainted *)
   mutable digest : int;
   mutable event_count : int;
@@ -23,22 +23,22 @@ type t = {
 type registry = {
   config : Config.t;
   table : (string, t) Hashtbl.t;
-  mutable order : t list;  (* reverse registration order *)
+  mutable points : t list;  (* registration order *)
   mutable cycle : int;
   mutable open_ : bool;
-  mutable first_open : int option;
-  mutable last_open : int option;
+  mutable first_open : int;  (* -1 until the window first opens *)
+  mutable last_open : int;
 }
 
 let create config =
   {
     config;
     table = Hashtbl.create 64;
-    order = [];
+    points = [];
     cycle = 0;
     open_ = false;
-    first_open = None;
-    last_open = None;
+    first_open = -1;
+    last_open = -1;
   }
 
 let reset_point p =
@@ -49,8 +49,8 @@ let reset_point p =
   p.min_self <- None;
   p.active_sources <- 0;
   p.single_valid_dominated <- true;
-  Hashtbl.reset p.triggered;
-  Hashtbl.reset p.pair_min;
+  Itbl.clear p.triggered;
+  Itbl.clear p.pair_min;
   p.digest <- Hashtbl.hash p.name;
   p.event_count <- 0
 
@@ -60,11 +60,11 @@ let reset reg =
      every per-run observation is rewound to the state [create] + fresh
      [point] calls would produce — reuse must be bit-identical to a fresh
      registry. *)
-  List.iter reset_point reg.order;
+  List.iter reset_point reg.points;
   reg.cycle <- 0;
   reg.open_ <- false;
-  reg.first_open <- None;
-  reg.last_open <- None
+  reg.first_open <- -1;
+  reg.last_open <- -1
 
 (* Sub-point granularity: each (source pair, data bucket) combination is a
    distinct netlist sub-point. Wide arbiters route many data fields through
@@ -73,8 +73,12 @@ let reset reg =
    diversity (Figure 8) instead of saturating after a handful of runs. *)
 let data_buckets = 64
 
-let bucket_of data =
-  Int64.to_int (Int64.unsigned_rem (Int64.mul data 0x9E3779B9L) (Int64.of_int data_buckets))
+(* [data_buckets] is a power of two, so the bucket reads only the low bits
+   of [data]: a native int carries exactly what an int64 would. *)
+let bucket_of data = (data * 0x9E3779B9) land (data_buckets - 1)
+
+let sub_key kind sub = (sub lsl 1) lor match kind with Volatile -> 0 | Persistent -> 1
+let trigger p kind sub = Itbl.replace p.triggered (sub_key kind sub) 0
 
 let point reg ~name ~component ~sources ?(persistent_subs = 0)
     ?(single_valid = false) () =
@@ -97,15 +101,15 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
           min_self = None;
           active_sources = 0;
           single_valid_dominated = true;
-          triggered = Hashtbl.create 8;
-          pair_min = Hashtbl.create 8;
+          triggered = Itbl.create 8;
+          pair_min = Itbl.create 8;
           last_tainted = Array.make n false;
           digest = Hashtbl.hash name;
           event_count = 0;
         }
       in
       Hashtbl.replace reg.table name p;
-      reg.order <- p :: reg.order;
+      reg.points <- reg.points @ [ p ];
       p
 
 let update_min current candidate =
@@ -126,7 +130,7 @@ let request reg p ~tainted ~source ~data =
     if p.hits.(source) = 0 then p.active_sources <- p.active_sources + 1;
     p.hits.(source) <- p.hits.(source) + 1;
     p.event_count <- p.event_count + 1;
-    p.digest <- mix (mix p.digest (source + (cycle land 0xFF))) (Int64.to_int data land 0xFFFF);
+    p.digest <- mix (mix p.digest (source + (cycle land 0xFF))) (data land 0xFFFF);
     (* Single-valid dominance: demoted once a second source shows activity.
        [active_sources] is maintained incrementally above, so this is O(1)
        per request instead of an O(sources) rescan. *)
@@ -134,8 +138,7 @@ let request reg p ~tainted ~source ~data =
       p.single_valid_dominated <- false;
     (* A lone-source point triggers on its first risky in-window request:
        its valid signal is the request itself and is trivially asserted. *)
-    if n = 1 && tainted then
-      Hashtbl.replace p.triggered (Volatile, bucket_of data) ();
+    if n = 1 && tainted then trigger p Volatile (bucket_of data);
     (* Same-source consecutive interval. *)
     if p.last_valid.(source) >= 0 then
       p.min_self <- update_min p.min_self (cycle - p.last_valid.(source));
@@ -149,13 +152,10 @@ let request reg p ~tainted ~source ~data =
         if tainted || p.last_tainted.(other) then begin
           p.min_pair <- update_min p.min_pair interval;
           let pair = pair_sub n source other in
-          (match Hashtbl.find_opt p.pair_min pair with
-          | Some m when m <= interval -> ()
-          | Some _ | None -> Hashtbl.replace p.pair_min pair interval);
+          if Itbl.find p.pair_min pair ~default:max_int > interval then
+            Itbl.replace p.pair_min pair interval;
           if interval = 0 then
-            Hashtbl.replace p.triggered
-              (Volatile, (pair * data_buckets) + bucket_of data)
-              ()
+            trigger p Volatile ((pair * data_buckets) + bucket_of data)
         end
       end
     done
@@ -169,55 +169,74 @@ let grant reg p ~source =
 let persistent reg p ~tainted ~source ~sub ~data =
   if reg.open_ then begin
     p.event_count <- p.event_count + 1;
-    p.digest <- mix (mix p.digest (0xBEEF + source)) (Int64.to_int data land 0xFFFF);
+    p.digest <- mix (mix p.digest (0xBEEF + source)) (data land 0xFFFF);
     if tainted then begin
       let n = Array.length p.sources in
       let volatile_slots = max 1 (n * (n - 1) / 2) * data_buckets in
       let persistent_slots = max 1 (p.max_subs - volatile_slots) in
-      Hashtbl.replace p.triggered
-        (Persistent, volatile_slots + (sub mod persistent_slots))
-        ()
+      trigger p Persistent (volatile_slots + (sub mod persistent_slots))
     end
   end
 
 let set_cycle reg c =
   reg.cycle <- c;
-  if reg.open_ then reg.last_open <- Some c
+  if reg.open_ then reg.last_open <- c
 
 let open_window reg =
   reg.open_ <- true;
-  if reg.first_open = None then reg.first_open <- Some reg.cycle;
-  reg.last_open <- Some reg.cycle
+  if reg.first_open < 0 then reg.first_open <- reg.cycle;
+  reg.last_open <- reg.cycle
 
 let close_window reg = reg.open_ <- false
 let window_open reg = reg.open_
 
 let window_bounds reg =
-  match (reg.first_open, reg.last_open) with
-  | Some a, Some b -> Some (a, b)
-  | _ -> None
+  if reg.first_open < 0 then None else Some (reg.first_open, reg.last_open)
 
-let points reg = List.rev reg.order
+let points reg = reg.points
 
-(* Monomorphic orders equal to polymorphic [compare] on these tuples
-   ([Volatile] sorts before [Persistent], as constructor order does). *)
-let compare_sub (k1, i1) (k2, i2) =
-  match (k1, k2) with
-  | Volatile, Persistent -> -1
-  | Persistent, Volatile -> 1
-  | _ -> Int.compare i1 i2
+(* The order of polymorphic [compare] on the decoded (kind, sub) pairs
+   ([Volatile] sorts before [Persistent], as constructor order does): by
+   kind bit, then by key, which for one kind orders by sub. *)
+let compare_sub_key a b =
+  let c = Int.compare (a land 1) (b land 1) in
+  if c <> 0 then c else Int.compare a b
 
-let compare_pair ((a1 : int), (b1 : int)) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
+let compare_sub (ka, sa) (kb, sb) = compare_sub_key (sub_key ka sa) (sub_key kb sb)
+
+(* Run results: sort a table's keys in an array, then build the list
+   from its end, so only the array and the result are allocated. Most
+   tables of a run are empty and the rest small, so small arrays take an
+   insertion sort, which unlike [Array.sort] allocates nothing. *)
+let sorted_list tbl cmp f =
+  if Itbl.length tbl = 0 then []
+  else begin
+    let keys = Itbl.keys tbl in
+    let n = Array.length keys in
+    if n > 16 then Array.sort cmp keys
+    else
+      for i = 1 to n - 1 do
+        let k = keys.(i) and j = ref (i - 1) in
+        while !j >= 0 && cmp keys.(!j) k > 0 do
+          keys.(!j + 1) <- keys.(!j);
+          decr j
+        done;
+        keys.(!j + 1) <- k
+      done;
+    let l = ref [] in
+    for i = n - 1 downto 0 do
+      l := f keys.(i) :: !l
+    done;
+    !l
+  end
 
 let triggered_subs p =
-  Hashtbl.fold (fun k () acc -> k :: acc) p.triggered []
-  |> List.sort compare_sub
+  sorted_list p.triggered compare_sub_key (fun k ->
+      ((if k land 1 = 0 then Volatile else Persistent), k lsr 1))
 
 let pair_intervals p =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min []
-  |> List.sort compare_pair
+  sorted_list p.pair_min Int.compare (fun k ->
+      (k, Itbl.find p.pair_min k ~default:max_int))
 
 (* Invert the triangular pair enumeration of [pair_sub]. *)
 let pair_name p pair =
@@ -235,15 +254,15 @@ let pair_name p pair =
   else string_of_int pair
 
 let triggered_weight p =
-  float_of_int p.fanout *. float_of_int (Hashtbl.length p.triggered)
+  float_of_int p.fanout *. float_of_int (Itbl.length p.triggered)
   /. float_of_int p.max_subs
 
 (* Checkpoint support: a registry-level save holds one preallocated buffer
    per registered point (in [points] order — registration is structural,
    so the order is stable for a given config + core count) plus the
-   window/cycle state.  Hashtables are captured as association lists and
-   replayed with [Hashtbl.replace]; all readers use [find_opt] /
-   [length] / [fold]+sort, so insertion order never shows through. *)
+   window/cycle state.  Tables are copied with [Itbl.blit]; all readers
+   use [find] / [length] / sorted [keys], so slot order never shows
+   through. *)
 
 type point_save = {
   ps_last_valid : int array;
@@ -253,8 +272,8 @@ type point_save = {
   mutable ps_min_self : int option;
   mutable ps_active_sources : int;
   mutable ps_single_valid_dominated : bool;
-  mutable ps_triggered : (kind * int) list;
-  mutable ps_pair_min : (int * int) list;
+  ps_triggered : Itbl.t;
+  ps_pair_min : Itbl.t;
   mutable ps_digest : int;
   mutable ps_event_count : int;
 }
@@ -263,8 +282,8 @@ type save = {
   sv_points : (t * point_save) array;
   mutable sv_cycle : int;
   mutable sv_open : bool;
-  mutable sv_first_open : int option;
-  mutable sv_last_open : int option;
+  mutable sv_first_open : int;
+  mutable sv_last_open : int;
 }
 
 let make_save reg =
@@ -283,16 +302,16 @@ let make_save reg =
                  ps_min_self = None;
                  ps_active_sources = 0;
                  ps_single_valid_dominated = true;
-                 ps_triggered = [];
-                 ps_pair_min = [];
+                 ps_triggered = Itbl.create 8;
+                 ps_pair_min = Itbl.create 8;
                  ps_digest = 0;
                  ps_event_count = 0;
                } ))
            (points reg));
     sv_cycle = 0;
     sv_open = false;
-    sv_first_open = None;
-    sv_last_open = None;
+    sv_first_open = -1;
+    sv_last_open = -1;
   }
 
 let capture reg sv =
@@ -306,8 +325,8 @@ let capture reg sv =
       ps.ps_min_self <- p.min_self;
       ps.ps_active_sources <- p.active_sources;
       ps.ps_single_valid_dominated <- p.single_valid_dominated;
-      ps.ps_triggered <- Hashtbl.fold (fun k () acc -> k :: acc) p.triggered [];
-      ps.ps_pair_min <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min [];
+      Itbl.blit ~src:p.triggered ~dst:ps.ps_triggered;
+      Itbl.blit ~src:p.pair_min ~dst:ps.ps_pair_min;
       ps.ps_digest <- p.digest;
       ps.ps_event_count <- p.event_count)
     sv.sv_points;
@@ -327,10 +346,8 @@ let restore reg sv =
       p.min_self <- ps.ps_min_self;
       p.active_sources <- ps.ps_active_sources;
       p.single_valid_dominated <- ps.ps_single_valid_dominated;
-      Hashtbl.reset p.triggered;
-      List.iter (fun k -> Hashtbl.replace p.triggered k ()) ps.ps_triggered;
-      Hashtbl.reset p.pair_min;
-      List.iter (fun (k, v) -> Hashtbl.replace p.pair_min k v) ps.ps_pair_min;
+      Itbl.blit ~src:ps.ps_triggered ~dst:p.triggered;
+      Itbl.blit ~src:ps.ps_pair_min ~dst:p.pair_min;
       p.digest <- ps.ps_digest;
       p.event_count <- ps.ps_event_count)
     sv.sv_points;
@@ -362,33 +379,47 @@ let snapshot p = snapshot_with p (triggered_subs p)
 
 let opt_str = function None -> "-" | Some v -> string_of_int v
 
+let diff_snapshot sa sb =
+  let diffs = ref [] in
+  if sa.s_hits <> sb.s_hits then
+    diffs :=
+      Printf.sprintf "request counts %s vs %s"
+        (String.concat "," (Array.to_list (Array.map string_of_int sa.s_hits)))
+        (String.concat "," (Array.to_list (Array.map string_of_int sb.s_hits)))
+      :: !diffs;
+  if sa.s_min_pair <> sb.s_min_pair then
+    diffs :=
+      Printf.sprintf "min reqsIntvl %s vs %s" (opt_str sa.s_min_pair)
+        (opt_str sb.s_min_pair)
+      :: !diffs;
+  if sa.s_triggered <> sb.s_triggered then
+    diffs :=
+      Printf.sprintf "triggered sub-points %d vs %d"
+        (List.length sa.s_triggered) (List.length sb.s_triggered)
+      :: !diffs;
+  if !diffs = [] && sa.s_digest <> sb.s_digest then
+    diffs := [ "event stream differs" ];
+  if !diffs = [] then None
+  else Some (sa.point_name, String.concat "; " (List.rev !diffs))
+
+let rec names_line_up a b =
+  match (a, b) with
+  | [], [] -> true
+  | sa :: a, sb :: b ->
+      String.equal sa.point_name sb.point_name && names_line_up a b
+  | _ -> false
+
+(* Two runs on one registry snapshot the same points in the same order, so
+   the lists zip; the name table serves lists that do not line up. *)
 let diff_snapshots a b =
-  let tb = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace tb s.point_name s) b;
-  List.filter_map
-    (fun sa ->
-      match Hashtbl.find_opt tb sa.point_name with
-      | None -> Some (sa.point_name, "present only under secret=0")
-      | Some sb ->
-          let diffs = ref [] in
-          if sa.s_hits <> sb.s_hits then
-            diffs :=
-              Printf.sprintf "request counts %s vs %s"
-                (String.concat "," (Array.to_list (Array.map string_of_int sa.s_hits)))
-                (String.concat "," (Array.to_list (Array.map string_of_int sb.s_hits)))
-              :: !diffs;
-          if sa.s_min_pair <> sb.s_min_pair then
-            diffs :=
-              Printf.sprintf "min reqsIntvl %s vs %s" (opt_str sa.s_min_pair)
-                (opt_str sb.s_min_pair)
-              :: !diffs;
-          if sa.s_triggered <> sb.s_triggered then
-            diffs :=
-              Printf.sprintf "triggered sub-points %d vs %d"
-                (List.length sa.s_triggered) (List.length sb.s_triggered)
-              :: !diffs;
-          if !diffs = [] && sa.s_digest <> sb.s_digest then
-            diffs := [ "event stream differs" ];
-          if !diffs = [] then None
-          else Some (sa.point_name, String.concat "; " (List.rev !diffs)))
-    a
+  if names_line_up a b then List.filter_map Fun.id (List.map2 diff_snapshot a b)
+  else begin
+    let tb = Hashtbl.create 64 in
+    List.iter (fun s -> Hashtbl.replace tb s.point_name s) b;
+    List.filter_map
+      (fun sa ->
+        match Hashtbl.find_opt tb sa.point_name with
+        | None -> Some (sa.point_name, "present only under secret=0")
+        | Some sb -> diff_snapshot sa sb)
+      a
+  end

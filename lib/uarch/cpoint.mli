@@ -17,13 +17,24 @@
     Each point carries a netlist [fanout] (how many netlist MUX points it
     maps to, see DESIGN.md); a triggered sub-point contributes
     [fanout / max_subs] netlist points to coverage, which reproduces the
-    cluster-shaped growth of Figure 8. *)
+    cluster-shaped growth of Figure 8.
+
+    The registry is on the cycle path: {!request}, {!grant},
+    {!persistent} and {!set_cycle} allocate nothing but the occasional
+    new table binding or improved minimum. Request data is a native int,
+    sub-points and source pairs are native-int keys ({!sub_key}) in
+    {!Itbl} tables, and the window bounds are ints until
+    {!window_bounds} reads them out. *)
 
 type kind = Volatile | Persistent
 
 val data_buckets : int
 (** Data classes per source pair: a volatile sub-point id is
     [pair * data_buckets + bucket]. *)
+
+val sub_key : kind -> int -> int
+(** A sub-point as one native int, [sub lsl 1 lor kind] with
+    [Volatile = 0] and [Persistent = 1]: the key of sub-point tables. *)
 
 type t = private {
   name : string;
@@ -43,8 +54,10 @@ type t = private {
           incrementally (avoids an O(sources) rescan per request) *)
   mutable single_valid_dominated : bool;
       (** every in-window event so far came from one source (Figure 9) *)
-  triggered : (kind * int, unit) Hashtbl.t;
-  pair_min : (int, int) Hashtbl.t;
+  triggered : Itbl.t;
+      (** triggered sub-points, keyed by {!sub_key}; read them with
+          {!triggered_subs} *)
+  pair_min : Itbl.t;
       (** per risky source pair, the minimum interval observed — the
           fuzzer's per-pair convergence targets *)
   last_tainted : bool array;
@@ -80,21 +93,26 @@ val point :
     single-source point triggers on its first in-window request (the
     "dominated by a single valid signal" class of Figure 9). *)
 
-val request : registry -> t -> tainted:bool -> source:int -> data:int64 -> unit
+val request : registry -> t -> tainted:bool -> source:int -> data:int -> unit
 (** Report a valid request this cycle from [source]. [tainted] marks a
     request derived from secret-dependent instructions; only contention
     involving at least one tainted request is {e risky} (secret-dependent,
-    §6.1) — pair intervals and triggers are recorded for risky pairs only. *)
+    §6.1) — pair intervals and triggers are recorded for risky pairs only.
+    Only the low 16 bits of [data] are read (the digest masks them, and
+    the data bucket reads fewer), so a caller passes an address or an
+    [int64] operand as [Int64.to_int] of it. *)
 
 val grant : registry -> t -> source:int -> unit
 (** Report the arbitration winner (folded into the digest). *)
 
 val persistent :
-  registry -> t -> tainted:bool -> source:int -> sub:int -> data:int64 -> unit
+  registry -> t -> tainted:bool -> source:int -> sub:int -> data:int -> unit
 (** Report a persistent-contention event on sub-point [sub]. Only tainted
     events count as triggers (untainted ones still feed the digest). *)
 
 val set_cycle : registry -> int -> unit
+(** Called every machine cycle; allocates nothing. *)
+
 val open_window : registry -> unit
 val close_window : registry -> unit
 val window_open : registry -> bool
@@ -118,6 +136,12 @@ val triggered_weight : t -> float
     [fanout × triggered_subs / max_subs]. *)
 
 val triggered_subs : t -> (kind * int) list
+(** Sorted by {!compare_sub}. *)
+
+val compare_sub : kind * int -> kind * int -> int
+(** The order of {!triggered_subs} and of every list built from it:
+    [Volatile] before [Persistent], then by sub-point id. It equals
+    polymorphic [compare] on the pairs. *)
 
 val pair_intervals : t -> (int * int) list
 (** Sorted (pair id, minimum interval) pairs observed in the window. *)
@@ -142,5 +166,7 @@ val snapshot_with : t -> (kind * int) list -> snapshot
 
 val diff_snapshots : snapshot list -> snapshot list -> (string * string) list
 (** Contention-state discrepancies between two runs, as
-    [(point name, human-readable difference)] pairs — the lower table of the
-    paper's Figure 5. *)
+    [(point name, human-readable difference)] pairs in the order of the
+    first list — the lower table of the paper's Figure 5. Lists whose
+    names line up position by position (two runs on one registry) are
+    compared pairwise; otherwise points are matched by name. *)

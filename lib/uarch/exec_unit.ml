@@ -1,6 +1,22 @@
 type wb_class = Wb_alu | Wb_mul | Wb_div | Wb_mem
 
-type pending_wb = { id : int; cls : wb_class; since : int; tainted : bool }
+(* Writeback requests queue in three parallel arrays. The queue's order
+   is that of a list with the newest request at its head: slot [len - 1]
+   is the head and slot 0 the tail, so a request is an append. *)
+type wb_queue = {
+  mutable ids : int array;
+  mutable sources : int array;  (* [wb_source] of the class *)
+  mutable tainted : bool array;
+  mutable len : int;
+}
+
+let make_queue cap =
+  {
+    ids = Array.make cap 0;
+    sources = Array.make cap 0;
+    tainted = Array.make cap false;
+    len = 0;
+  }
 
 type t = {
   cfg : Config.t;
@@ -10,7 +26,8 @@ type t = {
   mutable mul_issued : bool;  (** pipelined IMUL accepts one op per cycle *)
   mutable div_busy_until : int;
   mutable mdu_busy_until : int;
-  mutable pending_wb : pending_wb list;
+  wb : wb_queue;
+  granted : int array;  (* ids granted this cycle, ascending *)
   p_wb : Cpoint.t;
   p_issue_alu : Cpoint.t;
   p_issue_mem : Cpoint.t;
@@ -33,7 +50,8 @@ let create (cfg : Config.t) reg ~core =
     mul_issued = false;
     div_busy_until = -1;
     mdu_busy_until = -1;
-    pending_wb = [];
+    wb = make_queue (max 8 cfg.rob_entries);
+    granted = Array.make (max 0 cfg.wb_ports) 0;
     p_wb = pt "exec.wb_port" Exec [ "alu"; "imul"; "div"; "mem" ];
     p_issue_alu =
       pt ~single_valid:true "exec.issue_alu" Exec
@@ -52,11 +70,11 @@ let new_cycle t =
 
 let try_issue_alu t ~cycle ~tainted =
   if t.alu_used < t.cfg.int_alus then begin
-    Cpoint.request ~tainted t.reg t.p_issue_alu ~source:t.alu_used ~data:(Int64.of_int cycle);
+    Cpoint.request ~tainted t.reg t.p_issue_alu ~source:t.alu_used ~data:cycle;
     t.alu_used <- t.alu_used + 1;
-    Some (cycle + 1)
+    cycle + 1
   end
-  else None
+  else -1
 
 (* Operand-dependent latencies. The divider iterates over the dividend's
    significant bits; the paper observes 57-70 cycle effects on BOOM (S9) and
@@ -73,48 +91,48 @@ let mul_latency (cfg : Config.t) = if cfg.unified_mdu then 8 else 3
 let try_issue_mul t ~cycle ~operand ~tainted =
   if t.cfg.unified_mdu then begin
     let p = Option.get t.p_mdu in
-    Cpoint.request ~tainted t.reg p ~source:0 ~data:operand;
-    if t.mdu_busy_until >= cycle then None
+    Cpoint.request ~tainted t.reg p ~source:0 ~data:(Int64.to_int operand);
+    if t.mdu_busy_until >= cycle then -1
     else begin
       let lat = mul_latency t.cfg in
       t.mdu_busy_until <- cycle + lat - 1;
       Cpoint.grant t.reg p ~source:0;
-      Some (cycle + lat)
+      cycle + lat
     end
   end
-  else if t.mul_issued then None
+  else if t.mul_issued then -1
   else begin
     t.mul_issued <- true;
-    Some (cycle + mul_latency t.cfg)
+    cycle + mul_latency t.cfg
   end
 
 let try_issue_div t ~cycle ~operand ~tainted =
   if t.cfg.unified_mdu then begin
     let p = Option.get t.p_mdu in
-    Cpoint.request ~tainted t.reg p ~source:1 ~data:operand;
-    if t.mdu_busy_until >= cycle then None
+    Cpoint.request ~tainted t.reg p ~source:1 ~data:(Int64.to_int operand);
+    if t.mdu_busy_until >= cycle then -1
     else begin
       let lat = div_latency t.cfg operand in
       t.mdu_busy_until <- cycle + lat - 1;
       Cpoint.grant t.reg p ~source:1;
-      Some (cycle + lat)
+      cycle + lat
     end
   end
   else begin
     Cpoint.request ~tainted t.reg t.p_div
       ~source:(if t.div_busy_until >= cycle then 0 else 1)
-      ~data:operand;
-    if t.div_busy_until >= cycle then None
+      ~data:(Int64.to_int operand);
+    if t.div_busy_until >= cycle then -1
     else begin
       let lat = div_latency t.cfg operand in
       t.div_busy_until <- cycle + lat - 1;
-      Some (cycle + lat)
+      cycle + lat
     end
   end
 
 let try_issue_mem t ~cycle ~tainted =
   if t.mem_used < t.cfg.mem_units then begin
-    Cpoint.request ~tainted t.reg t.p_issue_mem ~source:t.mem_used ~data:(Int64.of_int cycle);
+    Cpoint.request ~tainted t.reg t.p_issue_mem ~source:t.mem_used ~data:cycle;
     t.mem_used <- t.mem_used + 1;
     true
   end
@@ -128,7 +146,7 @@ let reset t =
   t.mul_issued <- false;
   t.div_busy_until <- -1;
   t.mdu_busy_until <- -1;
-  t.pending_wb <- []
+  t.wb.len <- 0
 
 type save = {
   mutable s_alu_used : int;
@@ -136,7 +154,7 @@ type save = {
   mutable s_mul_issued : bool;
   mutable s_div_busy_until : int;
   mutable s_mdu_busy_until : int;
-  mutable s_pending_wb : pending_wb list;
+  s_wb : wb_queue;
 }
 
 let make_save () =
@@ -146,17 +164,38 @@ let make_save () =
     s_mul_issued = false;
     s_div_busy_until = -1;
     s_mdu_busy_until = -1;
-    s_pending_wb = [];
+    s_wb = make_queue 8;
   }
 
+(* Grow [q] so it holds at least [n] requests. *)
+let reserve q n =
+  if n > Array.length q.ids then begin
+    let cap = max n (2 * Array.length q.ids) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 q.len;
+      b
+    in
+    q.ids <- extend q.ids 0;
+    q.sources <- extend q.sources 0;
+    q.tainted <- extend q.tainted false
+  end
+
+let copy_queue ~src ~dst =
+  reserve dst src.len;
+  Array.blit src.ids 0 dst.ids 0 src.len;
+  Array.blit src.sources 0 dst.sources 0 src.len;
+  Array.blit src.tainted 0 dst.tainted 0 src.len;
+  dst.len <- src.len
+
+(* [granted] is written and read within one cycle, so it is not saved. *)
 let capture t sv =
   sv.s_alu_used <- t.alu_used;
   sv.s_mem_used <- t.mem_used;
   sv.s_mul_issued <- t.mul_issued;
   sv.s_div_busy_until <- t.div_busy_until;
   sv.s_mdu_busy_until <- t.mdu_busy_until;
-  (* [pending_wb] holds immutable records; sharing the spine is safe. *)
-  sv.s_pending_wb <- t.pending_wb
+  copy_queue ~src:t.wb ~dst:sv.s_wb
 
 let restore t sv =
   t.alu_used <- sv.s_alu_used;
@@ -164,38 +203,67 @@ let restore t sv =
   t.mul_issued <- sv.s_mul_issued;
   t.div_busy_until <- sv.s_div_busy_until;
   t.mdu_busy_until <- sv.s_mdu_busy_until;
-  t.pending_wb <- sv.s_pending_wb
+  copy_queue ~src:sv.s_wb ~dst:t.wb
 
+(* Compact the survivors in place, keeping their order. *)
 let purge_writeback t ~keep =
-  t.pending_wb <- List.filter (fun p -> keep p.id) t.pending_wb
+  let q = t.wb in
+  let n = ref 0 in
+  for i = 0 to q.len - 1 do
+    if keep q.ids.(i) then begin
+      q.ids.(!n) <- q.ids.(i);
+      q.sources.(!n) <- q.sources.(i);
+      q.tainted.(!n) <- q.tainted.(i);
+      incr n
+    end
+  done;
+  q.len <- !n
 
-let request_writeback t cls ~id ~cycle ~tainted =
-  t.pending_wb <- { id; cls; since = cycle; tainted } :: t.pending_wb
+let request_writeback t cls ~id ~tainted =
+  let q = t.wb in
+  reserve q (q.len + 1);
+  q.ids.(q.len) <- id;
+  q.sources.(q.len) <- wb_source cls;
+  q.tainted.(q.len) <- tainted;
+  q.len <- q.len + 1
 
-let arbitrate_writeback t ~cycle =
-  match t.pending_wb with
-  | [] -> []
-  | pending ->
-      List.iter
-        (fun p ->
-          Cpoint.request ~tainted:p.tainted t.reg t.p_wb ~source:(wb_source p.cls)
-            ~data:(Int64.of_int p.id))
-        pending;
-      let sorted =
-        List.sort
-          (fun a b ->
-            match compare (wb_source a.cls) (wb_source b.cls) with
-            | 0 -> compare a.id b.id
-            | c -> c)
-          pending
-      in
-      let rec split n acc = function
-        | [] -> (List.rev acc, [])
-        | rest when n = 0 -> (List.rev acc, rest)
-        | x :: rest -> split (n - 1) (x :: acc) rest
-      in
-      let granted, losers = split t.cfg.wb_ports [] sorted in
-      List.iter (fun p -> Cpoint.grant t.reg t.p_wb ~source:(wb_source p.cls)) granted;
-      ignore cycle;
-      t.pending_wb <- losers;
-      List.map (fun p -> p.id) granted
+(* Every queued request asks for a port, head first (newest first). Then
+   an insertion sort makes the queue ascend from head to tail by (source,
+   id) — class priority, then oldest — keeping queue order among equal
+   requests, as a stable list sort would: a request moves towards the
+   tail only past requests strictly before it. The [wb_ports] requests
+   nearest the head win, in ascending order; the losers stay queued in
+   sorted order, and later requests queue ahead of them. The losers are
+   sorted already, so the sort is about linear. *)
+let arbitrate_writeback t =
+  let q = t.wb in
+  for i = q.len - 1 downto 0 do
+    Cpoint.request ~tainted:q.tainted.(i) t.reg t.p_wb ~source:q.sources.(i)
+      ~data:q.ids.(i)
+  done;
+  for i = 1 to q.len - 1 do
+    let id = q.ids.(i) and src = q.sources.(i) and tainted = q.tainted.(i) in
+    let j = ref (i - 1) in
+    while
+      !j >= 0
+      && (q.sources.(!j) < src || (q.sources.(!j) = src && q.ids.(!j) < id))
+    do
+      q.ids.(!j + 1) <- q.ids.(!j);
+      q.sources.(!j + 1) <- q.sources.(!j);
+      q.tainted.(!j + 1) <- q.tainted.(!j);
+      decr j
+    done;
+    q.ids.(!j + 1) <- id;
+    q.sources.(!j + 1) <- src;
+    q.tainted.(!j + 1) <- tainted
+  done;
+  let n = min (Array.length t.granted) q.len in
+  for k = 0 to n - 1 do
+    let i = q.len - 1 - k in
+    t.granted.(k) <- q.ids.(i);
+    Cpoint.grant t.reg t.p_wb ~source:q.sources.(i)
+  done;
+  q.len <- q.len - n;
+  n
+
+let granted t k = t.granted.(k)

@@ -138,15 +138,21 @@ let acquire ?ctx cfg inputs outcomes =
       in
       (sl.Ctx.s_reg, sl.Ctx.s_ms, cores, Some sl)
 
+let all_done ms cores =
+  Array.for_all Core_model.finished cores && not (Memsys.busy ms)
+
+(* One machine cycle: every core, then the shared hierarchy. *)
+let step_cycle reg ms cores cycle =
+  Cpoint.set_cycle reg cycle;
+  for i = 0 to Array.length cores - 1 do
+    Core_model.step cores.(i) ~cycle
+  done;
+  Memsys.tick ms ~cycle
+
 let sim_loop reg ms cores ~from ~max_cycles =
   let cycle = ref from in
-  let all_done () =
-    Array.for_all Core_model.finished cores && not (Memsys.busy ms)
-  in
-  while (not (all_done ())) && !cycle < max_cycles do
-    Cpoint.set_cycle reg !cycle;
-    Array.iter (fun c -> Core_model.step c ~cycle:!cycle) cores;
-    Memsys.tick ms ~cycle:!cycle;
+  while (not (all_done ms cores)) && !cycle < max_cycles do
+    step_cycle reg ms cores !cycle;
     incr cycle
   done;
   !cycle
@@ -314,6 +320,19 @@ let fork_exec_position cfg (o0 : Sonar_isa.Golden.outcome)
     cap_at_transient_divergence o0 o1 !d
   end
 
+(* The dual-run capture test at the top of [cycle]: some core's fetch could
+   pass its fetch fork, or a ROB uop at or past its execution fork could
+   have a divergent field read (see [run_dual]). *)
+let must_capture cores forks_fetch forks_exec ~cycle =
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < Array.length cores do
+    hit :=
+      Core_model.fetch_bound cores.(!i) ~cycle > forks_fetch.(!i)
+      || Core_model.rob_issue_reaches cores.(!i) ~fork:forks_exec.(!i) ~cycle;
+    incr i
+  done;
+  !hit
+
 let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
     inputs0 inputs1 =
   let n = Array.length inputs0 in
@@ -400,29 +419,15 @@ let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
        run 1's trace. *)
     let captured = ref (-1) in
     let cycle = ref 0 in
-    let all_done () =
-      Array.for_all Core_model.finished cores && not (Memsys.busy ms)
-    in
-    let must_capture () =
-      let rec go i =
-        i < n
-        && (Core_model.fetch_bound cores.(i) ~cycle:!cycle > forks_fetch.(i)
-           || Core_model.rob_issue_reaches cores.(i) ~fork:forks_exec.(i)
-                ~cycle:!cycle
-           || go (i + 1))
-      in
-      go 0
-    in
-    while (not (all_done ())) && !cycle < max_cycles do
-      if !captured < 0 && must_capture () then begin
+    while (not (all_done ms cores)) && !cycle < max_cycles do
+      if !captured < 0 && must_capture cores forks_fetch forks_exec ~cycle:!cycle
+      then begin
         Cpoint.capture reg kbufs.Ctx.k_reg;
         Memsys.capture ms kbufs.Ctx.k_ms;
         Array.iteri (fun i c -> Core_model.capture c kbufs.Ctx.k_cores.(i)) cores;
         captured := !cycle
       end;
-      Cpoint.set_cycle reg !cycle;
-      Array.iter (fun c -> Core_model.step c ~cycle:!cycle) cores;
-      Memsys.tick ms ~cycle:!cycle;
+      step_cycle reg ms cores !cycle;
       incr cycle
     done;
     let r0 = collect reg cores ~cycles:!cycle ~max_cycles in

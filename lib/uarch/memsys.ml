@@ -8,15 +8,23 @@ type transfer = {
   writeback : bool;
   tainted : bool;
   mutable ready_at : int;
-  mutable granted_at : int option;
-  mutable complete_at : int option;
+  mutable granted : bool;
+  mutable complete_at : int;  (* -1 until granted *)
   mutable processed : bool;
-  mshr_idx : int option;
+  mshr_idx : int;  (* -1 for none *)
 }
 
 type mshr_entry = { m_line : int64; m_set : int; m_tainted : bool }
 
 type waiter = { w_rob : int; w_tainted : bool }
+
+(* Per-line waiter lists, keyed by [Cache.line_key]. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Itbl.hash
+end)
 
 type t = {
   cfg : Config.t;
@@ -28,11 +36,13 @@ type t = {
   mutable transfers : transfer list;
   mutable channel_busy_until : int;
   mshrs : mshr_entry option array array;  (** [core].(idx) *)
-  load_waiters : (int * int64, waiter list ref) Hashtbl.t;
-  store_waiters : (int * int64, waiter list ref) Hashtbl.t;
-  load_ready_tbl : (int * int, int) Hashtbl.t;  (** (core, rob) -> cycle *)
-  store_ready_tbl : (int * int, int) Hashtbl.t;
-  ifetch_ready_tbl : (int * int64, int) Hashtbl.t;  (** (core, line) -> cycle *)
+  (* Per-core tables below are indexed by core: DCache line -> waiters,
+     rob -> ready cycle, ICache line -> ready cycle. *)
+  load_waiters : waiter list ref Lines.t array;
+  store_waiters : waiter list ref Lines.t array;
+  load_ready_tbl : Itbl.t array;
+  store_ready_tbl : Itbl.t array;
+  ifetch_ready_tbl : Itbl.t array;
   icache_port_busy : int array;  (** per core: busy-until cycle *)
   write_lb_busy : int array;  (** per core: write line buffer busy-until *)
   p_channel : Cpoint.t;
@@ -85,11 +95,11 @@ let create (cfg : Config.t) reg ~cores =
     transfers = [];
     channel_busy_until = 0;
     mshrs = Array.init cores (fun _ -> Array.make (max cfg.mshrs 1) None);
-    load_waiters = Hashtbl.create 32;
-    store_waiters = Hashtbl.create 32;
-    load_ready_tbl = Hashtbl.create 32;
-    store_ready_tbl = Hashtbl.create 32;
-    ifetch_ready_tbl = Hashtbl.create 32;
+    load_waiters = Array.init cores (fun _ -> Lines.create 16);
+    store_waiters = Array.init cores (fun _ -> Lines.create 16);
+    load_ready_tbl = Array.init cores (fun _ -> Itbl.create 32);
+    store_ready_tbl = Array.init cores (fun _ -> Itbl.create 32);
+    ifetch_ready_tbl = Array.init cores (fun _ -> Itbl.create 32);
     icache_port_busy = Array.make cores (-1);
     write_lb_busy = Array.make cores (-1);
     p_channel =
@@ -125,29 +135,30 @@ let reset t =
   t.transfers <- [];
   t.channel_busy_until <- 0;
   Array.iter (fun m -> Array.fill m 0 (Array.length m) None) t.mshrs;
-  Hashtbl.reset t.load_waiters;
-  Hashtbl.reset t.store_waiters;
-  Hashtbl.reset t.load_ready_tbl;
-  Hashtbl.reset t.store_ready_tbl;
-  Hashtbl.reset t.ifetch_ready_tbl;
+  Array.iter Lines.reset t.load_waiters;
+  Array.iter Lines.reset t.store_waiters;
+  Array.iter Itbl.clear t.load_ready_tbl;
+  Array.iter Itbl.clear t.store_ready_tbl;
+  Array.iter Itbl.clear t.ifetch_ready_tbl;
   Array.fill t.icache_port_busy 0 (Array.length t.icache_port_busy) (-1);
   Array.fill t.write_lb_busy 0 (Array.length t.write_lb_busy) (-1)
 
 (* Checkpoint support.  Transfers are mutable records, so capture deep-
    copies each one (preserving list order — grant arbitration folds over
-   the list).  Waiter lists are captured as [(key, contents)] and restored
-   into fresh refs with their order preserved.  The remaining hashtables
-   are read only via [find_opt], so assoc-list replay is faithful. *)
+   the list).  Waiter lists are captured as [(line, contents)] and
+   restored into fresh refs with their order preserved.  The ready tables
+   are read only via [Itbl.find], so copying their bindings is
+   faithful. *)
 
 type save = {
   mutable s_transfers : transfer list;
   mutable s_channel_busy_until : int;
   s_mshrs : mshr_entry option array array;
-  mutable s_load_waiters : ((int * int64) * waiter list) list;
-  mutable s_store_waiters : ((int * int64) * waiter list) list;
-  mutable s_load_ready : ((int * int) * int) list;
-  mutable s_store_ready : ((int * int) * int) list;
-  mutable s_ifetch_ready : ((int * int64) * int) list;
+  s_load_waiters : (int * waiter list) list array;
+  s_store_waiters : (int * waiter list) list array;
+  s_load_ready : Itbl.t array;
+  s_store_ready : Itbl.t array;
+  s_ifetch_ready : Itbl.t array;
   s_icache_port_busy : int array;
   s_write_lb_busy : int array;
   s_l1i : Cache.save array;
@@ -160,11 +171,11 @@ let make_save t =
     s_transfers = [];
     s_channel_busy_until = 0;
     s_mshrs = Array.map (fun m -> Array.make (Array.length m) None) t.mshrs;
-    s_load_waiters = [];
-    s_store_waiters = [];
-    s_load_ready = [];
-    s_store_ready = [];
-    s_ifetch_ready = [];
+    s_load_waiters = Array.make t.cores [];
+    s_store_waiters = Array.make t.cores [];
+    s_load_ready = Array.init t.cores (fun _ -> Itbl.create 32);
+    s_store_ready = Array.init t.cores (fun _ -> Itbl.create 32);
+    s_ifetch_ready = Array.init t.cores (fun _ -> Itbl.create 32);
     s_icache_port_busy = Array.make t.cores (-1);
     s_write_lb_busy = Array.make t.cores (-1);
     s_l1i = Array.map Cache.make_save t.l1i;
@@ -172,23 +183,30 @@ let make_save t =
     s_l2 = Cache.make_save t.l2;
   }
 
-let assoc_of_tbl tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+let blit_tables ~src ~dst =
+  Array.iteri (fun i tbl -> Itbl.blit ~src:tbl ~dst:dst.(i)) src
 
-let tbl_of_assoc tbl assoc =
-  Hashtbl.reset tbl;
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) assoc
+let capture_waiters tbls dst =
+  Array.iteri
+    (fun i tbl -> dst.(i) <- Lines.fold (fun k r acc -> (k, !r) :: acc) tbl [])
+    tbls
+
+let restore_waiters tbls src =
+  Array.iteri
+    (fun i tbl ->
+      Lines.reset tbl;
+      List.iter (fun (k, l) -> Lines.replace tbl k (ref l)) src.(i))
+    tbls
 
 let capture t sv =
   sv.s_transfers <- List.map (fun tr -> { tr with ready_at = tr.ready_at }) t.transfers;
   sv.s_channel_busy_until <- t.channel_busy_until;
   Array.iteri (fun i m -> Array.blit m 0 sv.s_mshrs.(i) 0 (Array.length m)) t.mshrs;
-  sv.s_load_waiters <-
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.load_waiters [];
-  sv.s_store_waiters <-
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.store_waiters [];
-  sv.s_load_ready <- assoc_of_tbl t.load_ready_tbl;
-  sv.s_store_ready <- assoc_of_tbl t.store_ready_tbl;
-  sv.s_ifetch_ready <- assoc_of_tbl t.ifetch_ready_tbl;
+  capture_waiters t.load_waiters sv.s_load_waiters;
+  capture_waiters t.store_waiters sv.s_store_waiters;
+  blit_tables ~src:t.load_ready_tbl ~dst:sv.s_load_ready;
+  blit_tables ~src:t.store_ready_tbl ~dst:sv.s_store_ready;
+  blit_tables ~src:t.ifetch_ready_tbl ~dst:sv.s_ifetch_ready;
   Array.blit t.icache_port_busy 0 sv.s_icache_port_busy 0 t.cores;
   Array.blit t.write_lb_busy 0 sv.s_write_lb_busy 0 t.cores;
   Array.iteri (fun i c -> Cache.capture c sv.s_l1i.(i)) t.l1i;
@@ -199,25 +217,25 @@ let restore t sv =
   t.transfers <- List.map (fun tr -> { tr with ready_at = tr.ready_at }) sv.s_transfers;
   t.channel_busy_until <- sv.s_channel_busy_until;
   Array.iteri (fun i m -> Array.blit sv.s_mshrs.(i) 0 m 0 (Array.length m)) t.mshrs;
-  Hashtbl.reset t.load_waiters;
-  List.iter (fun (k, l) -> Hashtbl.replace t.load_waiters k (ref l)) sv.s_load_waiters;
-  Hashtbl.reset t.store_waiters;
-  List.iter (fun (k, l) -> Hashtbl.replace t.store_waiters k (ref l)) sv.s_store_waiters;
-  tbl_of_assoc t.load_ready_tbl sv.s_load_ready;
-  tbl_of_assoc t.store_ready_tbl sv.s_store_ready;
-  tbl_of_assoc t.ifetch_ready_tbl sv.s_ifetch_ready;
+  restore_waiters t.load_waiters sv.s_load_waiters;
+  restore_waiters t.store_waiters sv.s_store_waiters;
+  blit_tables ~src:sv.s_load_ready ~dst:t.load_ready_tbl;
+  blit_tables ~src:sv.s_store_ready ~dst:t.store_ready_tbl;
+  blit_tables ~src:sv.s_ifetch_ready ~dst:t.ifetch_ready_tbl;
   Array.blit sv.s_icache_port_busy 0 t.icache_port_busy 0 t.cores;
   Array.blit sv.s_write_lb_busy 0 t.write_lb_busy 0 t.cores;
   Array.iteri (fun i c -> Cache.restore c sv.s_l1i.(i)) t.l1i;
   Array.iteri (fun i c -> Cache.restore c sv.s_l1d.(i)) t.l1d;
   Cache.restore t.l2 sv.s_l2
 
-let find_transfer t ~core ~kind ~line =
-  List.find_opt
-    (fun tr ->
-      tr.core = core && tr.kind = kind && Int64.equal tr.line line
-      && not tr.writeback && not tr.processed)
-    t.transfers
+(* Blocked accesses retry every cycle, so the scans below that a retry
+   runs are closure-free recursions. *)
+let rec refill_in_flight ~core ~kind ~line = function
+  | [] -> false
+  | tr :: rest ->
+      (tr.core = core && tr.kind = kind && Int64.equal tr.line line
+      && (not tr.writeback) && not tr.processed)
+      || refill_in_flight ~core ~kind ~line rest
 
 let l2_ready_time t ~cycle ~line ~seq ~tainted =
   (* L2 lookup; on L2 miss the data comes from memory and fills L2. *)
@@ -230,7 +248,7 @@ let l2_ready_time t ~cycle ~line ~seq ~tainted =
 let start_refill t ~core ~kind ~line ~seq ~cycle ~mshr_idx ~tainted =
   Cpoint.request t.reg t.p_l2 ~tainted
     ~source:((core * 2) + match kind with `I -> 0 | `D -> 1)
-    ~data:line;
+    ~data:(Int64.to_int line);
   let tr =
     {
       line;
@@ -240,8 +258,8 @@ let start_refill t ~core ~kind ~line ~seq ~cycle ~mshr_idx ~tainted =
       writeback = false;
       tainted;
       ready_at = l2_ready_time t ~cycle ~line ~seq ~tainted;
-      granted_at = None;
-      complete_at = None;
+      granted = false;
+      complete_at = -1;
       processed = false;
       mshr_idx;
     }
@@ -255,10 +273,11 @@ let write_lb_occupancy = 8
 
 let enqueue_writeback t ~core ~line ~cycle ~tainted =
   let p = t.p_lb_write.(core) in
-  Cpoint.request t.reg p ~tainted ~source:0 ~data:line;
+  let data = Int64.to_int line in
+  Cpoint.request t.reg p ~tainted ~source:0 ~data;
   let start = max cycle (t.write_lb_busy.(core) + 1) in
   let delay = start - cycle in
-  if delay > 0 then Cpoint.request t.reg p ~tainted ~source:1 ~data:line;
+  if delay > 0 then Cpoint.request t.reg p ~tainted ~source:1 ~data;
   t.write_lb_busy.(core) <- start + write_lb_occupancy - 1;
   let tr =
     {
@@ -269,10 +288,10 @@ let enqueue_writeback t ~core ~line ~cycle ~tainted =
       writeback = true;
       tainted;
       ready_at = cycle + delay;
-      granted_at = None;
-      complete_at = None;
+      granted = false;
+      complete_at = -1;
       processed = false;
-      mshr_idx = None;
+      mshr_idx = -1;
     }
   in
   t.transfers <- tr :: t.transfers
@@ -282,58 +301,68 @@ let enqueue_writeback t ~core ~line ~cycle ~tainted =
 let ifetch t ~core ~addr ~cycle ~tainted =
   let line = Cache.line_addr t.l1i.(core) addr in
   let port = t.p_icache_port.(core) in
-  Cpoint.request t.reg port ~tainted ~source:0 ~data:line;
+  Cpoint.request t.reg port ~tainted ~source:0 ~data:(Int64.to_int line);
   if t.icache_port_busy.(core) >= cycle then Blocked "icache port busy (refill)"
   else
     match Cache.lookup t.l1i.(core) addr with
     | Some _ -> Ready (cycle + t.cfg.icache.hit_latency)
-    | None -> (
-        match find_transfer t ~core ~kind:`I ~line with
-        | Some _ -> Waiting
-        | None ->
-            start_refill t ~core ~kind:`I ~line ~seq:(-1) ~cycle ~mshr_idx:None
-              ~tainted;
-            Waiting)
+    | None ->
+        if not (refill_in_flight ~core ~kind:`I ~line t.transfers) then
+          start_refill t ~core ~kind:`I ~line ~seq:(-1) ~cycle ~mshr_idx:(-1)
+            ~tainted;
+        Waiting
+
+let ifetch_line_key t ~core addr = Cache.line_key t.l1i.(core) addr
 
 let ifetch_ready t ~core ~addr =
-  let line = Cache.line_addr t.l1i.(core) addr in
-  Hashtbl.find_opt t.ifetch_ready_tbl (core, line)
+  Itbl.find t.ifetch_ready_tbl.(core) (ifetch_line_key t ~core addr)
+    ~default:(-1)
 
 (* --- Data loads --- *)
 
 let add_waiter tbl key rob tainted =
   let w = { w_rob = rob; w_tainted = tainted } in
-  match Hashtbl.find_opt tbl key with
+  match Lines.find_opt tbl key with
   | Some l -> if not (List.exists (fun x -> x.w_rob = rob) !l) then l := w :: !l
-  | None -> Hashtbl.replace tbl key (ref [ w ])
+  | None -> Lines.replace tbl key (ref [ w ])
+
+(* The MSHR scan of a DCache miss on [line]: slots in order, stopping at
+   one that holds [line] itself. It reports the first free slot before
+   the stop and whether a slot before it holds another line of the same
+   set (the first such slot's taint), packed into one int,
+   [(free + 1) * 4 + conflict], with [free = -1] for none. *)
+let no_conflict = 0
+and same_line = 1
+and same_set_clean = 2
+and same_set_tainted = 3
 
 let mshr_lookup t ~core ~line =
   let set = Cache.set_index t.l1d.(core) line in
   let entries = t.mshrs.(core) in
-  let n = Array.length entries in
-  let rec go i free same_set =
-    if i >= n then (free, same_set)
-    else
-      match entries.(i) with
-      | None -> go (i + 1) (if free = None then Some i else free) same_set
-      | Some e ->
-          if Int64.equal e.m_line line then (free, `Same_line)
-          else if e.m_set = set && same_set = `None then
-            go (i + 1) free (`Same_set e.m_tainted)
-          else go (i + 1) free same_set
-  in
-  go 0 None `None
+  let free = ref (-1) and conflict = ref no_conflict and i = ref 0 in
+  while !conflict <> same_line && !i < Array.length entries do
+    (match entries.(!i) with
+    | None -> if !free < 0 then free := !i
+    | Some e ->
+        if Int64.equal e.m_line line then conflict := same_line
+        else if e.m_set = set && !conflict = no_conflict then
+          conflict := if e.m_tainted then same_set_tainted else same_set_clean);
+    incr i
+  done;
+  ((!free + 1) * 4) + !conflict
 
-let d_miss_in_flight t core =
-  List.exists
-    (fun tr -> tr.core = core && tr.kind = `D && not tr.writeback && not tr.processed)
-    t.transfers
+let rec d_miss_in_flight core = function
+  | [] -> false
+  | tr :: rest ->
+      (tr.core = core && tr.kind = `D && (not tr.writeback) && not tr.processed)
+      || d_miss_in_flight core rest
 
 let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
   let l1d = t.l1d.(core) in
   let line = Cache.line_addr l1d addr in
+  let data = Int64.to_int line in
   let source = if is_store then 1 else 0 in
-  Cpoint.request t.reg t.p_dport.(core) ~tainted ~source ~data:line;
+  Cpoint.request t.reg t.p_dport.(core) ~tainted ~source ~data;
   match Cache.lookup l1d addr with
   | Some info ->
       if is_store then begin
@@ -341,13 +370,13 @@ let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
         ignore (Cache.mark_dirty l1d addr);
         if is_sc then
           Cpoint.persistent t.reg t.p_dfill.(core) ~tainted ~source:1
-            ~sub:(Cache.set_index l1d line) ~data:line
+            ~sub:(Cache.set_index l1d line) ~data
       end
       else if info.filler_seq > seq then
         (* S11: hit on a line filled by a younger in-flight instruction. *)
         Cpoint.persistent t.reg t.p_dfill.(core)
           ~tainted:(tainted || info.filler_tainted)
-          ~source:0 ~sub:(Cache.set_index l1d line) ~data:line;
+          ~source:0 ~sub:(Cache.set_index l1d line) ~data;
       Ready (cycle + t.cfg.dcache.hit_latency)
   | None -> (
       (* S12: miss on a line another instruction's fill recently evicted. *)
@@ -356,56 +385,59 @@ let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
          | Some (evictor, ev_tainted) when evictor <> seq ->
              Cpoint.persistent t.reg t.p_dfill.(core)
                ~tainted:(tainted || ev_tainted) ~source:0
-               ~sub:(Cache.set_index l1d line) ~data:line
+               ~sub:(Cache.set_index l1d line) ~data
          | Some _ | None -> ());
-      let waiters = if is_store then t.store_waiters else t.load_waiters in
-      match find_transfer t ~core ~kind:`D ~line with
-      | Some _ ->
-          (* sec-mode reuse of the in-flight MSHR. *)
-          Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:1 ~data:line;
-          add_waiter waiters (core, line) rob tainted;
+      let waiters =
+        (if is_store then t.store_waiters else t.load_waiters).(core)
+      in
+      let key = Cache.line_key l1d line in
+      if refill_in_flight ~core ~kind:`D ~line t.transfers then begin
+        (* sec-mode reuse of the in-flight MSHR. *)
+        Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:1 ~data;
+        add_waiter waiters key rob tainted;
+        Waiting
+      end
+      else if t.cfg.mshrs = 0 then begin
+        (* Blocking cache: one outstanding data miss. *)
+        if d_miss_in_flight core t.transfers then
+          Blocked "blocking cache: miss in flight"
+        else begin
+          start_refill t ~core ~kind:`D ~line ~seq ~cycle ~mshr_idx:(-1)
+            ~tainted;
+          add_waiter waiters key rob tainted;
           Waiting
-      | None ->
-          if t.cfg.mshrs = 0 then begin
-            (* Blocking cache: one outstanding data miss. *)
-            if d_miss_in_flight t core then Blocked "blocking cache: miss in flight"
-            else begin
-              start_refill t ~core ~kind:`D ~line ~seq ~cycle ~mshr_idx:None
-                ~tainted;
-              add_waiter waiters (core, line) rob tainted;
-              Waiting
-            end
-          end
-          else begin
-            let free, conflict = mshr_lookup t ~core ~line in
-            match conflict with
-            | `Same_set occupant_tainted ->
-                (* S5: set-index match, tag mismatch — refused until the
-                   occupying MSHR retires ("false sharing path blocking"). *)
-                Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:2 ~data:line;
-                Cpoint.persistent t.reg t.p_mshr.(core)
-                  ~tainted:(tainted || occupant_tainted) ~source:2
-                  ~sub:(Cache.set_index t.l1d.(core) line)
-                  ~data:line;
-                Blocked "mshr set conflict"
-            | `Same_line | `None -> (
-                match free with
-                | None -> Blocked "mshrs full"
-                | Some idx ->
-                    Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:0
-                      ~data:line;
-                    t.mshrs.(core).(idx) <-
-                      Some
-                        {
-                          m_line = line;
-                          m_set = Cache.set_index t.l1d.(core) line;
-                          m_tainted = tainted;
-                        };
-                    start_refill t ~core ~kind:`D ~line ~seq ~cycle
-                      ~mshr_idx:(Some idx) ~tainted;
-                    add_waiter waiters (core, line) rob tainted;
-                    Waiting)
-          end)
+        end
+      end
+      else begin
+        let scan = mshr_lookup t ~core ~line in
+        let free = (scan / 4) - 1 and conflict = scan land 3 in
+        if conflict >= same_set_clean then begin
+          (* S5: set-index match, tag mismatch — refused until the
+             occupying MSHR retires ("false sharing path blocking"). *)
+          Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:2 ~data;
+          Cpoint.persistent t.reg t.p_mshr.(core)
+            ~tainted:(tainted || conflict = same_set_tainted)
+            ~source:2
+            ~sub:(Cache.set_index t.l1d.(core) line)
+            ~data;
+          Blocked "mshr set conflict"
+        end
+        else if free < 0 then Blocked "mshrs full"
+        else begin
+          Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:0 ~data;
+          t.mshrs.(core).(free) <-
+            Some
+              {
+                m_line = line;
+                m_set = Cache.set_index t.l1d.(core) line;
+                m_tainted = tainted;
+              };
+          start_refill t ~core ~kind:`D ~line ~seq ~cycle ~mshr_idx:free
+            ~tainted;
+          add_waiter waiters key rob tainted;
+          Waiting
+        end
+      end)
 
 let dload t ~core ~seq ~rob ~addr ~cycle ~tainted =
   dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store:false ~is_sc:false
@@ -413,8 +445,8 @@ let dload t ~core ~seq ~rob ~addr ~cycle ~tainted =
 let dstore t ~core ~seq ~rob ~addr ~is_sc ~cycle ~tainted =
   dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store:true ~is_sc
 
-let load_ready t ~core ~rob = Hashtbl.find_opt t.load_ready_tbl (core, rob)
-let store_ready t ~core ~rob = Hashtbl.find_opt t.store_ready_tbl (core, rob)
+let load_ready t ~core ~rob = Itbl.find t.load_ready_tbl.(core) rob ~default:(-1)
+let store_ready t ~core ~rob = Itbl.find t.store_ready_tbl.(core) rob ~default:(-1)
 
 (* --- Channel arbitration and completion --- *)
 
@@ -429,9 +461,7 @@ let complete_transfer t tr ~cycle =
   tr.processed <- true;
   if tr.writeback then ()
   else begin
-    (match tr.mshr_idx with
-    | Some idx -> t.mshrs.(tr.core).(idx) <- None
-    | None -> ());
+    if tr.mshr_idx >= 0 then t.mshrs.(tr.core).(tr.mshr_idx) <- None;
     match tr.kind with
     | `I ->
         ignore
@@ -439,9 +469,11 @@ let complete_transfer t tr ~cycle =
              ~tainted:tr.tainted);
         (* The refill write occupies the ICache port, blocking fetch (S14). *)
         Cpoint.request t.reg t.p_icache_port.(tr.core) ~tainted:tr.tainted
-          ~source:1 ~data:tr.line;
+          ~source:1 ~data:(Int64.to_int tr.line);
         t.icache_port_busy.(tr.core) <- cycle;
-        Hashtbl.replace t.ifetch_ready_tbl (tr.core, tr.line) (cycle + 1)
+        Itbl.replace t.ifetch_ready_tbl.(tr.core)
+          (Cache.line_key t.l1i.(tr.core) tr.line)
+          (cycle + 1)
     | `D -> (
         let victim =
           Cache.fill t.l1d.(tr.core) tr.line ~seq:tr.requester_seq ~cycle
@@ -461,10 +493,12 @@ let complete_transfer t tr ~cycle =
         in
         (* Wake loads through the read line buffer: youngest first, one per
            cycle (S6). *)
-        (match Hashtbl.find_opt t.load_waiters (tr.core, tr.line) with
+        let key = Cache.line_key t.l1d.(tr.core) tr.line in
+        let load_waiters = t.load_waiters.(tr.core) in
+        (match Lines.find_opt load_waiters key with
         | Some waiters ->
             let sorted =
-              List.sort (fun a b -> compare b.w_rob a.w_rob) !waiters
+              List.sort (fun a b -> Int.compare b.w_rob a.w_rob) !waiters
             in
             let n = List.length sorted in
             List.iteri
@@ -472,21 +506,22 @@ let complete_transfer t tr ~cycle =
                 if n > 1 then
                   Cpoint.request t.reg t.p_lb_read.(tr.core) ~tainted:w.w_tainted
                     ~source:(if i = 0 then 1 else 0)
-                    ~data:tr.line;
-                Hashtbl.replace t.load_ready_tbl (tr.core, w.w_rob)
+                    ~data:(Int64.to_int tr.line);
+                Itbl.replace t.load_ready_tbl.(tr.core) w.w_rob
                   (cycle + 1 + (4 * i) + wb_penalty))
               sorted;
-            Hashtbl.remove t.load_waiters (tr.core, tr.line)
+            Lines.remove load_waiters key
         | None -> ());
-        match Hashtbl.find_opt t.store_waiters (tr.core, tr.line) with
+        let store_waiters = t.store_waiters.(tr.core) in
+        match Lines.find_opt store_waiters key with
         | Some waiters ->
             ignore (Cache.mark_dirty t.l1d.(tr.core) tr.line);
             List.iter
               (fun w ->
-                Hashtbl.replace t.store_ready_tbl (tr.core, w.w_rob)
+                Itbl.replace t.store_ready_tbl.(tr.core) w.w_rob
                   (cycle + 1 + wb_penalty))
               !waiters;
-            Hashtbl.remove t.store_waiters (tr.core, tr.line)
+            Lines.remove store_waiters key
         | None -> ())
   end
 
@@ -495,17 +530,29 @@ let rec complete_due t ~cycle any = function
   | [] -> any
   | tr :: rest ->
       let due =
-        match tr.complete_at with
-        | Some c -> c <= cycle && not tr.processed
-        | None -> false
+        tr.complete_at >= 0 && tr.complete_at <= cycle && not tr.processed
       in
       if due then complete_transfer t tr ~cycle;
       complete_due t ~cycle (any || due) rest
 
-let rec any_grantable ~cycle = function
-  | [] -> false
+(* Every ready, ungranted transfer requests the channel, in list order;
+   the first of the highest priority wins. *)
+let rec request_channel t ~cycle winner = function
+  | [] -> winner
   | tr :: rest ->
-      (Option.is_none tr.granted_at && tr.ready_at <= cycle) || any_grantable ~cycle rest
+      let winner =
+        if tr.granted || tr.ready_at > cycle then winner
+        else begin
+          Cpoint.request t.reg t.p_channel ~tainted:tr.tainted
+            ~source:
+              (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback)
+            ~data:(Int64.to_int tr.line);
+          match winner with
+          | Some b when grant_priority b <= grant_priority tr -> winner
+          | Some _ | None -> Some tr
+        end
+      in
+      request_channel t ~cycle winner rest
 
 let tick t ~cycle =
   (* Completions due this cycle; the list is rebuilt only when one
@@ -513,38 +560,16 @@ let tick t ~cycle =
   if complete_due t ~cycle false t.transfers then
     t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
   (* Channel grant. *)
-  if t.channel_busy_until <= cycle && any_grantable ~cycle t.transfers then begin
-    let ready =
-      List.filter
-        (fun tr -> Option.is_none tr.granted_at && tr.ready_at <= cycle)
-        t.transfers
-    in
-    List.iter
-      (fun tr ->
-        Cpoint.request t.reg t.p_channel ~tainted:tr.tainted
-          ~source:
-            (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback)
-          ~data:tr.line)
-      ready;
-    let winner =
-      List.fold_left
-        (fun best tr ->
-          match best with
-          | None -> Some tr
-          | Some b ->
-              if grant_priority tr < grant_priority b then Some tr else best)
-        None ready
-    in
-    Option.iter
-      (fun tr ->
+  if t.channel_busy_until <= cycle then
+    match request_channel t ~cycle None t.transfers with
+    | Some tr ->
         Cpoint.grant t.reg t.p_channel
           ~source:
             (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback);
         let beats = if tr.writeback then writeback_beats else read_beats in
-        tr.granted_at <- Some cycle;
-        tr.complete_at <- Some (cycle + beats);
-        t.channel_busy_until <- cycle + beats)
-      winner
-  end
+        tr.granted <- true;
+        tr.complete_at <- cycle + beats;
+        t.channel_busy_until <- cycle + beats
+    | None -> ()
 
 let busy t = t.transfers <> []

@@ -54,15 +54,22 @@ val ifetch :
     victim writeback) so the contention registry can tell risky contention
     apart (§6.1). *)
 
-val ifetch_ready : t -> core:int -> addr:int64 -> int option
-(** Cycle the fetch line became available, once its refill completed. *)
+val ifetch_line_key : t -> core:int -> int64 -> int
+(** The number of the core's ICache line holding the address
+    ({!Cache.line_key}): the key the fetch tables use. *)
+
+val ifetch_ready : t -> core:int -> addr:int64 -> int
+(** Cycle the fetch line became available, once its refill completed;
+    -1 before. Polled every cycle: allocates nothing and never raises. *)
 
 val dload :
   t ->
   core:int -> seq:int -> rob:int -> addr:int64 -> cycle:int -> tainted:bool ->
   access_result
 
-val load_ready : t -> core:int -> rob:int -> int option
+val load_ready : t -> core:int -> rob:int -> int
+(** Cycle the load's data is ready, once its refill completed; -1 before.
+    Polled every cycle: allocates nothing and never raises. *)
 
 val dstore :
   t ->
@@ -72,7 +79,8 @@ val dstore :
 (** Store-buffer drain into the DCache. Store-conditionals mark the line
     dirty regardless of their architectural success (S10). *)
 
-val store_ready : t -> core:int -> rob:int -> int option
+val store_ready : t -> core:int -> rob:int -> int
+(** As {!load_ready}, for a store-buffer drain waiting on a refill. *)
 
 val tick : t -> cycle:int -> unit
 (** Advance channel arbitration, transfers, refill completions. Call once

@@ -373,6 +373,48 @@ let test_fuzzer_strategy_traces_identical () =
         (contains header ("\"strategy\":\"" ^ name ^ "\"")))
     Feedback.names
 
+(* --- Campaign pin --- *)
+
+(* Digest of a whole [sonar] campaign for each of {boom, nutshell} x
+   {single, dual}: the Marshal form of the [Fuzzer.run] outcome and the
+   JSONL trace it streams. 192 testcases at the default batch of 64 are
+   three generations, so corpus selection, directed mutation and the
+   per-testcase fold (intervals, triggered sub-points, coverage,
+   detector) all feed back into later generations. The constants were
+   computed before the fold's tuple-keyed tables became registry-order
+   merges, so they pin the campaign, not just the machine. *)
+let campaign_digest cfg ~dual =
+  let trace = Buffer.create 65536 in
+  let sink =
+    Telemetry.jsonl (fun line ->
+        Buffer.add_string trace line;
+        Buffer.add_char trace '\n')
+  in
+  let outcome =
+    Fuzzer.run
+      ~options:{ Fuzzer.Options.default with seed = 23L; dual; sinks = [ sink ] }
+      cfg
+      (Option.get (Feedback.create "sonar"))
+      ~iterations:192
+  in
+  Digest.to_hex
+    (Digest.string
+       (Digest.string (Marshal.to_string outcome [ Marshal.No_sharing ])
+       ^ Digest.string (Buffer.contents trace)))
+
+let test_campaign_pin () =
+  List.iter
+    (fun (cfg, dual, expected) ->
+      Alcotest.(check string)
+        (cfg.Sonar_uarch.Config.name ^ if dual then " dual" else " single")
+        expected (campaign_digest cfg ~dual))
+    [
+      (Sonar_uarch.Config.boom, false, "0bb10f194ada89167677504235398e3b");
+      (Sonar_uarch.Config.boom, true, "5cc6e782836bb654d5663e18887b5c07");
+      (Sonar_uarch.Config.nutshell, false, "9d2e41c9c7170b63cc55a094766faf09");
+      (Sonar_uarch.Config.nutshell, true, "c2ca04ce9fafa913cd9187d5484b57c3");
+    ]
+
 let test_feedback_registry () =
   checki "six shipped strategies" 6 (List.length Feedback.names);
   List.iter
@@ -449,6 +491,56 @@ let prop_consider_order_insensitive =
           verdict intervals triggered
           = verdict (shuffle intervals) (shuffle triggered))
         Feedback.names)
+
+(* The hashtable fold-and-sort that [Executor.min_intervals] and
+   [Executor.triggered] replaced with per-point merges, kept as their
+   reference. *)
+let reference_min_intervals (pair : Executor.pair) =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Sonar_uarch.Machine.result) ->
+      List.iter
+        (fun (ps : Sonar_uarch.Machine.point_stat) ->
+          List.iter
+            (fun (pair_id, v) ->
+              let key = (ps.ps_name, pair_id) in
+              match Hashtbl.find_opt table key with
+              | Some m when m <= v -> ()
+              | Some _ | None -> Hashtbl.replace table key v)
+            ps.ps_pair_intervals)
+        r.point_stats)
+    [ pair.run0; pair.run1 ];
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+
+let reference_triggered (pair : Executor.pair) =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Sonar_uarch.Machine.result) ->
+      List.iter
+        (fun (ps : Sonar_uarch.Machine.point_stat) ->
+          let w = float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs in
+          List.iter
+            (fun (kind, sub) -> Hashtbl.replace table (ps.ps_name, kind, sub) w)
+            ps.ps_triggered)
+        r.point_stats)
+    [ pair.run0; pair.run1 ];
+  List.sort compare (Hashtbl.fold (fun k w acc -> (k, w) :: acc) table [])
+
+(* Executed pairs of random testcases on both designs, single and dual
+   core. *)
+let prop_fold_matches_reference =
+  QCheck2.Test.make ~name:"merged fold = hashtable fold" ~count:60
+    QCheck2.Gen.(triple (int_range 1 10_000) bool bool)
+    (fun (seed, dual, nutshell) ->
+      let cfg =
+        if nutshell then Sonar_uarch.Config.nutshell else Sonar_uarch.Config.boom
+      in
+      let pair =
+        Executor.execute cfg
+          (Testcase.random (Rng.create (Int64.of_int seed)) ~id:seed ~dual)
+      in
+      Executor.min_intervals pair = reference_min_intervals pair
+      && Executor.triggered pair = reference_triggered pair)
 
 let test_auto_chunk () =
   (* ~2 slices per worker, never below 1, and the slices always cover the
@@ -745,6 +837,7 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_feedback_registry;
           QCheck_alcotest.to_alcotest prop_consider_order_insensitive;
+          QCheck_alcotest.to_alcotest prop_fold_matches_reference;
         ] );
       ( "mutation",
         [
@@ -771,6 +864,7 @@ let () =
           Alcotest.test_case "finds differences" `Quick test_fuzzer_finds_diffs;
           Alcotest.test_case "specdoctor baseline" `Quick test_baseline_specdoctor_runs;
           Alcotest.test_case "specdoctor fresh testcases" `Quick test_specdoctor_fresh;
+          Alcotest.test_case "campaign pin" `Quick test_campaign_pin;
         ] );
       ( "channels",
         Alcotest.test_case "catalogue" `Quick test_channels_catalogue
