@@ -199,42 +199,63 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 8 (+ §8.3.2): Sonar vs random testing.                       *)
 
-let checkpoints series n =
-  List.filter
-    (fun (p : Sonar.Fuzzer.series_point) ->
-      p.iteration mod (max 1 (n / 6)) = 0 || p.iteration = n)
-    series
+(* One Figure 8 campaign and its rows at every sixth of the campaign and at
+   its end, rebuilt from the events it streams: coverage at iteration i is
+   the last contention_triggered coverage at or before i (the largest, as
+   coverage only grows), and timing differences the sum of ccd_finding
+   counts at or before i. *)
+let fig8_campaign (cfg, strategy) =
+  let n = fuzz_iterations in
+  let cov = Array.make (n + 1) 0. and diffs = Array.make (n + 1) 0 in
+  let sink =
+    Sonar.Telemetry.make (function
+      | Sonar.Telemetry.Contention_triggered { iteration; coverage; _ } ->
+          cov.(iteration) <- coverage
+      | Sonar.Telemetry.Ccd_finding { iteration; findings; _ } ->
+          diffs.(iteration) <- diffs.(iteration) + findings
+      | _ -> ())
+  in
+  let o =
+    Sonar.Fuzzer.run
+      ~options:{ Sonar.Fuzzer.Options.default with seed = 42L; sinks = [ sink ] }
+      cfg strategy ~iterations:n
+  in
+  for i = 1 to n do
+    cov.(i) <- Float.max cov.(i) cov.(i - 1);
+    diffs.(i) <- diffs.(i) + diffs.(i - 1)
+  done;
+  let rows =
+    List.filter_map
+      (fun i ->
+        if i mod max 1 (n / 6) = 0 || i = n then Some (i, cov.(i), diffs.(i))
+        else None)
+      (List.init n succ)
+  in
+  (o, rows)
 
 let fig8 () =
   section "fig8" "Triggered contentions and timing differences vs random";
   (* All four campaigns (2 DUTs x {sonar, random}) run concurrently. *)
   let campaigns =
-    pmap
-      (fun (cfg, guided) ->
-        Sonar.Fuzzer.run
-          ~options:{ Sonar.Fuzzer.Options.default with seed = 42L }
-          cfg
-          (if guided then Sonar.Feedback.sonar
-           else Sonar.Feedback.random)
-          ~iterations:fuzz_iterations)
+    pmap fig8_campaign
       (List.concat_map
-         (fun cfg -> [ (cfg, true); (cfg, false) ])
+         (fun cfg ->
+           [ (cfg, Sonar.Feedback.sonar); (cfg, Sonar.Feedback.random) ])
          [ Sonar_uarch.Config.boom; Sonar_uarch.Config.nutshell ])
   in
   List.iteri
     (fun i cfg ->
       let name = cfg.Sonar_uarch.Config.name in
       Printf.printf "--- %s (%d iterations per fuzzer) ---\n%!" name fuzz_iterations;
-      let sonar = List.nth campaigns (2 * i) in
-      let random = List.nth campaigns ((2 * i) + 1) in
+      let sonar, sonar_rows = List.nth campaigns (2 * i) in
+      let random, random_rows = List.nth campaigns ((2 * i) + 1) in
       List.iter2
-        (fun (a : Sonar.Fuzzer.series_point) (b : Sonar.Fuzzer.series_point) ->
+        (fun (iteration, cov_a, diffs_a) (_, cov_b, diffs_b) ->
           Printf.printf
             "iter %5d | sonar: coverage %7.0f diffs %6d | random: coverage \
              %7.0f diffs %6d\n"
-            a.iteration a.coverage a.timing_diffs b.coverage b.timing_diffs)
-        (checkpoints sonar.series fuzz_iterations)
-        (checkpoints random.series fuzz_iterations);
+            iteration cov_a diffs_a cov_b diffs_b)
+        sonar_rows random_rows;
       let pct a b = if b = 0. then 0. else 100. *. (a -. b) /. b in
       Printf.printf
         "summary: coverage %+.0f%%, timing differences %+.0f%% vs random \
@@ -608,6 +629,14 @@ let strategies () =
           Buffer.add_string buf line;
           Buffer.add_char buf '\n')
     in
+    (* The channels found: state-diff point names of finding testcases,
+       collected where the strategy is handed each observation. *)
+    let channels = ref [] in
+    let reward campaign (obs : Sonar.Feedback.observation) =
+      if obs.report.findings <> [] then
+        channels := List.map fst obs.report.state_diffs @ !channels;
+      strategy.Sonar.Feedback.reward campaign obs
+    in
     let o =
       Sonar.Fuzzer.run
         ~options:
@@ -618,23 +647,16 @@ let strategies () =
             batch;
             sinks = [ sink ];
           }
-        cfg strategy ~iterations:iters
+        cfg { strategy with reward } ~iterations:iters
     in
-    (o, Buffer.contents buf)
-  in
-  let channels_found (o : Sonar.Fuzzer.outcome) =
-    List.concat_map
-      (fun (_, (r : Sonar.Detector.report)) -> List.map fst r.state_diffs)
-      o.reports
-    |> List.sort_uniq compare |> List.length
+    (o, Buffer.contents buf, List.length (List.sort_uniq compare !channels))
   in
   let rows =
     List.map
       (fun name ->
-        let (o1, trace1), t = time_it (fun () -> campaign name 1) in
-        let o2, trace2 = campaign name 2 in
+        let (o1, trace1, channels), t = time_it (fun () -> campaign name 1) in
+        let o2, trace2, _ = campaign name 2 in
         let identical = o1 = o2 && String.equal trace1 trace2 in
-        let channels = channels_found o1 in
         Printf.printf
           "  %-18s coverage %8.0f  timing diffs %5d  channels %3d  \
            identical(jobs1=jobs2) %b  %6.2fs\n%!"
@@ -686,81 +708,13 @@ let strategies () =
   Printf.printf "  wrote BENCH_strategies.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: per-experiment kernels.                   *)
-
-(* Shared OLS-over-monotonic-clock runner for the bechamel-based
-   experiments below. *)
-let run_bechamel test =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let lines = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> lines := (name, Some est) :: !lines
-      | _ -> lines := (name, None) :: !lines)
-    results;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !lines
-  |> List.iter (fun (name, est) ->
-         match est with
-         | Some est -> Printf.printf "%-44s %12.1f ns/run\n" name est
-         | None -> Printf.printf "%-44s (no estimate)\n" name)
-
-let bechamel () =
-  section "bechamel" "Micro-benchmarks of the experiment kernels";
-  let open Bechamel in
-  let example = Sonar_dut.Netlist_gen.example_module () in
-  let small =
-    lazy (Sonar_dut.Netlist_gen.generate ~scale:0.02 ~pad:false Sonar_uarch.Config.boom)
-  in
-  let quick_program =
-    Sonar_isa.Program.make
-      (Sonar_isa.Asm.li (Sonar_isa.Reg.of_int 5) 123456L
-      @ [
-          Sonar_isa.Instr.Rtype
-            (Sonar_isa.Instr.MUL, Sonar_isa.Reg.of_int 6, Sonar_isa.Reg.of_int 5,
-             Sonar_isa.Reg.of_int 5);
-          Sonar_isa.Asm.halt;
-        ])
-  in
-  let tests =
-    [
-      Test.make ~name:"fig6:mux-tracing (example module)"
-        (Staged.stage (fun () -> Sonar_ir.Mux_tree.points_of_module example));
-      Test.make ~name:"fig7:classify (example module)"
-        (Staged.stage (fun () -> Sonar_ir.Const_filter.classify_module example));
-      Test.make ~name:"table2:instrument (small netlist)"
-        (Staged.stage (fun () ->
-             Sonar_ir.Instrument.instrument (Lazy.force small)));
-      Test.make ~name:"table2:golden-run (quick program)"
-        (Staged.stage (fun () -> Sonar_isa.Golden.run quick_program));
-      Test.make ~name:"fig8:machine-run (quick program)"
-        (Staged.stage (fun () ->
-             Sonar_uarch.Machine.run_single Sonar_uarch.Config.boom quick_program));
-      Test.make ~name:"table3:channel-measure (S8)"
-        (Staged.stage (fun () ->
-             Sonar.Channels.measure (Option.get (Sonar.Channels.find "S8"))));
-    ]
-  in
-  run_bechamel (Test.make_grouped ~name:"sonar" tests)
-
-(* ------------------------------------------------------------------ *)
-(* Engine micro-benchmark: interpreted vs compiled stepping, the        *)
-(* zero-allocation claim, and a compiled/interpreted differential       *)
-(* check over generated DUT netlists (CI greps its verdict line).       *)
+(* Engine benchmark: the zero-allocation claim, a compiled/interpreted  *)
+(* differential check over generated DUT netlists (CI greps its verdict *)
+(* line), and bit-sliced batch throughput.                              *)
 
 let engine_bench () =
   section "engine"
-    "RTL engine: interpreted vs compiled stepping; differential check";
-  let open Bechamel in
+    "RTL engine: step allocation; differential check; bit-sliced batch";
   let plain =
     Sonar_dut.Netlist_gen.generate ~scale:0.01 ~pad:false
       Sonar_uarch.Config.boom
@@ -768,21 +722,6 @@ let engine_bench () =
   let instr = (Sonar_ir.Instrument.instrument plain).Sonar_ir.Instrument.circuit in
   let first c = List.hd c.Sonar_ir.Circuit.modules in
   let engine_of backend c = Sonar_rtlsim.Engine.compile ~backend (first c) in
-  let tests =
-    List.map
-      (fun (name, backend, circuit) ->
-        let e = engine_of backend circuit in
-        Test.make ~name (Staged.stage (fun () -> Sonar_rtlsim.Engine.step e)))
-      [
-        ("interpreted step (plain)", Sonar_rtlsim.Engine.Tree, plain);
-        ("compiled step (plain)", Sonar_rtlsim.Engine.Compiled, plain);
-        ("interpreted step (instrumented)", Sonar_rtlsim.Engine.Tree, instr);
-        ("compiled step (instrumented)", Sonar_rtlsim.Engine.Compiled, instr);
-        ("bit-sliced step (instrumented, 63 lanes)",
-         Sonar_rtlsim.Engine.Bitsliced, instr);
-      ]
-  in
-  run_bechamel (Test.make_grouped ~name:"engine" tests);
   (* Per-cycle allocation on the compiled path (the step loop is meant to
      be allocation-free; the interpreted oracle boxes a Bitvec per node). *)
   let alloc_per_kcycle backend =
@@ -1097,7 +1036,6 @@ let experiments =
     ("mitigation", mitigation);
     ("speedup", speedup);
     ("strategies", strategies);
-    ("bechamel", bechamel);
     ("engine", engine_bench);
     ("observability", observability);
   ]

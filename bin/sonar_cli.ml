@@ -211,8 +211,7 @@ let fuzz dut iterations seed strategy_name list dual jobs batch chunk
       in
       let options =
         {
-          Sonar.Fuzzer.Options.default with
-          seed = Int64.of_int seed;
+          Sonar.Fuzzer.Options.seed = Int64.of_int seed;
           dual;
           jobs;
           batch;
@@ -288,12 +287,11 @@ let fuzz dut iterations seed strategy_name list dual jobs batch chunk
             dut iterations strategy.Sonar.Feedback.name
             o.Sonar.Fuzzer.final_coverage o.final_timing_diffs
             o.testcases_with_diffs;
-          List.iteri
-            (fun k (iteration, report) ->
-              if k < 3 then
-                Format.printf "@.finding at iteration %d:@.%a@." iteration
-                  Sonar.Detector.pp_report report)
-            o.reports;
+          List.iter
+            (fun (iteration, report) ->
+              Format.printf "@.finding at iteration %d:@.%a@." iteration
+                Sonar.Detector.pp_report report)
+            o.first_reports;
           Option.iter
             (fun s -> Format.printf "@.%a@." Telemetry.Metrics.pp s)
             snapshot;

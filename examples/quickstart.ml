@@ -48,7 +48,7 @@ circuit Quickstart :
     outcome.testcases_with_diffs;
 
   (* Step 4: the dual-differential report of the first finding. *)
-  match outcome.reports with
+  match outcome.first_reports with
   | [] -> Format.printf "no findings in this short run — try more iterations@."
   | (iteration, report) :: _ ->
       Format.printf "== First finding (iteration %d) ==@.%a@." iteration

@@ -553,9 +553,9 @@ let config_of c =
   | Some cfg -> cfg
   | None -> invalid_arg ("unknown DUT " ^ c.dut)
 
-let measure ?max_cycles c =
+let measure c =
   let cfg = config_of c in
-  let pair = Executor.run_pair ?max_cycles cfg (fun ~secret -> build c ~secret) in
+  let pair = Executor.run_pair cfg (fun ~secret -> build c ~secret) in
   let report = Detector.detect pair in
   let rows, _ =
     Ccd.align pair.run0.Machine.cores.(0).commits pair.run1.Machine.cores.(0).commits

@@ -54,7 +54,7 @@ type measurement = {
   report : Detector.report;
 }
 
-val measure : ?max_cycles:int -> t -> measurement
+val measure : t -> measurement
 (** Run the scenario under both secrets and evaluate it. *)
 
 val pp_measurement : Format.formatter -> measurement -> unit

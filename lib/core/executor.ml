@@ -29,18 +29,16 @@ let scratch_ctx (cfg : Config.t) ~fp =
       Hashtbl.replace tbl cfg.Config.name ctx;
       ctx
 
-let run_pair ?max_cycles ?ctx ?checkpoint cfg build =
-  (* Even the sequential one-off path runs on the calling domain's scratch
-     context (unless the caller supplies its own), so single-threaded
-     campaigns get the same allocation reuse as pool workers. *)
+let run_pair ?ctx ?checkpoint cfg build =
+  (* Without a context of its own, a caller runs on the calling domain's
+     scratch context, with the same allocation reuse as pool workers. *)
   let ctx =
     match ctx with
     | Some ctx -> ctx
     | None -> scratch_ctx cfg ~fp:(Config.fingerprint cfg)
   in
   let run0, run1, cp =
-    Machine.run_dual ?max_cycles ~ctx ?checkpoint cfg (build ~secret:0)
-      (build ~secret:1)
+    Machine.run_dual ~ctx ?checkpoint cfg (build ~secret:0) (build ~secret:1)
   in
   { run0; run1; cp }
 
@@ -51,14 +49,6 @@ let executed_event tc pair =
       cycles0 = pair.run0.Machine.cycles;
       cycles1 = pair.run1.Machine.cycles;
     }
-
-let execute ?max_cycles ?checkpoint ?emit cfg tc =
-  let pair =
-    run_pair ?max_cycles ?checkpoint cfg (fun ~secret ->
-        Testcase.materialize tc ~secret)
-  in
-  (match emit with Some emit -> emit (executed_event tc pair) | None -> ());
-  pair
 
 (* The per-testcase fold. Each point's stats list its pair intervals and
    triggered sub-points sorted, so the two runs merge point by point; the
@@ -103,17 +93,6 @@ let observe_intervals hists pair =
       Telemetry.Histogram.observe hists ~point ~src_pair v)
     (min_intervals pair)
 
-(* Both secret-runs of one testcase, on this domain's scratch context, in
-   the same order as the sequential path (secret 0 then 1). *)
-let run_pair_scratch ?max_cycles ?checkpoint ~fp cfg tc =
-  let ctx = scratch_ctx cfg ~fp in
-  let run0, run1, cp =
-    Machine.run_dual ?max_cycles ~ctx ?checkpoint cfg
-      (Testcase.materialize tc ~secret:0)
-      (Testcase.materialize tc ~secret:1)
-  in
-  { run0; run1; cp }
-
 let auto_chunk ~jobs n =
   (* Aim for ~2 slices per worker: coarse enough that per-task dispatch and
      future plumbing are amortised over many simulated runs, fine enough
@@ -132,7 +111,7 @@ let rec chunk_list k = function
       let slice, rest = take [] 0 xs in
       slice :: chunk_list k rest
 
-let execute_batch ?max_cycles ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
+let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
   (match chunk with
   | Some c when c < 1 ->
       invalid_arg "Executor.execute_batch: chunk must be >= 1"
@@ -140,6 +119,11 @@ let execute_batch ?max_cycles ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
   (* One config hash per batch; every scratch lookup below compares this
      precomputed key instead of the config record. *)
   let fp = Config.fingerprint cfg in
+  (* Both secret-runs of one testcase, on this domain's scratch context. *)
+  let run tc =
+    run_pair ~ctx:(scratch_ctx cfg ~fp) ?checkpoint cfg (fun ~secret ->
+        Testcase.materialize tc ~secret)
+  in
   let observe pair =
     match hists with Some h -> observe_intervals h pair | None -> ()
   in
@@ -153,9 +137,7 @@ let execute_batch ?max_cycles ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
       (* Sequential path: same scratch reuse as the workers (the calling
          domain has its own worker-local context), so jobs=1 enjoys the
          allocation win too and the jobs comparison isolates parallelism. *)
-      List.map
-        (fun tc -> finish tc (run_pair_scratch ?max_cycles ?checkpoint ~fp cfg tc))
-        tcs
+      List.map (fun tc -> finish tc (run tc)) tcs
   | Some pool ->
       (* Chunked fan-out: one pool task is a slice of the generation — both
          secret-runs of ~[chunk] candidates — not a single run, so the
@@ -174,10 +156,7 @@ let execute_batch ?max_cycles ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
           (fun slice ->
             let slice_arr = Array.of_list slice in
             ( slice,
-              Domain_pool.submit pool (fun () ->
-                  Array.map
-                    (run_pair_scratch ?max_cycles ?checkpoint ~fp cfg)
-                    slice_arr) ))
+              Domain_pool.submit pool (fun () -> Array.map run slice_arr) ))
           (chunk_list chunk tcs)
       in
       List.concat_map

@@ -17,27 +17,17 @@ type pair = {
 }
 
 val run_pair :
-  ?max_cycles:int ->
   ?ctx:Sonar_uarch.Machine.Ctx.t ->
   ?checkpoint:bool ->
   Sonar_uarch.Config.t ->
   (secret:int -> Sonar_uarch.Machine.core_input array) ->
   pair
-(** Low-level entry used both by the fuzzer (via {!execute}) and by the
-    hand-built channel scenarios. Without [ctx], runs on the calling
-    domain's reusable scratch context — sequential callers get the same
-    allocation reuse as pool workers. [checkpoint] (default [true])
-    toggles the prefix-checkpointed dual run. *)
-
-val execute :
-  ?max_cycles:int ->
-  ?checkpoint:bool ->
-  ?emit:(Telemetry.event -> unit) ->
-  Sonar_uarch.Config.t ->
-  Testcase.t ->
-  pair
-(** [emit] receives one {!Telemetry.event.Testcase_executed} after the two
-    secret-runs complete. *)
+(** Both secret-runs of the inputs [build ~secret] yields: the one run
+    path, under {!execute_batch} and the hand-built channel scenarios.
+    Without [ctx], runs on the calling domain's reusable scratch context —
+    sequential callers get the same allocation reuse as pool workers.
+    [checkpoint] (default [true]) toggles the prefix-checkpointed dual
+    run. *)
 
 val auto_chunk : jobs:int -> int -> int
 (** [auto_chunk ~jobs n] is the chunk size {!execute_batch} derives when
@@ -48,7 +38,6 @@ val auto_chunk : jobs:int -> int -> int
     pool at the generation barrier. *)
 
 val execute_batch :
-  ?max_cycles:int ->
   ?pool:Domain_pool.t ->
   ?chunk:int ->
   ?checkpoint:bool ->
@@ -65,7 +54,7 @@ val execute_batch :
     cache or contention-point tables per testcase. Sequential when no
     pool is given (the calling domain reuses its own scratch context).
 
-    Results are in input order and element-wise identical to {!execute}
+    Results are in input order and element-wise identical to {!run_pair}
     per testcase for {e every} [(jobs, chunk)] value: a reused context is
     reset to cold start per run and behaves bit-identically to a fresh
     machine (tested). [emit] is invoked only from the calling domain, one

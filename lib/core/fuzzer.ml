@@ -1,20 +1,12 @@
 type strategy = Feedback.t
 
-type series_point = {
-  iteration : int;
-  coverage : float;
-  timing_diffs : int;
-  corpus_size : int;
-}
-
 type outcome = {
-  series : series_point list;
   final_coverage : float;
   final_timing_diffs : int;
   testcases_with_diffs : int;
   contentions_triggered_testcases : int;
   single_valid_share_first20 : float;
-  reports : (int * Detector.report) list;
+  first_reports : (int * Detector.report) list;
   cycles_simulated : int;
   cycles_saved : int;
   checkpoint_hits : int;
@@ -25,11 +17,14 @@ type outcome = {
    gives the chunked parallel executor full slices to hand each worker. *)
 let default_batch = 64
 
+(* How many finding reports an outcome keeps: enough to show, bounded so a
+   long campaign's outcome does not grow with its length. *)
+let first_reports_kept = 3
+
 module Options = struct
   type t = {
     seed : int64;
     dual : bool;
-    max_cycles : int option;
     jobs : int;
     batch : int;
     chunk : int option;
@@ -41,7 +36,6 @@ module Options = struct
     {
       seed = 1L;
       dual = false;
-      max_cycles = None;
       jobs = 1;
       batch = default_batch;
       chunk = None;
@@ -69,10 +63,7 @@ let apply_operator rng mstate ~directed_enabled op tc =
   | Feedback.Similarity -> Mutation.enhance_similarity rng tc
 
 let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
-  let { Options.seed; dual; max_cycles; jobs; batch; chunk; checkpoint; sinks }
-      =
-    options
-  in
+  let { Options.seed; dual; jobs; batch; chunk; checkpoint; sinks } = options in
   if batch < 1 then invalid_arg "Fuzzer.run: batch must be >= 1";
   if jobs < 1 then invalid_arg "Fuzzer.run: jobs must be >= 1";
   (match chunk with
@@ -105,8 +96,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
   let cycles_simulated = ref 0 in
   let cycles_saved = ref 0 in
   let checkpoint_hits = ref 0 in
-  let series = ref [] in
-  let reports = ref [] in
+  let first_reports = ref [] in
   let sv_weight_20 = ref 0. and total_weight_20 = ref 0. in
   (* Campaign context handed to every strategy hook. The strategy's
      mutate-vs-generate ratio is resolved once here, so a record update on
@@ -179,7 +169,8 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
     if n_findings > 0 then begin
       timing_diffs := !timing_diffs + n_findings;
       incr tcs_with_diffs;
-      reports := (iteration, report) :: !reports;
+      if !tcs_with_diffs <= first_reports_kept then
+        first_reports := (iteration, report) :: !first_reports;
       if telemetry_on then
         emit
           (Telemetry.Ccd_finding
@@ -209,15 +200,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
       }
     in
     strategy.Feedback.reward campaign obs;
-    ignore (strategy.Feedback.consider campaign cand.cand_tc obs);
-    series :=
-      {
-        iteration;
-        coverage = Coverage.total coverage;
-        timing_diffs = !timing_diffs;
-        corpus_size = Corpus.size corpus;
-      }
-      :: !series
+    ignore (strategy.Feedback.consider campaign cand.cand_tc obs)
   in
   let now () = if telemetry_on then Unix.gettimeofday () else 0. in
   let campaign_t0 = now () in
@@ -262,7 +245,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
       let t1 = now () in
       let end_execute = span "execute" in
       let pairs =
-        Executor.execute_batch ?max_cycles ?pool ?chunk ~checkpoint
+        Executor.execute_batch ?pool ?chunk ~checkpoint
           ?emit:emit_opt ?hists cfg
           (List.map (fun c -> c.cand_tc) candidates)
       in
@@ -335,14 +318,13 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
      List.iter (fun s -> try Telemetry.close s with _ -> ()) sinks;
      Printexc.raise_with_backtrace e bt);
   {
-    series = List.rev !series;
     final_coverage = Coverage.total coverage;
     final_timing_diffs = !timing_diffs;
     testcases_with_diffs = !tcs_with_diffs;
     contentions_triggered_testcases = !tcs_with_contention;
     single_valid_share_first20 =
       (if !total_weight_20 = 0. then 0. else !sv_weight_20 /. !total_weight_20);
-    reports = List.rev !reports;
+    first_reports = List.rev !first_reports;
     cycles_simulated = !cycles_simulated;
     cycles_saved = !cycles_saved;
     checkpoint_hits = !checkpoint_hits;
@@ -360,7 +342,7 @@ let json_of_outcome o : Json.t =
       ("cycles_simulated", Json.Int o.cycles_simulated);
       ("cycles_saved", Json.Int o.cycles_saved);
       ("checkpoint_hits", Json.Int o.checkpoint_hits);
-      ( "findings",
+      ( "first_findings",
         Json.List
           (List.map
              (fun (iteration, (r : Detector.report)) ->
@@ -372,5 +354,5 @@ let json_of_outcome o : Json.t =
                    ("total_delta", Json.Int r.total_delta);
                    ("diverged", Json.Bool r.diverged);
                  ])
-             o.reports) );
+             o.first_reports) );
     ]

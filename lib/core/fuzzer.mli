@@ -8,8 +8,12 @@
       contention sub-points (Figure 8 top);
     - {e timing differences}: CCD findings that reflect the secret
       (Figure 8 bottom);
-    - per-iteration series for plotting, and the detector reports of every
-      finding-bearing testcase.
+    - the detector reports of the first three finding testcases.
+
+    The outcome is counters plus that bounded list, so it does not grow
+    with the campaign. Per-iteration and per-finding history is in the
+    event stream: attach a sink ({!Telemetry.state}, a JSONL trace) to
+    keep it.
 
     The feedback policy is a first-class {!Feedback.t} value: the loop
     dispatches seed selection, fresh-testcase generation, post-execution
@@ -47,23 +51,16 @@ type strategy = Feedback.t
 (** The feedback policy driving a campaign. Build one from the registry
     ({!Feedback.create}), a preset, or {!Feedback.of_flags}. *)
 
-type series_point = {
-  iteration : int;
-  coverage : float;  (** cumulative triggered contention points (weighted) *)
-  timing_diffs : int;  (** cumulative secret-reflecting CCD findings *)
-  corpus_size : int;
-}
-
 type outcome = {
-  series : series_point list;  (** one per iteration, in order *)
   final_coverage : float;
   final_timing_diffs : int;
   testcases_with_diffs : int;
   contentions_triggered_testcases : int;
       (** testcases that triggered at least one contention *)
   single_valid_share_first20 : float;  (** Figure 9's dominance measure *)
-  reports : (int * Detector.report) list;
-      (** (iteration, report) for every testcase with CCD findings *)
+  first_reports : (int * Detector.report) list;
+      (** (iteration, report) for the first three testcases with CCD
+          findings, in iteration order *)
   cycles_simulated : int;
       (** cycles actually simulated across all dual runs (after
           checkpoint prefix reuse) *)
@@ -86,7 +83,6 @@ module Options : sig
   type t = {
     seed : int64;  (** RNG seed (default [1L]) *)
     dual : bool;  (** dual-core testcases, Figure 4b (default [false]) *)
-    max_cycles : int option;  (** per-run cycle budget override *)
     jobs : int;
         (** worker-pool size; wall-clock only, never the outcome
             (default 1) *)
@@ -127,6 +123,5 @@ val run :
     [options.chunk] < 1. *)
 
 val json_of_outcome : outcome -> Json.t
-(** Stable JSON form of an outcome (the CLI's [--format json] document;
-    the per-iteration series is omitted — use a telemetry trace for
-    per-iteration data). *)
+(** Stable JSON form of an outcome (the CLI's [--format json] document):
+    the counters, and [first_reports] as [first_findings]. *)

@@ -380,6 +380,7 @@ let snapshot p = snapshot_with p (triggered_subs p)
 let opt_str = function None -> "-" | Some v -> string_of_int v
 
 let diff_snapshot sa sb =
+  assert (String.equal sa.point_name sb.point_name);
   let diffs = ref [] in
   if sa.s_hits <> sb.s_hits then
     diffs :=
@@ -402,24 +403,6 @@ let diff_snapshot sa sb =
   if !diffs = [] then None
   else Some (sa.point_name, String.concat "; " (List.rev !diffs))
 
-let rec names_line_up a b =
-  match (a, b) with
-  | [], [] -> true
-  | sa :: a, sb :: b ->
-      String.equal sa.point_name sb.point_name && names_line_up a b
-  | _ -> false
-
 (* Two runs on one registry snapshot the same points in the same order, so
-   the lists zip; the name table serves lists that do not line up. *)
-let diff_snapshots a b =
-  if names_line_up a b then List.filter_map Fun.id (List.map2 diff_snapshot a b)
-  else begin
-    let tb = Hashtbl.create 64 in
-    List.iter (fun s -> Hashtbl.replace tb s.point_name s) b;
-    List.filter_map
-      (fun sa ->
-        match Hashtbl.find_opt tb sa.point_name with
-        | None -> Some (sa.point_name, "present only under secret=0")
-        | Some sb -> diff_snapshot sa sb)
-      a
-  end
+   the lists pair by position. *)
+let diff_snapshots a b = List.filter_map Fun.id (List.map2 diff_snapshot a b)

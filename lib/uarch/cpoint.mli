@@ -167,6 +167,7 @@ val snapshot_with : t -> (kind * int) list -> snapshot
 val diff_snapshots : snapshot list -> snapshot list -> (string * string) list
 (** Contention-state discrepancies between two runs, as
     [(point name, human-readable difference)] pairs in the order of the
-    first list — the lower table of the paper's Figure 5. Lists whose
-    names line up position by position (two runs on one registry) are
-    compared pairwise; otherwise points are matched by name. *)
+    first list — the lower table of the paper's Figure 5. The lists are
+    two runs' snapshots on one registry, so they pair by position.
+    @raise Invalid_argument when the lengths differ; the names must match
+    position by position (asserted). *)

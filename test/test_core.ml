@@ -8,6 +8,10 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 0.0001))
 
+(* Both secret-runs of one testcase. *)
+let execute cfg tc =
+  Executor.run_pair cfg (fun ~secret -> Testcase.materialize tc ~secret)
+
 (* --- Rng --- *)
 
 let test_rng_determinism () =
@@ -100,7 +104,7 @@ let test_neutral_flavor_no_diff () =
       suffix = fixed_region;
     }
   in
-  let pair = Executor.execute Sonar_uarch.Config.boom tc in
+  let pair = execute Sonar_uarch.Config.boom tc in
   let report = Detector.detect pair in
   checki "no CCD findings" 0 (List.length report.Detector.findings);
   checki "no run-length delta" 0 report.total_delta
@@ -114,7 +118,7 @@ let test_latency_flavor_differs () =
       flavor = Testcase.Latency { use_div = true };
     }
   in
-  let pair = Executor.execute Sonar_uarch.Config.boom tc in
+  let pair = execute Sonar_uarch.Config.boom tc in
   let report = Detector.detect pair in
   checkb "latency flavor leaks timing" true
     (report.Detector.findings <> [] || report.total_delta <> 0)
@@ -255,7 +259,7 @@ let test_ccd_divergent_traces () =
 let test_coverage_accumulates_once () =
   let rng = Rng.create 15L in
   let tc = Testcase.random rng ~id:1 ~dual:false in
-  let pair = Executor.execute Sonar_uarch.Config.boom tc in
+  let pair = execute Sonar_uarch.Config.boom tc in
   let cov = Coverage.create () in
   let first = Coverage.add_pair cov pair in
   checkb "first run adds coverage" true (first > 0.);
@@ -269,7 +273,7 @@ let test_coverage_components () =
   for i = 1 to 5 do
     ignore
       (Coverage.add_pair cov
-         (Executor.execute Sonar_uarch.Config.boom (Testcase.random rng ~id:i ~dual:false)))
+         (execute Sonar_uarch.Config.boom (Testcase.random rng ~id:i ~dual:false)))
   done;
   let per = Coverage.per_component cov in
   let sum = List.fold_left (fun a (_, w) -> a +. w) 0. per in
@@ -376,13 +380,23 @@ let test_fuzzer_strategy_traces_identical () =
 (* --- Campaign pin --- *)
 
 (* Digest of a whole [sonar] campaign for each of {boom, nutshell} x
-   {single, dual}: the Marshal form of the [Fuzzer.run] outcome and the
-   JSONL trace it streams. 192 testcases at the default batch of 64 are
-   three generations, so corpus selection, directed mutation and the
-   per-testcase fold (intervals, triggered sub-points, coverage,
-   detector) all feed back into later generations. The constants were
-   computed before the fold's tuple-keyed tables became registry-order
-   merges, so they pin the campaign, not just the machine. *)
+   {single, dual}: the Marshal form of the [Fuzzer.run] outcome's counters
+   and first reports, and the JSONL trace it streams. 192 testcases at the
+   default batch of 64 are three generations, so corpus selection,
+   directed mutation and the per-testcase fold (intervals, triggered
+   sub-points, coverage, detector) all feed back into later generations.
+   The constants were computed when the outcome still kept a series point
+   per testcase and every finding's report (the projection took the first
+   three of those), so they pin the campaign, not just its outcome type. *)
+let projection (o : Fuzzer.outcome) =
+  ( ( o.final_coverage,
+      o.final_timing_diffs,
+      o.testcases_with_diffs,
+      o.contentions_triggered_testcases,
+      o.single_valid_share_first20 ),
+    (o.cycles_simulated, o.cycles_saved, o.checkpoint_hits),
+    o.first_reports )
+
 let campaign_digest cfg ~dual =
   let trace = Buffer.create 65536 in
   let sink =
@@ -399,7 +413,8 @@ let campaign_digest cfg ~dual =
   in
   Digest.to_hex
     (Digest.string
-       (Digest.string (Marshal.to_string outcome [ Marshal.No_sharing ])
+       (Digest.string
+          (Marshal.to_string (projection outcome) [ Marshal.No_sharing ])
        ^ Digest.string (Buffer.contents trace)))
 
 let test_campaign_pin () =
@@ -409,10 +424,10 @@ let test_campaign_pin () =
         (cfg.Sonar_uarch.Config.name ^ if dual then " dual" else " single")
         expected (campaign_digest cfg ~dual))
     [
-      (Sonar_uarch.Config.boom, false, "0bb10f194ada89167677504235398e3b");
-      (Sonar_uarch.Config.boom, true, "5cc6e782836bb654d5663e18887b5c07");
-      (Sonar_uarch.Config.nutshell, false, "9d2e41c9c7170b63cc55a094766faf09");
-      (Sonar_uarch.Config.nutshell, true, "c2ca04ce9fafa913cd9187d5484b57c3");
+      (Sonar_uarch.Config.boom, false, "5d79fd1d8545fe4100fbe20180e88348");
+      (Sonar_uarch.Config.boom, true, "6a7f0e26cd0e9ea9ba0d54432de2320b");
+      (Sonar_uarch.Config.nutshell, false, "8f1a392dff0d548397c3de6903eb706a");
+      (Sonar_uarch.Config.nutshell, true, "1b1b658138c27116bc30690212d333a3");
     ]
 
 let test_feedback_registry () =
@@ -443,7 +458,7 @@ let consider_fixture =
   lazy
     (let rng = Rng.create 99L in
      let tc = Testcase.random rng ~id:1 ~dual:false in
-     let pair = Executor.execute Sonar_uarch.Config.nutshell tc in
+     let pair = execute Sonar_uarch.Config.nutshell tc in
      (tc, pair))
 
 let prop_consider_order_insensitive =
@@ -536,7 +551,7 @@ let prop_fold_matches_reference =
         if nutshell then Sonar_uarch.Config.nutshell else Sonar_uarch.Config.boom
       in
       let pair =
-        Executor.execute cfg
+        execute cfg
           (Testcase.random (Rng.create (Int64.of_int seed)) ~id:seed ~dual)
       in
       Executor.min_intervals pair = reference_min_intervals pair
@@ -595,7 +610,7 @@ let minor_words_during f =
 
 let test_executor_scratch_allocates_less () =
   (* Every executor path now runs on a reused worker-local Machine.Ctx —
-     including one-off [Executor.execute] — so the baseline here is
+     including one-off [Executor.run_pair] — so the baseline here is
      explicitly-fresh machines built through [Machine.run] without a
      context. The reused path must allocate a small fraction of that:
      cache line arrays, contention-point tables and the per-core pipeline
@@ -636,7 +651,7 @@ let test_executor_batch_matches_sequential () =
   let rng = Rng.create 21L in
   let tcs = List.init 6 (fun i -> Testcase.random rng ~id:(i + 1) ~dual:false) in
   let cfg = Sonar_uarch.Config.nutshell in
-  let sequential = List.map (Executor.execute cfg) tcs in
+  let sequential = List.map (execute cfg) tcs in
   let batched =
     Sonar.Domain_pool.with_pool ~jobs:3 (fun pool ->
         Executor.execute_batch ~pool cfg tcs)
@@ -671,40 +686,72 @@ let test_domain_pool_basics () =
         | exception Failure m -> m = "boom"
         | _ -> false))
 
-let test_fuzzer_series_monotonic () =
+(* A campaign with the state fold attached, and the fold's summary. *)
+let run_with_state ~options cfg strategy ~iterations =
+  let sink, state = Telemetry.state () in
   let o =
-    Fuzzer.run
-      ~options:{ Fuzzer.Options.default with seed = 18L }
+    Fuzzer.run ~options:{ options with Fuzzer.Options.sinks = [ sink ] } cfg
+      strategy ~iterations
+  in
+  (o, Telemetry.State.summary (state ()))
+
+let test_fuzzer_series_monotonic () =
+  let o, s =
+    run_with_state
+      ~options:{ Fuzzer.Options.default with seed = 18L; batch = 5 }
       Sonar_uarch.Config.boom Feedback.sonar ~iterations:25
   in
-  checki "one point per iteration" 25 (List.length o.Fuzzer.series);
+  checki "one point per generation" 5 (List.length s.series);
   let rec mono = function
-    | (a : Fuzzer.series_point) :: (b : Fuzzer.series_point) :: rest ->
+    | (a : Telemetry.generation_end) :: (b : Telemetry.generation_end) :: rest ->
         a.coverage <= b.coverage && a.timing_diffs <= b.timing_diffs && mono (b :: rest)
     | _ -> true
   in
-  checkb "cumulative series" true (mono o.series)
+  checkb "cumulative series" true (mono s.series);
+  let last = List.nth s.series 4 in
+  checki "series ends at the campaign's end" 25 last.iterations_done;
+  checkf "series ends at the outcome's coverage" o.Fuzzer.final_coverage
+    last.coverage;
+  checki "series ends at the outcome's timing diffs" o.final_timing_diffs
+    last.timing_diffs
 
 let test_fuzzer_finds_diffs () =
-  let o =
-    Fuzzer.run
+  let o, s =
+    run_with_state
       ~options:{ Fuzzer.Options.default with seed = 19L }
       Sonar_uarch.Config.boom Feedback.sonar ~iterations:40
   in
   checkb "finds timing differences" true (o.Fuzzer.final_timing_diffs > 0);
-  checkb "keeps reports" true (o.reports <> [])
+  (* The outcome keeps the first three finding reports, and the event
+     stream every finding: the two agree on the first three. *)
+  checki "keeps the first three reports" (min 3 o.testcases_with_diffs)
+    (List.length o.first_reports);
+  Alcotest.(check (list (pair int int)))
+    "first reports are the first findings"
+    (List.filteri (fun i _ -> i < 3)
+       (List.map
+          (fun (f : Telemetry.State.finding) -> (f.iteration, f.count))
+          s.findings))
+    (List.map
+       (fun (i, (r : Detector.report)) -> (i, List.length r.findings))
+       o.first_reports);
+  let doc = Fuzzer.json_of_outcome o in
+  checki "json lists the first findings" (List.length o.first_reports)
+    (match Json.member "first_findings" doc with
+    | Json.List l -> List.length l
+    | _ -> -1);
+  checkb "json has no findings list" true (Json.member "findings" doc = Json.Null)
 
 let test_baseline_specdoctor_runs () =
-  let o =
-    Fuzzer.run
+  let o, s =
+    run_with_state
       ~options:{ Fuzzer.Options.default with seed = 20L }
       Sonar_uarch.Config.boom
       (Option.get (Feedback.create "specdoctor"))
       ~iterations:10
   in
-  checki "series length" 10 (List.length o.Fuzzer.series);
-  checkb "covers something" true
-    ((List.nth o.series 9).Fuzzer.coverage > 0.)
+  checki "testcases run" 10 s.testcases;
+  checkb "covers something" true (o.Fuzzer.final_coverage > 0.)
 
 (* SpecDoctor's generator: a gated transient secret region and no
    dependency chains on every fresh testcase. *)

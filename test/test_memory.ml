@@ -1,0 +1,47 @@
+(* Memory that stays flat over a campaign: with no sinks attached, what a
+   campaign leaves alive does not grow with its length. This suite runs in
+   its own executable, so the live heap holds its campaigns and nothing
+   left over from other suites. *)
+
+open Sonar
+
+(* Live major-heap words after a full collection while the outcome of a
+   [sonar] campaign is still held, and the words reachable from that
+   outcome. *)
+let live_after cfg ~iterations =
+  let o =
+    Fuzzer.run
+      ~options:{ Fuzzer.Options.default with seed = 42L }
+      cfg Feedback.sonar ~iterations
+  in
+  Gc.full_major ();
+  let live = (Gc.stat ()).live_words in
+  (live, Obj.reachable_words (Obj.repr o))
+
+(* 8x the testcases may leave at most 1.1x the live words, and an outcome
+   no larger. An outcome that kept a series point per testcase and every
+   finding's report left 2.2x the live words on BOOM and 2.0x on NutShell
+   in this test. *)
+let test_flat cfg () =
+  let live_short, outcome_short = live_after cfg ~iterations:256 in
+  let live_long, outcome_long = live_after cfg ~iterations:2048 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d at 256 testcases, %d at 2048" live_short
+       live_long)
+    true
+    (float_of_int live_long <= 1.1 *. float_of_int live_short);
+  Alcotest.(check bool)
+    (Printf.sprintf "outcome words %d at 256 testcases, %d at 2048"
+       outcome_short outcome_long)
+    true
+    (outcome_long <= outcome_short)
+
+let () =
+  Alcotest.run "sonar_memory"
+    [
+      ( "flat memory",
+        List.map
+          (fun (cfg : Sonar_uarch.Config.t) ->
+            Alcotest.test_case (cfg.name ^ " campaign") `Quick (test_flat cfg))
+          [ Sonar_uarch.Config.boom; Sonar_uarch.Config.nutshell ] );
+    ]

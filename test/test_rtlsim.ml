@@ -811,25 +811,6 @@ let test_monitor_batch_lanes () =
       (snapshot (Monitor.Batch.states bmon ~lane) = snapshot (Monitor.states mon))
   done
 
-(* --- VCD --- *)
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let test_vcd_output () =
-  let e = Engine.compile counter_module in
-  let vcd = Vcd.create e in
-  Engine.poke_int e "en" 1;
-  Vcd.dump vcd;
-  Engine.step e;
-  Vcd.dump vcd;
-  let text = Vcd.contents vcd in
-  checkb "has header" true (String.sub text 0 10 = "$timescale");
-  checkb "declares count" true (contains "count" text);
-  checkb "has timesteps" true (contains "#1" text)
-
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -893,5 +874,4 @@ let () =
           Alcotest.test_case "interval measurement" `Quick test_monitor_interval;
           Alcotest.test_case "window gating" `Quick test_monitor_window;
         ] );
-      ("vcd", [ Alcotest.test_case "waveform output" `Quick test_vcd_output ]);
     ]

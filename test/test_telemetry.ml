@@ -417,7 +417,13 @@ let test_aggregator_matches_outcome () =
   let sink, snap = Telemetry.aggregator () in
   let lines = ref [] in
   let trace = Telemetry.jsonl (fun l -> lines := l :: !lines) in
-  let o = campaign ~sinks:[ sink; trace ] ~batch:8 ~iterations:30 () in
+  let last_gen = ref None in
+  let gens =
+    Telemetry.make (function
+      | Telemetry.Generation_end g -> last_gen := Some g
+      | _ -> ())
+  in
+  let o = campaign ~sinks:[ sink; trace; gens ] ~batch:8 ~iterations:30 () in
   let m = snap () in
   checki "one executed event per iteration" 30 m.Telemetry.Metrics.testcases;
   checki "generations = ceil(30/8)" 4 m.generations;
@@ -426,8 +432,8 @@ let test_aggregator_matches_outcome () =
   checki "finding testcases match" o.testcases_with_diffs m.finding_testcases;
   checki "contention testcases match" o.contentions_triggered_testcases
     m.contention_testcases;
-  checki "corpus size matches the final series point"
-    (List.nth o.series 29).Fuzzer.corpus_size m.corpus_size;
+  checki "corpus size matches the final generation end"
+    (Option.get !last_gen).corpus_size m.corpus_size;
   checkb "retention happened" true (m.retained > 0);
   checkb "phase timings accumulated" true
     (m.generate_seconds >= 0. && m.execute_seconds > 0. && m.feedback_seconds > 0.);
@@ -1045,7 +1051,6 @@ let test_options_record_equivalences () =
         {
           Fuzzer.Options.seed = 17L;
           dual = false;
-          max_cycles = None;
           jobs = 1;
           batch = 5;
           chunk = None;
