@@ -5,12 +5,24 @@ type entry = {
   intervals : (point * int) list;
 }
 
+(* Monomorphic point keys: the fold looks points up per testcase, and the
+   generic table's structural compare costs a C call per probe. *)
+let equal_point ((na, pa) : point) ((nb, pb) : point) =
+  Int.equal pa pb && String.equal na nb
+
+module Points = Hashtbl.Make (struct
+  type t = point
+
+  let equal = equal_point
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   ring : entry option array;  (* capacity max_entries; oldest overwritten *)
   mutable next : int;  (* next write slot *)
   mutable count : int;
-  best : (point, int) Hashtbl.t;
-  attempts : (point, int) Hashtbl.t;
+  best : int Points.t;
+  attempts : int Points.t;
       (* selections of a target since its best last improved; stuck targets
          (e.g. structurally impossible pairs) lose selection weight *)
 }
@@ -21,8 +33,8 @@ let create ?(max_entries = 256) () =
     ring = Array.make max_entries None;
     next = 0;
     count = 0;
-    best = Hashtbl.create 64;
-    attempts = Hashtbl.create 64;
+    best = Points.create 64;
+    attempts = Points.create 64;
   }
 
 let size t = t.count
@@ -48,11 +60,11 @@ let add_entry ?emit t e =
 let add ?emit t tc ~intervals =
   List.iter
     (fun (point, v) ->
-      match Hashtbl.find_opt t.best point with
+      match Points.find_opt t.best point with
       | Some best when best <= v -> ()
       | Some _ | None ->
-          Hashtbl.replace t.best point v;
-          Hashtbl.remove t.attempts point)
+          Points.replace t.best point v;
+          Points.remove t.attempts point)
     intervals;
   add_entry ?emit t { tc; intervals };
   match emit with
@@ -66,7 +78,7 @@ let consider ?emit t tc ~intervals =
   let improves =
     List.exists
       (fun (point, v) ->
-        match Hashtbl.find_opt t.best point with
+        match Points.find_opt t.best point with
         | Some best -> v < best
         | None -> true)
       intervals
@@ -82,11 +94,16 @@ let consider ?emit t tc ~intervals =
 let compare_candidate (((na, pa) : point), _) ((nb, pb), _) =
   match String.compare na nb with 0 -> Int.compare pa pb | c -> c
 
+(* [List.assoc_opt] with the monomorphic key equality. *)
+let rec interval_at point = function
+  | [] -> None
+  | (p, v) :: rest -> if equal_point p point then Some v else interval_at point rest
+
 let select t rng =
   (* Points with smaller non-zero best intervals are more likely to be
      chosen (weighted sampling, §6.2.1 "more likely to be selected"). *)
   let candidates =
-    Hashtbl.fold (fun point v acc -> if v > 0 then (point, v) :: acc else acc) t.best []
+    Points.fold (fun point v acc -> if v > 0 then (point, v) :: acc else acc) t.best []
     |> List.sort compare_candidate
   in
   let target =
@@ -97,7 +114,7 @@ let select t rng =
           List.map
             (fun ((point, v) as c) ->
               let stuck =
-                Option.value ~default:0 (Hashtbl.find_opt t.attempts point)
+                Option.value ~default:0 (Points.find_opt t.attempts point)
               in
               ( c,
                 1.
@@ -117,13 +134,13 @@ let select t rng =
   match target with
   | None -> None
   | Some (point, v) -> (
-      Hashtbl.replace t.attempts point
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.attempts point));
+      Points.replace t.attempts point
+        (1 + Option.value ~default:0 (Points.find_opt t.attempts point));
       let all = entries t in
       let achievers =
         List.filter
           (fun e ->
-            match List.assoc_opt point e.intervals with
+            match interval_at point e.intervals with
             | Some ev -> ev = v
             | None -> false)
           all
@@ -137,4 +154,4 @@ let select t rng =
           | es -> Some (Rng.pick rng es, point))
       | es -> Some (Rng.pick rng es, point))
 
-let best_interval t point = Hashtbl.find_opt t.best point
+let best_interval t point = Points.find_opt t.best point

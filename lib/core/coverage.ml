@@ -12,8 +12,11 @@ type meta = {
   pairs_seen : Itbl.t;
 }
 
+(* Keyed by point name with [String.equal], not structural compare. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
-  metas : (string, meta) Hashtbl.t;
+  metas : meta Names.t;
   mutable total : float;
   mutable sv_weight : float;
   comp_weight : (Sonar_ir.Component.t, float) Hashtbl.t;
@@ -21,14 +24,14 @@ type t = {
 
 let create () =
   {
-    metas = Hashtbl.create 64;
+    metas = Names.create 64;
     total = 0.;
     sv_weight = 0.;
     comp_weight = Hashtbl.create 8;
   }
 
 let meta_of t (ps : Machine.point_stat) =
-  match Hashtbl.find_opt t.metas ps.ps_name with
+  match Names.find_opt t.metas ps.ps_name with
   | Some meta -> meta
   | None ->
       let pairs = max 1 (ps.ps_n_sources * (ps.ps_n_sources - 1) / 2) in
@@ -44,7 +47,7 @@ let meta_of t (ps : Machine.point_stat) =
           pairs_seen = Itbl.create 4;
         }
       in
-      Hashtbl.replace t.metas ps.ps_name meta;
+      Names.replace t.metas ps.ps_name meta;
       meta
 
 (* Fanout shares (see interface). *)

@@ -111,7 +111,7 @@ let rec chunk_list k = function
       let slice, rest = take [] 0 xs in
       slice :: chunk_list k rest
 
-let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
+let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs f =
   (match chunk with
   | Some c when c < 1 ->
       invalid_arg "Executor.execute_batch: chunk must be >= 1"
@@ -127,25 +127,29 @@ let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
   let observe pair =
     match hists with Some h -> observe_intervals h pair | None -> ()
   in
-  let finish tc pair =
+  let finish i tc pair =
     (match emit with Some emit -> emit (executed_event tc pair) | None -> ());
     observe pair;
-    pair
+    f i pair
   in
   match pool with
   | None ->
       (* Sequential path: same scratch reuse as the workers (the calling
          domain has its own worker-local context), so jobs=1 enjoys the
-         allocation win too and the jobs comparison isolates parallelism. *)
-      List.map (fun tc -> finish tc (run tc)) tcs
+         allocation win too and the jobs comparison isolates parallelism.
+         Each pair goes to [f] as soon as it exists, so nothing holds it
+         past its fold. *)
+      List.iteri (fun i tc -> finish i tc (run tc)) tcs
   | Some pool ->
       (* Chunked fan-out: one pool task is a slice of the generation — both
          secret-runs of ~[chunk] candidates — not a single run, so the
          per-task submit/await cost is amortised over many simulated runs.
-         Each task runs on some worker's scratch context. Results are
-         assembled, and telemetry emitted, here on the awaiting domain, per
+         Each task runs on some worker's scratch context. Pairs reach [f],
+         and telemetry is emitted, here on the awaiting domain, per
          candidate in submission order — never from a worker — so outcomes,
-         histograms and traces are bit-identical for every (jobs, chunk). *)
+         histograms and traces are bit-identical for every (jobs, chunk).
+         A slice is handed on as soon as it is awaited, so this domain
+         folds while the workers run later slices. *)
       let chunk =
         match chunk with
         | Some c -> c
@@ -159,11 +163,13 @@ let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
               Domain_pool.submit pool (fun () -> Array.map run slice_arr) ))
           (chunk_list chunk tcs)
       in
-      List.concat_map
-        (fun (slice, future) ->
-          let pairs = Domain_pool.await future in
-          List.mapi (fun i tc -> finish tc pairs.(i)) slice)
-        futures
+      ignore
+        (List.fold_left
+           (fun base (slice, future) ->
+             let pairs = Domain_pool.await future in
+             List.iteri (fun i tc -> finish (base + i) tc pairs.(i)) slice;
+             base + Array.length pairs)
+           0 futures)
 
 let weight (ps : Machine.point_stat) =
   float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs

@@ -45,24 +45,31 @@ val execute_batch :
   ?hists:Telemetry.Histogram.registry ->
   Sonar_uarch.Config.t ->
   Testcase.t list ->
-  pair list
-(** Execute every testcase; with [pool], fan the batch across it in
+  (int -> pair -> unit) ->
+  unit
+(** [execute_batch cfg tcs f] executes every testcase and calls [f i pair]
+    with each testcase's index in [tcs] and its pair, in input order, as
+    soon as the pair exists. With [pool], the batch fans across it in
     {e chunks} — one pool task runs both secret-runs of a slice of
     [chunk] testcases (default {!auto_chunk}) on its worker's reusable
     {!Sonar_uarch.Machine.Ctx} scratch context, kept in
     {!Domain_pool} worker-local storage so the hot loop allocates no
-    cache or contention-point tables per testcase. Sequential when no
-    pool is given (the calling domain reuses its own scratch context).
+    cache or contention-point tables per testcase — and [f] sees a slice
+    once it is awaited, while later slices still run. Sequential when no
+    pool is given (the calling domain reuses its own scratch context), and
+    [f] sees each pair right after it runs. Either way [f] runs only on
+    the calling domain, so a caller that keeps no pair past [f] keeps
+    them out of the major heap.
 
-    Results are in input order and element-wise identical to {!run_pair}
-    per testcase for {e every} [(jobs, chunk)] value: a reused context is
-    reset to cold start per run and behaves bit-identically to a fresh
-    machine (tested). [emit] is invoked only from the calling domain, one
-    {!Telemetry.event.Testcase_executed} per testcase in input order.
-    [hists] accumulates each pair's {!min_intervals} likewise on the
-    calling domain in input order, so the resulting distributions — and
-    the trace events flushed from them — are independent of both pool
-    size and chunking.
+    Pairs are element-wise identical to {!run_pair} per testcase for
+    {e every} [(jobs, chunk)] value: a reused context is reset to cold
+    start per run and behaves bit-identically to a fresh machine
+    (tested). [emit] is invoked only from the calling domain, one
+    {!Telemetry.event.Testcase_executed} per testcase in input order,
+    just before that testcase's [f]. [hists] accumulates each pair's
+    {!min_intervals} likewise on the calling domain in input order, so
+    the resulting distributions — and the trace events flushed from
+    them — are independent of both pool size and chunking.
 
     @raise Invalid_argument when [chunk < 1]. *)
 

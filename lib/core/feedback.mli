@@ -86,7 +86,8 @@ type campaign = {
   emit : (Telemetry.event -> unit) option;
       (** [Some] iff telemetry sinks are attached; pass it to
           {!Corpus.consider} / {!Corpus.add} so retention events reach the
-          trace *)
+          trace. Events reach the sinks after the generation's last
+          execution, with the rest of the fold's *)
   mutate_ratio : float;
       (** the strategy's mutate-vs-generate ratio, resolved once at
           campaign start (see {!t.mutate_ratio}) *)

@@ -98,6 +98,15 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
   let checkpoint_hits = ref 0 in
   let first_reports = ref [] in
   let sv_weight_20 = ref 0. and total_weight_20 = ref 0. in
+  (* Fold-phase events, the strategy hooks' included. Each testcase is
+     folded as soon as its dual run finishes, so its results die young,
+     but the fold's events wait here until the generation's last
+     [Testcase_executed]: traces keep the execute-then-fold order of a
+     whole-generation fold. If the campaign raises mid-generation they
+     are dropped; a whole-generation fold would not have emitted them yet
+     either. *)
+  let pending = Queue.create () in
+  let emit_fold ev = Queue.push ev pending in
   (* Campaign context handed to every strategy hook. The strategy's
      mutate-vs-generate ratio is resolved once here, so a record update on
      a preset ([{ Feedback.sonar with mutate_ratio = 0.5 }]) genuinely
@@ -106,7 +115,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
     {
       Feedback.corpus;
       mstate;
-      emit = emit_opt;
+      emit = (if telemetry_on then Some emit_fold else None);
       mutate_ratio = strategy.Feedback.mutate_ratio;
     }
   in
@@ -156,7 +165,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
     if added > 0. then begin
       incr tcs_with_contention;
       if telemetry_on then
-        emit
+        emit_fold
           (Telemetry.Contention_triggered
              { iteration; added; coverage = Coverage.total coverage })
     end;
@@ -172,7 +181,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
       if !tcs_with_diffs <= first_reports_kept then
         first_reports := (iteration, report) :: !first_reports;
       if telemetry_on then
-        emit
+        emit_fold
           (Telemetry.Ccd_finding
              {
                iteration;
@@ -240,19 +249,28 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
       let hits_before = !checkpoint_hits in
       let t0 = now () in
       let end_generate = span "generate" in
-      let candidates = List.init k (fun j -> generate (!iteration + j + 1)) in
+      let candidates = Array.init k (fun j -> generate (!iteration + j + 1)) in
       end_generate ();
       let t1 = now () in
+      (* Each candidate is folded as its pair arrives; with sinks attached,
+         the fold's share of the execute phase is timed apart and booked
+         as feedback. *)
+      let fold_seconds = ref 0. in
       let end_execute = span "execute" in
-      let pairs =
-        Executor.execute_batch ?pool ?chunk ~checkpoint
-          ?emit:emit_opt ?hists cfg
-          (List.map (fun c -> c.cand_tc) candidates)
-      in
+      Executor.execute_batch ?pool ?chunk ~checkpoint ?emit:emit_opt ?hists cfg
+        (List.init k (fun j -> candidates.(j).cand_tc))
+        (fun j pair ->
+          if telemetry_on then begin
+            let f0 = now () in
+            fold candidates.(j) pair;
+            fold_seconds := !fold_seconds +. (now () -. f0)
+          end
+          else fold candidates.(j) pair);
       end_execute ();
       let t2 = now () in
       let end_feedback = span "feedback" in
-      List.iter2 fold candidates pairs;
+      Queue.iter emit pending;
+      Queue.clear pending;
       end_feedback ();
       iteration := !iteration + k;
       if telemetry_on then begin
@@ -261,8 +279,8 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
           emit (Telemetry.Phase_timing { generation = !generation; phase; seconds })
         in
         timing Telemetry.Generate (t1 -. t0);
-        timing Telemetry.Execute (t2 -. t1);
-        timing Telemetry.Feedback (t3 -. t2);
+        timing Telemetry.Execute (t2 -. t1 -. !fold_seconds);
+        timing Telemetry.Feedback (!fold_seconds +. (t3 -. t2));
         emit
           (Telemetry.Checkpoint_stats
              {

@@ -28,18 +28,24 @@
     {!Rng.split} stream), executes them across a {!Domain_pool} of [jobs]
     workers in chunked slices of [chunk] candidates per task (each worker
     reusing a domain-local {!Sonar_uarch.Machine.Ctx} scratch context),
-    then folds coverage / corpus / detector / mutation-feedback updates
-    sequentially in candidate order. Selection and directed mutation
-    therefore react to feedback at generation granularity, and the outcome
-    is a pure function of (seed, strategy, iterations, batch) —
-    bit-identical for every [jobs] and [chunk] value.
+    and folds coverage / corpus / detector / mutation-feedback updates
+    sequentially in candidate order, each candidate as soon as its pair
+    arrives, so no generation's results are held until its end.
+    Selection and directed mutation react to feedback at generation
+    granularity, and the outcome is a pure function of (seed, strategy,
+    iterations, batch) — bit-identical for every [jobs] and [chunk]
+    value.
 
     {b Telemetry.} When {!Options.t.sinks} is non-empty, the campaign
     streams {!Telemetry.event}s: a {!Telemetry.event.Campaign_start}
     header naming the strategy, generation boundaries, phase timings,
     per-(point, source-pair) interval histograms, per-component coverage
     heatmaps and profiling spans from this module, per-testcase execution
-    events from {!Executor}, retention/eviction events from {!Corpus}. All
+    events from {!Executor}, retention/eviction events from {!Corpus}.
+    The fold's events (coverage, CCD findings and the strategy hooks')
+    are held until the generation's last
+    {!Telemetry.event.Testcase_executed}, so they follow every execution
+    of their generation. All
     events except the wall-clock class ({!Telemetry.is_timing_event}:
     phase timings and spans) are deterministic and independent of [jobs];
     with no sinks nothing is constructed at all. If the campaign raises

@@ -30,7 +30,7 @@ let predict_jump t ~pc ~target =
 
 let update t ~pc ~taken ~target =
   let c = counter t pc in
-  Pcs.replace t.counters pc (if taken then min 3 (c + 1) else max 0 (c - 1));
+  Pcs.replace t.counters pc (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   if taken then Pcs.replace t.btb pc target
 
 let update_jump t ~pc ~target = Pcs.replace t.btb pc target

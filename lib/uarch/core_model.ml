@@ -99,7 +99,7 @@ let no_entry = { sb_uop = no_uop; sb_state = Drain_new }
 module Ring = struct
   type 'a t = { buf : 'a array; mutable head : int; mutable len : int }
 
-  let create cap filler = { buf = Array.make (max cap 1) filler; head = 0; len = 0 }
+  let create cap filler = { buf = Array.make (Int.max cap 1) filler; head = 0; len = 0 }
   let length r = r.len
   let is_empty r = r.len = 0
 
@@ -442,10 +442,11 @@ let step_fetch t ~cycle =
                  | Some cont -> t.fetch_source <- Trans (cont, 0)
                  | None -> ())
              | Some _ | None -> ());
-          if eff.instr = Instr.Ebreak && not transient then begin
-            t.fetch_halted <- true;
-            stop := true
-          end
+          match eff.instr with
+          | Instr.Ebreak when not transient ->
+              t.fetch_halted <- true;
+              stop := true
+          | _ -> ()
         end
       end
     done;
@@ -493,7 +494,7 @@ let relink t =
 let src_tainted t src = src >= 0 && t.taint_reg.(src)
 
 let step_dispatch t ~cycle =
-  let phys_budget = max 8 (t.cfg.int_phys_regs - 32) in
+  let phys_budget = Int.max 8 (t.cfg.int_phys_regs - 32) in
   let budget = ref t.cfg.decode_width in
   let stop = ref false in
   while (not !stop) && !budget > 0 do
@@ -736,7 +737,7 @@ let step_complete t ~cycle =
         | _ -> ());
         if u.mispredicted then begin
           t.blocked_on_branch <- -1;
-          t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+          t.fetch_stall_until <- Int.max t.fetch_stall_until (cycle + 2);
           Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
             ~data:(Int64.to_int u.eff.Golden.pc);
           u.mispredicted <- false
@@ -753,7 +754,7 @@ let step_complete t ~cycle =
           u.complete_at <- c;
           if u.mispredicted then begin
             t.blocked_on_branch <- -1;
-            t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+            t.fetch_stall_until <- Int.max t.fetch_stall_until (cycle + 2);
             u.mispredicted <- false
           end;
           u.state <- Exec_done;
@@ -780,7 +781,7 @@ let step_writeback t ~cycle =
     let u = rob_find t (Exec_unit.granted t.pool k) in
     if u.state = Exec_done then begin
       u.state <- Done;
-      u.complete_at <- min u.complete_at cycle
+      u.complete_at <- Int.min u.complete_at cycle
     end
   done
 
@@ -919,10 +920,10 @@ let fetch_bound t ~cycle =
       else begin
         let fb = Ring.length t.fb in
         let headroom =
-          min t.cfg.fetch_width
-            (t.cfg.fetch_buffer - fb + min fb t.cfg.decode_width)
+          Int.min t.cfg.fetch_width
+            (t.cfg.fetch_buffer - fb + Int.min fb t.cfg.decode_width)
         in
-        let last = min (t.fetch_pos + headroom) (Array.length t.trace) in
+        let last = Int.min (t.fetch_pos + headroom) (Array.length t.trace) in
         let bound = ref (t.fetch_pos + headroom) in
         (try
            for p = t.fetch_pos to last - 1 do

@@ -50,8 +50,8 @@ let create (cfg : Config.t) reg ~core =
     mul_issued = false;
     div_busy_until = -1;
     mdu_busy_until = -1;
-    wb = make_queue (max 8 cfg.rob_entries);
-    granted = Array.make (max 0 cfg.wb_ports) 0;
+    wb = make_queue (Int.max 8 cfg.rob_entries);
+    granted = Array.make (Int.max 0 cfg.wb_ports) 0;
     p_wb = pt "exec.wb_port" Exec [ "alu"; "imul"; "div"; "mem" ];
     p_issue_alu =
       pt ~single_valid:true "exec.issue_alu" Exec
@@ -170,7 +170,7 @@ let make_save () =
 (* Grow [q] so it holds at least [n] requests. *)
 let reserve q n =
   if n > Array.length q.ids then begin
-    let cap = max n (2 * Array.length q.ids) in
+    let cap = Int.max n (2 * Array.length q.ids) in
     let extend a fill =
       let b = Array.make cap fill in
       Array.blit a 0 b 0 q.len;
@@ -257,7 +257,7 @@ let arbitrate_writeback t =
     q.sources.(!j + 1) <- src;
     q.tainted.(!j + 1) <- tainted
   done;
-  let n = min (Array.length t.granted) q.len in
+  let n = Int.min (Array.length t.granted) q.len in
   for k = 0 to n - 1 do
     let i = q.len - 1 - k in
     t.granted.(k) <- q.ids.(i);

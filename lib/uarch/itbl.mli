@@ -7,7 +7,10 @@
     ([addr lsr offset_bits], lossless since the offset bits of a line
     address are zero), sub-point ids — so they are never negative.
     There is no [remove]: the models only add and overwrite entries within
-    a run, and {!clear} rewinds a table between runs. *)
+    a run, and {!clear} rewinds a table between runs.
+
+    A slot index lists where each binding lives, so {!clear}, {!keys} and
+    {!blit} cost what the table holds, not its capacity. *)
 
 type t
 
@@ -33,8 +36,8 @@ val replace : t -> int -> int -> unit
     @raise Invalid_argument on a negative key. *)
 
 val keys : t -> int array
-(** The bound keys, in slot order, which depends on the insertion history:
-    callers that need an order sort them. *)
+(** The bound keys, in insertion order (after a {!blit}, the source's):
+    callers that need another order sort them. *)
 
 val blit : src:t -> dst:t -> unit
 (** Make [dst] hold exactly [src]'s bindings, reusing [dst]'s arrays

@@ -94,7 +94,7 @@ let create (cfg : Config.t) reg ~cores =
     l2 = Cache.create cfg.l2;
     transfers = [];
     channel_busy_until = 0;
-    mshrs = Array.init cores (fun _ -> Array.make (max cfg.mshrs 1) None);
+    mshrs = Array.init cores (fun _ -> Array.make (Int.max cfg.mshrs 1) None);
     load_waiters = Array.init cores (fun _ -> Lines.create 16);
     store_waiters = Array.init cores (fun _ -> Lines.create 16);
     load_ready_tbl = Array.init cores (fun _ -> Itbl.create 32);
@@ -275,7 +275,7 @@ let enqueue_writeback t ~core ~line ~cycle ~tainted =
   let p = t.p_lb_write.(core) in
   let data = Int64.to_int line in
   Cpoint.request t.reg p ~tainted ~source:0 ~data;
-  let start = max cycle (t.write_lb_busy.(core) + 1) in
+  let start = Int.max cycle (t.write_lb_busy.(core) + 1) in
   let delay = start - cycle in
   if delay > 0 then Cpoint.request t.reg p ~tainted ~source:1 ~data;
   t.write_lb_busy.(core) <- start + write_lb_occupancy - 1;
@@ -488,7 +488,7 @@ let complete_transfer t tr ~cycle =
               let before = t.write_lb_busy.(tr.core) in
               enqueue_writeback t ~core:tr.core ~line:v.victim_addr ~cycle
                 ~tainted:tr.tainted;
-              6 + max 0 (before + 1 - cycle)
+              6 + Int.max 0 (before + 1 - cycle)
           | Some _ | None -> 0
         in
         (* Wake loads through the read line buffer: youngest first, one per

@@ -578,7 +578,7 @@ let test_auto_chunk () =
 let test_executor_chunk_validation () =
   let cfg = Sonar_uarch.Config.nutshell in
   checkb "chunk=0 rejected" true
-    (match Executor.execute_batch ~chunk:0 cfg [] with
+    (match Executor.execute_batch ~chunk:0 cfg [] (fun _ _ -> ()) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -624,7 +624,7 @@ let test_executor_scratch_allocates_less () =
   let rng = Rng.create 31L in
   let tcs = List.init 4 (fun i -> Testcase.random rng ~id:(i + 1) ~dual:false) in
   let cfg = Sonar_uarch.Config.boom in
-  ignore (Executor.execute_batch cfg tcs);
+  Executor.execute_batch cfg tcs (fun _ _ -> ());
   let fresh =
     minor_words_during (fun () ->
         List.iter
@@ -633,7 +633,10 @@ let test_executor_scratch_allocates_less () =
             ignore (Sonar_uarch.Machine.run cfg (Testcase.materialize tc ~secret:1)))
           tcs)
   in
-  let reused = minor_words_during (fun () -> ignore (Executor.execute_batch cfg tcs)) in
+  let reused =
+    minor_words_during (fun () ->
+        Executor.execute_batch cfg tcs (fun _ _ -> ()))
+  in
   checkb
     (Printf.sprintf "scratch path allocates less (fresh %.0f, reused %.0f)"
        fresh reused)
@@ -648,19 +651,40 @@ let test_executor_scratch_allocates_less () =
     (reused /. 8. < 45_000.)
 
 let test_executor_batch_matches_sequential () =
+  (* The callback sees every index once, in input order, with the pair
+     [run_pair] gives that testcase — sequentially and on a pool, for
+     single-testcase, partial and automatic slices. *)
   let rng = Rng.create 21L in
-  let tcs = List.init 6 (fun i -> Testcase.random rng ~id:(i + 1) ~dual:false) in
-  let cfg = Sonar_uarch.Config.nutshell in
-  let sequential = List.map (execute cfg) tcs in
-  let batched =
-    Sonar.Domain_pool.with_pool ~jobs:3 (fun pool ->
-        Executor.execute_batch ~pool cfg tcs)
-  in
-  checki "same length" (List.length sequential) (List.length batched);
-  List.iteri
-    (fun i (a, b) ->
-      checkb (Printf.sprintf "pair %d identical" i) true (a = b))
-    (List.combine sequential batched)
+  let tcs = List.init 7 (fun i -> Testcase.random rng ~id:(i + 1) ~dual:false) in
+  List.iter
+    (fun (cfg : Sonar_uarch.Config.t) ->
+      let expected = Array.of_list (List.map (execute cfg) tcs) in
+      let check_run label run =
+        let label = cfg.name ^ " " ^ label in
+        let seen = ref [] in
+        run (fun i pair ->
+            checkb (Printf.sprintf "%s: pair %d identical" label i) true
+              (pair = expected.(i));
+            seen := i :: !seen);
+        Alcotest.(check (list int))
+          (label ^ ": indices in order") (List.init 7 Fun.id) (List.rev !seen)
+      in
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun chunk ->
+              let label =
+                Printf.sprintf "jobs=%d chunk=%s" jobs
+                  (match chunk with Some c -> string_of_int c | None -> "auto")
+              in
+              if jobs = 1 then
+                check_run label (Executor.execute_batch ?chunk cfg tcs)
+              else
+                Sonar.Domain_pool.with_pool ~jobs (fun pool ->
+                    check_run label (Executor.execute_batch ~pool ?chunk cfg tcs)))
+            [ Some 1; Some 4; None ])
+        [ 1; 3 ])
+    [ Sonar_uarch.Config.nutshell; Sonar_uarch.Config.boom ]
 
 let test_domain_pool_basics () =
   Sonar.Domain_pool.with_pool ~jobs:2 (fun pool ->

@@ -503,6 +503,43 @@ let test_trace_jobs_deterministic () =
         [ None; Some 1; Some 4; Some batch ])
     [ 1; 2; 3 ]
 
+let test_fold_events_follow_execution () =
+  (* The loop folds each testcase as its pair arrives but holds the fold's
+     events until the generation's last testcase_executed, so a generation
+     reads: all its executions, then all its fold events. *)
+  List.iter
+    (fun jobs ->
+      let events = ref [] in
+      let sink = Telemetry.make (fun ev -> events := ev :: !events) in
+      ignore (campaign ~sinks:[ sink ] ~batch:8 ~jobs ~iterations:40 ());
+      let folds = ref 0 in
+      (* Per generation: testcases executed so far, and whether a fold
+         event has been seen. *)
+      let executed = ref 0 and folding = ref false in
+      List.iter
+        (fun ev ->
+          match ev with
+          | Telemetry.Generation_start _ ->
+              executed := 0;
+              folding := false
+          | Telemetry.Testcase_executed { testcase_id; _ } ->
+              checkb
+                (Printf.sprintf "jobs=%d: testcase %d executed before any fold"
+                   jobs testcase_id)
+                false !folding;
+              incr executed
+          | Telemetry.Contention_triggered _ | Telemetry.Ccd_finding _
+          | Telemetry.Corpus_retained _ | Telemetry.Corpus_evicted _
+          | Telemetry.Mutation_flip _ ->
+              checki (Printf.sprintf "jobs=%d: whole generation executed" jobs)
+                8 !executed;
+              folding := true;
+              incr folds
+          | _ -> ())
+        (List.rev !events);
+      checkb (Printf.sprintf "jobs=%d: fold events seen" jobs) true (!folds > 0))
+    [ 1; 2 ]
+
 let test_jsonl_timings_opt_in () =
   let count ~timings =
     let phases = ref 0 and spans = ref 0 in
@@ -1128,6 +1165,8 @@ let () =
           Alcotest.test_case "jsonl round-trips" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "trace identical across jobs" `Quick
             test_trace_jobs_deterministic;
+          Alcotest.test_case "fold events follow a generation's executions"
+            `Quick test_fold_events_follow_execution;
           Alcotest.test_case "timings are opt-in" `Quick test_jsonl_timings_opt_in;
           Alcotest.test_case "jsonl file writer" `Quick test_jsonl_file_writes;
           Alcotest.test_case "campaign_end footer" `Quick

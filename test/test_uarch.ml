@@ -545,56 +545,68 @@ let prop_diff_snapshots_positional =
   QCheck2.Test.make ~name:"positional snapshot diff = name-table diff"
     ~count:500 gen (fun (a, b) -> Cpoint.diff_snapshots a b = diff_by_name a b)
 
-(* [Itbl] against [Hashtbl] over random operation sequences on a small key
-   range, so bindings collide and the table grows; lookups also try
-   negative keys, which are never bound. *)
+(* Three [Itbl]s of different starting capacities against [Hashtbl]
+   models under random replace/find/clear/blit sequences on a small key
+   range, so bindings collide, tables grow between blits, and blits copy
+   into smaller, equal and larger tables (and onto themselves). Lookups
+   also try negative keys, which are never bound. After every operation
+   each table has its model's length, bindings, and keys in
+   first-insertion order (a blit copies its source's order). *)
 let prop_itbl_matches_hashtbl =
   let gen =
     let open QCheck2.Gen in
     list_size (int_range 0 200)
       (frequency
          [
-           (6, map2 (fun k v -> `Replace (k, v)) (int_bound 300) (int_bound 9));
-           (3, map (fun k -> `Find k) (int_range (-2) 300));
-           (1, pure `Clear);
-           (1, pure `Save);
-           (1, pure `Load);
+           ( 6,
+             map3 (fun i k v -> `Replace (i, k, v)) (int_bound 2) (int_bound 400)
+               (int_bound 9) );
+           (3, map2 (fun i k -> `Find (i, k)) (int_bound 2) (int_range (-2) 400));
+           (1, map (fun i -> `Clear i) (int_bound 2));
+           (2, map2 (fun i j -> `Blit (i, j)) (int_bound 2) (int_bound 2));
          ])
   in
   QCheck2.Test.make ~name:"Itbl = Hashtbl" ~count:300 gen (fun ops ->
-      let t = Itbl.create 2 and saved = Itbl.create 0 in
-      let model = Hashtbl.create 8 and model_saved = ref (Hashtbl.create 8) in
-      let bindings () =
-        Itbl.keys t |> Array.to_list
-        |> List.map (fun k -> (k, Itbl.find t k ~default:(-1)))
-        |> List.sort compare
+      let tables = [| Itbl.create 0; Itbl.create 8; Itbl.create 100 |] in
+      (* Per table: its bindings, and its keys newest first. *)
+      let models = Array.init 3 (fun _ -> (Hashtbl.create 8, ref [])) in
+      let agrees i =
+        let t = tables.(i) and model, order = models.(i) in
+        Itbl.length t = Hashtbl.length model
+        && Array.to_list (Itbl.keys t) = List.rev !order
+        && Hashtbl.fold
+             (fun k v ok -> ok && Itbl.mem t k && Itbl.find t k ~default:(-1) = v)
+             model true
       in
       List.for_all
         (fun op ->
           (match op with
-          | `Replace (k, v) ->
-              Itbl.replace t k v;
-              Hashtbl.replace model k v
+          | `Replace (i, k, v) ->
+              let model, order = models.(i) in
+              if not (Hashtbl.mem model k) then order := k :: !order;
+              Hashtbl.replace model k v;
+              Itbl.replace tables.(i) k v
           | `Find _ -> ()
-          | `Clear ->
-              Itbl.clear t;
-              Hashtbl.reset model
-          | `Save ->
-              Itbl.blit ~src:t ~dst:saved;
-              model_saved := Hashtbl.copy model
-          | `Load ->
-              Itbl.blit ~src:saved ~dst:t;
+          | `Clear i ->
+              let model, order = models.(i) in
               Hashtbl.reset model;
-              Hashtbl.iter (Hashtbl.replace model) !model_saved);
+              order := [];
+              Itbl.clear tables.(i)
+          | `Blit (i, j) ->
+              let src, src_order = models.(i) and dst, dst_order = models.(j) in
+              let copy = Hashtbl.copy src in
+              Hashtbl.reset dst;
+              Hashtbl.iter (Hashtbl.replace dst) copy;
+              dst_order := !src_order;
+              Itbl.blit ~src:tables.(i) ~dst:tables.(j));
           (match op with
-          | `Find k ->
-              Itbl.find t k ~default:(-7)
+          | `Find (i, k) ->
+              let model, _ = models.(i) in
+              Itbl.find tables.(i) k ~default:(-7)
               = Option.value ~default:(-7) (Hashtbl.find_opt model k)
-              && Itbl.mem t k = Hashtbl.mem model k
+              && Itbl.mem tables.(i) k = Hashtbl.mem model k
           | _ -> true)
-          && Itbl.length t = Hashtbl.length model
-          && bindings ()
-             = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+          && agrees 0 && agrees 1 && agrees 2)
         ops)
 
 (* --- Machine --- *)
