@@ -740,6 +740,44 @@ let engine_bench () =
     (alloc_per_kcycle Sonar_rtlsim.Engine.Compiled);
   Printf.printf "  bit-sliced  %12.0f (63 lanes per step)\n%!"
     (alloc_per_kcycle Sonar_rtlsim.Engine.Bitsliced);
+  (* The same with stimulus: every input driven by name with a fresh LCG
+     value before each step ([poke_int] on Compiled, [poke_lanes] on
+     Bitsliced). CI gates both below 64 words. *)
+  let lcg s = ((s * 1103515245) + 12345) land 0x3FFFFFFF in
+  let stimulus_words_per_kcycle backend =
+    let m = first instr in
+    let e = Sonar_rtlsim.Engine.compile ~backend m in
+    let inputs = Array.of_list (List.map fst (Sonar_ir.Fmodule.inputs m)) in
+    let buf = Array.make (Sonar_rtlsim.Engine.lanes e) 0 in
+    let state = ref 1 in
+    let poke =
+      match backend with
+      | Sonar_rtlsim.Engine.Bitsliced -> fun n -> Sonar_rtlsim.Engine.poke_lanes e n buf
+      | Sonar_rtlsim.Engine.Tree | Sonar_rtlsim.Engine.Compiled ->
+          fun n -> Sonar_rtlsim.Engine.poke_int e n buf.(0)
+    in
+    let cycle () =
+      for i = 0 to Array.length inputs - 1 do
+        for l = 0 to Array.length buf - 1 do
+          state := lcg !state;
+          buf.(l) <- !state
+        done;
+        poke inputs.(i)
+      done;
+      Sonar_rtlsim.Engine.step e
+    in
+    cycle ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      cycle ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let stim_compiled = stimulus_words_per_kcycle Sonar_rtlsim.Engine.Compiled in
+  let stim_bitsliced = stimulus_words_per_kcycle Sonar_rtlsim.Engine.Bitsliced in
+  Printf.printf "minor-heap words / 1000 cycles of poke-every-input + step:\n";
+  Printf.printf "  compiled    %12.0f (poke_int)\n" stim_compiled;
+  Printf.printf "  bit-sliced  %12.0f (poke_lanes)\n%!" stim_bitsliced;
   (* Differential: every module of both instrumented DUT netlists, stepped
      under a deterministic input stimulus on both backends, must expose
      bit-identical signal values every cycle. *)
@@ -797,7 +835,6 @@ let engine_bench () =
   let lanes = Sonar_rtlsim.Engine.max_lanes in
   let m = first instr in
   let bs_inputs = List.map fst (Sonar_ir.Fmodule.inputs m) in
-  let lcg s = ((s * 1103515245) + 12345) land 0x3FFFFFFF in
   let seed_of lane = (0xB05 + (31 * lane)) lor 1 in
   let verify_cycles = if smoke then 40 else 200 in
   let lanes_identical =
@@ -903,6 +940,8 @@ let engine_bench () =
         ("lane_cycles_per_sec_sequential", Sonar.Json.Float cps_seq);
         ("lane_cycles_per_sec_bitsliced", Sonar.Json.Float cps_batch);
         ("batch_speedup", Sonar.Json.Float batch_speedup);
+        ("stimulus_words_per_kcycle_compiled", Sonar.Json.Float stim_compiled);
+        ("stimulus_words_per_kcycle_bitsliced", Sonar.Json.Float stim_bitsliced);
       ]
   in
   let oc = open_out "BENCH_engine.json" in

@@ -17,7 +17,7 @@ let max_lanes = 63
    its result without flambda, putting an allocation on the per-cycle hot
    path; the native-int store is what makes [step] allocation-free.)
 
-   Two backends share the store:
+   Three backends share the store:
 
    - [Tree]: the original tree-walking interpreter over [Expr.t], boxing a
      [Bitvec.t] per intermediate value. Kept as the reference oracle for
@@ -25,7 +25,7 @@ let max_lanes = 63
      compares against.
    - [Compiled]: each levelized expression is lowered once to an
      index-resolved closure [unit -> int] over the store, with widths and
-     masks resolved statically. [step] then runs two flat closure sweeps
+     masks resolved statically. [step] then runs one flat closure sweep
      plus a register latch through a preallocated scratch array — no
      hashtable lookups, no [Bitvec] boxing, no per-cycle allocation.
    - [Bitsliced]: the store is transposed into bit planes — each signal
@@ -38,12 +38,22 @@ let max_lanes = 63
      latch is the same preallocated scratch-array swap, so [step] stays
      allocation-free while advancing 63 testcases per call. *)
 
+(* Name -> slot tables. [equal] tries physical equality first: stimulus
+   usually pokes with the very strings the module declared (the names
+   [Fmodule.inputs] returns), so a hit rarely compares bytes. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal a b = a == b || String.equal a b
+  let hash (s : string) = Hashtbl.hash s
+end)
+
 type t = {
   store : int array;  (** slot -> current value (63-bit pattern, masked) *)
   widths : int array;  (** slot -> width *)
   names : string array;  (** slot -> name, declaration order *)
-  slots : (string, int) Hashtbl.t;
-  is_input : bool array;
+  slots : int Names.t;
+  inputs : int Names.t;  (** input names only: the poke path's table *)
   comb_slots : int array;  (** combinational signals, levelized order *)
   comb_exprs : Expr.t array;
   comb_fns : (unit -> int) array;  (** [Compiled] only; value pre-masked *)
@@ -59,89 +69,21 @@ type t = {
   bs_reg_fns : (unit -> unit) array;  (** [Bitsliced]: write reg scratch *)
   bs_reg_scratch : int array array;  (** per-register plane scratch, reused *)
   backend : backend;
+  mutable settled : bool;
+      (** combinational signals agree with the current inputs and
+          registers; false after [compile], pokes, [reset] and the
+          register latch *)
   mutable cycles : int;
 }
 
 let backend t = t.backend
 
-(* --- slot API --- *)
-
 let slot t name =
-  match Hashtbl.find_opt t.slots name with
-  | Some s -> s
-  | None -> raise (Unknown_signal name)
+  match Names.find t.slots name with
+  | s -> s
+  | exception Not_found -> raise (Unknown_signal name)
 
 let slot_width t s = t.widths.(s)
-
-(* Re-assemble one lane's value from a signal's planes: bit [b] of the
-   result is bit [lane] of plane [b]. Allocation-free; for width-63
-   signals the top plane lands on the native sign bit, preserving
-   [read_slot]'s signed-pattern semantics. *)
-let plane_read_lane (planes : int array) ~lane =
-  let v = ref 0 in
-  for b = Array.length planes - 1 downto 0 do
-    v := (!v lsl 1) lor ((Array.unsafe_get planes b lsr lane) land 1)
-  done;
-  !v
-
-let read_slot t s =
-  match t.backend with
-  | Tree | Compiled -> t.store.(s)
-  | Bitsliced -> plane_read_lane t.planes.(s) ~lane:0
-
-let read_slot64 t s =
-  (* Stored values are masked to <= 63 bits, so clearing the sign-extension
-     bit of [of_int] recovers the unsigned value. *)
-  Int64.logand (Int64.of_int (read_slot t s)) 0x7FFF_FFFF_FFFF_FFFFL
-
-let lanes t = match t.backend with Bitsliced -> max_lanes | Tree | Compiled -> 1
-
-let read_slot_lane t s ~lane =
-  match t.backend with
-  | Bitsliced ->
-      if lane < 0 || lane >= max_lanes then
-        invalid_arg "Engine.read_slot_lane: lane out of range";
-      plane_read_lane t.planes.(s) ~lane
-  | Tree | Compiled ->
-      if lane <> 0 then
-        invalid_arg "Engine.read_slot_lane: scalar backend has a single lane";
-      t.store.(s)
-
-let read_slot_mask t s =
-  match t.backend with
-  | Bitsliced ->
-      let p = t.planes.(s) in
-      let acc = ref 0 in
-      for b = 0 to Array.length p - 1 do
-        acc := !acc lor Array.unsafe_get p b
-      done;
-      !acc
-  | Tree | Compiled -> if t.store.(s) <> 0 then 1 else 0
-
-let read_slot_lanes_into t s (dst : int array) =
-  let n = Array.length dst in
-  match t.backend with
-  | Bitsliced ->
-      if n > max_lanes then
-        invalid_arg "Engine.read_slot_lanes_into: more than 63 lanes";
-      Array.fill dst 0 n 0;
-      let p = t.planes.(s) in
-      for b = 0 to Array.length p - 1 do
-        let pb = Array.unsafe_get p b in
-        for lane = 0 to n - 1 do
-          Array.unsafe_set dst lane
-            (Array.unsafe_get dst lane lor (((pb lsr lane) land 1) lsl b))
-        done
-      done
-  | Tree | Compiled ->
-      if n <> 1 then
-        invalid_arg "Engine.read_slot_lanes_into: scalar backend has one lane";
-      dst.(0) <- t.store.(s)
-
-let read_slot_lanes t s =
-  let dst = Array.make (lanes t) 0 in
-  read_slot_lanes_into t s dst;
-  dst
 
 (* --- native-int bit operations (mirroring Bitvec) --- *)
 
@@ -155,8 +97,6 @@ let check_width w =
   w
 
 let to_native (v : Bitvec.t) = Int64.to_int (Bitvec.value v)
-
-let of_native t s = Bitvec.make ~width:t.widths.(s) (Int64.of_int (read_slot t s))
 
 (* --- width inference, mirroring Bitvec's result widths --- *)
 
@@ -184,9 +124,13 @@ let rec infer_width_of lookup expr =
 
 (* --- tree-walking interpreter (the reference oracle) --- *)
 
+(* Reads the store directly, not through the settling public reads: [eval]
+   runs inside [settle]. *)
 let rec eval t expr =
   match expr with
-  | Expr.Ref name -> of_native t (slot t name)
+  | Expr.Ref name ->
+      let s = slot t name in
+      Bitvec.make ~width:t.widths.(s) (Int64.of_int t.store.(s))
   | Expr.Lit { value; width } -> Bitvec.make ~width value
   | Expr.Mux { sel; tval; fval } ->
       (* Both branches are padded to the mux's result width (the wider of
@@ -635,7 +579,7 @@ let compile_bs_reg t ~idx ~slot:s drive =
 (* Broadcast a scalar 63-bit pattern to all 63 lanes of a plane array. *)
 let broadcast_planes (dst : int array) v =
   for b = 0 to Array.length dst - 1 do
-    dst.(b) <- (if (v lsr b) land 1 = 1 then -1 else 0)
+    dst.(b) <- -((v lsr b) land 1)
   done
 
 (* --- settle / step --- *)
@@ -660,14 +604,20 @@ let settle_bitsliced t =
     (Array.unsafe_get fns i) ()
   done
 
+(* Evaluation is lazy: whatever changes an input or a register clears
+   [settled], and [settle] — called by [step] and by every public read —
+   re-evaluates only then. A cycle of pokes, a step and any number of
+   reads therefore settles once. *)
 let settle t =
-  match t.backend with
-  | Tree -> settle_tree t
-  | Compiled -> settle_compiled t
-  | Bitsliced -> settle_bitsliced t
+  if not t.settled then begin
+    (match t.backend with
+    | Tree -> settle_tree t
+    | Compiled -> settle_compiled t
+    | Bitsliced -> settle_bitsliced t);
+    t.settled <- true
+  end
 
-let step_tree t =
-  settle_tree t;
+let latch_tree t =
   let n = Array.length t.reg_slots in
   for i = 0 to n - 1 do
     let s = t.reg_slots.(i) in
@@ -678,11 +628,9 @@ let step_tree t =
   done;
   for i = 0 to n - 1 do
     t.store.(t.reg_slots.(i)) <- t.scratch.(i)
-  done;
-  settle_tree t
+  done
 
-let step_compiled t =
-  settle_compiled t;
+let latch_compiled t =
   let fns = t.reg_fns and slots = t.reg_slots in
   let scratch = t.scratch and st = t.store in
   let n = Array.length slots in
@@ -691,11 +639,9 @@ let step_compiled t =
   done;
   for i = 0 to n - 1 do
     Array.unsafe_set st (Array.unsafe_get slots i) (Array.unsafe_get scratch i)
-  done;
-  settle_compiled t
+  done
 
-let step_bitsliced t =
-  settle_bitsliced t;
+let latch_bitsliced t =
   let fns = t.bs_reg_fns in
   for i = 0 to Array.length fns - 1 do
     (Array.unsafe_get fns i) ()
@@ -704,15 +650,92 @@ let step_bitsliced t =
   for i = 0 to Array.length slots - 1 do
     let src = Array.unsafe_get scratch i in
     Array.blit src 0 t.planes.(Array.unsafe_get slots i) 0 (Array.length src)
-  done;
-  settle_bitsliced t
+  done
 
 let step t =
+  settle t;
   (match t.backend with
-  | Tree -> step_tree t
-  | Compiled -> step_compiled t
-  | Bitsliced -> step_bitsliced t);
+  | Tree -> latch_tree t
+  | Compiled -> latch_compiled t
+  | Bitsliced -> latch_bitsliced t);
+  t.settled <- false;
   t.cycles <- t.cycles + 1
+
+(* --- slot reads (each settles first) --- *)
+
+(* Re-assemble one lane's value from a signal's planes: bit [b] of the
+   result is bit [lane] of plane [b]. Allocation-free; for width-63
+   signals the top plane lands on the native sign bit, preserving
+   [read_slot]'s signed-pattern semantics. *)
+let plane_read_lane (planes : int array) ~lane =
+  let v = ref 0 in
+  for b = Array.length planes - 1 downto 0 do
+    v := (!v lsl 1) lor ((Array.unsafe_get planes b lsr lane) land 1)
+  done;
+  !v
+
+let read_slot t s =
+  settle t;
+  match t.backend with
+  | Tree | Compiled -> t.store.(s)
+  | Bitsliced -> plane_read_lane t.planes.(s) ~lane:0
+
+let read_slot64 t s =
+  (* Stored values are masked to <= 63 bits, so clearing the sign-extension
+     bit of [of_int] recovers the unsigned value. *)
+  Int64.logand (Int64.of_int (read_slot t s)) 0x7FFF_FFFF_FFFF_FFFFL
+
+let lanes t = match t.backend with Bitsliced -> max_lanes | Tree | Compiled -> 1
+
+let read_slot_lane t s ~lane =
+  settle t;
+  match t.backend with
+  | Bitsliced ->
+      if lane < 0 || lane >= max_lanes then
+        invalid_arg "Engine.read_slot_lane: lane out of range";
+      plane_read_lane t.planes.(s) ~lane
+  | Tree | Compiled ->
+      if lane <> 0 then
+        invalid_arg "Engine.read_slot_lane: scalar backend has a single lane";
+      t.store.(s)
+
+let read_slot_mask t s =
+  settle t;
+  match t.backend with
+  | Bitsliced ->
+      let p = t.planes.(s) in
+      let acc = ref 0 in
+      for b = 0 to Array.length p - 1 do
+        acc := !acc lor Array.unsafe_get p b
+      done;
+      !acc
+  | Tree | Compiled -> if t.store.(s) <> 0 then 1 else 0
+
+let read_slot_lanes_into t s (dst : int array) =
+  settle t;
+  let n = Array.length dst in
+  match t.backend with
+  | Bitsliced ->
+      if n > max_lanes then
+        invalid_arg "Engine.read_slot_lanes_into: more than 63 lanes";
+      Array.fill dst 0 n 0;
+      let p = t.planes.(s) in
+      for b = 0 to Array.length p - 1 do
+        let pb = Array.unsafe_get p b in
+        for lane = 0 to n - 1 do
+          Array.unsafe_set dst lane
+            (Array.unsafe_get dst lane lor (((pb lsr lane) land 1) lsl b))
+        done
+      done
+  | Tree | Compiled ->
+      if n <> 1 then
+        invalid_arg "Engine.read_slot_lanes_into: scalar backend has one lane";
+      dst.(0) <- t.store.(s)
+
+let read_slot_lanes t s =
+  let dst = Array.make (lanes t) 0 in
+  read_slot_lanes_into t s dst;
+  dst
 
 (* --- compilation --- *)
 
@@ -728,7 +751,8 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
     | Some enter -> enter "engine.compile"
   in
   Fun.protect ~finally:finish @@ fun () ->
-  let slots = Hashtbl.create 128 in
+  let slots = Names.create 128 in
+  let inputs = Names.create 16 in
   let decls = Hashtbl.create 128 in
   List.iter
     (fun s ->
@@ -739,12 +763,11 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
   let rev_names = ref [] in
   let n_slots = ref 0 in
   let widths_tbl = Hashtbl.create 128 in
-  let inputs_tbl = Hashtbl.create 16 in
   let declare name width is_input =
-    if not (Hashtbl.mem slots name) then begin
-      Hashtbl.replace slots name !n_slots;
+    if not (Names.mem slots name) then begin
+      Names.replace slots name !n_slots;
       Hashtbl.replace widths_tbl name width;
-      if is_input then Hashtbl.replace inputs_tbl name ();
+      if is_input then Names.replace inputs name !n_slots;
       rev_names := name :: !rev_names;
       incr n_slots
     end
@@ -779,9 +802,8 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
     order_names;
   let names = Array.of_list (List.rev !rev_names) in
   let widths = Array.map (fun n -> Hashtbl.find widths_tbl n) names in
-  let is_input = Array.map (fun n -> Hashtbl.mem inputs_tbl n) names in
   let comb_slots =
-    Array.of_list (List.map (fun n -> Hashtbl.find slots n) order_names)
+    Array.of_list (List.map (fun n -> Names.find slots n) order_names)
   in
   let comb_exprs =
     Array.of_list (List.map (fun n -> Hashtbl.find defs n) order_names)
@@ -793,7 +815,7 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
         | Stmt.Reg { name; reset; _ } ->
             let drive = Option.join (Hashtbl.find_opt reg_table name) in
             let reset = Option.value ~default:0L reset in
-            Some (Hashtbl.find slots name, drive, reset)
+            Some (Names.find slots name, drive, reset)
         | _ -> None)
       m.Fmodule.stmts
   in
@@ -811,7 +833,7 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
       widths;
       names;
       slots;
-      is_input;
+      inputs;
       comb_slots;
       comb_exprs;
       comb_fns = [||];
@@ -830,6 +852,7 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
            Array.map (fun s -> Array.make widths.(s) 0) reg_slots
          else [||]);
       backend;
+      settled = false;
       cycles = 0;
     }
   in
@@ -885,7 +908,8 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
         in
         { t with bs_comb_fns; bs_reg_fns }
   in
-  (* Initialise registers to reset values and settle once. *)
+  (* Initialise registers to reset values; the first read or step
+     settles. *)
   (match t.backend with
   | Tree | Compiled ->
       Array.iteri (fun i s -> t.store.(s) <- t.reg_resets.(i)) t.reg_slots
@@ -893,28 +917,33 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
       Array.iteri
         (fun i s -> broadcast_planes t.planes.(s) t.reg_resets.(i))
         t.reg_slots);
-  settle t;
   t
 
 (* --- peek / poke / reset --- *)
 
+(* Resolve a poke target through the input-only table: one lookup, no
+   allocation. A miss is either an unknown name or a non-input. *)
 let input_slot t name =
-  let s = slot t name in
-  if not t.is_input.(s) then raise (Unknown_signal (name ^ " is not an input"));
-  s
+  match Names.find t.inputs name with
+  | s -> s
+  | exception Not_found ->
+      let (_ : int) = slot t name in
+      raise (Unknown_signal (name ^ " is not an input"))
 
-let poke t name v =
-  let s = input_slot t name in
-  let nv = to_native (Bitvec.pad t.widths.(s) v) in
-  match t.backend with
-  | Tree | Compiled -> t.store.(s) <- nv
+(* Drive input slot [s] with [v] masked to its width, on every lane. *)
+let poke_slot t s v =
+  let v = v land native_mask t.widths.(s) in
+  (match t.backend with
+  | Tree | Compiled -> t.store.(s) <- v
   | Bitsliced ->
       (* Scalar pokes broadcast to every lane, so lane-oblivious consumers
-         (the VCD writer, single-stimulus tests) keep working unchanged. *)
-      broadcast_planes t.planes.(s) nv
+         (single-stimulus tests, the scalar monitor) keep working
+         unchanged. *)
+      broadcast_planes t.planes.(s) v);
+  t.settled <- false
 
-let poke_int t name v =
-  poke t name (Bitvec.make ~width:t.widths.(slot t name) (Int64.of_int v))
+let poke_int t name v = poke_slot t (input_slot t name) v
+let poke t name v = poke_int t name (to_native v)
 
 let poke_lane t name ~lane v =
   let s = input_slot t name in
@@ -928,11 +957,34 @@ let poke_lane t name ~lane v =
       for b = 0 to Array.length p - 1 do
         if (v lsr b) land 1 = 1 then p.(b) <- p.(b) lor m
         else p.(b) <- p.(b) land nm
-      done
+      done;
+      t.settled <- false
   | Tree | Compiled ->
       if lane <> 0 then
         invalid_arg "Engine.poke_lane: scalar backend has a single lane";
-      poke_int t name v
+      poke_slot t s v
+
+(* Bit [b] of lane [lane]'s value. *)
+let lane_bit (vals : int array) b lane = (Array.unsafe_get vals lane lsr b) land 1
+
+(* Transpose a full batch of [max_lanes] values into [planes]. Each plane
+   gathers its lanes in four quarters (lanes 0-15, 16-31, 32-47, 48-62),
+   each into its own accumulator that shifts in one lane at a time from
+   the top, so the four gathers overlap instead of chaining through one
+   register and no lane needs a variable shift; [poke_lanes] checked the
+   batch length. *)
+let transpose_full (vals : int array) (planes : int array) =
+  for b = 0 to Array.length planes - 1 do
+    let q0 = ref (lane_bit vals b 15) and q1 = ref (lane_bit vals b 31) in
+    let q2 = ref (lane_bit vals b 47) and q3 = ref 0 in
+    for i = 14 downto 0 do
+      q0 := (!q0 lsl 1) lor lane_bit vals b i;
+      q1 := (!q1 lsl 1) lor lane_bit vals b (i + 16);
+      q2 := (!q2 lsl 1) lor lane_bit vals b (i + 32);
+      q3 := (!q3 lsl 1) lor lane_bit vals b (i + 48)
+    done;
+    Array.unsafe_set planes b (!q0 lor (!q1 lsl 16) lor (!q2 lsl 32) lor (!q3 lsl 48))
+  done
 
 let poke_lanes t name vals =
   let s = input_slot t name in
@@ -941,38 +993,44 @@ let poke_lanes t name vals =
       let n = Array.length vals in
       if n > max_lanes then invalid_arg "Engine.poke_lanes: more than 63 lanes";
       let p = t.planes.(s) in
-      for b = 0 to Array.length p - 1 do
-        let m = ref 0 in
-        for lane = 0 to n - 1 do
-          m := !m lor (((vals.(lane) lsr b) land 1) lsl lane)
+      if n = max_lanes then transpose_full vals p
+      else
+        for b = 0 to Array.length p - 1 do
+          let m = ref 0 in
+          for lane = 0 to n - 1 do
+            m := !m lor (((vals.(lane) lsr b) land 1) lsl lane)
+          done;
+          p.(b) <- !m
         done;
-        p.(b) <- !m
-      done
+      t.settled <- false
   | Tree | Compiled ->
       if Array.length vals <> 1 then
         invalid_arg "Engine.poke_lanes: scalar backend has a single lane";
-      poke_int t name vals.(0)
+      poke_slot t s vals.(0)
 
-let peek t name = of_native t (slot t name)
 let peek_int t name = read_slot t (slot t name)
+
+let peek t name =
+  let s = slot t name in
+  Bitvec.make ~width:t.widths.(s) (Int64.of_int (read_slot t s))
+
 let cycle t = t.cycles
 
 let reset t =
   (match t.backend with
   | Tree | Compiled ->
       Array.iteri (fun i s -> t.store.(s) <- t.reg_resets.(i)) t.reg_slots;
-      Array.iteri (fun s inp -> if inp then t.store.(s) <- 0) t.is_input
+      Names.iter (fun _ s -> t.store.(s) <- 0) t.inputs
   | Bitsliced ->
       Array.iteri
         (fun i s -> broadcast_planes t.planes.(s) t.reg_resets.(i))
         t.reg_slots;
-      Array.iteri
-        (fun s inp ->
-          if inp then
-            let p = t.planes.(s) in
-            Array.fill p 0 (Array.length p) 0)
-        t.is_input);
-  settle t;
+      Names.iter
+        (fun _ s ->
+          let p = t.planes.(s) in
+          Array.fill p 0 (Array.length p) 0)
+        t.inputs);
+  t.settled <- false;
   t.cycles <- 0
 
 let signal_names t = Array.to_list t.names

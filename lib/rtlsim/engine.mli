@@ -7,6 +7,14 @@
     standard two-phase synchronous semantics, the same evaluation model
     Verilator gives the paper.
 
+    Combinational evaluation is lazy. {!compile}, a poke, {!reset} and the
+    register latch mark the combinational signals stale; {!step} and every
+    read ({!peek}, {!peek_int}, {!read_slot}, {!read_slot_mask} and the
+    lane reads) settle first if they are stale, and a settle with nothing
+    stale returns at once. So a cycle of pokes, a step and any number of
+    reads evaluates the logic once, and a read always sees values
+    consistent with the latest pokes.
+
     Three backends share the compile/step API:
 
     - {!Compiled} (the default): every levelized expression is lowered once
@@ -54,14 +62,22 @@ val poke : t -> string -> Bitvec.t -> unit
 (** Drive an input. @raise Unknown_signal if not an input. *)
 
 val poke_int : t -> string -> int -> unit
+(** Drive an input with an int, masked to the input's width (a negative
+    int drives its two's-complement bits). One lookup in a table of the
+    module's inputs; allocation-free. @raise Unknown_signal if not an
+    input. *)
 
 val step : t -> unit
-(** Advance one clock cycle: settle combinational logic, latch registers.
-    On the {!Compiled} backend this performs zero heap allocation. *)
+(** Advance one clock cycle: settle combinational logic if it is stale,
+    then latch registers. The latch leaves the combinational logic stale;
+    the next read or step settles it. On the {!Compiled} and {!Bitsliced}
+    backends stepping and poking perform no heap allocation. *)
 
 val settle : t -> unit
-(** Re-evaluate combinational logic without latching (to observe outputs
-    after a {!poke} mid-cycle). *)
+(** Evaluate combinational logic now, if anything changed since the last
+    settle. Reads settle on their own, so this is never needed for
+    correct values; call it to choose where the evaluation cost is paid
+    (for example, before a timed region of reads). *)
 
 val peek : t -> string -> Bitvec.t
 (** Read any signal's current value. @raise Unknown_signal *)
@@ -75,13 +91,13 @@ val reset : t -> unit
     inputs, and rewind the cycle counter. *)
 
 val signal_names : t -> string list
-(** All signals, in declaration order (used by the VCD writer). *)
+(** All signals, in declaration order. *)
 
 (** {2 Slot API}
 
-    Consumers on the per-cycle path (the runtime monitor, the VCD writer)
-    resolve names to slots once and then read slots directly — no string
-    hashing per sample. *)
+    Consumers on the per-cycle path (the runtime monitor) resolve names to
+    slots once and then read slots directly — no string hashing per
+    sample. *)
 
 val slot : t -> string -> int
 (** Resolve a signal name to its slot. @raise Unknown_signal *)
@@ -118,8 +134,12 @@ val poke_lane : t -> string -> lane:int -> int -> unit
     @raise Invalid_argument if [lane] is out of range. *)
 
 val poke_lanes : t -> string -> int array -> unit
-(** Bulk transpose-in: drive an input with one value per lane. Lanes past
-    the array's length are driven to 0. *)
+(** Bulk transpose-in: drive an input with one value per lane (values
+    masked to the input's width). Lanes past the array's length are
+    driven to 0. Allocation-free.
+    @raise Unknown_signal if not an input.
+    @raise Invalid_argument if the array holds more than {!lanes} values,
+    or on a scalar backend anything but one value. *)
 
 val read_slot_lane : t -> int -> lane:int -> int
 (** One lane's value of a slot, with {!read_slot}'s signed width-63

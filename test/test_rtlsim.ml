@@ -1,5 +1,5 @@
-(* Tests for the bit-vector, levelization, simulation engine, runtime
-   monitor and VCD writer. *)
+(* Tests for the bit-vector, levelization, simulation engine and runtime
+   monitor. *)
 
 open Sonar_rtlsim
 
@@ -213,24 +213,56 @@ let test_cat_overflow_compile_time () =
     ]
 
 (* Acceptance gate: a compiled or bit-sliced [step] performs no per-cycle
-   heap allocation attributable to value traffic. The slack below covers
-   the constant-size boxes of the [Gc.minor_words] calls themselves; any
-   per-cycle allocation would show up as >= 1 word x 1000 cycles. *)
+   heap allocation attributable to value traffic, and neither does driving
+   every input by name before it ([poke_int] on Compiled, [poke_lanes] on
+   Bitsliced). The slack below covers the constant-size boxes of the
+   [Gc.minor_words] calls themselves; any per-cycle or per-poke allocation
+   would show up as >= 1 word x 1000 cycles. *)
 let test_step_no_alloc () =
+  let under_slack what name words =
+    checkb
+      (Printf.sprintf "allocation-free %s %s (%.0f minor words / 1000 cycles)"
+         name what words)
+      true (words < 64.)
+  in
+  let words_over_1000 f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let stimulus_module =
+    let c = Sonar_dut.Netlist_gen.generate ~scale:0.01 ~pad:false Sonar_uarch.Config.boom in
+    List.hd (Sonar_ir.Instrument.instrument c).Sonar_ir.Instrument.circuit.Sonar_ir.Circuit.modules
+  in
+  let inputs = Array.of_list (List.map fst (Sonar_ir.Fmodule.inputs stimulus_module)) in
+  checkb "stimulus module has several inputs" true (Array.length inputs > 4);
   List.iter
     (fun (name, backend) ->
       let e = Engine.compile ~backend counter_module in
       Engine.poke_int e "en" 1;
-      Engine.step e;
-      let w0 = Gc.minor_words () in
-      for _ = 1 to 1000 do
+      under_slack "step" name (words_over_1000 (fun () -> Engine.step e));
+      let e = Engine.compile ~backend stimulus_module in
+      let buf = Array.make (Engine.lanes e) 0 in
+      let state = ref 1 in
+      let poke =
+        match backend with
+        | Engine.Bitsliced -> fun n -> Engine.poke_lanes e n buf
+        | Engine.Tree | Engine.Compiled -> fun n -> Engine.poke_int e n buf.(0)
+      in
+      let cycle () =
+        for i = 0 to Array.length inputs - 1 do
+          for l = 0 to Array.length buf - 1 do
+            state := (!state * 1103515245) + 12345;
+            buf.(l) <- !state
+          done;
+          poke inputs.(i)
+        done;
         Engine.step e
-      done;
-      let words = Gc.minor_words () -. w0 in
-      checkb
-        (Printf.sprintf "allocation-free %s step (%.0f minor words / 1000 cycles)"
-           name words)
-        true (words < 64.))
+      in
+      under_slack "poke-every-input + step" name (words_over_1000 cycle))
     [ ("compiled", Engine.Compiled); ("bitsliced", Engine.Bitsliced) ]
 
 (* Differential property: the engine's evaluation of a fixed expression
@@ -459,6 +491,132 @@ let prop_bitsliced_matches_compiled =
     ~count:60
     QCheck2.Gen.(triple gen_netlist (int_range 1 8) (int_bound 0x3FFFFF))
     (fun (m, cycles, seed) -> lanes_agree m ~cycles ~seed)
+
+(* --- Lazy settling: reads never perturb state --- *)
+
+(* A random stimulus program: each op pokes one input (index taken modulo
+   the input count) with an arbitrary int, negative ones included, or
+   steps; [read] marks where the sparse run observes. *)
+type op = { poke : (int * int) option; read : bool }
+
+let gen_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 40)
+    (let* poke = option ~ratio:0.7 (pair (int_bound 7) int) in
+     let* read = bool in
+     return { poke; read })
+
+(* Every signal's value, in declaration order. *)
+let snapshot e = List.map (Engine.peek e) (Engine.signal_names e)
+
+(* Run [ops] on a fresh engine. The dense run pokes through [poke_int] and
+   reads after every op; the sparse run pokes through [poke] with a
+   [Bitvec.t] and reads only at the marked ops. Both end with a read. *)
+let run_ops ~backend ~dense m ops =
+  let e = Engine.compile ~backend m in
+  let inputs = Array.of_list (Sonar_ir.Fmodule.inputs m) in
+  let seen = ref [] in
+  List.iter
+    (fun { poke; read } ->
+      (match poke with
+      | None -> Engine.step e
+      | Some (i, v) ->
+          let n, w = inputs.(i mod Array.length inputs) in
+          if dense then Engine.poke_int e n v
+          else Engine.poke e n (Bitvec.make ~width:w (Int64.of_int v)));
+      if dense || read then seen := snapshot e :: !seen
+      else seen := [] :: !seen)
+    ops;
+  List.rev (snapshot e :: !seen)
+
+(* Tree, Compiled and Bitsliced give the same dense trajectory; on each
+   backend, the sparse run sees at its marked ops exactly what the dense
+   run saw there and ends in the same state. *)
+let prop_reads_never_perturb =
+  QCheck2.Test.make ~name:"reads never perturb state; poke_int = poke (random netlists)"
+    ~count:150
+    QCheck2.Gen.(pair gen_netlist gen_ops)
+    (fun (m, ops) ->
+      let dense = run_ops ~backend:Engine.Tree ~dense:true m ops in
+      List.for_all
+        (fun backend ->
+          run_ops ~backend ~dense:true m ops = dense
+          && List.for_all2
+               (fun d s -> s = [] || s = d)
+               dense
+               (run_ops ~backend ~dense:false m ops))
+        [ Engine.Tree; Engine.Compiled; Engine.Bitsliced ])
+
+(* Input [a] of width [w], wired to output [o]. *)
+let passthrough w =
+  let open Sonar_ir in
+  Fmodule.make "Pass"
+    [
+      Stmt.Input { name = "a"; width = w };
+      Stmt.Output { name = "o"; width = w };
+      Stmt.Connect { dst = "o"; src = Expr.reference "a" };
+    ]
+
+(* [poke_int] masks like a [Bitvec.t] of the input's width, for every width
+   up to 63 and every int, on every backend. *)
+let prop_poke_int_masks =
+  QCheck2.Test.make ~name:"poke_int v = poke (Bitvec.make v), widths 1..63" ~count:300
+    QCheck2.Gen.(pair (int_range 1 63) (oneof [ int; int_range (-4) 4 ]))
+    (fun (w, v) ->
+      let m = passthrough w in
+      let expect = Bitvec.make ~width:w (Int64.of_int v) in
+      List.for_all
+        (fun backend ->
+          let by_int = Engine.compile ~backend m in
+          let by_bv = Engine.compile ~backend m in
+          Engine.poke_int by_int "a" v;
+          Engine.poke by_bv "a" expect;
+          List.for_all
+            (fun n ->
+              Bitvec.equal (Engine.peek by_int n) expect
+              && Bitvec.equal (Engine.peek by_bv n) expect)
+            [ "a"; "o" ])
+        [ Engine.Tree; Engine.Compiled; Engine.Bitsliced ])
+
+(* [poke_lanes] equals a [poke_lane] loop that drives the missing lanes to
+   0, over stale lanes from an earlier batch, for input widths 1..63 and
+   batch sizes 0..63 (63 is the transpose's fast path, shorter batches the
+   generic loop). *)
+let prop_poke_lanes_matches_poke_lane =
+  let open QCheck2.Gen in
+  let gen =
+    let* w = int_range 1 63 in
+    let* n = oneof [ return Engine.max_lanes; int_range 0 Engine.max_lanes ] in
+    let* vals = array_repeat n int in
+    let* stale = array_repeat Engine.max_lanes int in
+    return (w, vals, stale)
+  in
+  QCheck2.Test.make ~name:"poke_lanes = poke_lane loop (widths 1..63, batches 0..63)"
+    ~count:300 gen
+    (fun (w, vals, stale) ->
+      let m = passthrough w in
+      let bulk = Engine.compile ~backend:Engine.Bitsliced m in
+      let lane_by_lane = Engine.compile ~backend:Engine.Bitsliced m in
+      Array.iteri
+        (fun lane v ->
+          Engine.poke_lane bulk "a" ~lane v;
+          Engine.poke_lane lane_by_lane "a" ~lane v)
+        stale;
+      Engine.poke_lanes bulk "a" vals;
+      for lane = 0 to Engine.max_lanes - 1 do
+        let v = if lane < Array.length vals then vals.(lane) else 0 in
+        Engine.poke_lane lane_by_lane "a" ~lane v
+      done;
+      let mask = if w = 63 then -1 else (1 lsl w) - 1 in
+      List.for_all
+        (fun n ->
+          let got = Engine.read_slot_lanes bulk (Engine.slot bulk n) in
+          got = Engine.read_slot_lanes lane_by_lane (Engine.slot lane_by_lane n)
+          && Array.for_all2
+               (fun g lane -> g = (if lane < Array.length vals then vals.(lane) land mask else 0))
+               got
+               (Array.init Engine.max_lanes Fun.id))
+        [ "a"; "o" ])
 
 (* The same differential over the generated (and instrumented) boom and
    nutshell netlists — every module, every signal, every cycle. *)
@@ -836,7 +994,8 @@ let () =
             test_cat_overflow_compile_time;
           Alcotest.test_case "allocation-free step" `Quick test_step_no_alloc;
         ]
-        @ qcheck [ prop_engine_matches_interpreter ] );
+        @ qcheck
+            [ prop_engine_matches_interpreter; prop_poke_int_masks; prop_reads_never_perturb ] );
       ( "compiled-differential",
         [
           Alcotest.test_case "generated boom/nutshell netlists" `Quick
@@ -862,7 +1021,7 @@ let () =
           Alcotest.test_case "batch monitor lanes" `Quick
             test_monitor_batch_lanes;
         ]
-        @ qcheck [ prop_bitsliced_matches_compiled ] );
+        @ qcheck [ prop_bitsliced_matches_compiled; prop_poke_lanes_matches_poke_lane ] );
       ( "levelize",
         [
           Alcotest.test_case "ordering" `Quick test_levelize_order;
