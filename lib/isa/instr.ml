@@ -59,19 +59,15 @@ let dest = function
       if Reg.equal rd Reg.x0 then None else Some rd
   | Store _ | Branch _ | Fence | Ecall | Ebreak | Mret -> None
 
-let sources = function
-  | Rtype (_, _, rs1, rs2) -> [ rs1; rs2 ]
-  | Itype (_, _, rs1, _) -> [ rs1 ]
-  | Load (_, _, base, _) -> [ base ]
-  | Store (_, data, base, _) -> [ data; base ]
-  | Branch (_, rs1, rs2, _) -> [ rs1; rs2 ]
-  | Jal _ -> []
-  | Jalr (_, base, _) -> [ base ]
-  | Lui _ | Auipc _ -> []
-  | Csr (_, _, rs1, _) -> [ rs1 ]
-  | Lr_d (_, base) -> [ base ]
-  | Sc_d (_, data, base) -> [ data; base ]
-  | Fence | Ecall | Ebreak | Mret -> []
+let source i k =
+  let one a = if k = 0 then Reg.to_int a else -1 in
+  let two a b = Reg.to_int (if k = 0 then a else b) in
+  match i with
+  | Rtype (_, _, rs1, rs2) | Branch (_, rs1, rs2, _) -> two rs1 rs2
+  | Store (_, data, base, _) | Sc_d (_, data, base) -> two data base
+  | Itype (_, _, rs1, _) | Csr (_, _, rs1, _) -> one rs1
+  | Load (_, _, base, _) | Jalr (_, base, _) | Lr_d (_, base) -> one base
+  | Jal _ | Lui _ | Auipc _ | Fence | Ecall | Ebreak | Mret -> -1
 
 let equal a b = a = b
 

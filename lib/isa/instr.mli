@@ -51,8 +51,10 @@ val is_branch : t -> bool
 val dest : t -> Reg.t option
 (** Destination register, if it writes one (x0 destinations return [None]). *)
 
-val sources : t -> Reg.t list
-(** Source registers actually read (x0 included). *)
+val source : t -> int -> int
+(** [source i k]: the number of the [k]-th source register [i] reads
+    ([k] 0 or 1; x0 included), or -1 when it reads fewer than [k + 1].
+    Allocates nothing. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -346,13 +346,6 @@ let make_uop t eff trace_pos transient ~cycle =
   let id = t.next_id in
   t.next_id <- id + 1;
   let instr = eff.Golden.instr in
-  let src1, src2 =
-    match Instr.sources instr with
-    | [] -> (-1, -1)
-    | [ a ] -> (Reg.to_int a, -1)
-    | [ a; b ] -> (Reg.to_int a, Reg.to_int b)
-    | _ -> assert false (* RV64IMA: at most two sources *)
-  in
   {
     eff;
     trace_pos;
@@ -361,8 +354,8 @@ let make_uop t eff trace_pos transient ~cycle =
     id;
     cls = classify instr;
     dest = (match Instr.dest instr with Some d -> Reg.to_int d | None -> -1);
-    src1;
-    src2;
+    src1 = Instr.source instr 0;
+    src2 = Instr.source instr 1;
     prod1 = no_uop;
     prod2 = no_uop;
     state = Dispatched;
@@ -493,28 +486,26 @@ let relink t =
 
 let src_tainted t src = src >= 0 && t.taint_reg.(src)
 
+(* Whether a structure [u] needs is full: the ROB, the physical
+   registers, the load queue or the store queue. Only commit and
+   store-buffer drains free them. *)
+let dispatch_blocked t u =
+  Ring.length t.rob >= t.cfg.rob_entries
+  || (u.dest >= 0 && t.rob_dests >= Int.max 8 (t.cfg.int_phys_regs - 32))
+  || (u.cls = Class_load
+     &&
+     match t.cfg.ldq_entries with Some n -> t.rob_loads >= n | None -> false)
+  || u.cls = Class_store
+     && t.rob_stores + Ring.length t.stbuf >= t.cfg.stq_entries
+
 let step_dispatch t ~cycle =
-  let phys_budget = Int.max 8 (t.cfg.int_phys_regs - 32) in
   let budget = ref t.cfg.decode_width in
   let stop = ref false in
   while (not !stop) && !budget > 0 do
     if Ring.is_empty t.fb then stop := true
     else begin
       let u = Ring.peek t.fb in
-      let rob_full = Ring.length t.rob >= t.cfg.rob_entries in
-      let phys_full = u.dest >= 0 && t.rob_dests >= phys_budget in
-      let ldq_full =
-        u.cls = Class_load
-        &&
-        match t.cfg.ldq_entries with
-        | Some n -> t.rob_loads >= n
-        | None -> false
-      in
-      let stq_full =
-        u.cls = Class_store
-        && t.rob_stores + Ring.length t.stbuf >= t.cfg.stq_entries
-      in
-      if rob_full || phys_full || ldq_full || stq_full then stop := true
+      if dispatch_blocked t u then stop := true
       else begin
         Ring.pop t.fb;
         u.dispatch_cycle <- cycle;
@@ -725,6 +716,7 @@ let step_complete t ~cycle =
     let u = Ring.get t.rob i in
     match u.state with
     | Issued when u.complete_at <= cycle ->
+        Cpoint.mark_active t.reg;
         (* Control resolves here: train the predictor, unblock fetch. *)
         (match u.eff.Golden.instr with
         | Instr.Branch _ ->
@@ -751,6 +743,7 @@ let step_complete t ~cycle =
     | Wait_mem ->
         let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id in
         if c >= 0 && c <= cycle then begin
+          Cpoint.mark_active t.reg;
           u.complete_at <- c;
           if u.mispredicted then begin
             t.blocked_on_branch <- -1;
@@ -843,7 +836,10 @@ let step_stbuf t ~cycle =
         | Memsys.Blocked _ -> ())
     | Drain_waiting ->
         let c = Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id in
-        if c >= 0 && c <= cycle then Ring.pop t.stbuf
+        if c >= 0 && c <= cycle then begin
+          Cpoint.mark_active t.reg;
+          Ring.pop t.stbuf
+        end
   end
 
 (* --- Top level --- *)
@@ -873,6 +869,99 @@ let finished t =
   && Ring.is_empty t.stbuf
 let commits t = List.rev t.commit_log
 let transient_executed t = t.transient_issued
+
+(* --- Wake bound --- *)
+
+(* [w] pulled in to [c], but never below [soon]. *)
+let earlier c ~soon w = if c < w then Int.max c soon else w
+
+let stbuf_wake t ~soon w =
+  if Ring.is_empty t.stbuf then w
+  else
+    let e = Ring.peek t.stbuf in
+    match e.sb_state with
+    | Drain_new -> soon
+    | Drain_waiting ->
+        let c = Memsys.store_ready t.ms ~core:t.core_id ~rob:e.sb_uop.id in
+        if c >= 0 then earlier c ~soon w else w
+
+let fetch_wake t ~soon w =
+  if
+    t.fetch_halted || t.blocked_on_branch >= 0
+    || Ring.length t.fb >= t.cfg.fetch_buffer
+  then w
+  else begin
+    let eff = peek_next t in
+    if eff == no_eff then w
+    else begin
+      let from = Int.max soon t.fetch_stall_until in
+      let avail = Itbl.find t.lines (line_key t eff.pc) ~default:(-1) in
+      if avail >= 0 then earlier (Int.max from avail) ~soon w
+      else if avail = line_pending then begin
+        let c = Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:eff.pc in
+        if c >= 0 then earlier (Int.max from c) ~soon w else w
+      end
+      else earlier from ~soon w
+    end
+  end
+
+let settled v =
+  match v.state with
+  | Exec_done | Done -> true
+  | Dispatched | Issued | Wait_mem -> false
+
+let rec rob_wake t ~soon w i =
+  if w <= soon || i >= Ring.length t.rob then w
+  else begin
+    let u = Ring.get t.rob i in
+    let w =
+      match u.state with
+      | Issued -> earlier u.complete_at ~soon w
+      | Wait_mem ->
+          let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id in
+          if c >= 0 then earlier c ~soon w else w
+      | Dispatched ->
+          if settled u.prod1 && settled u.prod2 then
+            earlier (Int.max u.prod1.complete_at u.prod2.complete_at) ~soon w
+          else w
+      | Done -> if i = 0 then earlier u.complete_at ~soon w else w
+      | Exec_done -> w
+    in
+    rob_wake t ~soon w (i + 1)
+  end
+
+(* The earliest cycle after [cycle] in which some stage of the core could
+   act, given the state after [cycle]: [max_int] when only another core
+   or [Memsys] can wake it.  The machine loop skips every cycle before
+   the bound, so the bound must never pass a cycle in which a stage
+   would change state or call the registry.  Each arm reads the test its
+   stage makes, stage by stage in [step] order:
+   - complete: an [Issued] uop at its [complete_at]; a [Wait_mem] load
+     once [Memsys.load_ready] names its cycle (until then the refill is
+     in flight, and [Memsys.next_wake] bounds it);
+   - writeback: every queued request asks for a port each cycle;
+   - commit: a [Done] head at its [complete_at];
+   - issue: a [Dispatched] uop once both producers are [Exec_done] or
+     [Done] and their [complete_at] has passed — it then asks a unit or a
+     port each cycle until it issues.  A producer in any other state
+     wakes the core itself first;
+   - store buffer: a [Drain_new] head asks the DCache each cycle; a
+     [Drain_waiting] one wakes at its [Memsys.store_ready] cycle;
+   - dispatch: an unblocked fetch-buffer head ([dispatch_blocked] changes
+     only when commit or a drain acts);
+   - fetch: neither halted nor blocked on a branch, with buffer room and
+     something to fetch: once [fetch_stall_until] has passed and the head
+     line is available — a line not yet looked up asks the ICache port
+     each cycle, a pending one wakes at its [Memsys.ifetch_ready] cycle.
+   A skipped cycle leaves one trace: [line_ready] may record a pending
+   line's known ready cycle in [lines], which [line_ready] and
+   [line_known_unready] read exactly as the pending mark. *)
+let next_wake t ~cycle =
+  let soon = cycle + 1 in
+  if Exec_unit.writeback_pending t.pool then soon
+  else if (not (Ring.is_empty t.fb)) && not (dispatch_blocked t (Ring.peek t.fb))
+  then soon
+  else rob_wake t ~soon (fetch_wake t ~soon (stbuf_wake t ~soon max_int)) 0
 
 (* Exclusive upper bound on the architectural trace positions fetch can
    consume during the coming cycle, evaluated at the top of the cycle

@@ -50,6 +50,15 @@ val prepare :
 val step : t -> cycle:int -> unit
 (** Advance all pipeline stages by one cycle. *)
 
+val next_wake : t -> cycle:int -> int
+(** A lower bound, greater than [cycle], on the next cycle in which any
+    stage of the core could act — change state or call the registry —
+    given the state after [cycle]; [max_int] when the core waits only on
+    {!Memsys} or on nothing. [cycle + 1] whenever something retries every
+    cycle: a queued writeback, a [Drain_new] store, an issuable uop, a
+    dispatchable fetch-buffer head or a fetchable line. Sound for any
+    state, so the machine may skip every cycle below it. *)
+
 val fetch_bound : t -> cycle:int -> int
 (** Exclusive upper bound on the architectural trace positions fetch can
     consume during the coming cycle, evaluated at the top of the cycle.

@@ -28,6 +28,9 @@ type registry = {
   mutable open_ : bool;
   mutable first_open : int;  (* -1 until the window first opens *)
   mutable last_open : int;
+  mutable activity : int;
+      (* requests, grants, persistent events and [mark_active] calls so
+         far; never rewound, only compared across one machine cycle *)
 }
 
 let create config =
@@ -39,6 +42,7 @@ let create config =
     open_ = false;
     first_open = -1;
     last_open = -1;
+    activity = 0;
   }
 
 let reset_point p =
@@ -122,7 +126,11 @@ let pair_sub n i j =
   (* Index of pair (i, j) with i < j in the triangular enumeration. *)
   (i * (2 * n - i - 1) / 2) + (j - i - 1)
 
+let mark_active reg = reg.activity <- reg.activity + 1
+let activity reg = reg.activity
+
 let request reg p ~tainted ~source ~data =
+  mark_active reg;
   let n = Array.length p.sources in
   if source < 0 || source >= n then invalid_arg "Cpoint.request: bad source";
   let cycle = reg.cycle in
@@ -164,9 +172,11 @@ let request reg p ~tainted ~source ~data =
   p.last_tainted.(source) <- tainted
 
 let grant reg p ~source =
+  mark_active reg;
   if reg.open_ then p.digest <- mix p.digest (0x5A + source)
 
 let persistent reg p ~tainted ~source ~sub ~data =
+  mark_active reg;
   if reg.open_ then begin
     p.event_count <- p.event_count + 1;
     p.digest <- mix (mix p.digest (0xBEEF + source)) (data land 0xFFFF);

@@ -111,7 +111,19 @@ val persistent :
     events count as triggers (untainted ones still feed the digest). *)
 
 val set_cycle : registry -> int -> unit
-(** Called every machine cycle; allocates nothing. *)
+(** Called every stepped machine cycle; allocates nothing. A machine that
+    skips quiet cycles calls it once with the last skipped cycle, which
+    leaves the window's last bound where stepping would. *)
+
+val mark_active : registry -> unit
+(** Note a model state change that makes no request, grant or persistent
+    call (a completion, a store-buffer pop), so the machine loop sees the
+    cycle as active. *)
+
+val activity : registry -> int
+(** Requests, grants, persistent events and {!mark_active} calls so far.
+    The machine loop compares it across one cycle: unchanged means the
+    cycle was probably quiet, and only then is a wake bound computed. *)
 
 val open_window : registry -> unit
 val close_window : registry -> unit

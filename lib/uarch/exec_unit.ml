@@ -227,6 +227,8 @@ let request_writeback t cls ~id ~tainted =
   q.tainted.(q.len) <- tainted;
   q.len <- q.len + 1
 
+let writeback_pending t = t.wb.len > 0
+
 (* Every queued request asks for a port, head first (newest first). Then
    an insertion sort makes the queue ascend from head to tail by (source,
    id) — class priority, then oldest — keeping queue order among equal

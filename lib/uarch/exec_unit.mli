@@ -35,6 +35,10 @@ val try_issue_mem : t -> cycle:int -> tainted:bool -> bool
 val request_writeback : t -> wb_class -> id:int -> tainted:bool -> unit
 (** Register a completed operation wanting a response port. *)
 
+val writeback_pending : t -> bool
+(** Some request is queued: {!arbitrate_writeback} will ask for a port
+    next cycle, whatever else happens. *)
+
 val arbitrate_writeback : t -> int
 (** Grant this cycle's response ports; returns how many ids won, readable
     with {!granted}. Allocates nothing. The order contract, which the

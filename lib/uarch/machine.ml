@@ -56,13 +56,16 @@ module Ctx = struct
     ctx_cfg : Config.t;
     ctx_fp : int;
     mutable slots : (int * slot) list;  (* keyed by core count (1 or 2) *)
+    mutable stepped : int;
   }
 
   let create cfg =
-    { ctx_cfg = cfg; ctx_fp = Config.fingerprint cfg; slots = [] }
+    { ctx_cfg = cfg; ctx_fp = Config.fingerprint cfg; slots = []; stepped = 0 }
 
   let config t = t.ctx_cfg
   let fingerprint t = t.ctx_fp
+  let cycles_stepped t = t.stepped
+  let count_steps ctx n = Option.iter (fun t -> t.stepped <- t.stepped + n) ctx
 
   (* Acquire the slot for this core count with its registry and memory
      hierarchy reset to cold start; allocate it on first use. The dominant
@@ -149,13 +152,48 @@ let step_cycle reg ms cores cycle =
   done;
   Memsys.tick ms ~cycle
 
-let sim_loop reg ms cores ~from ~max_cycles =
+(* The earliest cycle after [cycle] in which a core or the hierarchy
+   could act. *)
+let next_wake ms cores ~cycle =
+  let wake = ref (Memsys.next_wake ms ~cycle) in
+  for i = 0 to Array.length cores - 1 do
+    wake := Int.min !wake (Core_model.next_wake cores.(i) ~cycle)
+  done;
+  !wake
+
+(* Step cycles from [from] until every core has finished or the budget
+   runs out; return the cycle reached.  [top] runs at the top of every
+   stepped cycle.  With [skip], a cycle that leaves the registry's
+   activity count unchanged — probably no stage acted — is followed by a
+   jump to the wake bound, clamped at [max_cycles] and by [clamp].  The
+   jump is sound whether or not the cycle was really quiet: the bound
+   holds for any state, and the skipped cycles would have changed
+   nothing.  Setting the registry's cycle to the last skipped one leaves
+   the window's last bound where stepping would. *)
+let run_cycles ~skip ~steps ~top ~clamp reg ms cores ~from ~max_cycles =
   let cycle = ref from in
   while (not (all_done ms cores)) && !cycle < max_cycles do
+    top !cycle;
+    let activity = Cpoint.activity reg in
     step_cycle reg ms cores !cycle;
-    incr cycle
+    incr steps;
+    incr cycle;
+    if skip && Cpoint.activity reg = activity && not (all_done ms cores) then begin
+      let bound = Int.min (next_wake ms cores ~cycle:(!cycle - 1)) max_cycles in
+      let wake = clamp ~from:!cycle ~upto:bound in
+      if wake > !cycle then begin
+        Cpoint.set_cycle reg (wake - 1);
+        cycle := wake
+      end
+    end
   done;
   !cycle
+
+let sim_loop ~skip ~steps reg ms cores ~from ~max_cycles =
+  run_cycles ~skip ~steps
+    ~top:(fun _ -> ())
+    ~clamp:(fun ~from:_ ~upto -> upto)
+    reg ms cores ~from ~max_cycles
 
 let collect reg cores ~cycles ~max_cycles =
   let points = Cpoint.points reg in
@@ -179,14 +217,18 @@ let collect reg cores ~cycles ~max_cycles =
 let check_core_count n name =
   if n < 1 || n > 2 then invalid_arg (name ^ ": 1 or 2 cores")
 
-let run ?(max_cycles = default_max_cycles) ?ctx cfg inputs =
+let run_with ~skip ?(max_cycles = default_max_cycles) ?ctx cfg inputs =
   check_core_count (Array.length inputs) "Machine.run";
   let outcomes =
     Array.map (fun input -> Sonar_isa.Golden.run input.program) inputs
   in
   let reg, ms, cores, _slot = acquire ?ctx cfg inputs outcomes in
-  let cycles = sim_loop reg ms cores ~from:0 ~max_cycles in
+  let steps = ref 0 in
+  let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
+  Ctx.count_steps ctx !steps;
   collect reg cores ~cycles ~max_cycles
+
+let run ?max_cycles ?ctx cfg inputs = run_with ~skip:true ?max_cycles ?ctx cfg inputs
 
 let run_single ?max_cycles ?(secret_range = None) cfg program =
   run ?max_cycles cfg [| { program; secret_range } |]
@@ -333,8 +375,17 @@ let must_capture cores forks_fetch forks_exec ~cycle =
   done;
   !hit
 
-let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
-    inputs0 inputs1 =
+(* Whether [must_capture] holds at the top of some cycle in [from, upto),
+   over a stretch in which no stage acts.  On a fixed state the test only
+   turns true as the cycle grows: the fetch stall passes and lines become
+   available ([fetch_bound] grows), and producers reach their
+   [complete_at] or [Memsys.load_ready] cycle ([rob_issue_reaches] turns
+   true).  So testing the stretch's last cycle settles all of it. *)
+let capture_within cores forks_fetch forks_exec ~from ~upto =
+  upto > from && must_capture cores forks_fetch forks_exec ~cycle:(upto - 1)
+
+let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
+    ?(checkpoint = true) cfg inputs0 inputs1 =
   let n = Array.length inputs0 in
   check_core_count n "Machine.run_dual";
   if Array.length inputs1 <> n then
@@ -353,9 +404,10 @@ let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
         else Sonar_isa.Golden.run input.program)
       inputs1
   in
+  let steps = ref 0 in
   let run_full inputs outcomes =
     let reg, ms, cores, _slot = acquire ?ctx cfg inputs outcomes in
-    let cycles = sim_loop reg ms cores ~from:0 ~max_cycles in
+    let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
     collect reg cores ~cycles ~max_cycles
   in
   (* Checkpointing forks the taint pipeline too, so it requires identical
@@ -371,6 +423,7 @@ let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
   if not viable then begin
     let r0 = run_full inputs0 outcomes0 in
     let r1 = run_full inputs1 outcomes1 in
+    Ctx.count_steps ctx !steps;
     (r0, r1, { fork_cycle = None; cycles_saved = 0 })
   end
   else begin
@@ -418,31 +471,37 @@ let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
        log), none of which has been read — restore re-points them at
        run 1's trace. *)
     let captured = ref (-1) in
-    let cycle = ref 0 in
-    while (not (all_done ms cores)) && !cycle < max_cycles do
-      if !captured < 0 && must_capture cores forks_fetch forks_exec ~cycle:!cycle
-      then begin
-        Cpoint.capture reg kbufs.Ctx.k_reg;
-        Memsys.capture ms kbufs.Ctx.k_ms;
-        Array.iteri (fun i c -> Core_model.capture c kbufs.Ctx.k_cores.(i)) cores;
-        captured := !cycle
-      end;
-      step_cycle reg ms cores !cycle;
-      incr cycle
-    done;
-    let r0 = collect reg cores ~cycles:!cycle ~max_cycles in
+    let capture cycle =
+      Cpoint.capture reg kbufs.Ctx.k_reg;
+      Memsys.capture ms kbufs.Ctx.k_ms;
+      Array.iteri (fun i c -> Core_model.capture c kbufs.Ctx.k_cores.(i)) cores;
+      captured := cycle
+    in
+    (* Before the capture, a jump that would pass a cycle where the
+       capture test holds is refused: the loop steps on, cycle by cycle,
+       and captures where stepping does.  The capture's thresholds are
+       nearly always wake cycles, so this is rare. *)
+    let cycles0 =
+      run_cycles ~skip ~steps
+        ~top:(fun cycle ->
+          if !captured < 0 && must_capture cores forks_fetch forks_exec ~cycle
+          then capture cycle)
+        ~clamp:(fun ~from ~upto ->
+          if
+            !captured < 0
+            && capture_within cores forks_fetch forks_exec ~from ~upto
+          then from
+          else upto)
+        reg ms cores ~from:0 ~max_cycles
+    in
+    let r0 = collect reg cores ~cycles:cycles0 ~max_cycles in
     (* If the capture test stayed false for the whole of run 0 — no
        divergent field was ever read (a secret whose dependent values are
        never address- or latency-forming), or the budget cut the run short
        of the fork — then run 1 is the same run cycle for cycle.  Capture
        the final state: the resume below has nothing left to simulate and
        run 1 costs only the restore. *)
-    if !captured < 0 then begin
-      Cpoint.capture reg kbufs.Ctx.k_reg;
-      Memsys.capture ms kbufs.Ctx.k_ms;
-      Array.iteri (fun i c -> Core_model.capture c kbufs.Ctx.k_cores.(i)) cores;
-      captured := !cycle
-    end;
+    if !captured < 0 then capture cycles0;
     (* Re-arm each core for run 1's golden trace, then overwrite the
        dynamic state with the checkpoint (restore wins on everything it
        saves, including the registry's window state), re-pointing
@@ -459,7 +518,21 @@ let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
     Array.iteri
       (fun i c -> Core_model.restore ~fork:forks.(i) c kbufs.Ctx.k_cores.(i))
       cores;
-    let cycles1 = sim_loop reg ms cores ~from:!captured ~max_cycles in
+    let cycles1 =
+      sim_loop ~skip ~steps reg ms cores ~from:!captured ~max_cycles
+    in
     let r1 = collect reg cores ~cycles:cycles1 ~max_cycles in
+    Ctx.count_steps ctx !steps;
     (r0, r1, { fork_cycle = Some !captured; cycles_saved = !captured })
   end
+
+let run_dual ?max_cycles ?ctx ?checkpoint cfg inputs0 inputs1 =
+  run_dual_with ~skip:true ?max_cycles ?ctx ?checkpoint cfg inputs0 inputs1
+
+module Stepped = struct
+  let run ?max_cycles ?ctx cfg inputs =
+    run_with ~skip:false ?max_cycles ?ctx cfg inputs
+
+  let run_dual ?max_cycles ?ctx ?checkpoint cfg inputs0 inputs1 =
+    run_dual_with ~skip:false ?max_cycles ?ctx ?checkpoint cfg inputs0 inputs1
+end

@@ -72,6 +72,13 @@ module Ctx : sig
   (** {!Config.fingerprint} of the context's configuration, precomputed at
       {!create} — the cheap cache-lookup key the executor's scratch-context
       table compares instead of structural config equality. *)
+
+  val cycles_stepped : t -> int
+  (** Machine cycles actually stepped by the runs under this context so
+      far. A run jumps over the cycles in which no stage can act, so this
+      is at most the model cycles those runs simulated. It lives here,
+      not in any result, so that results stay the same whether or not
+      cycles are skipped. *)
 end
 
 val run :
@@ -110,6 +117,23 @@ val run_dual :
     simulated-cycle optimisation.
     @raise Invalid_argument on 0 or more than 2 cores, mismatched core
     counts, or a [ctx] for a different configuration. *)
+
+(** The same runs with the quiet-cycle jump disabled: every model cycle
+    is stepped. Results equal {!run}'s and {!run_dual}'s exactly; the
+    differential tests hold the jump to that. *)
+module Stepped : sig
+  val run :
+    ?max_cycles:int -> ?ctx:Ctx.t -> Config.t -> core_input array -> result
+
+  val run_dual :
+    ?max_cycles:int ->
+    ?ctx:Ctx.t ->
+    ?checkpoint:bool ->
+    Config.t ->
+    core_input array ->
+    core_input array ->
+    result * result * dual_stats
+end
 
 val run_single :
   ?max_cycles:int ->

@@ -557,8 +557,10 @@ let rec request_channel t ~cycle winner = function
 let tick t ~cycle =
   (* Completions due this cycle; the list is rebuilt only when one
      happened. *)
-  if complete_due t ~cycle false t.transfers then
+  if complete_due t ~cycle false t.transfers then begin
     t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
+    Cpoint.mark_active t.reg
+  end;
   (* Channel grant. *)
   if t.channel_busy_until <= cycle then
     match request_channel t ~cycle None t.transfers with
@@ -572,4 +574,19 @@ let tick t ~cycle =
         t.channel_busy_until <- cycle + beats
     | None -> ()
 
-let busy t = t.transfers <> []
+let busy t = match t.transfers with [] -> false | _ :: _ -> true
+
+(* The earliest cycle after [cycle] in which [tick] could act: a granted
+   transfer completes at [complete_at]; an ungranted one requests the
+   channel once it is ready and the channel is free. *)
+let rec wake_of t ~soon wake = function
+  | [] -> wake
+  | tr :: rest ->
+      let c =
+        if tr.processed then max_int
+        else if tr.granted then tr.complete_at
+        else Int.max tr.ready_at t.channel_busy_until
+      in
+      wake_of t ~soon (Int.min wake (Int.max c soon)) rest
+
+let next_wake t ~cycle = wake_of t ~soon:(cycle + 1) max_int t.transfers

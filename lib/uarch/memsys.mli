@@ -88,3 +88,10 @@ val tick : t -> cycle:int -> unit
 
 val busy : t -> bool
 (** Any transfer still in flight (used for drain loops at end of run). *)
+
+val next_wake : t -> cycle:int -> int
+(** A lower bound, greater than [cycle], on the next cycle in which
+    {!tick} could act — complete a transfer or make a channel request —
+    given the state after [cycle]'s tick; [max_int] with nothing in
+    flight. The cores' pollers ({!ifetch_ready}, {!load_ready},
+    {!store_ready}) are bounded by the cores. *)

@@ -884,6 +884,7 @@ let test_checkpoint_fork_at_first_instr () =
 let prop_checkpoint_equivalent =
   QCheck2.Test.make
     ~name:"checkpointed dual run = full dual run (random testcases)" ~count:80
+    ~long_factor:25
     QCheck2.Gen.(quad (int_range 1 10_000) bool bool bool)
     (fun (seed, dual, nutshell, fault) ->
       let cfg = if nutshell then Config.nutshell else Config.boom in
@@ -900,6 +901,162 @@ let prop_checkpoint_equivalent =
       && c0 = f0 && c1 = f1
       && c0 = Machine.run cfg i0
       && c1 = Machine.run cfg i1)
+
+(* --- Quiet-cycle skipping --- *)
+
+(* The cycle loop jumps from a quiet cycle to the wake bound of the cores
+   and the hierarchy.  Every result must equal the stepping reference's,
+   which steps each cycle: whole dual-run triples (both results, fork
+   cycle, cycles saved) and single runs, on both designs, single and dual
+   core, plain and [meltdown], with and without a cycle budget small
+   enough to cut runs short. *)
+let prop_skip_matches_stepping =
+  QCheck2.Test.make ~name:"quiet-cycle skipping = stepping (random testcases)"
+    ~count:40 ~long_factor:25
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 1 10_000) bool bool bool)
+        (opt ~ratio:0.5 (int_range 1 600)))
+    (fun ((seed, dual, nutshell, fault), max_cycles) ->
+      let cfg = if nutshell then Config.nutshell else Config.boom in
+      let rng = Sonar.Rng.create (Int64.of_int seed) in
+      let tc = Sonar.Testcase.random rng ~id:seed ~dual in
+      let inputs secret =
+        let i = Sonar.Testcase.materialize tc ~secret in
+        if fault then meltdown i else i
+      in
+      let i0 = inputs 0 and i1 = inputs 1 in
+      Machine.run_dual ?max_cycles cfg i0 i1
+      = Machine.Stepped.run_dual ?max_cycles cfg i0 i1
+      && Machine.run ?max_cycles cfg i1 = Machine.Stepped.run ?max_cycles cfg i1)
+
+(* The same differential on the hand-built Table 3 scenarios, whose
+   secret-dependent misses, divides and refills are the long quiet
+   stretches the jump skips. *)
+let test_skip_channels () =
+  List.iter
+    (fun (c : Sonar.Channels.t) ->
+      let cfg = Option.get (Config.by_name c.dut) in
+      let i0 = Sonar.Channels.build c ~secret:0
+      and i1 = Sonar.Channels.build c ~secret:1 in
+      checkb (c.id ^ " dual run") true
+        (Machine.run_dual cfg i0 i1 = Machine.Stepped.run_dual cfg i0 i1);
+      List.iter
+        (fun (secret, i) ->
+          checkb
+            (Printf.sprintf "%s secret %d" c.id secret)
+            true
+            (Machine.run cfg i = Machine.Stepped.run cfg i))
+        [ (0, i0); (1, i1) ])
+    Sonar.Channels.all
+
+(* Cycles stepped by one run under [ctx]. *)
+let stepped_by ctx f =
+  let before = Machine.Ctx.cycles_stepped ctx in
+  let r = f () in
+  (r, Machine.Ctx.cycles_stepped ctx - before)
+
+let test_skip_limit_in_quiet_stretch () =
+  (* The first fetch misses a cold ICache and waits about 49 cycles for
+     its refill, with the window open from cycle 0 (no secret range), so
+     a budget of 30 cycles ends inside a skipped stretch.  The run must
+     still report the budget as its cycle count, the limit flag, and the
+     window's last bound at the last cycle of the budget. *)
+  let p = Program.make [ Instr.Load (Instr.LD, r 5, Reg.x0, 8); Asm.halt ] in
+  let inputs = [| { Machine.program = p; secret_range = None } |] in
+  let ctx = Machine.Ctx.create Config.boom in
+  let max_cycles = 30 in
+  let m, stepped =
+    stepped_by ctx (fun () -> Machine.run ~ctx ~max_cycles Config.boom inputs)
+  in
+  checkb (Printf.sprintf "stepped %d < %d" stepped max_cycles) true
+    (stepped < max_cycles);
+  checki "cycles = budget" max_cycles m.Machine.cycles;
+  checkb "hit the limit" true m.Machine.hit_cycle_limit;
+  checkb "window last bound at the budget's last cycle" true
+    (m.Machine.window = Some (0, max_cycles - 1));
+  checkb "= stepping" true
+    (m = Machine.Stepped.run ~max_cycles Config.boom inputs)
+
+let test_skip_open_window () =
+  (* The window opens when the divide dispatches and closes when it
+     commits; in between, the divider's 55-plus cycles pass with nothing
+     else to do, and are skipped.  The window bounds must come out as if
+     every cycle had been stepped. *)
+  let p =
+    Program.make
+      (Asm.li (r 6) 0x7fff_ffffL
+      @ [ Instr.Rtype (Instr.DIV, r 5, r 6, r 6); Asm.halt ])
+  in
+  let div_index = List.length (Asm.li (r 6) 0x7fff_ffffL) in
+  let inputs =
+    [| { Machine.program = p; secret_range = Some (div_index, div_index) } |]
+  in
+  let ctx = Machine.Ctx.create Config.boom in
+  let m, stepped =
+    stepped_by ctx (fun () -> Machine.run ~ctx Config.boom inputs)
+  in
+  let lo, hi = Option.get m.Machine.window in
+  checkb (Printf.sprintf "window [%d, %d] spans the divide" lo hi) true
+    (hi - lo >= 55);
+  checkb
+    (Printf.sprintf "stepped %d of %d cycles" stepped m.Machine.cycles)
+    true
+    (stepped + 50 < m.Machine.cycles);
+  checkb "= stepping" true (m = Machine.Stepped.run Config.boom inputs)
+
+let test_skip_store_drain () =
+  (* Ten stores to lines 64 KiB apart share one DCache set on both
+     designs, so the later refills evict dirty lines.  Such a drain waits
+     out a write-back penalty after its refill completes, with nothing
+     else left to do: the store buffer's ready cycle alone bounds the
+     jump. *)
+  let p =
+    Program.make
+      (List.concat
+         (List.init 10 (fun k ->
+              Asm.li (r 12) (Int64.add 0x1000_0000L (Int64.of_int (k lsl 16)))
+              @ [ Instr.Store (Instr.SD, Reg.x0, r 12, 0) ]))
+      @ [ Asm.halt ])
+  in
+  let inputs = [| { Machine.program = p; secret_range = None } |] in
+  List.iter
+    (fun cfg ->
+      let ctx = Machine.Ctx.create cfg in
+      let m, stepped = stepped_by ctx (fun () -> Machine.run ~ctx cfg inputs) in
+      checkb
+        (Printf.sprintf "%s: stepped %d of %d cycles" cfg.Config.name stepped
+           m.Machine.cycles)
+        true
+        (2 * stepped < m.Machine.cycles);
+      checkb (cfg.Config.name ^ " = stepping") true
+        (m = Machine.Stepped.run cfg inputs))
+    [ Config.boom; Config.nutshell ]
+
+(* Stepped over model cycles on the cycle-exact pin's BOOM single-core
+   corpus.  Stepping every cycle gives 1.0; the jump measured 0.327
+   (2,994 of 9,168 cycles), and the bound is 1.15 times that. *)
+let test_skip_stepped_share () =
+  let ctx = Machine.Ctx.create Config.boom in
+  let model = ref 0 and stepped = ref 0 in
+  for seed = 1 to 32 do
+    let rng = Sonar.Rng.create (Int64.of_int seed) in
+    let tc = Sonar.Testcase.random rng ~id:seed ~dual:false in
+    let (r0, r1, st), n =
+      stepped_by ctx (fun () ->
+          Machine.run_dual ~ctx Config.boom
+            (Sonar.Testcase.materialize tc ~secret:0)
+            (Sonar.Testcase.materialize tc ~secret:1))
+    in
+    model :=
+      !model + r0.Machine.cycles + r1.Machine.cycles - st.Machine.cycles_saved;
+    stepped := !stepped + n
+  done;
+  let share = float_of_int !stepped /. float_of_int !model in
+  checkb
+    (Printf.sprintf "stepped/model cycles %.3f (%d/%d) <= 0.376" share !stepped
+       !model)
+    true (share <= 0.376)
 
 (* Golden/uarch architectural equivalence over random testcases. *)
 let prop_machine_matches_golden =
@@ -973,6 +1130,21 @@ let () =
             test_machine_cycle_exact_pin;
           Alcotest.test_case "checkpoint fork at instruction 0" `Quick
             test_checkpoint_fork_at_first_instr;
+          Alcotest.test_case "skipping = stepping on the channels" `Quick
+            test_skip_channels;
+          Alcotest.test_case "skip: budget ends in a quiet stretch" `Quick
+            test_skip_limit_in_quiet_stretch;
+          Alcotest.test_case "skip: window open across a stretch" `Quick
+            test_skip_open_window;
+          Alcotest.test_case "skip: dirty-victim store drains" `Quick
+            test_skip_store_drain;
+          Alcotest.test_case "skip: stepped share of model cycles" `Quick
+            test_skip_stepped_share;
         ]
-        @ qcheck [ prop_machine_matches_golden; prop_checkpoint_equivalent ] );
+        @ qcheck
+            [
+              prop_machine_matches_golden;
+              prop_checkpoint_equivalent;
+              prop_skip_matches_stepping;
+            ] );
     ]
