@@ -60,7 +60,7 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
     Determinism caveat: worker-local values persist across tasks, so a task
     must never let them influence its {e result} — only its speed. Reused
-    contexts are reset to cold start at acquisition and tested to be
+    contexts are restored to cold start at acquisition and tested to be
     bit-identical to fresh ones. *)
 
 type 'a key

@@ -7,7 +7,7 @@ type pair = {
 }
 
 (* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config).
-   Contexts are reset to cold start at every acquisition inside
+   Contexts are restored to cold start at every acquisition inside
    [Machine.run], so results are bit-identical to fresh machines (tested);
    keeping them domain-local means the hot loop re-allocates neither cache
    line arrays nor contention-point tables per testcase, which is what

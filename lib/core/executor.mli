@@ -62,7 +62,7 @@ val execute_batch :
     them out of the major heap.
 
     Pairs are element-wise identical to {!run_pair} per testcase for
-    {e every} [(jobs, chunk)] value: a reused context is reset to cold
+    {e every} [(jobs, chunk)] value: a reused context is restored to cold
     start per run and behaves bit-identically to a fresh machine
     (tested). [emit] is invoked only from the calling domain, one
     {!Telemetry.event.Testcase_executed} per testcase in input order,

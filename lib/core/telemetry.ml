@@ -431,31 +431,65 @@ let jsonl ?(timings = false) write_line =
       | Some ev -> write_line (Json.to_string (json_of_event ev))
       | None -> ())
 
-let jsonl_file ?timings path =
-  let oc = open_out path in
+(* The JSONL file writer: each kept event is one line of segment file
+   [path 0].  The channel is flushed after every [generation_end] and
+   [campaign_end] line — a campaign killed hard still leaves its
+   completed generations on disk, and a follower (tail -f, `sonar serve
+   --follow`) sees progress as it happens.  After a [generation_end]
+   line, [rotate ~bytes ~gens] (the segment's size and generations so
+   far) may return the documents that open the next segment, file
+   [path (i + 1)]: segments roll over only at generation boundaries, so
+   each holds whole generations.  [observe] sees every event first.
+   [close] is idempotent. *)
+let file_writer ~timings ~path ~observe ~rotate =
+  let seg = ref 0 in
+  let oc = ref (open_out (path 0)) in
+  let bytes = ref 0 in
+  let gens = ref 0 in
   let closed = ref false in
-  let line s =
-    output_string oc s;
-    output_char oc '\n'
+  let write_doc doc =
+    let s = Json.to_string doc in
+    output_string !oc s;
+    output_char !oc '\n';
+    bytes := !bytes + String.length s + 1
   in
-  let inner = jsonl ?timings line in
-  {
-    emit =
-      (fun ev ->
-        inner.emit ev;
-        (* generation-boundary flush: a campaign killed hard still leaves
-           its completed generations on disk, and a follower (tail -f,
-           `sonar serve --follow`) sees progress as it happens *)
+  let emit ev =
+    observe ev;
+    match trace_form ~timings ev with
+    | None -> ()
+    | Some wev -> (
+        write_doc (json_of_event wev);
         match ev with
-        | Generation_end _ | Campaign_end _ -> flush oc
-        | _ -> ());
+        | Generation_end _ ->
+            incr gens;
+            (match rotate ~bytes:!bytes ~gens:!gens with
+            | None -> ()
+            | Some head ->
+                close_out !oc;
+                incr seg;
+                oc := open_out (path !seg);
+                bytes := 0;
+                gens := 0;
+                List.iter write_doc head);
+            flush !oc
+        | Campaign_end _ -> flush !oc
+        | _ -> ())
+  in
+  {
+    emit;
     close =
       (fun () ->
         if not !closed then begin
           closed := true;
-          close_out oc
+          close_out !oc
         end);
   }
+
+let jsonl_file ?(timings = false) path =
+  file_writer ~timings
+    ~path:(fun _ -> path)
+    ~observe:ignore
+    ~rotate:(fun ~bytes:_ ~gens:_ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Rotating JSONL trace writer: numbered segments, each self-contained. *)
@@ -472,11 +506,6 @@ let rotating_jsonl ?(timings = false) ?max_bytes ?max_generations path =
   | _, Some g when g < 1 ->
       invalid_arg "Telemetry.rotating_jsonl: max_generations must be >= 1"
   | _ -> ());
-  let seg = ref 0 in
-  let oc = ref (open_out (segment_path path 0)) in
-  let bytes = ref 0 in
-  let gens = ref 0 in
-  let closed = ref false in
   (* Cumulative campaign state replayed at the head of every later
      segment: the trace header, plus the latest interval_histogram per
      (point, source-pair) key and the latest coverage_heatmap — all three
@@ -485,65 +514,33 @@ let rotating_jsonl ?(timings = false) ?max_bytes ?max_generations path =
   let header = ref None in
   let heat = ref None in
   let hists : (Histogram.key, event) Hashtbl.t = Hashtbl.create 256 in
-  let write_doc doc =
-    let s = Json.to_string doc in
-    output_string !oc s;
-    output_char !oc '\n';
-    bytes := !bytes + String.length s + 1
+  let observe ev =
+    match ev with
+    | Campaign_start _ -> header := Some ev
+    | Interval_histogram e -> Hashtbl.replace hists (e.point, e.src_pair) ev
+    | Coverage_heatmap _ -> heat := Some ev
+    | _ -> ()
   in
   let resync_doc ev =
     match json_of_event ev with
     | Json.Obj fields -> Json.Obj (fields @ [ ("resync", Json.Bool true) ])
     | doc -> doc
   in
-  let rotate () =
-    close_out !oc;
-    incr seg;
-    oc := open_out (segment_path path !seg);
-    bytes := 0;
-    gens := 0;
-    Option.iter (fun ev -> write_doc (resync_doc ev)) !header;
-    Hashtbl.fold (fun k ev acc -> (k, ev) :: acc) hists []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.iter (fun (_, ev) -> write_doc (resync_doc ev));
-    Option.iter (fun ev -> write_doc (resync_doc ev)) !heat
+  let rotate ~bytes ~gens =
+    if
+      (match max_bytes with Some b -> bytes >= b | None -> false)
+      || match max_generations with Some g -> gens >= g | None -> false
+    then
+      Some
+        (List.map resync_doc
+           (Option.to_list !header
+           @ (Hashtbl.fold (fun k ev acc -> (k, ev) :: acc) hists []
+             |> List.sort (fun (a, _) (b, _) -> compare a b)
+             |> List.map snd)
+           @ Option.to_list !heat))
+    else None
   in
-  let emit ev =
-    (match ev with
-    | Campaign_start _ -> header := Some ev
-    | Interval_histogram e -> Hashtbl.replace hists (e.point, e.src_pair) ev
-    | Coverage_heatmap _ -> heat := Some ev
-    | _ -> ());
-    match trace_form ~timings ev with
-    | None -> ()
-    | Some wev -> (
-        write_doc (json_of_event wev);
-        (* Roll over only at generation boundaries, so every segment holds
-           whole generations and the resync state is well-defined. Flush
-           at the same boundaries (and on the footer) so a hard kill
-           still leaves whole generations on disk for the merger. *)
-        match ev with
-        | Generation_end _ ->
-            incr gens;
-            if
-              (match max_bytes with Some b -> !bytes >= b | None -> false)
-              || match max_generations with
-                 | Some g -> !gens >= g
-                 | None -> false
-            then rotate ();
-            flush !oc
-        | Campaign_end _ -> flush !oc
-        | _ -> ())
-  in
-  {
-    emit;
-    close =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          close_out !oc
-        end);
-  }
+  file_writer ~timings ~path:(segment_path path) ~observe ~rotate
 
 (* ------------------------------------------------------------------ *)
 (* In-memory aggregation.                                              *)

@@ -35,10 +35,6 @@ let update t ~pc ~taken ~target =
 
 let update_jump t ~pc ~target = Pcs.replace t.btb pc target
 
-let reset t =
-  Pcs.reset t.btb;
-  Pcs.reset t.counters
-
 type save = {
   mutable s_btb : (int64 * int64) list;
   mutable s_counters : (int64 * int) list;

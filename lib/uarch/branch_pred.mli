@@ -21,7 +21,6 @@ val update : t -> pc:int64 -> taken:bool -> target:int64 -> unit
 (** Train with the resolved outcome. *)
 
 val update_jump : t -> pc:int64 -> target:int64 -> unit
-val reset : t -> unit
 
 type save
 

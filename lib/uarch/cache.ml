@@ -23,9 +23,9 @@ type t = {
   evicted : Itbl.t;
   (* Touched-line index: the slot of every valid line, each exactly once.
      [fill] appends a slot when it installs into an invalid way, and a
-     valid line is only ever invalidated by [reset] or [restore], which
-     rebuild the index — so those two and [capture] visit the lines a run
-     filled instead of the whole cache. *)
+     valid line is only ever invalidated by [restore], which rebuilds the
+     index — so [restore] and [capture] visit the lines a run filled
+     instead of the whole cache. *)
   touched : int array;
   mutable n_touched : int;
 }
@@ -159,55 +159,56 @@ let recently_evicted t addr =
   | packed when packed = min_int -> None
   | packed -> Some (packed asr 1, packed land 1 = 1)
 
-let reset t =
-  (* Restores the cold-start state exactly: stale [tag]/[lru]/[info] on
-     invalidated lines are never read before being overwritten by [fill]
-     (victim selection among invalid ways ignores them), but [tick] feeds
-     every line's LRU stamp, so it must rewind for reuse to be
-     bit-identical to a fresh cache.  Only indexed lines can be valid. *)
-  for i = 0 to t.n_touched - 1 do
-    let l = t.lines.(t.touched.(i)) in
-    l.valid <- false;
-    l.dirty <- false
-  done;
-  t.n_touched <- 0;
-  t.tick <- 0;
-  Itbl.clear t.evicted
+(* Checkpoint support: capture the full observable cache state into a
+   save, and restore it later.  Only the indexed lines are saved: stale
+   [tag]/[lru]/[info] on invalid lines are never read before [fill]
+   overwrites them (victim selection among invalid ways ignores them).
+   Restore first invalidates the currently indexed lines, then reinstalls
+   each saved line in place and makes the saved slots the index, so any
+   line filled between capture and restore disappears and the LRU clock
+   rewinds — restored state is bit-identical to the captured one.  A
+   capture of a fresh cache saves no line, and restoring it is the
+   rewind to cold start. *)
 
-(* Checkpoint support: capture the full observable cache state (the
-   indexed lines — invalid lines carry no readable state, see [reset])
-   into preallocated arrays, and restore it later.  Restore first
-   invalidates the currently indexed lines, then reinstalls each saved
-   line in place and makes the saved slots the index, so any line filled
-   between capture and restore disappears and the LRU clock rewinds —
-   restored state is bit-identical to the captured one. *)
-
+(* The line arrays grow at [capture] to the lines it saves, so a save
+   costs what the cache held, not its capacity. *)
 type save = {
   mutable n_saved : int;
-  s_slot : int array;
-  s_tag : int array;
-  s_dirty : bool array;
-  s_lru : int array;
-  s_info : fill_info array;
+  mutable s_slot : int array;
+  mutable s_tag : int array;
+  mutable s_dirty : bool array;
+  mutable s_lru : int array;
+  mutable s_info : fill_info array;
   mutable s_tick : int;
   s_evicted : Itbl.t;
 }
 
-let make_save t =
-  let n = Array.length t.lines in
+let make_save () =
   {
     n_saved = 0;
-    s_slot = Array.make n 0;
-    s_tag = Array.make n 0;
-    s_dirty = Array.make n false;
-    s_lru = Array.make n 0;
-    s_info =
-      Array.make n { filler_seq = -1; fill_cycle = -1; filler_tainted = false };
+    s_slot = [||];
+    s_tag = [||];
+    s_dirty = [||];
+    s_lru = [||];
+    s_info = [||];
     s_tick = 0;
-    s_evicted = Itbl.create 64;
+    s_evicted = Itbl.create 8;
   }
 
+(* Room for [n] saved lines, doubling so a reused save stops growing. *)
+let reserve sv n =
+  if n > Array.length sv.s_slot then begin
+    let cap = Int.max n (2 * Array.length sv.s_slot) in
+    sv.s_slot <- Array.make cap 0;
+    sv.s_tag <- Array.make cap 0;
+    sv.s_dirty <- Array.make cap false;
+    sv.s_lru <- Array.make cap 0;
+    sv.s_info <-
+      Array.make cap { filler_seq = -1; fill_cycle = -1; filler_tainted = false }
+  end
+
 let capture t sv =
+  reserve sv t.n_touched;
   for i = 0 to t.n_touched - 1 do
     let slot = t.touched.(i) in
     let l = t.lines.(slot) in

@@ -44,24 +44,21 @@ val recently_evicted : t -> int64 -> (int * bool) option
     sequence number of the instruction whose fill evicted it and that
     fill's taint (S12). *)
 
-val reset : t -> unit
-(** Return the cache to its cold-start state (all lines invalid and clean,
-    LRU clock rewound, eviction history cleared) without reallocating the
-    line arrays. A reset cache behaves bit-identically to a fresh
-    {!create} of the same configuration — the property the reusable
-    {!Machine.Ctx} run contexts rely on. Costs O(lines filled since the
-    last reset or restore), not O(capacity): the cache indexes the slot of
-    every valid line. *)
-
 type save
-(** Preallocated checkpoint buffer sized for one cache's line arrays. *)
+(** Checkpoint buffer for one cache's valid lines, LRU clock and eviction
+    history. Its line arrays grow at {!capture} to the lines saved, so a
+    save of a cold cache holds no line. *)
 
-val make_save : t -> save
+val make_save : unit -> save
 val capture : t -> save -> unit
 (** Save the valid lines; O(valid lines). *)
 
 val restore : t -> save -> unit
 (** [restore t sv] returns [t] to the exact state [capture t sv] saw:
     observable behaviour after restore is bit-identical to the captured
-    cache. A [save] may only be restored into a cache of the same
-    geometry it was made for. O(valid lines now + lines saved). *)
+    cache. A [save] may only be restored into a cache of the geometry it
+    was captured from. Restoring a capture of a fresh cache rewinds to
+    cold start (all lines invalid and clean, LRU clock rewound, eviction
+    history cleared) — the rewind {!Machine.Ctx} run contexts use.
+    O(valid lines now + lines saved): the cache indexes the slot of every
+    valid line, so neither {!capture} nor [restore] walks its capacity. *)

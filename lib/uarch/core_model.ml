@@ -187,76 +187,65 @@ let count_secret trace range =
           if e.index >= lo && e.index <= hi then acc + 1 else acc)
         0 trace
 
-let create cfg reg ms ~core_id ~outcome ~secret_range ~drives_window =
+let create cfg reg ms ~core_id ~drives_window =
   let open Sonar_ir.Component in
   let pt ?single_valid ?persistent_subs name component sources =
     Cpoint.point reg
       ~name:(Printf.sprintf "c%d.%s" core_id name)
       ~component ~sources ?persistent_subs ?single_valid ()
   in
-  let transients = Hashtbl.create 4 in
-  List.iter
-    (fun (pos, cont) -> Hashtbl.replace transients pos cont)
-    outcome.Golden.transients;
-  let t =
-    {
-      cfg;
-      reg;
-      ms;
-      core_id;
-      trace = outcome.Golden.trace;
-      transients;
-      secret_range;
-      drives_window;
-      secret_total = count_secret outcome.Golden.trace secret_range;
-      secret_committed = 0;
-      fetch_pos = 0;
-      fetch_source = Arch;
-      fetch_stall_until = 0;
-      fetch_halted = false;
-      blocked_on_branch = -1;
-      lines = Itbl.create 32;
-      fb = Ring.create cfg.fetch_buffer no_uop;
-      rob = Ring.create cfg.rob_entries no_uop;
-      stbuf = Ring.create cfg.stq_entries no_entry;
-      taint_reg = Array.make 32 false;
-      last_writer = Array.make 32 no_uop;
-      rob_dests = 0;
-      rob_loads = 0;
-      rob_stores = 0;
-      next_id = 0;
-      pool = Exec_unit.create cfg reg ~core:core_id;
-      bp = Branch_pred.create cfg;
-      commit_log = [];
-      transient_issued = 0;
-      pending_early_squash = no_uop;
-      p_fb_enq =
-        pt ~single_valid:true "frontend.fb_enq" Frontend
-          (List.init cfg.fetch_width (Printf.sprintf "slot%d"));
-      p_pc_sel = pt "frontend.pc_sel" Frontend [ "seq"; "branch"; "exception" ];
-      p_icache_mshr = pt "icache.mshr" Frontend [ "fetch_miss" ];
-      p_bpd_update = pt "bpd.update" Frontend [ "update" ];
-      p_rob_enq =
-        pt ~single_valid:true "rob.enq" Rob
-          (List.init cfg.decode_width (Printf.sprintf "slot%d"));
-      p_rob_commit =
-        pt ~single_valid:true "rob.commit" Rob
-          (List.init cfg.commit_width (Printf.sprintf "slot%d"));
-      p_rob_exception = pt "rob.exception" Rob [ "exception" ];
-      p_ldq_stq = pt "lsu.ldq_stq_idx" Lsu [ "load"; "store" ];
-      p_stq_drain = pt "stq.drain" Lsu [ "drain_valid" ];
-    }
-  in
-  (* With no secret-dependent region the whole run is the window. *)
-  if drives_window && secret_range = None then Cpoint.open_window reg;
-  t
+  {
+    cfg;
+    reg;
+    ms;
+    core_id;
+    trace = [||];
+    transients = Hashtbl.create 4;
+    secret_range = None;
+    drives_window;
+    secret_total = 0;
+    secret_committed = 0;
+    fetch_pos = 0;
+    fetch_source = Arch;
+    fetch_stall_until = 0;
+    fetch_halted = false;
+    blocked_on_branch = -1;
+    lines = Itbl.create 32;
+    fb = Ring.create cfg.fetch_buffer no_uop;
+    rob = Ring.create cfg.rob_entries no_uop;
+    stbuf = Ring.create cfg.stq_entries no_entry;
+    taint_reg = Array.make 32 false;
+    last_writer = Array.make 32 no_uop;
+    rob_dests = 0;
+    rob_loads = 0;
+    rob_stores = 0;
+    next_id = 0;
+    pool = Exec_unit.create cfg reg ~core:core_id;
+    bp = Branch_pred.create cfg;
+    commit_log = [];
+    transient_issued = 0;
+    pending_early_squash = no_uop;
+    p_fb_enq =
+      pt ~single_valid:true "frontend.fb_enq" Frontend
+        (List.init cfg.fetch_width (Printf.sprintf "slot%d"));
+    p_pc_sel = pt "frontend.pc_sel" Frontend [ "seq"; "branch"; "exception" ];
+    p_icache_mshr = pt "icache.mshr" Frontend [ "fetch_miss" ];
+    p_bpd_update = pt "bpd.update" Frontend [ "update" ];
+    p_rob_enq =
+      pt ~single_valid:true "rob.enq" Rob
+        (List.init cfg.decode_width (Printf.sprintf "slot%d"));
+    p_rob_commit =
+      pt ~single_valid:true "rob.commit" Rob
+        (List.init cfg.commit_width (Printf.sprintf "slot%d"));
+    p_rob_exception = pt "rob.exception" Rob [ "exception" ];
+    p_ldq_stq = pt "lsu.ldq_stq_idx" Lsu [ "load"; "store" ];
+    p_stq_drain = pt "stq.drain" Lsu [ "drain_valid" ];
+  }
 
 let prepare t ~outcome ~secret_range =
-  (* Re-arm an existing core for a new run: same role (core_id,
-     drives_window, registered points), new golden trace. Rewinds every
-     dynamic field to what [create] initialises, so a prepared core
-     behaves bit-identically to a fresh one — the [Machine.Ctx] per-core
-     reuse contract. *)
+  (* Arm the core for a run: its golden trace, transient continuations
+     and secret region.  Every other dynamic field is saved state, which
+     a restore rewinds (see [Machine.Ctx]). *)
   t.trace <- outcome.Golden.trace;
   Hashtbl.reset t.transients;
   List.iter
@@ -264,27 +253,7 @@ let prepare t ~outcome ~secret_range =
     outcome.Golden.transients;
   t.secret_range <- secret_range;
   t.secret_total <- count_secret outcome.Golden.trace secret_range;
-  t.secret_committed <- 0;
-  t.fetch_pos <- 0;
-  t.fetch_source <- Arch;
-  t.fetch_stall_until <- 0;
-  t.fetch_halted <- false;
-  t.blocked_on_branch <- -1;
-  Itbl.clear t.lines;
-  Ring.clear t.fb;
-  Ring.clear t.rob;
-  Ring.clear t.stbuf;
-  Array.fill t.taint_reg 0 (Array.length t.taint_reg) false;
-  Array.fill t.last_writer 0 (Array.length t.last_writer) no_uop;
-  t.rob_dests <- 0;
-  t.rob_loads <- 0;
-  t.rob_stores <- 0;
-  t.next_id <- 0;
-  Exec_unit.reset t.pool;
-  Branch_pred.reset t.bp;
-  t.commit_log <- [];
-  t.transient_issued <- 0;
-  t.pending_early_squash <- no_uop;
+  (* With no secret-dependent region the whole run is the window. *)
   if t.drives_window && secret_range = None then Cpoint.open_window t.reg
 
 let line_of t pc =

@@ -23,29 +23,24 @@ type commit_record = {
 type t
 
 val create :
-  Config.t ->
-  Cpoint.registry ->
-  Memsys.t ->
-  core_id:int ->
-  outcome:Sonar_isa.Golden.outcome ->
-  secret_range:(int * int) option ->
-  drives_window:bool ->
-  t
-(** [secret_range]: static instruction-index range of the secret-dependent
-    region; the core opens the registry's monitoring window when the first
-    such instruction dispatches and closes it when the last commits
-    (when [drives_window]). With no range the window opens at cycle 0. *)
+  Config.t -> Cpoint.registry -> Memsys.t -> core_id:int -> drives_window:bool -> t
+(** A cold core: its contention points registered, its pipeline empty and
+    no program armed. A core that [drives_window] opens and closes the
+    registry's monitoring window (core 0 of a machine). *)
 
 val prepare :
   t ->
   outcome:Sonar_isa.Golden.outcome ->
   secret_range:(int * int) option ->
   unit
-(** Re-arm an existing core for a new run with a new golden trace: every
-    dynamic field rewinds to what {!create} initialises (same core_id,
-    same [drives_window] role, same registered contention points). Must be
-    paired with {!Cpoint.reset} / {!Memsys.reset} on the shared state. A
-    prepared core behaves bit-identically to a fresh {!create}. *)
+(** Arm the core for a run: the golden trace and transient continuations
+    it replays, and [secret_range], the static instruction-index range of
+    the secret-dependent region. A window-driving core opens the window
+    when the first such instruction dispatches and closes it when the
+    last commits; with no range, [prepare] opens it at once. Only this
+    arming changes: the pipeline, predictor and execution units keep
+    their dynamic state, which {!restore} rewinds — to cold start, from a
+    {!capture} of a fresh core (see {!Machine.Ctx}). *)
 
 val step : t -> cycle:int -> unit
 (** Advance all pipeline stages by one cycle. *)
@@ -95,7 +90,7 @@ type save
 (** Preallocated checkpoint buffer for one core's dynamic pipeline state
     (fetch state, fetch buffer, ROB, store buffer, taint, predictor,
     execution units, commit log). The golden trace itself is not saved —
-    {!prepare} supplies the new run's trace before {!restore}. *)
+    {!prepare} supplies it. *)
 
 val make_save : unit -> save
 val capture : t -> save -> unit

@@ -45,31 +45,6 @@ let create config =
     activity = 0;
   }
 
-let reset_point p =
-  Array.fill p.last_valid 0 (Array.length p.last_valid) (-1);
-  Array.fill p.hits 0 (Array.length p.hits) 0;
-  Array.fill p.last_tainted 0 (Array.length p.last_tainted) false;
-  p.min_pair <- None;
-  p.min_self <- None;
-  p.active_sources <- 0;
-  p.single_valid_dominated <- true;
-  Itbl.clear p.triggered;
-  Itbl.clear p.pair_min;
-  p.digest <- Hashtbl.hash p.name;
-  p.event_count <- 0
-
-let reset reg =
-  (* Registered points survive a reset (registration is structural: it
-     depends only on the config and core count, never on the program), but
-     every per-run observation is rewound to the state [create] + fresh
-     [point] calls would produce — reuse must be bit-identical to a fresh
-     registry. *)
-  List.iter reset_point reg.points;
-  reg.cycle <- 0;
-  reg.open_ <- false;
-  reg.first_open <- -1;
-  reg.last_open <- -1
-
 (* Sub-point granularity: each (source pair, data bucket) combination is a
    distinct netlist sub-point. Wide arbiters route many data fields through
    many MUX bits, so distinct data classes exercise distinct netlist MUXes;
@@ -262,10 +237,6 @@ let pair_name p pair =
   let i, j = find 0 in
   if i < n && j < n then Printf.sprintf "%s-%s" p.sources.(i) p.sources.(j)
   else string_of_int pair
-
-let triggered_weight p =
-  float_of_int p.fanout *. float_of_int (Itbl.length p.triggered)
-  /. float_of_int p.max_subs
 
 (* Checkpoint support: a registry-level save holds one preallocated buffer
    per registered point (in [points] order — registration is structural,

@@ -70,15 +70,6 @@ type registry
 
 val create : Config.t -> registry
 
-val reset : registry -> unit
-(** Rewind every registered point's observations (hits, intervals,
-    triggered sub-points, digests) and the registry's window/cycle state to
-    cold start, keeping the registered points themselves. Because point
-    registration is structural — a function of the config and core count
-    only — a reset registry behaves bit-identically to a fresh one; this is
-    what lets {!Machine.Ctx} reuse a registry across runs without
-    reallocating its tables. *)
-
 val point :
   registry ->
   name:string ->
@@ -141,11 +132,13 @@ type save
 
 val make_save : registry -> save
 val capture : registry -> save -> unit
-val restore : registry -> save -> unit
 
-val triggered_weight : t -> float
-(** Netlist contention points this point contributes to coverage:
-    [fanout × triggered_subs / max_subs]. *)
+val restore : registry -> save -> unit
+(** Rewind every saved point's observations (hits, intervals, triggered
+    sub-points, digest) and the window/cycle state to what {!capture}
+    saw; registered points stay registered. Restoring a capture taken
+    before any run rewinds the registry to cold start, which is how
+    {!Machine.Ctx} reuses a registry across runs. *)
 
 val triggered_subs : t -> (kind * int) list
 (** Sorted by {!compare_sub}. *)

@@ -140,14 +140,6 @@ let try_issue_mem t ~cycle ~tainted =
 
 let wb_source = function Wb_alu -> 0 | Wb_mul -> 1 | Wb_div -> 2 | Wb_mem -> 3
 
-let reset t =
-  t.alu_used <- 0;
-  t.mem_used <- 0;
-  t.mul_issued <- false;
-  t.div_busy_until <- -1;
-  t.mdu_busy_until <- -1;
-  t.wb.len <- 0
-
 type save = {
   mutable s_alu_used : int;
   mutable s_mem_used : int;

@@ -60,11 +60,6 @@ val purge_writeback : t -> keep:(int -> bool) -> unit
 val div_latency : Config.t -> int64 -> int
 val mul_latency : Config.t -> int
 
-val reset : t -> unit
-(** Return the pool to its just-created dynamic state (issue accounting
-    zeroed, units idle, writeback queue empty). Contention points stay
-    registered. *)
-
 type save
 
 val make_save : unit -> save

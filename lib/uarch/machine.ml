@@ -25,7 +25,6 @@ and point_stat = {
   ps_single_valid : bool;
   ps_min_pair : int option;
   ps_triggered : (Cpoint.kind * int) list;
-  ps_weight : float;
   ps_pair_intervals : (int * int) list;
   ps_n_sources : int;
 }
@@ -35,7 +34,8 @@ type dual_stats = { fork_cycle : int option; cycles_saved : int }
 let default_max_cycles = 200_000
 
 module Ctx = struct
-  type checkpoint_bufs = {
+  (* One saved machine: the registry, the hierarchy and every core. *)
+  type bufs = {
     k_reg : Cpoint.save;
     k_ms : Memsys.save;
     k_cores : Core_model.save array;
@@ -44,12 +44,10 @@ module Ctx = struct
   type slot = {
     s_reg : Cpoint.registry;
     s_ms : Memsys.t;
-    mutable s_cores : Core_model.t array option;
-        (* cached per-core models, re-armed via [Core_model.prepare] *)
-    mutable s_kbufs : checkpoint_bufs option;
-        (* preallocated dual-run checkpoint buffers; made lazily once the
-           cores exist (all contention points are registered by then, so
-           the registry save covers every point) *)
+    s_cores : Core_model.t array;
+    s_cold : bufs;  (* the machine as built, before any run *)
+    mutable s_kbufs : bufs option;
+        (* dual-run checkpoint buffers, made on the first dual run *)
   }
 
   type t = {
@@ -65,26 +63,70 @@ module Ctx = struct
   let config t = t.ctx_cfg
   let fingerprint t = t.ctx_fp
   let cycles_stepped t = t.stepped
-  let count_steps ctx n = Option.iter (fun t -> t.stepped <- t.stepped + n) ctx
 
-  (* Acquire the slot for this core count with its registry and memory
-     hierarchy reset to cold start; allocate it on first use. The dominant
-     per-run allocations — cache line arrays (the L2 alone is thousands of
-     line records), the contention-point tables, and (via [s_cores]) the
-     per-core pipeline models — happen once per (context, core count)
-     instead of twice per testcase. *)
+  let make_bufs reg ms cores =
+    {
+      k_reg = Cpoint.make_save reg;
+      k_ms = Memsys.make_save ms;
+      k_cores = Array.map (fun _ -> Core_model.make_save ()) cores;
+    }
+
+  let capture sl k =
+    Cpoint.capture sl.s_reg k.k_reg;
+    Memsys.capture sl.s_ms k.k_ms;
+    for i = 0 to Array.length sl.s_cores - 1 do
+      Core_model.capture sl.s_cores.(i) k.k_cores.(i)
+    done
+
+  (* [forks.(i)] is core [i]'s [Core_model.restore ~fork]. *)
+  let restore ?forks sl k =
+    Cpoint.restore sl.s_reg k.k_reg;
+    Memsys.restore sl.s_ms k.k_ms;
+    for i = 0 to Array.length sl.s_cores - 1 do
+      let fork = match forks with Some f -> f.(i) | None -> max_int in
+      Core_model.restore ~fork sl.s_cores.(i) k.k_cores.(i)
+    done
+
+  (* The slot for this core count, rewound to cold start. The first
+     acquisition builds the machine — every contention point registers
+     as the hierarchy and cores are made — and captures it before any
+     window opens; later ones restore that capture. So the cache line
+     arrays, point tables and pipeline structures are allocated once
+     per (context, core count), and a reused machine is a fresh one. *)
   let slot t ~cores =
     match List.assoc_opt cores t.slots with
     | Some sl ->
-        Cpoint.reset sl.s_reg;
-        Memsys.reset sl.s_ms;
+        restore sl sl.s_cold;
         sl
     | None ->
-        let reg = Cpoint.create t.ctx_cfg in
-        let ms = Memsys.create t.ctx_cfg reg ~cores in
-        let sl = { s_reg = reg; s_ms = ms; s_cores = None; s_kbufs = None } in
+        let cfg = t.ctx_cfg in
+        let reg = Cpoint.create cfg in
+        let ms = Memsys.create cfg reg ~cores in
+        let cs =
+          Array.init cores (fun i ->
+              Core_model.create cfg reg ms ~core_id:i ~drives_window:(i = 0))
+        in
+        let sl =
+          {
+            s_reg = reg;
+            s_ms = ms;
+            s_cores = cs;
+            s_cold = make_bufs reg ms cs;
+            s_kbufs = None;
+          }
+        in
+        capture sl sl.s_cold;
         t.slots <- (cores, sl) :: t.slots;
         sl
+
+  (* The dual-run checkpoint buffers of a slot. *)
+  let kbufs sl =
+    match sl.s_kbufs with
+    | Some k -> k
+    | None ->
+        let k = make_bufs sl.s_reg sl.s_ms sl.s_cores in
+        sl.s_kbufs <- Some k;
+        k
 end
 
 let point_stat (p : Cpoint.t) triggered =
@@ -97,49 +139,28 @@ let point_stat (p : Cpoint.t) triggered =
     ps_single_valid = p.single_valid;
     ps_min_pair = p.min_pair;
     ps_triggered = triggered;
-    ps_weight = Cpoint.triggered_weight p;
     ps_pair_intervals = Cpoint.pair_intervals p;
   }
 
-(* Build (or re-arm, under a context) the per-run machine state for the
-   given inputs and their precomputed golden outcomes. *)
-let acquire ?ctx cfg inputs outcomes =
-  let n = Array.length inputs in
+(* The context a run uses: the caller's, or a fresh one. *)
+let resolve ?ctx cfg =
   match ctx with
-  | None ->
-      let reg = Cpoint.create cfg in
-      let ms = Memsys.create cfg reg ~cores:n in
-      let cores =
-        Array.init n (fun i ->
-            Core_model.create cfg reg ms ~core_id:i ~outcome:outcomes.(i)
-              ~secret_range:inputs.(i).secret_range ~drives_window:(i = 0))
-      in
-      (reg, ms, cores, None)
+  | None -> Ctx.create cfg
   | Some ctx ->
       if not (Ctx.config ctx == cfg || Ctx.config ctx = cfg) then
         invalid_arg "Machine.run: ctx was created for a different config";
-      let sl = Ctx.slot ctx ~cores:n in
-      let cores =
-        match sl.Ctx.s_cores with
-        | Some cores ->
-            Array.iteri
-              (fun i c ->
-                Core_model.prepare c ~outcome:outcomes.(i)
-                  ~secret_range:inputs.(i).secret_range)
-              cores;
-            cores
-        | None ->
-            let cores =
-              Array.init n (fun i ->
-                  Core_model.create cfg sl.Ctx.s_reg sl.Ctx.s_ms ~core_id:i
-                    ~outcome:outcomes.(i)
-                    ~secret_range:inputs.(i).secret_range
-                    ~drives_window:(i = 0))
-            in
-            sl.Ctx.s_cores <- Some cores;
-            cores
-      in
-      (sl.Ctx.s_reg, sl.Ctx.s_ms, cores, Some sl)
+      ctx
+
+(* A cold machine for these inputs, armed with their precomputed golden
+   outcomes. *)
+let acquire ctx inputs outcomes =
+  let sl = Ctx.slot ctx ~cores:(Array.length inputs) in
+  Array.iteri
+    (fun i c ->
+      Core_model.prepare c ~outcome:outcomes.(i)
+        ~secret_range:inputs.(i).secret_range)
+    sl.Ctx.s_cores;
+  sl
 
 let all_done ms cores =
   Array.for_all Core_model.finished cores && not (Memsys.busy ms)
@@ -222,10 +243,13 @@ let run_with ~skip ?(max_cycles = default_max_cycles) ?ctx cfg inputs =
   let outcomes =
     Array.map (fun input -> Sonar_isa.Golden.run input.program) inputs
   in
-  let reg, ms, cores, _slot = acquire ?ctx cfg inputs outcomes in
+  let ctx = resolve ?ctx cfg in
+  let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } =
+    acquire ctx inputs outcomes
+  in
   let steps = ref 0 in
   let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
-  Ctx.count_steps ctx !steps;
+  ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
   collect reg cores ~cycles ~max_cycles
 
 let run ?max_cycles ?ctx cfg inputs = run_with ~skip:true ?max_cycles ?ctx cfg inputs
@@ -404,9 +428,12 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
         else Sonar_isa.Golden.run input.program)
       inputs1
   in
+  let ctx = resolve ?ctx cfg in
   let steps = ref 0 in
   let run_full inputs outcomes =
-    let reg, ms, cores, _slot = acquire ?ctx cfg inputs outcomes in
+    let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } =
+      acquire ctx inputs outcomes
+    in
     let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
     collect reg cores ~cycles ~max_cycles
   in
@@ -423,7 +450,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
   if not viable then begin
     let r0 = run_full inputs0 outcomes0 in
     let r1 = run_full inputs1 outcomes1 in
-    Ctx.count_steps ctx !steps;
+    ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
     (r0, r1, { fork_cycle = None; cycles_saved = 0 })
   end
   else begin
@@ -440,25 +467,9 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
           fork_exec_position cfg outcomes0.(i) outcomes1.(i)
             ~fork_issue:forks.(i))
     in
-    let reg, ms, cores, slot = acquire ?ctx cfg inputs0 outcomes0 in
-    let fresh_kbufs () =
-      {
-        Ctx.k_reg = Cpoint.make_save reg;
-        k_ms = Memsys.make_save ms;
-        k_cores = Array.map (fun _ -> Core_model.make_save ()) cores;
-      }
-    in
-    let kbufs =
-      match slot with
-      | Some sl -> (
-          match sl.Ctx.s_kbufs with
-          | Some k -> k
-          | None ->
-              let k = fresh_kbufs () in
-              sl.Ctx.s_kbufs <- Some k;
-              k)
-      | None -> fresh_kbufs ()
-    in
+    let sl = acquire ctx inputs0 outcomes0 in
+    let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } = sl in
+    let kbufs = Ctx.kbufs sl in
     (* Run 0, capturing the machine state at the top of the first cycle
        in which a divergent position could reach a stage that reads its
        divergence: fetch must stay below the fetch-visible fork, and no
@@ -472,9 +483,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
        run 1's trace. *)
     let captured = ref (-1) in
     let capture cycle =
-      Cpoint.capture reg kbufs.Ctx.k_reg;
-      Memsys.capture ms kbufs.Ctx.k_ms;
-      Array.iteri (fun i c -> Core_model.capture c kbufs.Ctx.k_cores.(i)) cores;
+      Ctx.capture sl kbufs;
       captured := cycle
     in
     (* Before the capture, a jump that would pass a cycle where the
@@ -513,16 +522,12 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
         Core_model.prepare c ~outcome:outcomes1.(i)
           ~secret_range:inputs1.(i).secret_range)
       cores;
-    Cpoint.restore reg kbufs.Ctx.k_reg;
-    Memsys.restore ms kbufs.Ctx.k_ms;
-    Array.iteri
-      (fun i c -> Core_model.restore ~fork:forks.(i) c kbufs.Ctx.k_cores.(i))
-      cores;
+    Ctx.restore ~forks sl kbufs;
     let cycles1 =
       sim_loop ~skip ~steps reg ms cores ~from:!captured ~max_cycles
     in
     let r1 = collect reg cores ~cycles:cycles1 ~max_cycles in
-    Ctx.count_steps ctx !steps;
+    ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
     (r0, r1, { fork_cycle = Some !captured; cycles_saved = !captured })
   end
 

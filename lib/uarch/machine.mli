@@ -34,7 +34,6 @@ and point_stat = {
   ps_single_valid : bool;
   ps_min_pair : int option;
   ps_triggered : (Cpoint.kind * int) list;
-  ps_weight : float;  (** netlist contention points contributed *)
   ps_pair_intervals : (int * int) list;
       (** per source pair, the minimum in-window interval *)
   ps_n_sources : int;
@@ -50,21 +49,25 @@ type dual_stats = {
 
 val default_max_cycles : int
 
-(** Reusable run context: caches the contention-point registry and memory
-    hierarchy (the dominant per-run heap allocations — cache line arrays,
-    point tables) across {!run} calls, resetting them to cold start at each
-    acquisition. A context is {e not} thread-safe: keep one per domain (the
-    executor keeps one per worker via the {!Sonar.Domain_pool} worker-local
-    storage API). Results are bit-identical with and without a context —
-    asserted by the tests — so reuse is purely a throughput optimisation:
-    it is what keeps the parallel execute phase from serialising on
-    stop-the-world minor collections. *)
+(** Reusable run context: keeps one machine per core count — the
+    contention-point registry, the memory hierarchy and the cores, the
+    dominant per-run heap allocations (cache line arrays, point tables,
+    pipeline structures) — across {!run} calls. The first run at a core
+    count builds the machine and captures its cold state; every later run
+    restores that capture, so a reused machine is a fresh one. A run
+    without a context runs on a fresh one. A context is {e not}
+    thread-safe: keep one per domain (the executor keeps one per worker
+    via the {!Sonar.Domain_pool} worker-local storage API). Results are
+    bit-identical with and without a context — asserted by the tests — so
+    reuse is purely a throughput optimisation: it is what keeps the
+    parallel execute phase from serialising on stop-the-world minor
+    collections. *)
 module Ctx : sig
   type t
 
   val create : Config.t -> t
-  (** Cheap; the underlying registry/hierarchy is allocated lazily on the
-      first {!run} per core count. *)
+  (** Cheap; the machine for a core count is built on the first {!run}
+      at that count. *)
 
   val config : t -> Config.t
 

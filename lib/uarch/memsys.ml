@@ -123,26 +123,6 @@ let create (cfg : Config.t) reg ~cores =
     p_dport = per_core "lsu.dcache_port" Lsu [ "load"; "store" ] ();
   }
 
-let reset t =
-  (* Rewind all run state to what [create] builds, reusing every array,
-     cache line and hashtable. The contention points themselves are reset
-     through their registry ([Cpoint.reset]); this only clears the memory
-     hierarchy. Paired with a registry reset, a reused memsys is
-     bit-identical in behavior to a freshly created one. *)
-  Array.iter Cache.reset t.l1i;
-  Array.iter Cache.reset t.l1d;
-  Cache.reset t.l2;
-  t.transfers <- [];
-  t.channel_busy_until <- 0;
-  Array.iter (fun m -> Array.fill m 0 (Array.length m) None) t.mshrs;
-  Array.iter Lines.reset t.load_waiters;
-  Array.iter Lines.reset t.store_waiters;
-  Array.iter Itbl.clear t.load_ready_tbl;
-  Array.iter Itbl.clear t.store_ready_tbl;
-  Array.iter Itbl.clear t.ifetch_ready_tbl;
-  Array.fill t.icache_port_busy 0 (Array.length t.icache_port_busy) (-1);
-  Array.fill t.write_lb_busy 0 (Array.length t.write_lb_busy) (-1)
-
 (* Checkpoint support.  Transfers are mutable records, so capture deep-
    copies each one (preserving list order — grant arbitration folds over
    the list).  Waiter lists are captured as [(line, contents)] and
@@ -178,9 +158,9 @@ let make_save t =
     s_ifetch_ready = Array.init t.cores (fun _ -> Itbl.create 32);
     s_icache_port_busy = Array.make t.cores (-1);
     s_write_lb_busy = Array.make t.cores (-1);
-    s_l1i = Array.map Cache.make_save t.l1i;
-    s_l1d = Array.map Cache.make_save t.l1d;
-    s_l2 = Cache.make_save t.l2;
+    s_l1i = Array.map (fun _ -> Cache.make_save ()) t.l1i;
+    s_l1d = Array.map (fun _ -> Cache.make_save ()) t.l1d;
+    s_l2 = Cache.make_save ();
   }
 
 let blit_tables ~src ~dst =

@@ -29,13 +29,6 @@ type access_result =
 
 val create : Config.t -> Cpoint.registry -> cores:int -> t
 
-val reset : t -> unit
-(** Rewind caches, MSHRs, in-flight transfers, waiter tables and port
-    busy-state to cold start without reallocating anything. Must be paired
-    with {!Cpoint.reset} on the owning registry; together they make a
-    reused hierarchy bit-identical in behavior to a fresh {!create} — the
-    contract behind {!Machine.Ctx} run-context reuse. *)
-
 type save
 (** Preallocated checkpoint buffer for one hierarchy (caches, MSHRs,
     in-flight transfers, waiter/ready tables, port busy-state). *)
@@ -44,8 +37,10 @@ val make_save : t -> save
 val capture : t -> save -> unit
 val restore : t -> save -> unit
 (** [restore t sv] makes the hierarchy behave bit-identically to the
-    state [capture t sv] saw. Pair with {!Cpoint.restore} on the owning
-    registry. *)
+    state [capture t sv] saw, reusing every array, cache line and table.
+    Pair with {!Cpoint.restore} on the owning registry. Restoring a
+    capture of a fresh hierarchy rewinds it to cold start — the rewind
+    behind {!Machine.Ctx} run-context reuse. *)
 
 val ifetch :
   t -> core:int -> addr:int64 -> cycle:int -> tainted:bool -> access_result

@@ -1,4 +1,4 @@
-(* Tests for the ISA substrate: registers, encoding, memory, assembler
+(* Tests for the ISA substrate: registers, memory, assembler
    helpers, and the golden functional model. *)
 
 open Sonar_isa
@@ -22,102 +22,6 @@ let test_reg_names () =
   checkb "of_name bad" true (Reg.of_name "q9" = None);
   checkb "of_int out of range" true
     (match Reg.of_int 32 with exception Invalid_argument _ -> true | _ -> false)
-
-(* --- Encoding --- *)
-
-let enc_dec_samples =
-  [
-    Instr.Rtype (Instr.ADD, r 1, r 2, r 3);
-    Instr.Rtype (Instr.SUB, r 31, r 0, r 15);
-    Instr.Rtype (Instr.MUL, r 5, r 6, r 7);
-    Instr.Rtype (Instr.DIVU, r 5, r 6, r 7);
-    Instr.Rtype (Instr.REMW, r 9, r 10, r 11);
-    Instr.Itype (Instr.ADDI, r 4, r 5, -2048);
-    Instr.Itype (Instr.ADDI, r 4, r 5, 2047);
-    Instr.Itype (Instr.SLLI, r 4, r 5, 63);
-    Instr.Itype (Instr.SRAI, r 4, r 5, 17);
-    Instr.Itype (Instr.SRAIW, r 4, r 5, 31);
-    Instr.Load (Instr.LD, r 8, r 9, 16);
-    Instr.Load (Instr.LBU, r 8, r 9, -1);
-    Instr.Store (Instr.SD, r 8, r 9, -128);
-    Instr.Branch (Instr.BNE, r 1, r 2, -4096);
-    Instr.Branch (Instr.BGEU, r 1, r 2, 4094);
-    Instr.Jal (r 1, 2048);
-    Instr.Jalr (r 1, r 2, -4);
-    Instr.Lui (r 3, 0xFFFFF);
-    Instr.Auipc (r 3, 1);
-    Instr.Csr (Instr.CSRRS, r 4, r 0, 0xC00);
-    Instr.Lr_d (r 5, r 6);
-    Instr.Sc_d (r 5, r 6, r 7);
-    Instr.Fence;
-    Instr.Ecall;
-    Instr.Ebreak;
-    Instr.Mret;
-  ]
-
-let test_encode_decode_samples () =
-  List.iter
-    (fun i ->
-      match Encoding.decode (Encoding.encode i) with
-      | Ok i' ->
-          checkb (Printf.sprintf "roundtrip %s" (Instr.to_string i)) true
-            (Instr.equal i i')
-      | Error e -> Alcotest.failf "decode failed for %s: %s" (Instr.to_string i) e)
-    enc_dec_samples
-
-let test_encode_range_checks () =
-  let fails i =
-    match Encoding.encode i with
-    | exception Encoding.Encode_error _ -> true
-    | _ -> false
-  in
-  checkb "imm too big" true (fails (Instr.Itype (Instr.ADDI, r 1, r 1, 5000)));
-  checkb "odd branch" true (fails (Instr.Branch (Instr.BEQ, r 1, r 1, 3)));
-  checkb "shamt too big" true (fails (Instr.Itype (Instr.SLLIW, r 1, r 1, 32)))
-
-let test_decode_junk () =
-  checkb "garbage word" true
-    (match Encoding.decode 0xFFFFFFFFl with Error _ -> true | Ok _ -> false)
-
-let gen_instr =
-  let open QCheck2.Gen in
-  let reg = map r (int_bound 31) in
-  let imm12 = int_range (-2048) 2047 in
-  oneof
-    [
-      (let* op =
-         oneofl
-           [
-             Instr.ADD; Instr.SUB; Instr.SLL; Instr.SRL; Instr.SRA; Instr.SLT;
-             Instr.SLTU; Instr.AND; Instr.OR; Instr.XOR; Instr.MUL; Instr.MULH;
-             Instr.MULHU; Instr.MULHSU; Instr.DIV; Instr.DIVU; Instr.REM;
-             Instr.REMU; Instr.ADDW; Instr.SUBW; Instr.MULW; Instr.DIVW;
-             Instr.REMUW;
-           ]
-       in
-       let* rd = reg and* rs1 = reg and* rs2 = reg in
-       return (Instr.Rtype (op, rd, rs1, rs2)));
-      (let* op =
-         oneofl [ Instr.ADDI; Instr.SLTI; Instr.ANDI; Instr.ORI; Instr.XORI ]
-       in
-       let* rd = reg and* rs1 = reg and* imm = imm12 in
-       return (Instr.Itype (op, rd, rs1, imm)));
-      (let* op = oneofl [ Instr.LB; Instr.LH; Instr.LW; Instr.LD; Instr.LBU ] in
-       let* rd = reg and* base = reg and* off = imm12 in
-       return (Instr.Load (op, rd, base, off)));
-      (let* op = oneofl [ Instr.SB; Instr.SH; Instr.SW; Instr.SD ] in
-       let* data = reg and* base = reg and* off = imm12 in
-       return (Instr.Store (op, data, base, off)));
-      (let* op = oneofl [ Instr.BEQ; Instr.BNE; Instr.BLT; Instr.BGEU ] in
-       let* rs1 = reg and* rs2 = reg and* off = map (fun v -> v * 2) (int_range (-2048) 2047) in
-       return (Instr.Branch (op, rs1, rs2, off)));
-    ]
-
-let prop_encode_decode =
-  QCheck2.Test.make ~name:"encode/decode roundtrip" ~count:500 gen_instr (fun i ->
-      match Encoding.decode (Encoding.encode i) with
-      | Ok i' -> Instr.equal i i'
-      | Error _ -> false)
 
 (* --- Memory --- *)
 
@@ -350,13 +254,6 @@ let () =
   Alcotest.run "sonar_isa"
     [
       ("reg", [ Alcotest.test_case "names" `Quick test_reg_names ]);
-      ( "encoding",
-        [
-          Alcotest.test_case "sample roundtrips" `Quick test_encode_decode_samples;
-          Alcotest.test_case "range checks" `Quick test_encode_range_checks;
-          Alcotest.test_case "junk decode" `Quick test_decode_junk;
-        ]
-        @ qcheck [ prop_encode_decode ] );
       ( "memory",
         [
           Alcotest.test_case "read/write" `Quick test_memory_rw;

@@ -185,18 +185,19 @@ let test_cache_fill_info () =
       checkb "filler taint" true info.filler_tainted
   | None -> Alcotest.fail "expected hit"
 
-(* Rewinds ([reset], [capture]..[restore]) visit only the lines a run
-   filled; whatever they touch, the rewound cache must be observably a
-   fresh cache that replays the operations leading to the rewound state:
-   everything since the last reset, or everything up to the capture.  A
-   4-set, 4-way cache over a pool of 6 tags per set forces conflicts and
-   dirty evictions. *)
+(* Rewinds ([capture]..[restore]) visit only the lines a run filled;
+   whatever they touch, the rewound cache must be observably a fresh
+   cache that replays the operations leading to the rewound state:
+   everything up to the capture.  [Cold] restores a capture of a fresh
+   cache — the rewind to cold start every reused run context makes — so
+   its replay is everything since.  A 4-set, 4-way cache over a pool of
+   6 tags per set forces conflicts and dirty evictions. *)
 
 type cache_op =
   | Fill of int64 * int * bool  (* address, filler seq, tainted *)
   | Lookup of int64
   | Mark_dirty of int64
-  | Reset
+  | Cold
   | Capture
   | Restore
 
@@ -211,7 +212,7 @@ let apply_cache_op c = function
   | Fill (a, seq, tainted) -> ignore (Cache.fill c a ~seq ~cycle:seq ~tainted)
   | Lookup a -> ignore (Cache.lookup c a)
   | Mark_dirty a -> ignore (Cache.mark_dirty c a)
-  | Reset | Capture | Restore -> ()
+  | Cold | Capture | Restore -> ()
 
 (* The observation mutates (lookups touch LRU, fills evict), so it is
    itself a fixed operation sequence the replay log must then include. *)
@@ -237,7 +238,7 @@ let show_cache_op = function
   | Fill (a, seq, t) -> Printf.sprintf "fill %Ld seq=%d%s" a seq (if t then " t" else "")
   | Lookup a -> Printf.sprintf "lookup %Ld" a
   | Mark_dirty a -> Printf.sprintf "dirty %Ld" a
-  | Reset -> "reset"
+  | Cold -> "restore cold"
   | Capture -> "capture"
   | Restore -> "restore"
 
@@ -251,17 +252,19 @@ let prop_cache_rewind =
            (5, map3 (fun a seq t -> Fill (a, seq, t)) addr (int_bound 100) bool);
            (2, map (fun a -> Lookup a) addr);
            (2, map (fun a -> Mark_dirty a) addr);
-           (1, pure Reset);
+           (1, pure Cold);
            (1, pure Capture);
            (1, pure Restore);
          ])
   in
   QCheck2.Test.make ~name:"cache rewind = fresh replay" ~count:300
+    ~long_factor:25
     ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
     gen
     (fun ops ->
       let c = Cache.create rewind_cfg in
-      let sv = Cache.make_save c in
+      let sv = Cache.make_save () and cold = Cache.make_save () in
+      Cache.capture (Cache.create rewind_cfg) cold;
       (* [log]: reversed ops that take a fresh cache to [c]'s state. *)
       let log = ref [] and saved = ref None in
       let matches_replay () =
@@ -274,8 +277,8 @@ let prop_cache_rewind =
       List.for_all
         (fun op ->
           match (op, !saved) with
-          | Reset, _ ->
-              Cache.reset c;
+          | Cold, _ ->
+              Cache.restore c cold;
               log := [];
               matches_replay ()
           | Capture, _ ->
@@ -807,9 +810,13 @@ let meltdown (inputs : Machine.core_input array) =
    dual}, run through a reused context with checkpointing on: both results
    (commits with their cycles, snapshots, point stats, window, cycle
    count, cycle-limit flag) and the dual-run statistics.  The constants
-   were computed with the list-based pipeline model that predates the ring
+   go back to the list-based pipeline model that predates the ring
    buffers and producer links, so they pin the timing model cycle for
-   cycle, not just to itself.  Random testcases never fault, so the same
+   cycle, not just to itself.  When the point stats lost their unread
+   netlist weight, the constants were recomputed on the model before that
+   change, with each point stat marshalled as a record of the remaining
+   fields in the same order; its digests with the weight were the old
+   constants.  Random testcases never fault, so the same
    corpus runs again as [meltdown] variants to pin the squash paths. *)
 let corpus_digest ~fault =
   let digests = Buffer.create 2048 in
@@ -837,10 +844,10 @@ let corpus_digest ~fault =
 
 let test_machine_cycle_exact_pin () =
   Alcotest.(check string)
-    "random corpus" "51a25de1f6948b1b5bf5b4e8c17fc6e9"
+    "random corpus" "a54b5bf06f773fc61b9de9760de11320"
     (corpus_digest ~fault:false);
   Alcotest.(check string)
-    "meltdown corpus" "fea99f19b4ea642a83393e0fd62cc6e1"
+    "meltdown corpus" "1fdf7ccda5f44037556393b57fbcf2f0"
     (corpus_digest ~fault:true)
 
 (* --- Prefix-checkpointed dual runs --- *)
@@ -929,6 +936,58 @@ let prop_skip_matches_stepping =
       Machine.run_dual ?max_cycles cfg i0 i1
       = Machine.Stepped.run_dual ?max_cycles cfg i0 i1
       && Machine.run ?max_cycles cfg i1 = Machine.Stepped.run ?max_cycles cfg i1)
+
+(* A reused context rewinds its machine by restoring the capture it took
+   of the machine as built.  Whatever a run leaves behind — a budget cut
+   short leaves transfers, MSHRs, store-buffer entries and an open window
+   in flight — the next run on the context must equal the same call on a
+   fresh machine: random sequences of single and dual runs on one
+   context, one core and two, plain and [meltdown], with and without a
+   secret range, checkpointing on and off. *)
+let prop_ctx_reuse_matches_fresh =
+  let call =
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 1 10_000) bool bool bool)
+        (triple (opt ~ratio:0.7 (int_range 1 600)) bool bool))
+  in
+  let show ((seed, dual, fault, ranged), (max_cycles, pair, checkpoint)) =
+    Printf.sprintf "%s seed=%d dual=%b fault=%b ranged=%b max=%s cp=%b"
+      (if pair then "run_dual" else "run")
+      seed dual fault ranged
+      (Option.fold ~none:"-" ~some:string_of_int max_cycles)
+      checkpoint
+  in
+  QCheck2.Test.make ~name:"ctx reuse = fresh machine (random run sequences)"
+    ~count:30 ~long_factor:25
+    ~print:(fun (nutshell, calls) ->
+      Printf.sprintf "%s: %s"
+        (if nutshell then "nutshell" else "boom")
+        (String.concat "; " (List.map show calls)))
+    QCheck2.Gen.(pair bool (list_size (int_range 1 6) call))
+    (fun (nutshell, calls) ->
+      let cfg = if nutshell then Config.nutshell else Config.boom in
+      let ctx = Machine.Ctx.create cfg in
+      List.for_all
+        (fun ((seed, dual, fault, ranged), (max_cycles, pair, checkpoint)) ->
+          let rng = Sonar.Rng.create (Int64.of_int seed) in
+          let tc = Sonar.Testcase.random rng ~id:seed ~dual in
+          let inputs secret =
+            let i = Sonar.Testcase.materialize tc ~secret in
+            let i = if fault then meltdown i else i in
+            if ranged then i
+            else
+              Array.map
+                (fun (c : Machine.core_input) -> { c with secret_range = None })
+                i
+          in
+          let i0 = inputs 0 and i1 = inputs 1 in
+          if pair then
+            Machine.run_dual ~ctx ?max_cycles ~checkpoint cfg i0 i1
+            = Machine.run_dual ?max_cycles ~checkpoint cfg i0 i1
+          else
+            Machine.run ~ctx ?max_cycles cfg i1 = Machine.run ?max_cycles cfg i1)
+        calls)
 
 (* The same differential on the hand-built Table 3 scenarios, whose
    secret-dependent misses, divides and refills are the long quiet
@@ -1146,5 +1205,6 @@ let () =
               prop_machine_matches_golden;
               prop_checkpoint_equivalent;
               prop_skip_matches_stepping;
+              prop_ctx_reuse_matches_fresh;
             ] );
     ]
