@@ -634,7 +634,9 @@ let strategies () =
     let channels = ref [] in
     let reward campaign (obs : Sonar.Feedback.observation) =
       if obs.report.findings <> [] then
-        channels := List.map fst obs.report.state_diffs @ !channels;
+        channels :=
+          List.map Sonar_uarch.Cpoint.diff_point obs.report.state_diffs
+          @ !channels;
       strategy.Sonar.Feedback.reward campaign obs
     in
     let o =

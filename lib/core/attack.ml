@@ -174,13 +174,13 @@ let attack_program ~gadget ~bit_index ~noise =
       (prelude @ body @ [ Asm.halt ]),
     Option.map (fun off -> List.length prelude + off) measure_off )
 
-let run_once cfg ~gadget ~bit_index ~bit_value ~noise =
+let run_once ~ctx cfg ~gadget ~bit_index ~bit_value ~noise =
   let program, measure_index = attack_program ~gadget ~bit_index ~noise in
   let secret_word = Int64.add kernel_base (Int64.of_int (8 * bit_index)) in
   let program =
     { program with Program.data = [ (secret_word, Int64.of_int bit_value) ] }
   in
-  let r = Machine.run_single cfg program in
+  let r = Machine.run_single ~ctx cfg program in
   let measured =
     match measure_index with
     | None -> r.cycles
@@ -211,6 +211,8 @@ let run_poc ?(seed = 99L) ?(trials = default_trials) ?(key_bits = 128)
      registers. Granularities beyond the channel's margin collapse the
      inference to chance. *)
   let quantise v = v / timer_granularity * timer_granularity in
+  (* Every trial runs on one reused machine, rewound to cold start. *)
+  let run_once = run_once ~ctx:(Machine.Ctx.create cfg) in
   let rng = Rng.create seed in
   let key = Array.init key_bits (fun _ -> Rng.int rng 2) in
   (* Per-bit calibration with attacker-planted values: baseline timings
@@ -279,5 +281,5 @@ module For_tests = struct
     let secret_word = Int64.add kernel_base (Int64.of_int (8 * bit_index)) in
     { p with Sonar_isa.Program.data = [ (secret_word, Int64.of_int bit_value) ] }
 
-  let measure = run_once
+  let measure cfg = run_once ~ctx:(Machine.Ctx.create cfg) cfg
 end

@@ -1,30 +1,8 @@
 open Sonar_uarch
 
-type aligned = {
-  position : int;
-  instr : Sonar_isa.Instr.t;
-  static_index : int;
-  cycle0 : int;
-  cycle1 : int;
-  ccd0 : int;
-  ccd1 : int;
-}
-
 let key (c : Core_model.commit_record) = c.c_eff.Sonar_isa.Golden.index
 
-let row a0 ~prev0 (b0 : Core_model.commit_record) ~prev1 (b1 : Core_model.commit_record)
-    =
-  {
-    position = a0;
-    instr = b0.c_eff.Sonar_isa.Golden.instr;
-    static_index = key b0;
-    cycle0 = b0.c_cycle;
-    cycle1 = b1.c_cycle;
-    ccd0 = b0.c_cycle - prev0;
-    ccd1 = b1.c_cycle - prev1;
-  }
-
-let align commits0 commits1 =
+let align commits0 commits1 f =
   let a = Array.of_list commits0 in
   let b = Array.of_list commits1 in
   let na = Array.length a and nb = Array.length b in
@@ -42,19 +20,18 @@ let align commits0 commits1 =
   do
     incr tail
   done;
-  let prev0 i = if i = 0 then 0 else a.(i - 1).c_cycle in
-  let prev1 i = if i = 0 then 0 else b.(i - 1).c_cycle in
-  let head_rows =
-    List.init !head (fun i -> row i ~prev0:(prev0 i) a.(i) ~prev1:(prev1 i) b.(i))
+  let prev (c : Core_model.commit_record array) i =
+    if i = 0 then 0 else c.(i - 1).c_cycle
   in
-  let tail_rows =
-    List.init !tail (fun j ->
-        let i = na - !tail + j and i' = nb - !tail + j in
-        row i ~prev0:(prev0 i) a.(i) ~prev1:(prev1 i') b.(i'))
+  let visit i i' =
+    f i a.(i) b.(i')
+      ~ccd0:(a.(i).c_cycle - prev a i)
+      ~ccd1:(b.(i').c_cycle - prev b i')
   in
-  let diverged = !head + !tail < max na nb in
-  (head_rows @ tail_rows, diverged)
-
-let ccd_affected rows = List.filter (fun r -> r.ccd0 <> r.ccd1) rows
-let timing_diff_count rows =
-  List.length (List.filter (fun r -> r.cycle0 <> r.cycle1) rows)
+  for i = 0 to !head - 1 do
+    visit i i
+  done;
+  for j = 0 to !tail - 1 do
+    visit (na - !tail + j) (nb - !tail + j)
+  done;
+  !head + !tail < max na nb

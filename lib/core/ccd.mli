@@ -12,26 +12,21 @@
     tail backward (suffix-region instructions, where contention effects
     surface, stay comparable). *)
 
-type aligned = {
-  position : int;  (** commit-order position in run 0 *)
-  instr : Sonar_isa.Instr.t;
-  static_index : int;
-  cycle0 : int;
-  cycle1 : int;
-  ccd0 : int;  (** commit distance to the preceding commit, secret = 0 *)
-  ccd1 : int;
-}
-
 val align :
   Sonar_uarch.Core_model.commit_record list ->
   Sonar_uarch.Core_model.commit_record list ->
-  aligned list * bool
-(** [(rows, diverged)]: [diverged] is true when the traces differ in the
-    middle (head + tail alignment dropped some instructions). *)
-
-val ccd_affected : aligned list -> aligned list
-(** Rows whose CCD changes with the secret — the instructions genuinely
-    affected by a side channel. *)
-
-val timing_diff_count : aligned list -> int
-(** Rows with any commit-time difference (including in-order propagation). *)
+  (int ->
+  Sonar_uarch.Core_model.commit_record ->
+  Sonar_uarch.Core_model.commit_record ->
+  ccd0:int ->
+  ccd1:int ->
+  unit) ->
+  bool
+(** [align commits0 commits1 f] calls [f position c0 c1 ~ccd0 ~ccd1] on
+    each aligned pair of commits, head first, then tail: [position] is
+    the commit-order position in run 0, and [ccd0]/[ccd1] are each
+    commit's distance to its predecessor under secret 0 and 1. It returns
+    whether the traces differ in the middle (head + tail alignment
+    dropped some instructions). A commit whose CCD changes with the
+    secret is genuinely affected; one whose commit cycle alone changes
+    may only show in-order propagation. *)

@@ -557,15 +557,16 @@ let measure c =
   let cfg = config_of c in
   let pair = Executor.run_pair cfg (fun ~secret -> build c ~secret) in
   let report = Detector.detect pair in
-  let rows, _ =
-    Ccd.align pair.run0.Machine.cores.(0).commits pair.run1.Machine.cores.(0).commits
-  in
-  let shift_of index =
-    List.find_map
-      (fun (r : Ccd.aligned) ->
-        if r.static_index = index then Some (r.cycle1 - r.cycle0) else None)
-      rows
-  in
+  (* Each aligned instruction's commit shift, in alignment order. *)
+  let shifts = ref [] in
+  ignore
+    (Ccd.align pair.run0.Machine.cores.(0).commits
+       pair.run1.Machine.cores.(0).commits
+       (fun _ (c0 : Core_model.commit_record) c1 ~ccd0:_ ~ccd1:_ ->
+         let index = c0.c_eff.Sonar_isa.Golden.index in
+         shifts := (index, c1.c_cycle - c0.c_cycle) :: !shifts));
+  let shifts = List.rev !shifts in
+  let shift_of index = List.assoc_opt index shifts in
   let time_difference =
     match (shift_of (victim_index c), shift_of (baseline_index c)) with
     | Some v, Some b -> abs (v - b)
@@ -588,7 +589,8 @@ let measure c =
   in
   let points_implicated =
     List.exists
-      (fun (point, _) ->
+      (fun d ->
+        let point = Sonar_uarch.Cpoint.diff_point d in
         List.exists
           (fun expected ->
             String.equal point expected

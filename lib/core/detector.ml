@@ -10,13 +10,16 @@ type finding = {
   commit_delta : int;
 }
 
-type report = {
+type 'diff report_of = {
   findings : finding list;
   raw_timing_diffs : int;
-  state_diffs : (string * string) list;
+  state_diffs : 'diff list;
   diverged : bool;
   total_delta : int;
 }
+
+type report = Cpoint.diff report_of
+type text_report = (string * string) report_of
 
 let detect (pair : Executor.pair) =
   let n_cores = Array.length pair.run0.Machine.cores in
@@ -24,26 +27,25 @@ let detect (pair : Executor.pair) =
   let raw = ref 0 in
   let diverged = ref false in
   for core = 0 to n_cores - 1 do
-    let rows, d =
+    let d =
       Ccd.align pair.run0.Machine.cores.(core).commits
         pair.run1.Machine.cores.(core).commits
+        (fun position (c0 : Core_model.commit_record) c1 ~ccd0 ~ccd1 ->
+          if c0.c_cycle <> c1.c_cycle then incr raw;
+          if ccd0 <> ccd1 then
+            findings :=
+              {
+                core;
+                position;
+                instr = c0.c_eff.Sonar_isa.Golden.instr;
+                static_index = c0.c_eff.Sonar_isa.Golden.index;
+                ccd0;
+                ccd1;
+                commit_delta = c1.c_cycle - c0.c_cycle;
+              }
+              :: !findings)
     in
-    diverged := !diverged || d;
-    raw := !raw + Ccd.timing_diff_count rows;
-    List.iter
-      (fun (r : Ccd.aligned) ->
-        findings :=
-          {
-            core;
-            position = r.position;
-            instr = r.instr;
-            static_index = r.static_index;
-            ccd0 = r.ccd0;
-            ccd1 = r.ccd1;
-            commit_delta = r.cycle1 - r.cycle0;
-          }
-          :: !findings)
-      (Ccd.ccd_affected rows)
+    diverged := !diverged || d
   done;
   {
     findings = List.rev !findings;
@@ -54,7 +56,14 @@ let detect (pair : Executor.pair) =
     total_delta = pair.run1.Machine.cycles - pair.run0.Machine.cycles;
   }
 
-let pp_report fmt r =
+let to_text (r : report) : text_report =
+  {
+    r with
+    state_diffs =
+      List.map (fun d -> (Cpoint.diff_point d, Cpoint.diff_text d)) r.state_diffs;
+  }
+
+let pp_report fmt (r : text_report) =
   Format.fprintf fmt
     "@[<v>CCD-affected instructions: %d (raw timing diffs %d, run-length delta %d%s)@,"
     (List.length r.findings) r.raw_timing_diffs r.total_delta

@@ -16,17 +16,30 @@ type finding = {
   commit_delta : int;  (** cycle1 - cycle0 *)
 }
 
-type report = {
+type 'diff report_of = {
   findings : finding list;  (** CCD-affected instructions, all cores *)
   raw_timing_diffs : int;
       (** instructions whose absolute commit time differs (includes in-order
           propagation the CCD filter removes) *)
-  state_diffs : (string * string) list;
-      (** per contention point, how its states differ across secrets *)
+  state_diffs : 'diff list;
+      (** per contention point whose states differ across secrets, the
+          difference *)
   diverged : bool;  (** commit traces diverged in the middle *)
   total_delta : int;  (** whole-run cycle-count difference *)
 }
 
+type report = Sonar_uarch.Cpoint.diff report_of
+(** A testcase's report. Its state diffs hold the two runs' snapshots of
+    each differing point; how they differ is text only once {!to_text}
+    formats it, so the per-testcase fold formats nothing. *)
+
+type text_report = (string * string) report_of
+(** A report whose state diffs are [(point name, human-readable
+    difference)]: what a campaign keeps of its first findings, and what
+    {!pp_report} prints. *)
+
 val detect : Executor.pair -> report
 
-val pp_report : Format.formatter -> report -> unit
+val to_text : report -> text_report
+
+val pp_report : Format.formatter -> text_report -> unit

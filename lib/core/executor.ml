@@ -4,6 +4,8 @@ type pair = {
   run0 : Machine.result;
   run1 : Machine.result;
   cp : Machine.dual_stats;
+  by_name0 : Machine.point_stat array;
+  by_name1 : Machine.point_stat array;
 }
 
 (* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config).
@@ -40,7 +42,13 @@ let run_pair ?ctx ?checkpoint cfg build =
   let run0, run1, cp =
     Machine.run_dual ~ctx ?checkpoint cfg (build ~secret:0) (build ~secret:1)
   in
-  { run0; run1; cp }
+  {
+    run0;
+    run1;
+    cp;
+    by_name0 = Machine.Ctx.stats_by_name ctx run0;
+    by_name1 = Machine.Ctx.stats_by_name ctx run1;
+  }
 
 let executed_event tc pair =
   Telemetry.Testcase_executed
@@ -52,40 +60,32 @@ let executed_event tc pair =
 
 (* The per-testcase fold. Each point's stats list its pair intervals and
    triggered sub-points sorted, so the two runs merge point by point; the
-   points then sort by name, which orders the output as a sort of every
-   (point, key) entry would, since point names are unique. *)
+   points are walked in name order, which orders the output as a sort of
+   every (point, key) entry would, since point names are unique. Both
+   runs of a pair come from one registry, so their name-ordered stats
+   pair up by index. *)
 
-(* Both runs' stats of each point, in name order. Both runs of a pair come
-   from one registry, so their lists name the same points in the same
-   order and pair up by position. *)
-let points_by_name (pair : pair) =
-  let a = pair.run0.Machine.point_stats and b = pair.run1.Machine.point_stats in
-  List.iter2
-    (fun (x : Machine.point_stat) (y : Machine.point_stat) ->
-      assert (String.equal x.ps_name y.ps_name))
-    a b;
-  List.sort
-    (fun ((x : Machine.point_stat), _) ((y : Machine.point_stat), _) ->
-      String.compare x.ps_name y.ps_name)
-    (List.combine a b)
-
-(* Union of two ascending (pair id, interval) lists, keeping the smaller
-   interval of a pair both have. *)
-let rec merge_min a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | ((pa, va) as x) :: ra, ((pb, vb) as y) :: rb ->
-      if pa < pb then x :: merge_min ra b
-      else if pb < pa then y :: merge_min a rb
-      else (if vb < va then y else x) :: merge_min ra rb
-
-let min_intervals pair =
-  List.concat_map
-    (fun ((x : Machine.point_stat), (y : Machine.point_stat)) ->
-      List.map
-        (fun (pair_id, v) -> ((x.ps_name, pair_id), v))
-        (merge_min x.ps_pair_intervals y.ps_pair_intervals))
-    (points_by_name pair)
+(* Each point's merge of ascending (pair id, interval) lists, keeping the
+   smaller interval of a pair both have, tagged with the point's name and
+   built in place in front of the next point's. *)
+let min_intervals { by_name0 = a; by_name1 = b; _ } =
+  let[@tail_mod_cons] rec point k =
+    if k = Array.length a then []
+    else begin
+      let x = a.(k) and y = b.(k) in
+      assert (String.equal x.ps_name y.ps_name);
+      merge x.ps_name x.ps_pair_intervals y.ps_pair_intervals (k + 1)
+    end
+  and[@tail_mod_cons] merge name l r k =
+    match (l, r) with
+    | [], [] -> point k
+    | (p, v) :: l, [] | [], (p, v) :: l -> ((name, p), v) :: merge name l [] k
+    | (pa, va) :: la, (pb, vb) :: lb ->
+        if pa < pb then ((name, pa), va) :: merge name la r k
+        else if pb < pa then ((name, pb), vb) :: merge name l lb k
+        else ((name, pa), if vb < va then vb else va) :: merge name la lb k
+  in
+  point 0
 
 let observe_intervals hists pair =
   List.iter
@@ -176,20 +176,25 @@ let weight (ps : Machine.point_stat) =
 
 (* Union of two runs' sorted triggered sub-points of one point, each with
    its run's weight; a sub-point both runs triggered takes run 1's. *)
-let triggered pair =
-  List.concat_map
-    (fun ((x : Machine.point_stat), (y : Machine.point_stat)) ->
-      let name = x.ps_name and wx = weight x and wy = weight y in
-      let tag (kind, sub) w = ((name, kind, sub), w) in
-      let rec merge a b =
-        match (a, b) with
-        | [], l -> List.map (fun s -> tag s wy) l
-        | l, [] -> List.map (fun s -> tag s wx) l
-        | sa :: ra, sb :: rb ->
-            let c = Cpoint.compare_sub sa sb in
-            if c < 0 then tag sa wx :: merge ra b
-            else if c > 0 then tag sb wy :: merge a rb
-            else tag sb wy :: merge ra rb
-      in
-      merge x.ps_triggered y.ps_triggered)
-    (points_by_name pair)
+let triggered { by_name0 = a; by_name1 = b; _ } =
+  let[@tail_mod_cons] rec point k =
+    if k = Array.length a then []
+    else begin
+      let x = a.(k) and y = b.(k) in
+      assert (String.equal x.ps_name y.ps_name);
+      match (x.ps_triggered, y.ps_triggered) with
+      | [], [] -> point (k + 1)
+      | l, r -> merge x.ps_name (weight x) (weight y) l r (k + 1)
+    end
+  and[@tail_mod_cons] merge name wx wy l r k =
+    match (l, r) with
+    | [], [] -> point k
+    | (kind, sub) :: l, [] -> ((name, kind, sub), wx) :: merge name wx wy l [] k
+    | [], (kind, sub) :: r -> ((name, kind, sub), wy) :: merge name wx wy [] r k
+    | ((ka, sa) as x) :: la, ((kb, sb) as y) :: lb ->
+        let c = Cpoint.compare_sub x y in
+        if c < 0 then ((name, ka, sa), wx) :: merge name wx wy la r k
+        else if c > 0 then ((name, kb, sb), wy) :: merge name wx wy l lb k
+        else ((name, kb, sb), wy) :: merge name wx wy la lb k
+  in
+  point 0

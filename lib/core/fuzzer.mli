@@ -64,7 +64,7 @@ type outcome = {
   contentions_triggered_testcases : int;
       (** testcases that triggered at least one contention *)
   single_valid_share_first20 : float;  (** Figure 9's dominance measure *)
-  first_reports : (int * Detector.report) list;
+  first_reports : (int * Detector.text_report) list;
       (** (iteration, report) for the first three testcases with CCD
           findings, in iteration order *)
   cycles_simulated : int;

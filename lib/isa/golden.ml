@@ -352,6 +352,30 @@ let initial_state program =
   List.iter (fun (addr, v) -> Memory.store s.mem ~addr ~size:8 v) program.Program.data;
   s
 
+(* A growable effect array: a trace is built in place, without a list to
+   reverse and copy. The first guess at its length is the caller's (the
+   program length: straight-line code runs each instruction once), and
+   a buffer filled exactly is returned as it is. *)
+module Trace_buf = struct
+  type t = { mutable items : effect array; mutable len : int; guess : int }
+
+  let create guess = { items = [||]; len = 0; guess = max 1 guess }
+
+  let push b e =
+    if b.len = Array.length b.items then begin
+      let items =
+        Array.make (if b.len = 0 then b.guess else 2 * b.len) e
+      in
+      Array.blit b.items 0 items 0 b.len;
+      b.items <- items
+    end;
+    Array.unsafe_set b.items b.len e;
+    b.len <- b.len + 1
+
+  let contents b =
+    if b.len = Array.length b.items then b.items else Array.sub b.items 0 b.len
+end
+
 (* Transient continuation: re-execute the faulting instruction on a cloned
    state with fault forwarding (its destination receives the protected
    data), then run the sequential successors for up to [window]
@@ -359,36 +383,34 @@ let initial_state program =
    faulting instruction itself already sits in the architectural trace. *)
 let transient_continuation program s window start_seq =
   let s = clone s in
-  (match Program.pc_to_index program s.pc with
-  | Some index ->
-      ignore
-        (exec_one program s ~seq:start_seq ~index ~transient:true
-           ~forward_faults:true)
-  | None -> ());
-  let effs = ref [] in
-  let count = ref 0 in
-  (try
-     while !count < window do
-       match Program.pc_to_index program s.pc with
-       | None -> raise Exit
-       | Some index ->
-           let eff =
-             exec_one program s ~seq:(start_seq + !count) ~index ~transient:true
-               ~forward_faults:true
-           in
-           effs := eff :: !effs;
-           incr count;
-           if eff.instr = Instr.Ebreak then raise Exit
-     done
-   with Exit -> ());
-  Array.of_list (List.rev !effs)
+  let index = Program.pc_to_index program s.pc in
+  if index >= 0 then
+    ignore
+      (exec_one program s ~seq:start_seq ~index ~transient:true
+         ~forward_faults:true);
+  let effs = Trace_buf.create (min window (Program.length program)) in
+  let rec go count =
+    if count < window then begin
+      let index = Program.pc_to_index program s.pc in
+      if index >= 0 then begin
+        let eff =
+          exec_one program s ~seq:(start_seq + count) ~index ~transient:true
+            ~forward_faults:true
+        in
+        Trace_buf.push effs eff;
+        match eff.instr with Instr.Ebreak -> () | _ -> go (count + 1)
+      end
+    end
+  in
+  go 0;
+  Trace_buf.contents effs
 
 (* Architectural access faults — the only trigger for transient forking —
    occur exactly when a user-mode load/store/lr targets the protected
    range ([exec_one]'s own condition, evaluated on the same pre-state).
    Predicting the fault up front lets [run] skip the pre-execution
    snapshot on the non-faulting path: cloning is a register-file copy plus
-   a memory [Hashtbl.copy] per instruction, and was the dominant per-run
+   a memory table copy per instruction, and was the dominant per-run
    allocation of the whole fuzz execute phase. *)
 let will_access_fault program s index =
   s.priv = Program.User
@@ -404,50 +426,45 @@ let will_access_fault program s index =
 let run ?(max_instrs = default_max_instrs)
     ?(transient_window = default_transient_window) program =
   let s = initial_state program in
-  let trace = ref [] in
+  let trace = Trace_buf.create (min max_instrs (Program.length program)) in
   let transients = ref [] in
-  let seq = ref 0 in
-  let exit_reason = ref Fell_through in
-  (try
-     while !seq < max_instrs do
-       match Program.pc_to_index program s.pc with
-       | None -> raise Exit
-       | Some index ->
-           (* Snapshot the pre-execution state for transient forking, only
-              when this instruction will actually fault. *)
-           let pre =
-             if will_access_fault program s index then Some (clone s) else None
-           in
-           let eff =
-             exec_one program s ~seq:!seq ~index ~transient:false
-               ~forward_faults:false
-           in
-           trace := eff :: !trace;
-           (match (eff.fault, pre) with
-           | Some (Load_access_fault | Store_access_fault), Some pre ->
-               let cont =
-                 transient_continuation program pre transient_window (!seq + 1)
-               in
-               transients := (!seq, cont) :: !transients
-           | Some (Load_access_fault | Store_access_fault), None ->
-               (* [will_access_fault] mirrors [exec_one]'s fault condition
-                  exactly; a fault without a snapshot is a bug. *)
-               assert false
-           | (Some _ | None), _ -> ());
-           incr seq;
-           if eff.instr = Instr.Ebreak then begin
-             exit_reason := Ebreak_halt;
-             raise Exit
-           end
-     done;
-     exit_reason := Max_instrs
-   with Exit -> ());
+  let rec go seq =
+    if seq >= max_instrs then Max_instrs
+    else begin
+      let index = Program.pc_to_index program s.pc in
+      if index < 0 then Fell_through
+      else begin
+        (* Snapshot the pre-execution state for transient forking, only
+           when this instruction will actually fault. *)
+        let pre =
+          if will_access_fault program s index then Some (clone s) else None
+        in
+        let eff =
+          exec_one program s ~seq ~index ~transient:false ~forward_faults:false
+        in
+        Trace_buf.push trace eff;
+        (match (eff.fault, pre) with
+        | Some (Load_access_fault | Store_access_fault), Some pre ->
+            let cont =
+              transient_continuation program pre transient_window (seq + 1)
+            in
+            transients := (seq, cont) :: !transients
+        | Some (Load_access_fault | Store_access_fault), None ->
+            (* [will_access_fault] mirrors [exec_one]'s fault condition
+               exactly; a fault without a snapshot is a bug. *)
+            assert false
+        | (Some _ | None), _ -> ());
+        match eff.instr with Instr.Ebreak -> Ebreak_halt | _ -> go (seq + 1)
+      end
+    end
+  in
+  let exit_reason = go 0 in
   {
-    trace = Array.of_list (List.rev !trace);
+    trace = Trace_buf.contents trace;
     transients = List.rev !transients;
     regs = Array.copy s.regs;
     memory = s.mem;
-    exit_reason = !exit_reason;
+    exit_reason;
   }
 
 let pp_fault fmt f =

@@ -1,8 +1,11 @@
 (** Sparse little-endian byte-addressable memory.
 
-    Backed by a hash table of 8-byte-aligned words, so arbitrarily scattered
-    addresses (testcase data regions, kernel secrets, attacker buffers) cost
-    only what they touch. Unwritten memory reads as zero. *)
+    An open-addressed table of 8-byte words keyed by the word index
+    ([addr lsr 3], a native int), so arbitrarily scattered addresses
+    (testcase data regions, kernel secrets, attacker buffers) cost only
+    what they touch, and an aligned 8-byte access is one probe. Narrow,
+    unaligned and word-crossing accesses read and write exactly their
+    bytes; addresses wrap modulo 2{^64}. Unwritten memory reads as zero. *)
 
 type t
 

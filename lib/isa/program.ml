@@ -18,10 +18,10 @@ let length t = Array.length t.instrs
 
 let pc_to_index t pc =
   let off = Int64.sub pc t.base in
-  if Int64.rem off 4L <> 0L then None
+  if Int64.rem off 4L <> 0L then -1
   else
     let i = Int64.to_int (Int64.div off 4L) in
-    if i >= 0 && i < Array.length t.instrs then Some i else None
+    if i >= 0 && i < Array.length t.instrs then i else -1
 
 let index_to_pc t i = Int64.add t.base (Int64.of_int (4 * i))
 

@@ -13,8 +13,11 @@ type t = {
   mutable min_self : int option;
   mutable active_sources : int;  (* sources with hits > 0, kept incrementally *)
   mutable single_valid_dominated : bool;
-  triggered : Itbl.t;  (* keyed by [sub_key]; values unused *)
-  pair_min : Itbl.t;  (* per risky source pair: min interval *)
+  volatile_slots : int;
+  triggered : int array;  (* bitset over sub-point ids *)
+  mutable n_triggered : int;
+  pair_min : int array;  (* per source pair: min interval, [max_int] = none *)
+  mutable n_pairs : int;  (* entries of [pair_min] below [max_int] *)
   last_tainted : bool array;  (* was each source's latest request tainted *)
   mutable digest : int;
   mutable event_count : int;
@@ -56,8 +59,20 @@ let data_buckets = 64
    of [data]: a native int carries exactly what an int64 would. *)
 let bucket_of data = (data * 0x9E3779B9) land (data_buckets - 1)
 
-let sub_key kind sub = (sub lsl 1) lor match kind with Volatile -> 0 | Persistent -> 1
-let trigger p kind sub = Itbl.replace p.triggered (sub_key kind sub) 0
+(* Sub-point ids index a bitset of [word_bits]-bit words. Volatile ids,
+   [pair * data_buckets + bucket], lie below [volatile_slots] and
+   persistent ids at or above it, so ascending id order is the order of
+   [compare_sub]. *)
+let word_bits = 32
+let word_shift = 5
+
+let trigger p id =
+  let w = id lsr word_shift and bit = 1 lsl (id land (word_bits - 1)) in
+  let word = p.triggered.(w) in
+  if word land bit = 0 then begin
+    p.triggered.(w) <- word lor bit;
+    p.n_triggered <- p.n_triggered + 1
+  end
 
 let point reg ~name ~component ~sources ?(persistent_subs = 0)
     ?(single_valid = false) () =
@@ -66,12 +81,14 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
   | None ->
       let n = List.length sources in
       let volatile_pairs = max 1 (n * (n - 1) / 2) in
+      let volatile_slots = volatile_pairs * data_buckets in
+      let max_subs = volatile_slots + persistent_subs in
       let p =
         {
           name;
           component;
           fanout = Config.fanout_of reg.config name;
-          max_subs = (volatile_pairs * data_buckets) + persistent_subs;
+          max_subs;
           single_valid = single_valid || n = 1;
           sources = Array.of_list sources;
           last_valid = Array.make n (-1);
@@ -80,8 +97,13 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
           min_self = None;
           active_sources = 0;
           single_valid_dominated = true;
-          triggered = Itbl.create 8;
-          pair_min = Itbl.create 8;
+          volatile_slots;
+          (* A point with no persistent subs still takes persistent
+             events, on id [max_subs]: hence [max_subs + 1] bits. *)
+          triggered = Array.make ((max_subs lsr word_shift) + 1) 0;
+          n_triggered = 0;
+          pair_min = Array.make volatile_pairs max_int;
+          n_pairs = 0;
           last_tainted = Array.make n false;
           digest = Hashtbl.hash name;
           event_count = 0;
@@ -121,7 +143,7 @@ let request reg p ~tainted ~source ~data =
       p.single_valid_dominated <- false;
     (* A lone-source point triggers on its first risky in-window request:
        its valid signal is the request itself and is trivially asserted. *)
-    if n = 1 && tainted then trigger p Volatile (bucket_of data);
+    if n = 1 && tainted then trigger p (bucket_of data);
     (* Same-source consecutive interval. *)
     if p.last_valid.(source) >= 0 then
       p.min_self <- update_min p.min_self (cycle - p.last_valid.(source));
@@ -135,10 +157,12 @@ let request reg p ~tainted ~source ~data =
         if tainted || p.last_tainted.(other) then begin
           p.min_pair <- update_min p.min_pair interval;
           let pair = pair_sub n source other in
-          if Itbl.find p.pair_min pair ~default:max_int > interval then
-            Itbl.replace p.pair_min pair interval;
-          if interval = 0 then
-            trigger p Volatile ((pair * data_buckets) + bucket_of data)
+          let prev = p.pair_min.(pair) in
+          if prev > interval then begin
+            if prev = max_int then p.n_pairs <- p.n_pairs + 1;
+            p.pair_min.(pair) <- interval
+          end;
+          if interval = 0 then trigger p ((pair * data_buckets) + bucket_of data)
         end
       end
     done
@@ -152,14 +176,13 @@ let grant reg p ~source =
 
 let persistent reg p ~tainted ~source ~sub ~data =
   mark_active reg;
+  if sub < 0 then invalid_arg "Cpoint.persistent: negative sub";
   if reg.open_ then begin
     p.event_count <- p.event_count + 1;
     p.digest <- mix (mix p.digest (0xBEEF + source)) (data land 0xFFFF);
     if tainted then begin
-      let n = Array.length p.sources in
-      let volatile_slots = max 1 (n * (n - 1) / 2) * data_buckets in
-      let persistent_slots = max 1 (p.max_subs - volatile_slots) in
-      trigger p Persistent (volatile_slots + (sub mod persistent_slots))
+      let persistent_slots = max 1 (p.max_subs - p.volatile_slots) in
+      trigger p (p.volatile_slots + (sub mod persistent_slots))
     end
   end
 
@@ -180,48 +203,47 @@ let window_bounds reg =
 
 let points reg = reg.points
 
-(* The order of polymorphic [compare] on the decoded (kind, sub) pairs
-   ([Volatile] sorts before [Persistent], as constructor order does): by
-   kind bit, then by key, which for one kind orders by sub. *)
-let compare_sub_key a b =
-  let c = Int.compare (a land 1) (b land 1) in
-  if c <> 0 then c else Int.compare a b
+(* The order of polymorphic [compare] on (kind, sub) pairs: [Volatile]
+   sorts before [Persistent], as constructor order does, then by sub. *)
+let compare_sub (ka, sa) (kb, sb) =
+  match (ka, kb) with
+  | Volatile, Persistent -> -1
+  | Persistent, Volatile -> 1
+  | Volatile, Volatile | Persistent, Persistent -> Int.compare sa sb
 
-let compare_sub (ka, sa) (kb, sb) = compare_sub_key (sub_key ka sa) (sub_key kb sb)
-
-(* Run results: sort a table's keys in an array, then build the list
-   from its end, so only the array and the result are allocated. Most
-   tables of a run are empty and the rest small, so small arrays take an
-   insertion sort, which unlike [Array.sort] allocates nothing. *)
-let sorted_list tbl cmp f =
-  if Itbl.length tbl = 0 then []
-  else begin
-    let keys = Itbl.keys tbl in
-    let n = Array.length keys in
-    if n > 16 then Array.sort cmp keys
-    else
-      for i = 1 to n - 1 do
-        let k = keys.(i) and j = ref (i - 1) in
-        while !j >= 0 && cmp keys.(!j) k > 0 do
-          keys.(!j + 1) <- keys.(!j);
-          decr j
-        done;
-        keys.(!j + 1) <- k
-      done;
-    let l = ref [] in
-    for i = n - 1 downto 0 do
-      l := f keys.(i) :: !l
-    done;
-    !l
-  end
-
+(* Run results read the bitset from its top word down and cons, so the
+   list comes out ascending with no sort; they stop once every set bit
+   is read. *)
 let triggered_subs p =
-  sorted_list p.triggered compare_sub_key (fun k ->
-      ((if k land 1 = 0 then Volatile else Persistent), k lsr 1))
+  let l = ref [] and left = ref p.n_triggered in
+  let w = ref (Array.length p.triggered - 1) in
+  while !left > 0 do
+    let word = p.triggered.(!w) in
+    if word <> 0 then
+      for b = word_bits - 1 downto 0 do
+        if word land (1 lsl b) <> 0 then begin
+          let id = (!w lsl word_shift) lor b in
+          let kind = if id < p.volatile_slots then Volatile else Persistent in
+          l := (kind, id) :: !l;
+          decr left
+        end
+      done;
+    decr w
+  done;
+  !l
 
 let pair_intervals p =
-  sorted_list p.pair_min Int.compare (fun k ->
-      (k, Itbl.find p.pair_min k ~default:max_int))
+  let l = ref [] and left = ref p.n_pairs in
+  let pair = ref (Array.length p.pair_min - 1) in
+  while !left > 0 do
+    let v = p.pair_min.(!pair) in
+    if v <> max_int then begin
+      l := (!pair, v) :: !l;
+      decr left
+    end;
+    decr pair
+  done;
+  !l
 
 (* Invert the triangular pair enumeration of [pair_sub]. *)
 let pair_name p pair =
@@ -241,9 +263,7 @@ let pair_name p pair =
 (* Checkpoint support: a registry-level save holds one preallocated buffer
    per registered point (in [points] order — registration is structural,
    so the order is stable for a given config + core count) plus the
-   window/cycle state.  Tables are copied with [Itbl.blit]; all readers
-   use [find] / [length] / sorted [keys], so slot order never shows
-   through. *)
+   window/cycle state. *)
 
 type point_save = {
   ps_last_valid : int array;
@@ -253,8 +273,10 @@ type point_save = {
   mutable ps_min_self : int option;
   mutable ps_active_sources : int;
   mutable ps_single_valid_dominated : bool;
-  ps_triggered : Itbl.t;
-  ps_pair_min : Itbl.t;
+  ps_triggered : int array;
+  mutable ps_n_triggered : int;
+  ps_pair_min : int array;
+  mutable ps_n_pairs : int;
   mutable ps_digest : int;
   mutable ps_event_count : int;
 }
@@ -283,8 +305,10 @@ let make_save reg =
                  ps_min_self = None;
                  ps_active_sources = 0;
                  ps_single_valid_dominated = true;
-                 ps_triggered = Itbl.create 8;
-                 ps_pair_min = Itbl.create 8;
+                 ps_triggered = Array.make (Array.length p.triggered) 0;
+                 ps_n_triggered = 0;
+                 ps_pair_min = Array.make (Array.length p.pair_min) max_int;
+                 ps_n_pairs = 0;
                  ps_digest = 0;
                  ps_event_count = 0;
                } ))
@@ -295,19 +319,25 @@ let make_save reg =
     sv_last_open = -1;
   }
 
+let copy_ints (src : int array) (dst : int array) =
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
 let capture reg sv =
   Array.iter
     (fun (p, ps) ->
-      let n = Array.length p.sources in
-      Array.blit p.last_valid 0 ps.ps_last_valid 0 n;
-      Array.blit p.hits 0 ps.ps_hits 0 n;
-      Array.blit p.last_tainted 0 ps.ps_last_tainted 0 n;
+      copy_ints p.last_valid ps.ps_last_valid;
+      copy_ints p.hits ps.ps_hits;
+      Array.blit p.last_tainted 0 ps.ps_last_tainted 0 (Array.length p.sources);
       ps.ps_min_pair <- p.min_pair;
       ps.ps_min_self <- p.min_self;
       ps.ps_active_sources <- p.active_sources;
       ps.ps_single_valid_dominated <- p.single_valid_dominated;
-      Itbl.blit ~src:p.triggered ~dst:ps.ps_triggered;
-      Itbl.blit ~src:p.pair_min ~dst:ps.ps_pair_min;
+      copy_ints p.triggered ps.ps_triggered;
+      ps.ps_n_triggered <- p.n_triggered;
+      copy_ints p.pair_min ps.ps_pair_min;
+      ps.ps_n_pairs <- p.n_pairs;
       ps.ps_digest <- p.digest;
       ps.ps_event_count <- p.event_count)
     sv.sv_points;
@@ -319,16 +349,17 @@ let capture reg sv =
 let restore reg sv =
   Array.iter
     (fun (p, ps) ->
-      let n = Array.length p.sources in
-      Array.blit ps.ps_last_valid 0 p.last_valid 0 n;
-      Array.blit ps.ps_hits 0 p.hits 0 n;
-      Array.blit ps.ps_last_tainted 0 p.last_tainted 0 n;
+      copy_ints ps.ps_last_valid p.last_valid;
+      copy_ints ps.ps_hits p.hits;
+      Array.blit ps.ps_last_tainted 0 p.last_tainted 0 (Array.length p.sources);
       p.min_pair <- ps.ps_min_pair;
       p.min_self <- ps.ps_min_self;
       p.active_sources <- ps.ps_active_sources;
       p.single_valid_dominated <- ps.ps_single_valid_dominated;
-      Itbl.blit ~src:ps.ps_triggered ~dst:p.triggered;
-      Itbl.blit ~src:ps.ps_pair_min ~dst:p.pair_min;
+      copy_ints ps.ps_triggered p.triggered;
+      p.n_triggered <- ps.ps_n_triggered;
+      copy_ints ps.ps_pair_min p.pair_min;
+      p.n_pairs <- ps.ps_n_pairs;
       p.digest <- ps.ps_digest;
       p.event_count <- ps.ps_event_count)
     sv.sv_points;
@@ -358,32 +389,70 @@ let snapshot_with p triggered =
 
 let snapshot p = snapshot_with p (triggered_subs p)
 
+(* Whether two runs' snapshots of one point differ, decided without the
+   text: [diff_text] formats it only when a report is printed. *)
+let rec ints_equal_from (a : int array) b i =
+  i < 0 || (a.(i) = b.(i) && ints_equal_from a b (i - 1))
+
+let ints_equal (a : int array) b =
+  Array.length a = Array.length b && ints_equal_from a b (Array.length a - 1)
+
+let opt_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x = y
+  | Some _, None | None, Some _ -> false
+
+let rec subs_equal a b =
+  match (a, b) with
+  | [], [] -> true
+  | (ka, sa) :: ra, (kb, sb) :: rb -> ka = kb && sa = sb && subs_equal ra rb
+  | _ :: _, [] | [], _ :: _ -> false
+
+let differs sa sb =
+  not
+    (ints_equal sa.s_hits sb.s_hits
+    && opt_equal sa.s_min_pair sb.s_min_pair
+    && subs_equal sa.s_triggered sb.s_triggered
+    && sa.s_digest = sb.s_digest)
+
+type diff = { d_run0 : snapshot; d_run1 : snapshot }
+
+(* Two runs on one registry snapshot the same points in the same order, so
+   the lists pair by position. A point both runs left cold shares one
+   snapshot, which [!=] skips. *)
+let[@tail_mod_cons] rec diff_snapshots a b =
+  match (a, b) with
+  | [], [] -> []
+  | sa :: a, sb :: b ->
+      assert (String.equal sa.point_name sb.point_name);
+      if sa != sb && differs sa sb then
+        { d_run0 = sa; d_run1 = sb } :: diff_snapshots a b
+      else diff_snapshots a b
+  | _ :: _, [] | [], _ :: _ ->
+      invalid_arg "Cpoint.diff_snapshots: runs of different registries"
+
+let diff_point d = d.d_run0.point_name
+
 let opt_str = function None -> "-" | Some v -> string_of_int v
 
-let diff_snapshot sa sb =
-  assert (String.equal sa.point_name sb.point_name);
+let diff_text { d_run0 = sa; d_run1 = sb } =
   let diffs = ref [] in
-  if sa.s_hits <> sb.s_hits then
+  if not (ints_equal sa.s_hits sb.s_hits) then
     diffs :=
       Printf.sprintf "request counts %s vs %s"
         (String.concat "," (Array.to_list (Array.map string_of_int sa.s_hits)))
         (String.concat "," (Array.to_list (Array.map string_of_int sb.s_hits)))
       :: !diffs;
-  if sa.s_min_pair <> sb.s_min_pair then
+  if not (opt_equal sa.s_min_pair sb.s_min_pair) then
     diffs :=
       Printf.sprintf "min reqsIntvl %s vs %s" (opt_str sa.s_min_pair)
         (opt_str sb.s_min_pair)
       :: !diffs;
-  if sa.s_triggered <> sb.s_triggered then
+  if not (subs_equal sa.s_triggered sb.s_triggered) then
     diffs :=
       Printf.sprintf "triggered sub-points %d vs %d"
         (List.length sa.s_triggered) (List.length sb.s_triggered)
       :: !diffs;
-  if !diffs = [] && sa.s_digest <> sb.s_digest then
-    diffs := [ "event stream differs" ];
-  if !diffs = [] then None
-  else Some (sa.point_name, String.concat "; " (List.rev !diffs))
-
-(* Two runs on one registry snapshot the same points in the same order, so
-   the lists pair by position. *)
-let diff_snapshots a b = List.filter_map Fun.id (List.map2 diff_snapshot a b)
+  if !diffs = [] then "event stream differs"
+  else String.concat "; " (List.rev !diffs)

@@ -21,20 +21,19 @@
 
     The registry is on the cycle path: {!request}, {!grant},
     {!persistent} and {!set_cycle} allocate nothing but the occasional
-    new table binding or improved minimum. Request data is a native int,
-    sub-points and source pairs are native-int keys ({!sub_key}) in
-    {!Itbl} tables, and the window bounds are ints until
-    {!window_bounds} reads them out. *)
+    improved overall minimum. Request data is a native int, and a point's
+    state is dense and preallocated: triggered sub-points are a bitset
+    over sub-point ids, per-pair minima an [int array] indexed by pair
+    id, each with a live count, and the window bounds are ints until
+    {!window_bounds} reads them out. Every volatile id lies below
+    [volatile_slots] and every persistent id at or above it, so reading
+    the bitset in index order yields {!compare_sub} order with no sort. *)
 
 type kind = Volatile | Persistent
 
 val data_buckets : int
 (** Data classes per source pair: a volatile sub-point id is
     [pair * data_buckets + bucket]. *)
-
-val sub_key : kind -> int -> int
-(** A sub-point as one native int, [sub lsl 1 lor kind] with
-    [Volatile = 0] and [Persistent = 1]: the key of sub-point tables. *)
 
 type t = private {
   name : string;
@@ -54,12 +53,19 @@ type t = private {
           incrementally (avoids an O(sources) rescan per request) *)
   mutable single_valid_dominated : bool;
       (** every in-window event so far came from one source (Figure 9) *)
-  triggered : Itbl.t;
-      (** triggered sub-points, keyed by {!sub_key}; read them with
-          {!triggered_subs} *)
-  pair_min : Itbl.t;
-      (** per risky source pair, the minimum interval observed — the
-          fuzzer's per-pair convergence targets *)
+  volatile_slots : int;
+      (** volatile sub-point ids ([pair * data_buckets + bucket]) are below
+          it; persistent ids are [volatile_slots + sub mod persistent
+          slots], up to [max_subs] *)
+  triggered : int array;
+      (** bitset of triggered sub-point ids, [max_subs + 1] bits (a
+          persistent event on a point with no persistent subs lands on id
+          [max_subs]); read it with {!triggered_subs} *)
+  mutable n_triggered : int;  (** set bits of [triggered] *)
+  pair_min : int array;
+      (** per risky source pair id, the minimum interval observed, or
+          [max_int] — the fuzzer's per-pair convergence targets *)
+  mutable n_pairs : int;  (** entries of [pair_min] below [max_int] *)
   last_tainted : bool array;
       (** was each source's most recent request secret-dependent *)
   mutable digest : int;
@@ -98,8 +104,10 @@ val grant : registry -> t -> source:int -> unit
 
 val persistent :
   registry -> t -> tainted:bool -> source:int -> sub:int -> data:int -> unit
-(** Report a persistent-contention event on sub-point [sub]. Only tainted
-    events count as triggers (untainted ones still feed the digest). *)
+(** Report a persistent-contention event on sub-point [sub] (e.g. a cache
+    set index). Only tainted events count as triggers (untainted ones
+    still feed the digest).
+    @raise Invalid_argument when [sub] is negative. *)
 
 val set_cycle : registry -> int -> unit
 (** Called every stepped machine cycle; allocates nothing. A machine that
@@ -141,7 +149,7 @@ val restore : registry -> save -> unit
     {!Machine.Ctx} reuses a registry across runs. *)
 
 val triggered_subs : t -> (kind * int) list
-(** Sorted by {!compare_sub}. *)
+(** Sorted by {!compare_sub}; the sub-point of each is its id. *)
 
 val compare_sub : kind * int -> kind * int -> int
 (** The order of {!triggered_subs} and of every list built from it:
@@ -169,10 +177,21 @@ val snapshot_with : t -> (kind * int) list -> snapshot
 (** [snapshot_with p subs] is [snapshot p] for [subs = triggered_subs p],
     letting a caller that already holds the sorted sub-points reuse them. *)
 
-val diff_snapshots : snapshot list -> snapshot list -> (string * string) list
-(** Contention-state discrepancies between two runs, as
-    [(point name, human-readable difference)] pairs in the order of the
+type diff = { d_run0 : snapshot; d_run1 : snapshot }
+(** One point's differing snapshots under the two runs. *)
+
+val diff_snapshots : snapshot list -> snapshot list -> diff list
+(** Contention-state discrepancies between two runs, in the order of the
     first list — the lower table of the paper's Figure 5. The lists are
-    two runs' snapshots on one registry, so they pair by position.
+    two runs' snapshots on one registry, so they pair by position. Only
+    which points differ is decided here; {!diff_text} says how.
     @raise Invalid_argument when the lengths differ; the names must match
     position by position (asserted). *)
+
+val diff_point : diff -> string
+(** The point's name. *)
+
+val diff_text : diff -> string
+(** How the two snapshots differ, human-readable: request counts, minimum
+    pair interval and triggered sub-point count, or else the event
+    stream. *)

@@ -2,7 +2,7 @@ type t = {
   mutable keys : int array;  (* [empty] marks a free slot *)
   mutable vals : int array;
   (* Slot index: the slot of every binding, in insertion order, in
-     [used.(0 .. size - 1)] — so [clear], [keys] and [blit] visit the
+     [used.(0 .. size - 1)] — so [clear] and [blit] visit the
      bindings instead of every slot. Bindings are never removed one by
      one, so the index only grows until [clear] or [blit] rebuilds it. *)
   mutable used : int array;
@@ -35,8 +35,6 @@ let create n =
 let hash k =
   let h = k * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 32)) land max_int
-
-let length t = t.size
 
 let clear t =
   let keys = t.keys and used = t.used in
@@ -98,8 +96,6 @@ let replace t k v =
     bind t i k v;
     if 2 * t.size > Array.length t.keys then grow t
   end
-
-let keys t = Array.init t.size (fun i -> t.keys.(t.used.(i)))
 
 (* Element-wise loops over [int array]s, not [Array.blit]: the tables
    are long-lived, and a blit into a major-heap array pays a write

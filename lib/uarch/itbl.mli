@@ -9,8 +9,8 @@
     There is no [remove]: the models only add and overwrite entries within
     a run, and {!clear} rewinds a table between runs.
 
-    A slot index lists where each binding lives, so {!clear}, {!keys} and
-    {!blit} cost what the table holds, not its capacity. *)
+    A slot index lists where each binding lives, so {!clear} and {!blit}
+    cost what the table holds, not its capacity. *)
 
 type t
 
@@ -21,7 +21,6 @@ val create : int -> t
 val hash : int -> int
 (** The table's non-negative integer mix, for other monomorphic tables. *)
 
-val length : t -> int
 val clear : t -> unit
 
 val find : t -> int -> default:int -> int
@@ -34,10 +33,6 @@ val mem : t -> int -> bool
 val replace : t -> int -> int -> unit
 (** Bind the key, overwriting any previous binding.
     @raise Invalid_argument on a negative key. *)
-
-val keys : t -> int array
-(** The bound keys, in insertion order (after a {!blit}, the source's):
-    callers that need another order sort them. *)
 
 val blit : src:t -> dst:t -> unit
 (** Make [dst] hold exactly [src]'s bindings, reusing [dst]'s arrays

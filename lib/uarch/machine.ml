@@ -33,6 +33,19 @@ type dual_stats = { fork_cycle : int option; cycles_saved : int }
 
 let default_max_cycles = 200_000
 
+let point_stat (p : Cpoint.t) triggered =
+  {
+    ps_name = p.name;
+    ps_component = p.component;
+    ps_fanout = p.fanout;
+    ps_max_subs = p.max_subs;
+    ps_n_sources = Array.length p.sources;
+    ps_single_valid = p.single_valid;
+    ps_min_pair = p.min_pair;
+    ps_triggered = triggered;
+    ps_pair_intervals = Cpoint.pair_intervals p;
+  }
+
 module Ctx = struct
   (* One saved machine: the registry, the hierarchy and every core. *)
   type bufs = {
@@ -46,6 +59,11 @@ module Ctx = struct
     s_ms : Memsys.t;
     s_cores : Core_model.t array;
     s_cold : bufs;  (* the machine as built, before any run *)
+    s_points : Cpoint.t array;  (* registration order *)
+    s_cold_snaps : Cpoint.snapshot array;
+    s_cold_stats : point_stat array;
+        (* each point's result when a run leaves it cold, shared *)
+    s_rank : int array;  (* each point's position in name order *)
     mutable s_kbufs : bufs option;
         (* dual-run checkpoint buffers, made on the first dual run *)
   }
@@ -106,18 +124,41 @@ module Ctx = struct
           Array.init cores (fun i ->
               Core_model.create cfg reg ms ~core_id:i ~drives_window:(i = 0))
         in
+        let points = Array.of_list (Cpoint.points reg) in
+        let by_name = Array.init (Array.length points) Fun.id in
+        Array.sort
+          (fun i j -> String.compare points.(i).Cpoint.name points.(j).Cpoint.name)
+          by_name;
+        let rank = Array.make (Array.length points) 0 in
+        Array.iteri (fun k i -> rank.(i) <- k) by_name;
         let sl =
           {
             s_reg = reg;
             s_ms = ms;
             s_cores = cs;
             s_cold = make_bufs reg ms cs;
+            s_points = points;
+            s_cold_snaps = Array.map Cpoint.snapshot points;
+            s_cold_stats = Array.map (fun p -> point_stat p []) points;
+            s_rank = rank;
             s_kbufs = None;
           }
         in
         capture sl sl.s_cold;
         t.slots <- (cores, sl) :: t.slots;
         sl
+
+  (* Point names are unique, so a result's stats sorted by name are its
+     list permuted by the slot's rank, which is computed once. *)
+  let stats_by_name t (r : result) =
+    match (List.assoc_opt (Array.length r.cores) t.slots, r.point_stats) with
+    | Some sl, (first :: _ as stats)
+      when List.compare_length_with stats (Array.length sl.s_rank) = 0 ->
+        let by_name = Array.make (Array.length sl.s_rank) first in
+        List.iteri (fun i ps -> by_name.(sl.s_rank.(i)) <- ps) stats;
+        by_name
+    | _, [] -> [||]
+    | _ -> invalid_arg "Machine.Ctx.stats_by_name: not a result of this context"
 
   (* The dual-run checkpoint buffers of a slot. *)
   let kbufs sl =
@@ -128,19 +169,6 @@ module Ctx = struct
         sl.s_kbufs <- Some k;
         k
 end
-
-let point_stat (p : Cpoint.t) triggered =
-  {
-    ps_name = p.name;
-    ps_component = p.component;
-    ps_fanout = p.fanout;
-    ps_max_subs = p.max_subs;
-    ps_n_sources = Array.length p.sources;
-    ps_single_valid = p.single_valid;
-    ps_min_pair = p.min_pair;
-    ps_triggered = triggered;
-    ps_pair_intervals = Cpoint.pair_intervals p;
-  }
 
 (* The context a run uses: the caller's, or a fresh one. *)
 let resolve ?ctx cfg =
@@ -216,9 +244,24 @@ let sim_loop ~skip ~steps reg ms cores ~from ~max_cycles =
     ~clamp:(fun ~from:_ ~upto -> upto)
     reg ms cores ~from ~max_cycles
 
-let collect reg cores ~cycles ~max_cycles =
-  let points = Cpoint.points reg in
-  let triggered = List.map Cpoint.triggered_subs points in
+(* A point with no in-window request or persistent event, and a digest
+   no grant has moved, is as it was built: it shares the slot's cold
+   snapshot and stats. The lists are built from their ends. *)
+let collect (sl : Ctx.slot) ~cycles ~max_cycles =
+  let reg = sl.s_reg and cores = sl.s_cores in
+  let snapshots = ref [] and point_stats = ref [] in
+  for i = Array.length sl.s_points - 1 downto 0 do
+    let p = sl.s_points.(i) and cold = sl.s_cold_snaps.(i) in
+    if p.event_count = 0 && p.digest = cold.s_digest then begin
+      snapshots := cold :: !snapshots;
+      point_stats := sl.s_cold_stats.(i) :: !point_stats
+    end
+    else begin
+      let triggered = Cpoint.triggered_subs p in
+      snapshots := Cpoint.snapshot_with p triggered :: !snapshots;
+      point_stats := point_stat p triggered :: !point_stats
+    end
+  done;
   {
     cores =
       Array.map
@@ -229,9 +272,9 @@ let collect reg cores ~cycles ~max_cycles =
           })
         cores;
     cycles;
-    snapshots = List.map2 Cpoint.snapshot_with points triggered;
+    snapshots = !snapshots;
     window = Cpoint.window_bounds reg;
-    point_stats = List.map2 point_stat points triggered;
+    point_stats = !point_stats;
     hit_cycle_limit = cycles >= max_cycles;
   }
 
@@ -244,18 +287,17 @@ let run_with ~skip ?(max_cycles = default_max_cycles) ?ctx cfg inputs =
     Array.map (fun input -> Sonar_isa.Golden.run input.program) inputs
   in
   let ctx = resolve ?ctx cfg in
-  let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } =
-    acquire ctx inputs outcomes
-  in
+  let sl = acquire ctx inputs outcomes in
+  let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } = sl in
   let steps = ref 0 in
   let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
   ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
-  collect reg cores ~cycles ~max_cycles
+  collect sl ~cycles ~max_cycles
 
 let run ?max_cycles ?ctx cfg inputs = run_with ~skip:true ?max_cycles ?ctx cfg inputs
 
-let run_single ?max_cycles ?(secret_range = None) cfg program =
-  run ?max_cycles cfg [| { program; secret_range } |]
+let run_single ?max_cycles ?ctx ?(secret_range = None) cfg program =
+  run ?max_cycles ?ctx cfg [| { program; secret_range } |]
 
 (* --- Prefix-checkpointed dual runs --- *)
 
@@ -431,11 +473,10 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
   let ctx = resolve ?ctx cfg in
   let steps = ref 0 in
   let run_full inputs outcomes =
-    let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } =
-      acquire ctx inputs outcomes
-    in
+    let sl = acquire ctx inputs outcomes in
+    let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } = sl in
     let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
-    collect reg cores ~cycles ~max_cycles
+    collect sl ~cycles ~max_cycles
   in
   (* Checkpointing forks the taint pipeline too, so it requires identical
      secret ranges per core; with differing ranges (never the case for
@@ -503,7 +544,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
           else upto)
         reg ms cores ~from:0 ~max_cycles
     in
-    let r0 = collect reg cores ~cycles:cycles0 ~max_cycles in
+    let r0 = collect sl ~cycles:cycles0 ~max_cycles in
     (* If the capture test stayed false for the whole of run 0 — no
        divergent field was ever read (a secret whose dependent values are
        never address- or latency-forming), or the budget cut the run short
@@ -526,7 +567,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
     let cycles1 =
       sim_loop ~skip ~steps reg ms cores ~from:!captured ~max_cycles
     in
-    let r1 = collect reg cores ~cycles:cycles1 ~max_cycles in
+    let r1 = collect sl ~cycles:cycles1 ~max_cycles in
     ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
     (r0, r1, { fork_cycle = Some !captured; cycles_saved = !captured })
   end

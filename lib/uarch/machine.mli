@@ -21,8 +21,9 @@ type result = {
   cores : core_result array;
   cycles : int;  (** total cycles simulated *)
   snapshots : Cpoint.snapshot list;
+      (** per contention point, in registration order *)
   window : (int * int) option;  (** monitoring-window bounds, cycles *)
-  point_stats : point_stat list;
+  point_stats : point_stat list;  (** in registration order *)
   hit_cycle_limit : bool;
 }
 
@@ -82,6 +83,12 @@ module Ctx : sig
       is at most the model cycles those runs simulated. It lives here,
       not in any result, so that results stay the same whether or not
       cycles are skipped. *)
+
+  val stats_by_name : t -> result -> point_stat array
+  (** A result's [point_stats] in point-name order, by a permutation each
+      machine computes once.
+      @raise Invalid_argument when the result is not of a machine of
+      this context. *)
 end
 
 val run :
@@ -140,6 +147,7 @@ end
 
 val run_single :
   ?max_cycles:int ->
+  ?ctx:Ctx.t ->
   ?secret_range:(int * int) option ->
   Config.t ->
   Sonar_isa.Program.t ->

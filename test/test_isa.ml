@@ -57,6 +57,92 @@ let prop_memory_roundtrip =
       in
       Int64.equal (Memory.load m ~addr ~size) (Int64.logand v mask))
 
+(* Random mixed-size store / load sequences against a byte map. The
+   addresses sit around bases that make accesses unaligned, cross words,
+   overlap each other, and wrap past the top of the 64-bit space (the
+   negative [int64]s); [Copy] continues on a copy, which must leave the
+   original as it was. *)
+type mem_op =
+  | Store of int64 * int * int64
+  | Load of int64 * int * bool  (* signed *)
+  | Copy
+
+let show_mem_op = function
+  | Store (a, n, v) -> Printf.sprintf "store %Lx/%d %Lx" a n v
+  | Load (a, n, signed) ->
+      Printf.sprintf "load%s %Lx/%d" (if signed then "s" else "") a n
+  | Copy -> "copy"
+
+let prop_memory_matches_bytes =
+  let gen =
+    let open QCheck2.Gen in
+    let addr =
+      map2 Int64.add
+        (oneofl
+           [ 0L; 0x1000L; 0x8000_0000L; -16L; -8L; Int64.min_int;
+             Int64.sub Int64.max_int 7L; 0x1234_5678_9ABC_DEF0L ])
+        (map Int64.of_int (int_range (-3) 20))
+    in
+    let size = oneofl [ 1; 2; 4; 8 ] in
+    list_size (int_range 1 120)
+      (frequency
+         [
+           ( 5,
+             map3 (fun a n v -> Store (a, n, v)) addr size (map Int64.of_int int)
+           );
+           (5, map3 (fun a n signed -> Load (a, n, signed)) addr size bool);
+           (1, pure Copy);
+         ])
+  in
+  QCheck2.Test.make ~name:"memory = byte map (mixed sizes, any address)"
+    ~count:300 ~long_factor:25
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    gen
+    (fun ops ->
+      let bytes = Hashtbl.create 64 in
+      let byte a = Option.value ~default:0L (Hashtbl.find_opt bytes a) in
+      let expect addr size =
+        let v = ref 0L in
+        for i = size - 1 downto 0 do
+          v :=
+            Int64.logor (Int64.shift_left !v 8)
+              (byte (Int64.add addr (Int64.of_int i)))
+        done;
+        !v
+      in
+      let m = ref (Memory.create ()) in
+      let store addr size v =
+        Memory.store !m ~addr ~size v;
+        for i = 0 to size - 1 do
+          Hashtbl.replace bytes
+            (Int64.add addr (Int64.of_int i))
+            (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)
+        done
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Store (addr, size, v) ->
+              store addr size v;
+              true
+          | Load (addr, size, false) ->
+              Int64.equal (Memory.load !m ~addr ~size) (expect addr size)
+          | Load (addr, size, true) ->
+              let bits = 8 * size in
+              let v = expect addr size in
+              let v =
+                if size = 8 then v
+                else Int64.shift_right (Int64.shift_left v (64 - bits)) (64 - bits)
+              in
+              Int64.equal (Memory.load_signed !m ~addr ~size) v
+          | Copy ->
+              let original = !m and addr = 0x1003L in
+              let before = Memory.load original ~addr ~size:8 in
+              m := Memory.copy original;
+              store addr 8 (Int64.lognot before);
+              Int64.equal (Memory.load original ~addr ~size:8) before)
+        ops)
+
 (* --- Asm --- *)
 
 let run_instrs instrs =
@@ -260,7 +346,7 @@ let () =
           Alcotest.test_case "signed loads" `Quick test_memory_signed;
           Alcotest.test_case "unaligned" `Quick test_memory_unaligned;
         ]
-        @ qcheck [ prop_memory_roundtrip ] );
+        @ qcheck [ prop_memory_roundtrip; prop_memory_matches_bytes ] );
       ( "asm",
         [ Alcotest.test_case "li edge cases" `Quick test_li_edges ]
         @ qcheck [ prop_li_materializes ] );

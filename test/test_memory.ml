@@ -61,6 +61,33 @@ let test_promotion cfg ~dual ~bound () =
     (Printf.sprintf "%.0f promoted words per testcase (bound %.0f)" per_tc bound)
     true (per_tc <= bound)
 
+(* Minor-heap words allocated per testcase of a 1,024-testcase [sonar]
+   campaign at jobs 1, after a warm-up campaign has sized the domain's
+   scratch context. Every minor collection stops all domains, so what a
+   testcase allocates caps parallel speedup. The bounds are about 1.1x
+   the 10,745, 10,280 and 16,233 words measured on BOOM, NutShell and
+   dual-core BOOM once the golden model kept its memory in a flat word
+   table, contention points kept dense state and the fold stopped
+   re-sorting points and formatting state diffs; before, this test
+   measured 17,945, 17,278 and 28,305. *)
+let minor_words_per_testcase cfg ~dual =
+  let campaign () =
+    ignore
+      (Fuzzer.run
+         ~options:{ Fuzzer.Options.default with seed = 42L; dual }
+         cfg Feedback.sonar ~iterations:1024)
+  in
+  campaign ();
+  let before = Gc.minor_words () in
+  campaign ();
+  (Gc.minor_words () -. before) /. 1024.
+
+let test_minor_words cfg ~dual ~bound () =
+  let per_tc = minor_words_per_testcase cfg ~dual in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per testcase (bound %.0f)" per_tc bound)
+    true (per_tc <= bound)
+
 let () =
   Alcotest.run "sonar_memory"
     [
@@ -80,5 +107,17 @@ let () =
             (Sonar_uarch.Config.boom, false, 1500.);
             (Sonar_uarch.Config.nutshell, false, 1500.);
             (Sonar_uarch.Config.boom, true, 2500.);
+          ] );
+      ( "minor words per testcase",
+        List.map
+          (fun ((cfg : Sonar_uarch.Config.t), dual, bound) ->
+            Alcotest.test_case
+              (cfg.name ^ if dual then " dual campaign" else " campaign")
+              `Quick
+              (test_minor_words cfg ~dual ~bound))
+          [
+            (Sonar_uarch.Config.boom, false, 11_800.);
+            (Sonar_uarch.Config.nutshell, false, 11_300.);
+            (Sonar_uarch.Config.boom, true, 17_900.);
           ] );
     ]

@@ -483,7 +483,8 @@ let prop_wb_arbiter_matches_list =
       same_grants && observe wb_point = observe model.p)
 
 (* The name-table snapshot diff that [Cpoint.diff_snapshots] replaced with
-   a positional one, kept as its reference. *)
+   a positional one (and whose text [Cpoint.diff_text] now formats on
+   demand), kept as its reference. *)
 let diff_by_name a b =
   let opt_str = function None -> "-" | Some v -> string_of_int v in
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
@@ -546,15 +547,19 @@ let prop_diff_snapshots_positional =
     bind names (fun l -> pair (snapshots l) (snapshots l))
   in
   QCheck2.Test.make ~name:"positional snapshot diff = name-table diff"
-    ~count:500 gen (fun (a, b) -> Cpoint.diff_snapshots a b = diff_by_name a b)
+    ~count:500 gen (fun (a, b) ->
+      List.map
+        (fun d -> (Cpoint.diff_point d, Cpoint.diff_text d))
+        (Cpoint.diff_snapshots a b)
+      = diff_by_name a b)
 
 (* Three [Itbl]s of different starting capacities against [Hashtbl]
    models under random replace/find/clear/blit sequences on a small key
    range, so bindings collide, tables grow between blits, and blits copy
    into smaller, equal and larger tables (and onto themselves). Lookups
    also try negative keys, which are never bound. After every operation
-   each table has its model's length, bindings, and keys in
-   first-insertion order (a blit copies its source's order). *)
+   each table has exactly its model's bindings over the whole key range,
+   so a stale binding left by [clear] or [blit] shows at once. *)
 let prop_itbl_matches_hashtbl =
   let gen =
     let open QCheck2.Gen in
@@ -571,45 +576,327 @@ let prop_itbl_matches_hashtbl =
   in
   QCheck2.Test.make ~name:"Itbl = Hashtbl" ~count:300 gen (fun ops ->
       let tables = [| Itbl.create 0; Itbl.create 8; Itbl.create 100 |] in
-      (* Per table: its bindings, and its keys newest first. *)
-      let models = Array.init 3 (fun _ -> (Hashtbl.create 8, ref [])) in
+      let models = Array.init 3 (fun _ -> Hashtbl.create 8) in
       let agrees i =
-        let t = tables.(i) and model, order = models.(i) in
-        Itbl.length t = Hashtbl.length model
-        && Array.to_list (Itbl.keys t) = List.rev !order
-        && Hashtbl.fold
-             (fun k v ok -> ok && Itbl.mem t k && Itbl.find t k ~default:(-1) = v)
-             model true
+        let t = tables.(i) and m = models.(i) in
+        let rec from k =
+          k > 400
+          || Itbl.mem t k = Hashtbl.mem m k
+             && Itbl.find t k ~default:(-1)
+                = Option.value ~default:(-1) (Hashtbl.find_opt m k)
+             && from (k + 1)
+        in
+        from (-2)
       in
       List.for_all
         (fun op ->
           (match op with
           | `Replace (i, k, v) ->
-              let model, order = models.(i) in
-              if not (Hashtbl.mem model k) then order := k :: !order;
-              Hashtbl.replace model k v;
+              Hashtbl.replace models.(i) k v;
               Itbl.replace tables.(i) k v
           | `Find _ -> ()
           | `Clear i ->
-              let model, order = models.(i) in
-              Hashtbl.reset model;
-              order := [];
+              Hashtbl.reset models.(i);
               Itbl.clear tables.(i)
           | `Blit (i, j) ->
-              let src, src_order = models.(i) and dst, dst_order = models.(j) in
-              let copy = Hashtbl.copy src in
-              Hashtbl.reset dst;
-              Hashtbl.iter (Hashtbl.replace dst) copy;
-              dst_order := !src_order;
+              let copy = Hashtbl.copy models.(i) in
+              Hashtbl.reset models.(j);
+              Hashtbl.iter (Hashtbl.replace models.(j)) copy;
               Itbl.blit ~src:tables.(i) ~dst:tables.(j));
           (match op with
           | `Find (i, k) ->
-              let model, _ = models.(i) in
               Itbl.find tables.(i) k ~default:(-7)
-              = Option.value ~default:(-7) (Hashtbl.find_opt model k)
-              && Itbl.mem tables.(i) k = Hashtbl.mem model k
+              = Option.value ~default:(-7) (Hashtbl.find_opt models.(i) k)
+              && Itbl.mem tables.(i) k = Hashtbl.mem models.(i) k
           | _ -> true)
           && agrees 0 && agrees 1 && agrees 2)
+        ops)
+
+(* The registry as it was when triggered sub-points and pair minima were
+   hash tables read out by a sort: the reference for the dense bitset and
+   interval arrays. One [Cpoint_ref.point] mirrors one [Cpoint.t]. *)
+module Cpoint_ref = struct
+  type point = {
+    name : string;
+    n : int;
+    max_subs : int;
+    last_valid : int array;
+    hits : int array;
+    last_tainted : bool array;
+    mutable min_pair : int option;
+    mutable min_self : int option;
+    mutable active : int;
+    mutable dominated : bool;
+    triggered : (Cpoint.kind * int, unit) Hashtbl.t;
+    pair_min : (int, int) Hashtbl.t;
+    mutable digest : int;
+    mutable events : int;
+  }
+
+  type t = {
+    points : point array;
+    mutable cycle : int;
+    mutable open_ : bool;
+    mutable first_open : int;
+    mutable last_open : int;
+  }
+
+  let volatile_slots p = max 1 (p.n * (p.n - 1) / 2) * Cpoint.data_buckets
+
+  let point ~name ~n ~persistent_subs =
+    {
+      name;
+      n;
+      max_subs = (max 1 (n * (n - 1) / 2) * Cpoint.data_buckets) + persistent_subs;
+      last_valid = Array.make n (-1);
+      hits = Array.make n 0;
+      last_tainted = Array.make n false;
+      min_pair = None;
+      min_self = None;
+      active = 0;
+      dominated = true;
+      triggered = Hashtbl.create 8;
+      pair_min = Hashtbl.create 8;
+      digest = Hashtbl.hash name;
+      events = 0;
+    }
+
+  let copy_point p =
+    {
+      p with
+      last_valid = Array.copy p.last_valid;
+      hits = Array.copy p.hits;
+      last_tainted = Array.copy p.last_tainted;
+      triggered = Hashtbl.copy p.triggered;
+      pair_min = Hashtbl.copy p.pair_min;
+    }
+
+  let copy t = { t with points = Array.map copy_point t.points }
+
+  let mix digest v = (digest * 0x01000193) lxor (v land 0xFFFFFF)
+  let bucket data = (data * 0x9E3779B9) land (Cpoint.data_buckets - 1)
+
+  let pair_sub n i j =
+    let i, j = if i < j then (i, j) else (j, i) in
+    (i * (2 * n - i - 1) / 2) + (j - i - 1)
+
+  let update_min cur v = match cur with Some m when m <= v -> cur | _ -> Some v
+
+  let request t p ~tainted ~source ~data =
+    let cycle = t.cycle in
+    if t.open_ then begin
+      if p.hits.(source) = 0 then p.active <- p.active + 1;
+      p.hits.(source) <- p.hits.(source) + 1;
+      p.events <- p.events + 1;
+      p.digest <-
+        mix (mix p.digest (source + (cycle land 0xFF))) (data land 0xFFFF);
+      if p.dominated && p.active > 1 then p.dominated <- false;
+      if p.n = 1 && tainted then
+        Hashtbl.replace p.triggered (Cpoint.Volatile, bucket data) ();
+      if p.last_valid.(source) >= 0 then
+        p.min_self <- update_min p.min_self (cycle - p.last_valid.(source));
+      for other = 0 to p.n - 1 do
+        if other <> source && p.last_valid.(other) >= 0 then begin
+          let interval = cycle - p.last_valid.(other) in
+          if tainted || p.last_tainted.(other) then begin
+            p.min_pair <- update_min p.min_pair interval;
+            let pair = pair_sub p.n source other in
+            (match Hashtbl.find_opt p.pair_min pair with
+            | Some m when m <= interval -> ()
+            | Some _ | None -> Hashtbl.replace p.pair_min pair interval);
+            if interval = 0 then
+              Hashtbl.replace p.triggered
+                (Cpoint.Volatile, (pair * Cpoint.data_buckets) + bucket data)
+                ()
+          end
+        end
+      done
+    end;
+    p.last_valid.(source) <- cycle;
+    p.last_tainted.(source) <- tainted
+
+  let grant t p ~source = if t.open_ then p.digest <- mix p.digest (0x5A + source)
+
+  let persistent t p ~tainted ~source ~sub ~data =
+    if t.open_ then begin
+      p.events <- p.events + 1;
+      p.digest <- mix (mix p.digest (0xBEEF + source)) (data land 0xFFFF);
+      if tainted then begin
+        let slots = volatile_slots p in
+        let persistent_slots = max 1 (p.max_subs - slots) in
+        Hashtbl.replace p.triggered
+          (Cpoint.Persistent, slots + (sub mod persistent_slots))
+          ()
+      end
+    end
+
+  let set_cycle t c =
+    t.cycle <- c;
+    if t.open_ then t.last_open <- c
+
+  let open_window t =
+    t.open_ <- true;
+    if t.first_open < 0 then t.first_open <- t.cycle;
+    t.last_open <- t.cycle
+
+  let triggered_subs p =
+    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) p.triggered [])
+
+  let pair_intervals p =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min [])
+
+  let snapshot p =
+    {
+      Cpoint.point_name = p.name;
+      s_hits = Array.copy p.hits;
+      s_min_pair = p.min_pair;
+      s_min_self = p.min_self;
+      s_triggered = triggered_subs p;
+      s_digest = p.digest;
+    }
+end
+
+type cpoint_op =
+  | Cp_request of int * int * bool * int  (* point, source, tainted, data *)
+  | Cp_grant of int * int
+  | Cp_persistent of int * int * bool * int * int  (* ..., sub, data *)
+  | Cp_open
+  | Cp_close
+  | Cp_cycle of int  (* advance by *)
+  | Cp_capture
+  | Cp_restore
+
+let show_cpoint_op = function
+  | Cp_request (p, s, t, d) -> Printf.sprintf "request(p%d,s%d,%b,%d)" p s t d
+  | Cp_grant (p, s) -> Printf.sprintf "grant(p%d,s%d)" p s
+  | Cp_persistent (p, s, t, sub, d) ->
+      Printf.sprintf "persistent(p%d,s%d,%b,sub %d,%d)" p s t sub d
+  | Cp_open -> "open"
+  | Cp_close -> "close"
+  | Cp_cycle d -> Printf.sprintf "cycle+%d" d
+  | Cp_capture -> "capture"
+  | Cp_restore -> "restore"
+
+(* Point shapes: (sources, persistent subs). One source triggers on its
+   own; a point with no persistent subs puts every persistent event on
+   id [max_subs]. *)
+let cpoint_shapes = [| (1, 0); (2, 0); (2, 5); (3, 64); (4, 0) |]
+
+(* Random request / grant / persistent / window / cycle / capture /
+   restore sequences over points of every shape: after every step, each
+   point's triggered sub-points, pair intervals, minima and snapshot, and
+   the window bounds, equal the hash-table reference's. *)
+let prop_cpoint_matches_reference =
+  let gen =
+    let open QCheck2.Gen in
+    let point = int_bound (Array.length cpoint_shapes - 1) in
+    let data = oneof [ int_range (-1000) 1000; int ] in
+    list_size (int_range 0 150)
+      (frequency
+         [
+           ( 8,
+             map2
+               (fun (p, s) (t, d) -> Cp_request (p, s, t, d))
+               (pair point (int_bound 3)) (pair bool data) );
+           (2, map2 (fun p s -> Cp_grant (p, s)) point (int_bound 3));
+           ( 3,
+             map3
+               (fun (p, s) (t, sub) d -> Cp_persistent (p, s, t, sub, d))
+               (pair point (int_bound 3)) (pair bool (int_bound 200)) data );
+           (1, pure Cp_open);
+           (1, pure Cp_close);
+           (4, map (fun d -> Cp_cycle d) (int_bound 3));
+           (1, pure Cp_capture);
+           (1, pure Cp_restore);
+         ])
+  in
+  QCheck2.Test.make ~name:"dense cpoint state = hash-table reference" ~count:300
+    ~long_factor:25
+    ~print:(fun ops -> String.concat "; " (List.map show_cpoint_op ops))
+    gen
+    (fun ops ->
+      let reg = Cpoint.create Config.boom in
+      let points =
+        Array.mapi
+          (fun i (n, persistent_subs) ->
+            Cpoint.point reg ~name:(Printf.sprintf "t.p%d" i)
+              ~component:Sonar_ir.Component.Lsu
+              ~sources:(List.init n (Printf.sprintf "s%d"))
+              ~persistent_subs ())
+          cpoint_shapes
+      in
+      let model =
+        {
+          Cpoint_ref.points =
+            Array.mapi
+              (fun i (n, persistent_subs) ->
+                Cpoint_ref.point
+                  ~name:(Printf.sprintf "t.p%d" i)
+                  ~n ~persistent_subs)
+              cpoint_shapes;
+          cycle = 0;
+          open_ = false;
+          first_open = -1;
+          last_open = -1;
+        }
+      in
+      let sv = Cpoint.make_save reg and saved = ref None in
+      let agrees () =
+        Cpoint.window_bounds reg
+        = (if model.first_open < 0 then None
+           else Some (model.first_open, model.last_open))
+        && Array.for_all2
+             (fun p (m : Cpoint_ref.point) ->
+               Cpoint.triggered_subs p = Cpoint_ref.triggered_subs m
+               && Cpoint.pair_intervals p = Cpoint_ref.pair_intervals m
+               && p.Cpoint.min_pair = m.min_pair
+               && p.min_self = m.min_self
+               && p.event_count = m.events
+               && p.active_sources = m.active
+               && p.single_valid_dominated = m.dominated
+               && Cpoint.snapshot p = Cpoint_ref.snapshot m)
+             points model.points
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Cp_request (i, s, tainted, data) ->
+              let source = s mod Array.length points.(i).Cpoint.sources in
+              Cpoint.request reg points.(i) ~tainted ~source ~data;
+              Cpoint_ref.request model model.points.(i) ~tainted ~source ~data
+          | Cp_grant (i, s) ->
+              let source = s mod Array.length points.(i).Cpoint.sources in
+              Cpoint.grant reg points.(i) ~source;
+              Cpoint_ref.grant model model.points.(i) ~source
+          | Cp_persistent (i, s, tainted, sub, data) ->
+              let source = s mod Array.length points.(i).Cpoint.sources in
+              Cpoint.persistent reg points.(i) ~tainted ~source ~sub ~data;
+              Cpoint_ref.persistent model model.points.(i) ~tainted ~source ~sub
+                ~data
+          | Cp_open ->
+              Cpoint.open_window reg;
+              Cpoint_ref.open_window model
+          | Cp_close ->
+              Cpoint.close_window reg;
+              model.open_ <- false
+          | Cp_cycle d ->
+              Cpoint.set_cycle reg (model.cycle + d);
+              Cpoint_ref.set_cycle model (model.cycle + d)
+          | Cp_capture ->
+              Cpoint.capture reg sv;
+              saved := Some (Cpoint_ref.copy model)
+          | Cp_restore -> (
+              match !saved with
+              | Some m ->
+                  Cpoint.restore reg sv;
+                  let m = Cpoint_ref.copy m in
+                  Array.blit m.points 0 model.points 0 (Array.length m.points);
+                  model.cycle <- m.cycle;
+                  model.open_ <- m.open_;
+                  model.first_open <- m.first_open;
+                  model.last_open <- m.last_open
+              | None -> ()));
+          agrees ())
         ops)
 
 (* --- Machine --- *)
@@ -1152,7 +1439,12 @@ let () =
           Alcotest.test_case "persistent subs" `Quick test_cpoint_persistent;
           Alcotest.test_case "snapshot diff" `Quick test_cpoint_snapshot_diff;
         ]
-        @ qcheck [ prop_diff_snapshots_positional; prop_itbl_matches_hashtbl ] );
+        @ qcheck
+            [
+              prop_diff_snapshots_positional;
+              prop_itbl_matches_hashtbl;
+              prop_cpoint_matches_reference;
+            ] );
       ( "cache",
         [
           Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
