@@ -15,7 +15,7 @@ let hunt id =
       let m = Sonar.Channels.measure c in
       Format.printf "%a@.@." Sonar.Channels.pp_measurement m;
       Format.printf "dual-differential report:@.%a@." Sonar.Detector.pp_report
-        (Sonar.Detector.to_text m.report)
+        m.report
 
 let () =
   let ids =

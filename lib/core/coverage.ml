@@ -42,24 +42,23 @@ let comp_slot c =
   in
   find 0
 
-let meta_of t (ps : Machine.point_stat) =
-  match Names.find t.metas ps.ps_name with
+let meta_of t (s : Cpoint.snapshot) =
+  match Names.find t.metas s.point_name with
   | meta -> meta
   | exception Not_found ->
-      let pairs = max 1 (ps.ps_n_sources * (ps.ps_n_sources - 1) / 2) in
+      let pairs = max 1 (s.s_n_sources * (s.s_n_sources - 1) / 2) in
       let meta =
         {
-          fanout = ps.ps_fanout;
+          fanout = s.s_fanout;
           pairs;
-          persistent_slots =
-            max 0 (ps.ps_max_subs - (pairs * Cpoint.data_buckets));
-          single_valid = ps.ps_single_valid;
-          comp_slot = comp_slot ps.ps_component;
+          persistent_slots = max 0 (s.s_max_subs - (pairs * Cpoint.data_buckets));
+          single_valid = s.s_single_valid;
+          comp_slot = comp_slot s.s_component;
           subs = Itbl.create 16;
           pairs_seen = Itbl.create 4;
         }
       in
-      Names.replace t.metas ps.ps_name meta;
+      Names.replace t.metas s.point_name meta;
       meta
 
 (* Fanout shares (see interface). *)
@@ -100,11 +99,11 @@ let absorb_sub t meta (kind, sub) =
 let absorb_run t (r : Machine.result) =
   t.sums.(added_slot) <- 0.;
   List.iter
-    (fun (ps : Machine.point_stat) ->
-      match ps.ps_triggered with
+    (fun (s : Cpoint.snapshot) ->
+      match s.s_triggered with
       | [] -> ()
-      | subs -> List.iter (absorb_sub t (meta_of t ps)) subs)
-    r.point_stats;
+      | subs -> List.iter (absorb_sub t (meta_of t s)) subs)
+    r.snapshots;
   t.sums.(added_slot)
 
 let add_pair t (pair : Executor.pair) =

@@ -10,16 +10,13 @@ type finding = {
   commit_delta : int;
 }
 
-type 'diff report_of = {
+type report = {
   findings : finding list;
   raw_timing_diffs : int;
-  state_diffs : 'diff list;
+  state_diffs : Cpoint.diff list;
   diverged : bool;
   total_delta : int;
 }
-
-type report = Cpoint.diff report_of
-type text_report = (string * string) report_of
 
 let detect (pair : Executor.pair) =
   let n_cores = Array.length pair.run0.Machine.cores in
@@ -56,14 +53,7 @@ let detect (pair : Executor.pair) =
     total_delta = pair.run1.Machine.cycles - pair.run0.Machine.cycles;
   }
 
-let to_text (r : report) : text_report =
-  {
-    r with
-    state_diffs =
-      List.map (fun d -> (Cpoint.diff_point d, Cpoint.diff_text d)) r.state_diffs;
-  }
-
-let pp_report fmt (r : text_report) =
+let pp_report fmt r =
   Format.fprintf fmt
     "@[<v>CCD-affected instructions: %d (raw timing diffs %d, run-length delta %d%s)@,"
     (List.length r.findings) r.raw_timing_diffs r.total_delta
@@ -76,6 +66,7 @@ let pp_report fmt (r : text_report) =
   Format.fprintf fmt "contention-state discrepancies: %d@,"
     (List.length r.state_diffs);
   List.iter
-    (fun (p, d) -> Format.fprintf fmt "  %s: %s@," p d)
+    (fun d ->
+      Format.fprintf fmt "  %s: %s@," (Cpoint.diff_point d) (Cpoint.diff_text d))
     r.state_diffs;
   Format.fprintf fmt "@]"

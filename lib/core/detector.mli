@@ -16,30 +16,23 @@ type finding = {
   commit_delta : int;  (** cycle1 - cycle0 *)
 }
 
-type 'diff report_of = {
+type report = {
   findings : finding list;  (** CCD-affected instructions, all cores *)
   raw_timing_diffs : int;
       (** instructions whose absolute commit time differs (includes in-order
           propagation the CCD filter removes) *)
-  state_diffs : 'diff list;
-      (** per contention point whose states differ across secrets, the
-          difference *)
+  state_diffs : Sonar_uarch.Cpoint.diff list;
+      (** per contention point whose states differ across secrets, the two
+          runs' snapshots of it *)
   diverged : bool;  (** commit traces diverged in the middle *)
   total_delta : int;  (** whole-run cycle-count difference *)
 }
-
-type report = Sonar_uarch.Cpoint.diff report_of
-(** A testcase's report. Its state diffs hold the two runs' snapshots of
-    each differing point; how they differ is text only once {!to_text}
-    formats it, so the per-testcase fold formats nothing. *)
-
-type text_report = (string * string) report_of
-(** A report whose state diffs are [(point name, human-readable
-    difference)]: what a campaign keeps of its first findings, and what
-    {!pp_report} prints. *)
+(** A testcase's report, as plain data. How each point's states differ
+    becomes text only when {!pp_report} prints it, so the per-testcase
+    fold formats nothing. *)
 
 val detect : Executor.pair -> report
 
-val to_text : report -> text_report
-
-val pp_report : Format.formatter -> text_report -> unit
+val pp_report : Format.formatter -> report -> unit
+(** The findings, then each differing point's name and
+    {!Sonar_uarch.Cpoint.diff_text}. *)

@@ -4,8 +4,8 @@ type pair = {
   run0 : Machine.result;
   run1 : Machine.result;
   cp : Machine.dual_stats;
-  by_name0 : Machine.point_stat array;
-  by_name1 : Machine.point_stat array;
+  by_name0 : Cpoint.snapshot array;
+  by_name1 : Cpoint.snapshot array;
 }
 
 (* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config).
@@ -46,8 +46,8 @@ let run_pair ?ctx ?checkpoint cfg build =
     run0;
     run1;
     cp;
-    by_name0 = Machine.Ctx.stats_by_name ctx run0;
-    by_name1 = Machine.Ctx.stats_by_name ctx run1;
+    by_name0 = Machine.Ctx.snapshots_by_name ctx run0;
+    by_name1 = Machine.Ctx.snapshots_by_name ctx run1;
   }
 
 let executed_event tc pair =
@@ -58,11 +58,11 @@ let executed_event tc pair =
       cycles1 = pair.run1.Machine.cycles;
     }
 
-(* The per-testcase fold. Each point's stats list its pair intervals and
-   triggered sub-points sorted, so the two runs merge point by point; the
-   points are walked in name order, which orders the output as a sort of
-   every (point, key) entry would, since point names are unique. Both
-   runs of a pair come from one registry, so their name-ordered stats
+(* The per-testcase fold. Each point's snapshot lists its pair intervals
+   and triggered sub-points sorted, so the two runs merge point by point;
+   the points are walked in name order, which orders the output as a sort
+   of every (point, key) entry would, since point names are unique. Both
+   runs of a pair come from one registry, so their name-ordered snapshots
    pair up by index. *)
 
 (* Each point's merge of ascending (pair id, interval) lists, keeping the
@@ -73,8 +73,8 @@ let min_intervals { by_name0 = a; by_name1 = b; _ } =
     if k = Array.length a then []
     else begin
       let x = a.(k) and y = b.(k) in
-      assert (String.equal x.ps_name y.ps_name);
-      merge x.ps_name x.ps_pair_intervals y.ps_pair_intervals (k + 1)
+      assert (String.equal x.point_name y.point_name);
+      merge x.point_name x.s_pair_intervals y.s_pair_intervals (k + 1)
     end
   and[@tail_mod_cons] merge name l r k =
     match (l, r) with
@@ -171,8 +171,8 @@ let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs f =
              base + Array.length pairs)
            0 futures)
 
-let weight (ps : Machine.point_stat) =
-  float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs
+let weight (s : Cpoint.snapshot) =
+  float_of_int s.s_fanout /. float_of_int s.s_max_subs
 
 (* Union of two runs' sorted triggered sub-points of one point, each with
    its run's weight; a sub-point both runs triggered takes run 1's. *)
@@ -181,10 +181,10 @@ let triggered { by_name0 = a; by_name1 = b; _ } =
     if k = Array.length a then []
     else begin
       let x = a.(k) and y = b.(k) in
-      assert (String.equal x.ps_name y.ps_name);
-      match (x.ps_triggered, y.ps_triggered) with
+      assert (String.equal x.point_name y.point_name);
+      match (x.s_triggered, y.s_triggered) with
       | [], [] -> point (k + 1)
-      | l, r -> merge x.ps_name (weight x) (weight y) l r (k + 1)
+      | l, r -> merge x.point_name (weight x) (weight y) l r (k + 1)
     end
   and[@tail_mod_cons] merge name wx wy l r k =
     match (l, r) with

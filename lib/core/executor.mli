@@ -14,10 +14,10 @@ type pair = {
   cp : Sonar_uarch.Machine.dual_stats;
       (** checkpoint outcome for this dual run (fork cycle, cycles saved);
           deterministic per testcase, independent of jobs/chunk *)
-  by_name0 : Sonar_uarch.Machine.point_stat array;
-      (** [run0.point_stats] in point-name order, the order of the fold *)
-  by_name1 : Sonar_uarch.Machine.point_stat array;
-      (** [run1.point_stats] likewise *)
+  by_name0 : Sonar_uarch.Cpoint.snapshot array;
+      (** [run0.snapshots] in point-name order, the order of the fold *)
+  by_name1 : Sonar_uarch.Cpoint.snapshot array;
+      (** [run1.snapshots] likewise *)
 }
 
 val run_pair :

@@ -6,7 +6,7 @@ type outcome = {
   testcases_with_diffs : int;
   contentions_triggered_testcases : int;
   single_valid_share_first20 : float;
-  first_reports : (int * Detector.text_report) list;
+  first_reports : (int * Detector.report) list;
   cycles_simulated : int;
   cycles_saved : int;
   checkpoint_hits : int;
@@ -179,7 +179,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
       timing_diffs := !timing_diffs + n_findings;
       incr tcs_with_diffs;
       if !tcs_with_diffs <= first_reports_kept then
-        first_reports := (iteration, Detector.to_text report) :: !first_reports;
+        first_reports := (iteration, report) :: !first_reports;
       if telemetry_on then
         emit_fold
           (Telemetry.Ccd_finding
@@ -363,7 +363,7 @@ let json_of_outcome o : Json.t =
       ( "first_findings",
         Json.List
           (List.map
-             (fun (iteration, (r : Detector.text_report)) ->
+             (fun (iteration, (r : Detector.report)) ->
                Json.Obj
                  [
                    ("iteration", Json.Int iteration);

@@ -64,9 +64,11 @@ type outcome = {
   contentions_triggered_testcases : int;
       (** testcases that triggered at least one contention *)
   single_valid_share_first20 : float;  (** Figure 9's dominance measure *)
-  first_reports : (int * Detector.text_report) list;
+  first_reports : (int * Detector.report) list;
       (** (iteration, report) for the first three testcases with CCD
-          findings, in iteration order *)
+          findings, in iteration order. A report holds the two runs'
+          snapshots of each point that differs: plain data, so outcomes
+          compare with [=]; {!Detector.pp_report} formats it. *)
   cycles_simulated : int;
       (** cycles actually simulated across all dual runs (after
           checkpoint prefix reuse) *)

@@ -370,27 +370,39 @@ let restore reg sv =
 
 type snapshot = {
   point_name : string;
+  s_component : Sonar_ir.Component.t;
+  s_fanout : int;
+  s_max_subs : int;
+  s_single_valid : bool;
+  s_n_sources : int;
   s_hits : int array;
   s_min_pair : int option;
   s_min_self : int option;
   s_triggered : (kind * int) list;
+  s_pair_intervals : (int * int) list;
   s_digest : int;
 }
 
-let snapshot_with p triggered =
+let snapshot p =
   {
     point_name = p.name;
+    s_component = p.component;
+    s_fanout = p.fanout;
+    s_max_subs = p.max_subs;
+    s_single_valid = p.single_valid;
+    s_n_sources = Array.length p.sources;
     s_hits = Array.copy p.hits;
     s_min_pair = p.min_pair;
     s_min_self = p.min_self;
-    s_triggered = triggered;
+    s_triggered = triggered_subs p;
+    s_pair_intervals = pair_intervals p;
     s_digest = p.digest;
   }
 
-let snapshot p = snapshot_with p (triggered_subs p)
-
 (* Whether two runs' snapshots of one point differ, decided without the
-   text: [diff_text] formats it only when a report is printed. *)
+   text: [diff_text] formats it only when a report is printed. The shape
+   fields are equal on one registry, and the pair intervals, read only
+   for guidance, are not compared. *)
 let rec ints_equal_from (a : int array) b i =
   i < 0 || (a.(i) = b.(i) && ints_equal_from a b (i - 1))
 

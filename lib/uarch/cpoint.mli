@@ -60,7 +60,7 @@ type t = private {
   triggered : int array;
       (** bitset of triggered sub-point ids, [max_subs + 1] bits (a
           persistent event on a point with no persistent subs lands on id
-          [max_subs]); read it with {!triggered_subs} *)
+          [max_subs]); a snapshot reads it out as [s_triggered] *)
   mutable n_triggered : int;  (** set bits of [triggered] *)
   pair_min : int array;
       (** per risky source pair id, the minimum interval observed, or
@@ -148,34 +148,38 @@ val restore : registry -> save -> unit
     before any run rewinds the registry to cold start, which is how
     {!Machine.Ctx} reuses a registry across runs. *)
 
-val triggered_subs : t -> (kind * int) list
-(** Sorted by {!compare_sub}; the sub-point of each is its id. *)
-
 val compare_sub : kind * int -> kind * int -> int
-(** The order of {!triggered_subs} and of every list built from it:
+(** The order of a snapshot's [s_triggered] and of every list built from it:
     [Volatile] before [Persistent], then by sub-point id. It equals
     polymorphic [compare] on the pairs. *)
-
-val pair_intervals : t -> (int * int) list
-(** Sorted (pair id, minimum interval) pairs observed in the window. *)
 
 val pair_name : t -> int -> string
 (** Human-readable source pair, e.g. ["dread-iread"]. *)
 
 type snapshot = {
   point_name : string;
+  s_component : Sonar_ir.Component.t;
+  s_fanout : int;
+  s_max_subs : int;
+  s_single_valid : bool;
+  s_n_sources : int;
   s_hits : int array;
   s_min_pair : int option;
   s_min_self : int option;
   s_triggered : (kind * int) list;
+      (** triggered sub-points, sorted by {!compare_sub}; the sub-point of
+          each is its id *)
+  s_pair_intervals : (int * int) list;
+      (** (pair id, minimum interval) for each risky source pair seen in
+          the window, sorted by pair id *)
   s_digest : int;
 }
+(** A point as a run left it, as plain data: its shape (component,
+    fanout, sub-point count, single-valid class, source count), which
+    coverage reads, and its observations, which the detector compares
+    and the fuzzer's feedback reads. *)
 
 val snapshot : t -> snapshot
-
-val snapshot_with : t -> (kind * int) list -> snapshot
-(** [snapshot_with p subs] is [snapshot p] for [subs = triggered_subs p],
-    letting a caller that already holds the sorted sub-points reuse them. *)
 
 type diff = { d_run0 : snapshot; d_run1 : snapshot }
 (** One point's differing snapshots under the two runs. *)
@@ -183,8 +187,11 @@ type diff = { d_run0 : snapshot; d_run1 : snapshot }
 val diff_snapshots : snapshot list -> snapshot list -> diff list
 (** Contention-state discrepancies between two runs, in the order of the
     first list — the lower table of the paper's Figure 5. The lists are
-    two runs' snapshots on one registry, so they pair by position. Only
-    which points differ is decided here; {!diff_text} says how.
+    two runs' snapshots on one registry, so they pair by position. A
+    point differs when its request counts, minimum pair interval,
+    triggered sub-points or digest do; its pair intervals are not
+    compared. Only which points differ is decided here; {!diff_text}
+    says how.
     @raise Invalid_argument when the lengths differ; the names must match
     position by position (asserted). *)
 

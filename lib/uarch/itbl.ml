@@ -2,9 +2,9 @@ type t = {
   mutable keys : int array;  (* [empty] marks a free slot *)
   mutable vals : int array;
   (* Slot index: the slot of every binding, in insertion order, in
-     [used.(0 .. size - 1)] — so [clear] and [blit] visit the
-     bindings instead of every slot. Bindings are never removed one by
-     one, so the index only grows until [clear] or [blit] rebuilds it. *)
+     [used.(0 .. size - 1)] — so [blit] visits the bindings instead of
+     every slot. Bindings are never removed one by one, so the index only
+     grows until [blit] rebuilds it. *)
   mutable used : int array;
   mutable size : int;
 }

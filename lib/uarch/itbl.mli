@@ -7,10 +7,11 @@
     ([addr lsr offset_bits], lossless since the offset bits of a line
     address are zero), sub-point ids — so they are never negative.
     There is no [remove]: the models only add and overwrite entries within
-    a run, and {!clear} rewinds a table between runs.
+    a run, and {!blit} rewinds a table to a saved copy (a checkpoint
+    capture or restore, the cold-start rewind between runs included).
 
-    A slot index lists where each binding lives, so {!clear} and {!blit}
-    cost what the table holds, not its capacity. *)
+    A slot index lists where each binding lives, so {!blit} costs what
+    the tables hold, not their capacity. *)
 
 type t
 
@@ -20,8 +21,6 @@ val create : int -> t
 
 val hash : int -> int
 (** The table's non-negative integer mix, for other monomorphic tables. *)
-
-val clear : t -> unit
 
 val find : t -> int -> default:int -> int
 (** The value bound to the key, or [default]; [default] for any negative

@@ -13,38 +13,12 @@ type result = {
   cycles : int;
   snapshots : Cpoint.snapshot list;
   window : (int * int) option;
-  point_stats : point_stat list;
   hit_cycle_limit : bool;
-}
-
-and point_stat = {
-  ps_name : string;
-  ps_component : Sonar_ir.Component.t;
-  ps_fanout : int;
-  ps_max_subs : int;
-  ps_single_valid : bool;
-  ps_min_pair : int option;
-  ps_triggered : (Cpoint.kind * int) list;
-  ps_pair_intervals : (int * int) list;
-  ps_n_sources : int;
 }
 
 type dual_stats = { fork_cycle : int option; cycles_saved : int }
 
 let default_max_cycles = 200_000
-
-let point_stat (p : Cpoint.t) triggered =
-  {
-    ps_name = p.name;
-    ps_component = p.component;
-    ps_fanout = p.fanout;
-    ps_max_subs = p.max_subs;
-    ps_n_sources = Array.length p.sources;
-    ps_single_valid = p.single_valid;
-    ps_min_pair = p.min_pair;
-    ps_triggered = triggered;
-    ps_pair_intervals = Cpoint.pair_intervals p;
-  }
 
 module Ctx = struct
   (* One saved machine: the registry, the hierarchy and every core. *)
@@ -61,8 +35,7 @@ module Ctx = struct
     s_cold : bufs;  (* the machine as built, before any run *)
     s_points : Cpoint.t array;  (* registration order *)
     s_cold_snaps : Cpoint.snapshot array;
-    s_cold_stats : point_stat array;
-        (* each point's result when a run leaves it cold, shared *)
+        (* each point's snapshot when a run leaves it cold, shared *)
     s_rank : int array;  (* each point's position in name order *)
     mutable s_kbufs : bufs option;
         (* dual-run checkpoint buffers, made on the first dual run *)
@@ -139,7 +112,6 @@ module Ctx = struct
             s_cold = make_bufs reg ms cs;
             s_points = points;
             s_cold_snaps = Array.map Cpoint.snapshot points;
-            s_cold_stats = Array.map (fun p -> point_stat p []) points;
             s_rank = rank;
             s_kbufs = None;
           }
@@ -148,17 +120,18 @@ module Ctx = struct
         t.slots <- (cores, sl) :: t.slots;
         sl
 
-  (* Point names are unique, so a result's stats sorted by name are its
-     list permuted by the slot's rank, which is computed once. *)
-  let stats_by_name t (r : result) =
-    match (List.assoc_opt (Array.length r.cores) t.slots, r.point_stats) with
-    | Some sl, (first :: _ as stats)
-      when List.compare_length_with stats (Array.length sl.s_rank) = 0 ->
+  (* Point names are unique, so a result's snapshots sorted by name are
+     its list permuted by the slot's rank, which is computed once. *)
+  let snapshots_by_name t (r : result) =
+    match (List.assoc_opt (Array.length r.cores) t.slots, r.snapshots) with
+    | Some sl, (first :: _ as snaps)
+      when List.compare_length_with snaps (Array.length sl.s_rank) = 0 ->
         let by_name = Array.make (Array.length sl.s_rank) first in
-        List.iteri (fun i ps -> by_name.(sl.s_rank.(i)) <- ps) stats;
+        List.iteri (fun i s -> by_name.(sl.s_rank.(i)) <- s) snaps;
         by_name
     | _, [] -> [||]
-    | _ -> invalid_arg "Machine.Ctx.stats_by_name: not a result of this context"
+    | _ ->
+        invalid_arg "Machine.Ctx.snapshots_by_name: not a result of this context"
 
   (* The dual-run checkpoint buffers of a slot. *)
   let kbufs sl =
@@ -246,21 +219,16 @@ let sim_loop ~skip ~steps reg ms cores ~from ~max_cycles =
 
 (* A point with no in-window request or persistent event, and a digest
    no grant has moved, is as it was built: it shares the slot's cold
-   snapshot and stats. The lists are built from their ends. *)
+   snapshot. The list is built from its end. *)
 let collect (sl : Ctx.slot) ~cycles ~max_cycles =
   let reg = sl.s_reg and cores = sl.s_cores in
-  let snapshots = ref [] and point_stats = ref [] in
+  let snapshots = ref [] in
   for i = Array.length sl.s_points - 1 downto 0 do
     let p = sl.s_points.(i) and cold = sl.s_cold_snaps.(i) in
-    if p.event_count = 0 && p.digest = cold.s_digest then begin
-      snapshots := cold :: !snapshots;
-      point_stats := sl.s_cold_stats.(i) :: !point_stats
-    end
-    else begin
-      let triggered = Cpoint.triggered_subs p in
-      snapshots := Cpoint.snapshot_with p triggered :: !snapshots;
-      point_stats := point_stat p triggered :: !point_stats
-    end
+    snapshots :=
+      (if p.event_count = 0 && p.digest = cold.s_digest then cold
+       else Cpoint.snapshot p)
+      :: !snapshots
   done;
   {
     cores =
@@ -274,7 +242,6 @@ let collect (sl : Ctx.slot) ~cycles ~max_cycles =
     cycles;
     snapshots = !snapshots;
     window = Cpoint.window_bounds reg;
-    point_stats = !point_stats;
     hit_cycle_limit = cycles >= max_cycles;
   }
 
@@ -324,6 +291,18 @@ let cap_at_transient_divergence (o0 : Sonar_isa.Golden.outcome)
     o1.transients;
   !fork
 
+(* The first position in [from, n) at which [equal] fails on the two
+   traces, or [default] when there is none; [n] is the shorter trace's
+   length. *)
+let first_difference equal (o0 : Sonar_isa.Golden.outcome)
+    (o1 : Sonar_isa.Golden.outcome) ~from ~default =
+  let t0 = o0.trace and t1 = o1.trace in
+  let n = min (Array.length t0) (Array.length t1) in
+  let rec scan i =
+    if i >= n then default else if equal t0.(i) t1.(i) then scan (i + 1) else i
+  in
+  scan from
+
 (* The {e value} fork: the first architectural trace position at which the
    two runs' golden effects differ at all — the longest common prefix of
    the golden traces (structural comparison covers pc, instruction,
@@ -337,20 +316,10 @@ let cap_at_transient_divergence (o0 : Sonar_isa.Golden.outcome)
 let fork_position (o0 : Sonar_isa.Golden.outcome) (o1 : Sonar_isa.Golden.outcome)
     =
   if o0 == o1 then max_int
-  else begin
-    let t0 = o0.trace and t1 = o1.trace in
-    let n = min (Array.length t0) (Array.length t1) in
-    let lcp = ref n in
-    (try
-       for i = 0 to n - 1 do
-         if not (t0.(i) = t1.(i)) then begin
-           lcp := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    cap_at_transient_divergence o0 o1 !lcp
-  end
+  else
+    let n = min (Array.length o0.trace) (Array.length o1.trace) in
+    cap_at_transient_divergence o0 o1
+      (first_difference ( = ) o0 o1 ~from:0 ~default:n)
 
 (* Equality on every effect field the front end can read: [wb] and [mem]
    are the written-back / loaded-or-stored values, which no stage before
@@ -381,20 +350,18 @@ let fork_fetch_position (o0 : Sonar_isa.Golden.outcome)
     (* Equal-length traces with no fetch-visible difference place no
        fetch constraint at all; the end-of-trace bound [n] matters only
        when one run keeps fetching where the other stops. *)
-    let d = ref (if Array.length t0 = Array.length t1 then max_int else n) in
-    (try
-       for i = fork_issue to n - 1 do
-         if not (fetch_visible_equal t0.(i) t1.(i)) then begin
-           d := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    (if !d >= 1 && (!d < n || Array.length t0 <> Array.length t1) then
-       match t0.(!d - 1).Sonar_isa.Golden.instr with
-       | Sonar_isa.Instr.Jalr _ -> d := !d - 1
-       | _ -> ());
-    cap_at_transient_divergence o0 o1 !d
+    let d =
+      first_difference fetch_visible_equal o0 o1 ~from:fork_issue
+        ~default:(if Array.length t0 = Array.length t1 then max_int else n)
+    in
+    let d =
+      if d >= 1 && (d < n || Array.length t0 <> Array.length t1) then
+        match t0.(d - 1).Sonar_isa.Golden.instr with
+        | Sonar_isa.Instr.Jalr _ -> d - 1
+        | _ -> d
+      else d
+    in
+    cap_at_transient_divergence o0 o1 d
   end
 
 (* The {e execution} fork: the first position whose backend-read fields
@@ -412,20 +379,14 @@ let fork_exec_position cfg (o0 : Sonar_isa.Golden.outcome)
   if o0 == o1 then max_int
   else begin
     let t0 = o0.trace and t1 = o1.trace in
-    let n = min (Array.length t0) (Array.length t1) in
     (* As for the fetch fork: positions past the shorter trace's end are
        constrained through the fetch arm, so equal-length traces with no
        backend-read difference place no ROB constraint. *)
-    let d = ref (if Array.length t0 = Array.length t1 then max_int else n) in
-    (try
-       for i = fork_issue to n - 1 do
-         if not (Core_model.exec_visible_equal cfg t0.(i) t1.(i)) then begin
-           d := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    cap_at_transient_divergence o0 o1 !d
+    let n = min (Array.length t0) (Array.length t1) in
+    cap_at_transient_divergence o0 o1
+      (first_difference (Core_model.exec_visible_equal cfg) o0 o1
+         ~from:fork_issue
+         ~default:(if Array.length t0 = Array.length t1 then max_int else n))
   end
 
 (* The dual-run capture test at the top of [cycle]: some core's fetch could

@@ -21,23 +21,10 @@ type result = {
   cores : core_result array;
   cycles : int;  (** total cycles simulated *)
   snapshots : Cpoint.snapshot list;
-      (** per contention point, in registration order *)
+      (** one per contention point, in registration order: what the
+          detector compares, and what coverage and feedback read *)
   window : (int * int) option;  (** monitoring-window bounds, cycles *)
-  point_stats : point_stat list;  (** in registration order *)
   hit_cycle_limit : bool;
-}
-
-and point_stat = {
-  ps_name : string;
-  ps_component : Sonar_ir.Component.t;
-  ps_fanout : int;
-  ps_max_subs : int;
-  ps_single_valid : bool;
-  ps_min_pair : int option;
-  ps_triggered : (Cpoint.kind * int) list;
-  ps_pair_intervals : (int * int) list;
-      (** per source pair, the minimum in-window interval *)
-  ps_n_sources : int;
 }
 
 type dual_stats = {
@@ -84,8 +71,8 @@ module Ctx : sig
       not in any result, so that results stay the same whether or not
       cycles are skipped. *)
 
-  val stats_by_name : t -> result -> point_stat array
-  (** A result's [point_stats] in point-name order, by a permutation each
+  val snapshots_by_name : t -> result -> Cpoint.snapshot array
+  (** A result's [snapshots] in point-name order, by a permutation each
       machine computes once.
       @raise Invalid_argument when the result is not of a machine of
       this context. *)

@@ -395,14 +395,28 @@ let test_fuzzer_strategy_traces_identical () =
 (* --- Campaign pin --- *)
 
 (* Digest of a whole [sonar] campaign for each of {boom, nutshell} x
-   {single, dual}: the Marshal form of the [Fuzzer.run] outcome's counters
-   and first reports, and the JSONL trace it streams. 192 testcases at the
-   default batch of 64 are three generations, so corpus selection,
-   directed mutation and the per-testcase fold (intervals, triggered
-   sub-points, coverage, detector) all feed back into later generations.
-   The constants were computed when the outcome still kept a series point
-   per testcase and every finding's report (the projection took the first
-   three of those), so they pin the campaign, not just its outcome type. *)
+   {single, dual}: the outcome's counters and first reports as plain
+   values, and the JSONL trace it streams. 192 testcases at the default
+   batch of 64 are three generations, so corpus selection, directed
+   mutation and the per-testcase fold (intervals, triggered sub-points,
+   coverage, detector) all feed back into later generations. The
+   constants go back to when the outcome still kept a series point per
+   testcase and every finding's report, so they pin the campaign, not
+   just its outcome type. Until reports became one type, the pin digested
+   the [Marshal] form of the outcome's counters and text reports; the
+   constants were then recomputed on the code before that change, as this
+   projection, where the old digests still gave the old constants. *)
+let report_view (r : Detector.report) =
+  ( List.map
+      (fun (f : Detector.finding) ->
+        ( (f.core, f.position, Sonar_isa.Instr.to_string f.instr, f.static_index),
+          (f.ccd0, f.ccd1, f.commit_delta) ))
+      r.findings,
+    (r.raw_timing_diffs, r.diverged, r.total_delta),
+    List.map
+      (fun d -> (Sonar_uarch.Cpoint.diff_point d, Sonar_uarch.Cpoint.diff_text d))
+      r.state_diffs )
+
 let projection (o : Fuzzer.outcome) =
   ( ( o.final_coverage,
       o.final_timing_diffs,
@@ -410,7 +424,7 @@ let projection (o : Fuzzer.outcome) =
       o.contentions_triggered_testcases,
       o.single_valid_share_first20 ),
     (o.cycles_simulated, o.cycles_saved, o.checkpoint_hits),
-    o.first_reports )
+    List.map (fun (i, r) -> (i, report_view r)) o.first_reports )
 
 let campaign_digest cfg ~dual =
   let trace = Buffer.create 65536 in
@@ -439,10 +453,10 @@ let test_campaign_pin () =
         (cfg.Sonar_uarch.Config.name ^ if dual then " dual" else " single")
         expected (campaign_digest cfg ~dual))
     [
-      (Sonar_uarch.Config.boom, false, "5d79fd1d8545fe4100fbe20180e88348");
-      (Sonar_uarch.Config.boom, true, "6a7f0e26cd0e9ea9ba0d54432de2320b");
-      (Sonar_uarch.Config.nutshell, false, "8f1a392dff0d548397c3de6903eb706a");
-      (Sonar_uarch.Config.nutshell, true, "1b1b658138c27116bc30690212d333a3");
+      (Sonar_uarch.Config.boom, false, "33e96a255a7e126e0414daf121a89c3b");
+      (Sonar_uarch.Config.boom, true, "17e782d2d677425f835bf3e8ea1f25d5");
+      (Sonar_uarch.Config.nutshell, false, "39e9a52f76aca1be4f983ca2ee7c4e65");
+      (Sonar_uarch.Config.nutshell, true, "8149d29329c1599c165079005c25d41d");
     ]
 
 let test_feedback_registry () =
@@ -530,15 +544,15 @@ let reference_min_intervals (pair : Executor.pair) =
   List.iter
     (fun (r : Sonar_uarch.Machine.result) ->
       List.iter
-        (fun (ps : Sonar_uarch.Machine.point_stat) ->
+        (fun (s : Sonar_uarch.Cpoint.snapshot) ->
           List.iter
             (fun (pair_id, v) ->
-              let key = (ps.ps_name, pair_id) in
+              let key = (s.point_name, pair_id) in
               match Hashtbl.find_opt table key with
               | Some m when m <= v -> ()
               | Some _ | None -> Hashtbl.replace table key v)
-            ps.ps_pair_intervals)
-        r.point_stats)
+            s.s_pair_intervals)
+        r.snapshots)
     [ pair.run0; pair.run1 ];
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
 
@@ -547,12 +561,12 @@ let reference_triggered (pair : Executor.pair) =
   List.iter
     (fun (r : Sonar_uarch.Machine.result) ->
       List.iter
-        (fun (ps : Sonar_uarch.Machine.point_stat) ->
-          let w = float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs in
+        (fun (s : Sonar_uarch.Cpoint.snapshot) ->
+          let w = float_of_int s.s_fanout /. float_of_int s.s_max_subs in
           List.iter
-            (fun (kind, sub) -> Hashtbl.replace table (ps.ps_name, kind, sub) w)
-            ps.ps_triggered)
-        r.point_stats)
+            (fun (kind, sub) -> Hashtbl.replace table (s.point_name, kind, sub) w)
+            s.s_triggered)
+        r.snapshots)
     [ pair.run0; pair.run1 ];
   List.sort compare (Hashtbl.fold (fun k w acc -> (k, w) :: acc) table [])
 
@@ -772,7 +786,7 @@ let test_fuzzer_finds_diffs () =
           (fun (f : Telemetry.State.finding) -> (f.iteration, f.count))
           s.findings))
     (List.map
-       (fun (i, (r : Detector.text_report)) -> (i, List.length r.findings))
+       (fun (i, (r : Detector.report)) -> (i, List.length r.findings))
        o.first_reports);
   let doc = Fuzzer.json_of_outcome o in
   checki "json lists the first findings" (List.length o.first_reports)
@@ -823,6 +837,24 @@ let test_channels_catalogue () =
     (List.length (List.filter (fun c -> c.Channels.is_new) Channels.all));
   checkb "find works" true (Channels.find "S5" <> None);
   checkb "unknown id" true (Channels.find "S99" = None)
+
+(* Digest of the [Detector.pp_report] text of all fourteen scenarios,
+   each behind its id: the findings and every contention-state
+   discrepancy, formatted as reports are printed. The constant was
+   computed when a report's state diffs were formatted into a separate
+   text report first. *)
+let test_channels_report_text () =
+  let text =
+    String.concat ""
+      (List.map
+         (fun (c : Channels.t) ->
+           Format.asprintf "%s@.%a@." c.id Detector.pp_report
+             (Channels.measure c).report)
+         Channels.all)
+  in
+  Alcotest.(check string)
+    "report text" "9bf8966df8b25c37443a249a61a4bd85"
+    (Digest.to_hex (Digest.string text))
 
 (* --- Attack (§8.5) --- *)
 
@@ -954,6 +986,7 @@ let () =
         ] );
       ( "channels",
         Alcotest.test_case "catalogue" `Quick test_channels_catalogue
+        :: Alcotest.test_case "report text" `Quick test_channels_report_text
         :: List.map channel_case Channels.all );
       ( "attack",
         [
