@@ -424,7 +424,7 @@ let mitigation () =
 (* Parallel execution: wall-clock jobs=1 vs jobs=N, determinism check.  *)
 
 let speedup () =
-  section "speedup" "Parallel fuzzing wall-clock: jobs x chunk x checkpoint sweep";
+  section "speedup" "Parallel fuzzing wall-clock: jobs x checkpoint sweep";
   let cfg = Sonar_uarch.Config.boom in
   let iters = fuzz_iterations in
   let batch = Sonar.Fuzzer.default_batch in
@@ -436,7 +436,7 @@ let speedup () =
      splits into generate/execute/feedback phases — the execute share is
      the only part extra jobs can parallelise (sinks observe the campaign
      but never influence it; the bit-identical check below still holds). *)
-  let campaign jobs chunk checkpoint =
+  let campaign jobs checkpoint =
     let sink, snap = Sonar.Telemetry.aggregator () in
     let o =
       Sonar.Fuzzer.run
@@ -445,7 +445,6 @@ let speedup () =
             Sonar.Fuzzer.Options.default with
             seed = 42L;
             jobs;
-            chunk;
             checkpoint;
             sinks = [ sink ];
           }
@@ -456,7 +455,7 @@ let speedup () =
   (* Cross-mode identity: the checkpoint toggle changes only the
      cycles_simulated / cycles_saved / checkpoint_hits statistics, never
      the fuzzing outcome, so the comparison zeroes those three fields.
-     Same-mode (jobs/chunk) comparisons stay full structural equality. *)
+     Same-mode (jobs) comparisons stay full structural equality. *)
   let strip (o : Sonar.Fuzzer.outcome) =
     { o with cycles_simulated = 0; cycles_saved = 0; checkpoint_hits = 0 }
   in
@@ -467,63 +466,39 @@ let speedup () =
       m.generate_seconds m.execute_seconds m.feedback_seconds
       (100. *. m.pool_utilization)
   in
-  let chunk_label = function
-    | None -> "auto"
-    | Some c -> string_of_int c
-  in
-  let chunk_json = function
-    | None -> Sonar.Json.String "auto"
-    | Some c -> Sonar.Json.Int c
-  in
-  let (o1, m1), t1 = time_it (fun () -> campaign 1 None true) in
+  let (o1, m1), t1 = time_it (fun () -> campaign 1 true) in
   Printf.printf "  jobs=1            %8.2fs\n%!" t1;
   phase_line m1;
-  (* Sweep chunk granularity at jobs=N: chunk=1 is the old per-testcase
-     dispatch (maximum scheduling freedom, maximum overhead), auto is
-     ~2 slices per worker, chunk=batch degenerates to one task (no
-     parallelism beyond the first worker). The headline number is the
-     auto-chunk entry — the default users get. The two checkpoint-off
-     entries isolate the prefix-reuse win: identical outcomes (modulo the
-     cycle statistics), more simulated cycles. *)
-  let sweep_points =
-    [
-      (jobs_n, Some 1, true);
-      (jobs_n, None, true);
-      (jobs_n, Some batch, true);
-      (1, None, false);
-      (jobs_n, None, false);
-    ]
-  in
+  (* The headline number is the jobs=N checkpoint-on entry. The two
+     checkpoint-off entries isolate the prefix-reuse win: identical
+     outcomes (modulo the cycle statistics), more simulated cycles. *)
+  let sweep_points = [ (jobs_n, true); (1, false); (jobs_n, false) ] in
   let sweep =
     List.map
-      (fun (jobs, chunk, checkpoint) ->
-        let (o, m), t = time_it (fun () -> campaign jobs chunk checkpoint) in
+      (fun (jobs, checkpoint) ->
+        let (o, m), t = time_it (fun () -> campaign jobs checkpoint) in
         let sp = t1 /. t in
         let identical =
           if checkpoint then o = o1 else strip o = strip o1
         in
-        Printf.printf "  jobs=%-3d chunk=%-5s checkpoint=%-3s %6.2fs  (%.2fx)\n%!"
-          jobs (chunk_label chunk)
+        Printf.printf "  jobs=%-3d checkpoint=%-3s %6.2fs  (%.2fx)\n%!" jobs
           (if checkpoint then "on" else "off")
           t sp;
         phase_line m;
-        (jobs, chunk, checkpoint, t, sp, identical, o, m))
+        (jobs, checkpoint, t, sp, identical, o, m))
       sweep_points
   in
   let identical =
-    List.for_all (fun (_, _, _, _, _, id, _, _) -> id) sweep
+    List.for_all (fun (_, _, _, _, id, _, _) -> id) sweep
   in
   Printf.printf
-    "  outcomes bit-identical across all (jobs, chunk, checkpoint): %b\n"
+    "  outcomes bit-identical across all (jobs, checkpoint): %b\n"
     identical;
-  let _, _, _, tn, headline, _, _, mn =
-    List.find
-      (fun (jobs, chunk, cp, _, _, _, _, _) ->
-        jobs = jobs_n && chunk = None && cp)
-      sweep
+  let _, _, tn, headline, _, _, mn =
+    List.find (fun (jobs, cp, _, _, _, _, _) -> jobs = jobs_n && cp) sweep
   in
-  let _, _, _, _, _, _, o_off, _ =
-    List.find (fun (jobs, _, cp, _, _, _, _, _) -> jobs = 1 && not cp) sweep
+  let _, _, _, _, _, o_off, _ =
+    List.find (fun (jobs, cp, _, _, _, _, _) -> jobs = 1 && not cp) sweep
   in
   (* Simulated-cycle reduction: checkpoint-off simulates the shared prefix
      of every dual run twice; checkpoint-on skips it the second time. *)
@@ -553,7 +528,6 @@ let speedup () =
         ("dut", Sonar.Json.String cfg.Sonar_uarch.Config.name);
         ("iterations", Sonar.Json.Int iters);
         ("batch", Sonar.Json.Int batch);
-        ("chunk", Sonar.Json.String "auto");
         ("jobs", Sonar.Json.Int jobs_n);
         ("host_cores", Sonar.Json.Int host_cores);
         ("oversubscribed", Sonar.Json.Bool oversubscribed);
@@ -570,11 +544,10 @@ let speedup () =
         ( "sweep",
           Sonar.Json.List
             (List.map
-               (fun (jobs, chunk, checkpoint, t, sp, id, (o : Sonar.Fuzzer.outcome), _) ->
+               (fun (jobs, checkpoint, t, sp, id, (o : Sonar.Fuzzer.outcome), _) ->
                  Sonar.Json.Obj
                    [
                      ("jobs", Sonar.Json.Int jobs);
-                     ("chunk", chunk_json chunk);
                      ("checkpoint", Sonar.Json.Bool checkpoint);
                      ("seconds", Sonar.Json.Float t);
                      ("speedup", Sonar.Json.Float sp);

@@ -151,9 +151,9 @@ let unknown_strategy name =
     (String.concat ", " Sonar.Feedback.names);
   1
 
-let fuzz dut iterations seed strategy_name list dual jobs batch chunk
-    no_checkpoint trace timings rotate_bytes rotate_generations serve_port
-    stats progress format =
+let fuzz dut iterations seed strategy_name list dual jobs batch no_checkpoint
+    trace timings rotate_bytes rotate_generations serve_port stats progress
+    format =
   if list then list_strategies ()
   else
   let checkpoint = not no_checkpoint in
@@ -215,7 +215,6 @@ let fuzz dut iterations seed strategy_name list dual jobs batch chunk
           dual;
           jobs;
           batch;
-          chunk;
           checkpoint;
           sinks;
         }
@@ -255,10 +254,6 @@ let fuzz dut iterations seed strategy_name list dual jobs batch chunk
               ("dual", Json.Bool dual);
               ("jobs", Json.Int jobs);
               ("batch", Json.Int batch);
-              ( "chunk",
-                match chunk with
-                | Some c -> Json.Int c
-                | None -> Json.String "auto" );
               ("checkpoint", Json.Bool checkpoint);
             ]
           in
@@ -530,17 +525,6 @@ let fuzz_cmd =
             "Generation size (candidates drawn before feedback lands). \
              Shapes the campaign; keep it fixed when comparing runs.")
   in
-  let chunk =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "chunk" ] ~docv:"N"
-          ~doc:
-            "Testcases per parallel executor task (a slice of the \
-             generation). Default: derived from --jobs (about two slices \
-             per worker). Results are identical for every N; only \
-             wall-clock changes.")
-  in
   let no_checkpoint =
     Arg.(
       value
@@ -628,7 +612,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const fuzz $ dut_arg $ iters $ seed $ strategy $ list $ dual $ jobs $ batch $ chunk $ no_checkpoint $ trace $ timings
+      const fuzz $ dut_arg $ iters $ seed $ strategy $ list $ dual $ jobs $ batch $ no_checkpoint $ trace $ timings
       $ rotate_bytes $ rotate_generations $ serve $ stats $ progress
       $ format_arg)
 

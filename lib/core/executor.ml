@@ -50,14 +50,6 @@ let run_pair ?ctx ?checkpoint cfg build =
     by_name1 = Machine.Ctx.snapshots_by_name ctx run1;
   }
 
-let executed_event tc pair =
-  Telemetry.Testcase_executed
-    {
-      testcase_id = tc.Testcase.id;
-      cycles0 = pair.run0.Machine.cycles;
-      cycles1 = pair.run1.Machine.cycles;
-    }
-
 (* The per-testcase fold. Each point's snapshot lists its pair intervals
    and triggered sub-points sorted, so the two runs merge point by point;
    the points are walked in name order, which orders the output as a sort
@@ -87,12 +79,6 @@ let min_intervals { by_name0 = a; by_name1 = b; _ } =
   in
   point 0
 
-let observe_intervals hists pair =
-  List.iter
-    (fun ((point, src_pair), v) ->
-      Telemetry.Histogram.observe hists ~point ~src_pair v)
-    (min_intervals pair)
-
 let auto_chunk ~jobs n =
   (* Aim for ~2 slices per worker: coarse enough that per-task dispatch and
      future plumbing are amortised over many simulated runs, fine enough
@@ -111,11 +97,7 @@ let rec chunk_list k = function
       let slice, rest = take [] 0 xs in
       slice :: chunk_list k rest
 
-let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs f =
-  (match chunk with
-  | Some c when c < 1 ->
-      invalid_arg "Executor.execute_batch: chunk must be >= 1"
-  | Some _ | None -> ());
+let execute_batch ?pool ?checkpoint cfg tcs f =
   (* One config hash per batch; every scratch lookup below compares this
      precomputed key instead of the config record. *)
   let fp = Config.fingerprint cfg in
@@ -124,14 +106,6 @@ let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs f =
     run_pair ~ctx:(scratch_ctx cfg ~fp) ?checkpoint cfg (fun ~secret ->
         Testcase.materialize tc ~secret)
   in
-  let observe pair =
-    match hists with Some h -> observe_intervals h pair | None -> ()
-  in
-  let finish i tc pair =
-    (match emit with Some emit -> emit (executed_event tc pair) | None -> ());
-    observe pair;
-    f i pair
-  in
   match pool with
   | None ->
       (* Sequential path: same scratch reuse as the workers (the calling
@@ -139,35 +113,29 @@ let execute_batch ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs f =
          allocation win too and the jobs comparison isolates parallelism.
          Each pair goes to [f] as soon as it exists, so nothing holds it
          past its fold. *)
-      List.iteri (fun i tc -> finish i tc (run tc)) tcs
+      List.iteri (fun i tc -> f i (run tc)) tcs
   | Some pool ->
-      (* Chunked fan-out: one pool task is a slice of the generation — both
-         secret-runs of ~[chunk] candidates — not a single run, so the
+      (* Sliced fan-out: one pool task is a slice of the generation — both
+         secret-runs of ~[auto_chunk] candidates — not a single run, so the
          per-task submit/await cost is amortised over many simulated runs.
-         Each task runs on some worker's scratch context. Pairs reach [f],
-         and telemetry is emitted, here on the awaiting domain, per
-         candidate in submission order — never from a worker — so outcomes,
-         histograms and traces are bit-identical for every (jobs, chunk).
-         A slice is handed on as soon as it is awaited, so this domain
-         folds while the workers run later slices. *)
-      let chunk =
-        match chunk with
-        | Some c -> c
-        | None -> auto_chunk ~jobs:(Domain_pool.jobs pool) (List.length tcs)
-      in
+         Each task runs on some worker's scratch context. Pairs reach [f]
+         here on the awaiting domain, per candidate in submission order —
+         never from a worker — so the caller's fold sees the same sequence
+         for every [jobs]. A slice is handed on as soon as it is awaited,
+         so this domain folds while the workers run later slices. *)
+      let chunk = auto_chunk ~jobs:(Domain_pool.jobs pool) (List.length tcs) in
       let futures =
         List.map
           (fun slice ->
             let slice_arr = Array.of_list slice in
-            ( slice,
-              Domain_pool.submit pool (fun () -> Array.map run slice_arr) ))
+            Domain_pool.submit pool (fun () -> Array.map run slice_arr))
           (chunk_list chunk tcs)
       in
       ignore
         (List.fold_left
-           (fun base (slice, future) ->
+           (fun base future ->
              let pairs = Domain_pool.await future in
-             List.iteri (fun i tc -> finish (base + i) tc pairs.(i)) slice;
+             Array.iteri (fun i pair -> f (base + i) pair) pairs;
              base + Array.length pairs)
            0 futures)
 

@@ -13,7 +13,7 @@ type pair = {
   run1 : Sonar_uarch.Machine.result;  (** secret = 1 *)
   cp : Sonar_uarch.Machine.dual_stats;
       (** checkpoint outcome for this dual run (fork cycle, cycles saved);
-          deterministic per testcase, independent of jobs/chunk *)
+          deterministic per testcase, independent of jobs *)
   by_name0 : Sonar_uarch.Cpoint.snapshot array;
       (** [run0.snapshots] in point-name order, the order of the fold *)
   by_name1 : Sonar_uarch.Cpoint.snapshot array;
@@ -34,19 +34,16 @@ val run_pair :
     run. *)
 
 val auto_chunk : jobs:int -> int -> int
-(** [auto_chunk ~jobs n] is the chunk size {!execute_batch} derives when
-    none is given for a batch of [n] testcases on a [jobs]-worker pool:
-    [n] split into roughly two slices per worker ([ceil (n / (2*jobs))],
-    at least 1) — coarse enough to amortise per-task dispatch over many
-    simulated runs, fine enough that a straggler slice does not idle the
-    pool at the generation barrier. *)
+(** [auto_chunk ~jobs n] is the slice size {!execute_batch} uses for a
+    batch of [n] testcases on a [jobs]-worker pool: [n] split into
+    roughly two slices per worker ([ceil (n / (2*jobs))], at least 1) —
+    coarse enough to amortise per-task dispatch over many simulated runs,
+    fine enough that a straggler slice does not idle the pool at the
+    generation barrier. *)
 
 val execute_batch :
   ?pool:Domain_pool.t ->
-  ?chunk:int ->
   ?checkpoint:bool ->
-  ?emit:(Telemetry.event -> unit) ->
-  ?hists:Telemetry.Histogram.registry ->
   Sonar_uarch.Config.t ->
   Testcase.t list ->
   (int -> pair -> unit) ->
@@ -54,28 +51,21 @@ val execute_batch :
 (** [execute_batch cfg tcs f] executes every testcase and calls [f i pair]
     with each testcase's index in [tcs] and its pair, in input order, as
     soon as the pair exists. With [pool], the batch fans across it in
-    {e chunks} — one pool task runs both secret-runs of a slice of
-    [chunk] testcases (default {!auto_chunk}) on its worker's reusable
+    {e slices} of {!auto_chunk} testcases — one pool task runs both
+    secret-runs of a slice on its worker's reusable
     {!Sonar_uarch.Machine.Ctx} scratch context, kept in
     {!Domain_pool} worker-local storage so the hot loop allocates no
     cache or contention-point tables per testcase — and [f] sees a slice
     once it is awaited, while later slices still run. Sequential when no
     pool is given (the calling domain reuses its own scratch context), and
     [f] sees each pair right after it runs. Either way [f] runs only on
-    the calling domain, so a caller that keeps no pair past [f] keeps
-    them out of the major heap.
+    the calling domain, in input order, so a caller's fold — and any
+    telemetry it emits — is independent of the pool size, and a caller
+    that keeps no pair past [f] keeps them out of the major heap.
 
     Pairs are element-wise identical to {!run_pair} per testcase for
-    {e every} [(jobs, chunk)] value: a reused context is restored to cold
-    start per run and behaves bit-identically to a fresh machine
-    (tested). [emit] is invoked only from the calling domain, one
-    {!Telemetry.event.Testcase_executed} per testcase in input order,
-    just before that testcase's [f]. [hists] accumulates each pair's
-    {!min_intervals} likewise on the calling domain in input order, so
-    the resulting distributions — and the trace events flushed from
-    them — are independent of both pool size and chunking.
-
-    @raise Invalid_argument when [chunk < 1]. *)
+    {e every} pool size: a reused context is restored to cold start per
+    run and behaves bit-identically to a fresh machine (tested). *)
 
 val min_intervals : pair -> ((string * int) * int) list
 (** Per (contention point, source pair), the smaller of the two runs'

@@ -2,12 +2,6 @@ type target = Corpus.point * int option
 
 type operator = Composite | Directed | Random_edit | Similarity
 
-let operator_name = function
-  | Composite -> "composite"
-  | Directed -> "directed"
-  | Random_edit -> "random_edit"
-  | Similarity -> "similarity"
-
 type selection = {
   entry : Corpus.entry;
   target : target option;
@@ -253,7 +247,7 @@ let bandit () =
      secret flavor, arms = the four mutation operators, payoff = coverage
      added plus a bonus per CCD finding. All randomness flows through the
      per-candidate rng, and statistics update in fold order, so campaigns
-     stay bit-identical across jobs and chunk. *)
+     stay bit-identical across jobs. *)
   let ops = [| Composite; Directed; Random_edit; Similarity |] in
   let n_arms = Array.length ops in
   let n_ctx = 4 in

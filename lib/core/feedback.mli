@@ -30,7 +30,7 @@
     - draw randomness only from the [rng] handed to [select] and [fresh]
       (a per-candidate {!Rng.split} stream), never from global state;
     - update internal learner state only inside the hooks (they run on the
-      campaign's domain, in candidate order, for every [jobs]/[chunk]);
+      campaign's domain, in candidate order, for every [jobs]);
     - treat the [intervals]/[triggered]/[component_delta] lists of an
       {!observation} as {e sets} — retention decisions must not depend on
       their order (asserted by a qcheck property in the test suite);
@@ -51,8 +51,6 @@ type operator =
   | Directed  (** {!Mutation.directed}: chain length along learned dir *)
   | Random_edit  (** {!Mutation.random_edit}: blind insert/delete/replace *)
   | Similarity  (** {!Mutation.enhance_similarity}: align mem offsets *)
-
-val operator_name : operator -> string
 
 type selection = {
   entry : Corpus.entry;  (** the corpus seed to mutate *)

@@ -14,7 +14,7 @@ type outcome = {
 
 (* Sized for the compiled engine: one testcase is cheap enough that
    feedback at a finer granularity buys nothing, while a larger generation
-   gives the chunked parallel executor full slices to hand each worker. *)
+   gives the parallel executor full slices to hand each worker. *)
 let default_batch = 64
 
 (* How many finding reports an outcome keeps: enough to show, bounded so a
@@ -27,7 +27,6 @@ module Options = struct
     dual : bool;
     jobs : int;
     batch : int;
-    chunk : int option;
     checkpoint : bool;
     sinks : Telemetry.sink list;
   }
@@ -38,7 +37,6 @@ module Options = struct
       dual = false;
       jobs = 1;
       batch = default_batch;
-      chunk = None;
       checkpoint = true;
       sinks = [];
     }
@@ -63,20 +61,16 @@ let apply_operator rng mstate ~directed_enabled op tc =
   | Feedback.Similarity -> Mutation.enhance_similarity rng tc
 
 let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
-  let { Options.seed; dual; jobs; batch; chunk; checkpoint; sinks } = options in
+  let { Options.seed; dual; jobs; batch; checkpoint; sinks } = options in
   if batch < 1 then invalid_arg "Fuzzer.run: batch must be >= 1";
   if jobs < 1 then invalid_arg "Fuzzer.run: jobs must be >= 1";
-  (match chunk with
-  | Some c when c < 1 -> invalid_arg "Fuzzer.run: chunk must be >= 1"
-  | Some _ | None -> ());
   (* With no sinks, no event is ever constructed: the telemetry layer costs
      nothing on the hot path and the outcome is bit-identical to a run that
      predates it (asserted in the tests). *)
   let telemetry_on = sinks <> [] in
   let emit ev = Telemetry.emit_all sinks ev in
-  let emit_opt = if telemetry_on then Some emit else None in
   (* Observatory state: per-(point, source-pair) interval histograms filled
-     by the executor, flushed as interval_histogram events at each
+     by the fold, flushed as interval_histogram events at each
      generation end. Profiling spans bracket the pipeline stages; both are
      created only when someone is listening. *)
   let hists = if telemetry_on then Some (Telemetry.Histogram.registry ()) else None in
@@ -161,6 +155,13 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
     cycles_saved := !cycles_saved + saved;
     if saved > 0 then incr checkpoint_hits;
     let intervals = Executor.min_intervals pair in
+    Option.iter
+      (fun h ->
+        List.iter
+          (fun ((point, src_pair), v) ->
+            Telemetry.Histogram.observe h ~point ~src_pair v)
+          intervals)
+      hists;
     let added, component_delta = Coverage.add_pair_delta coverage pair in
     if added > 0. then begin
       incr tcs_with_contention;
@@ -253,14 +254,21 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
       end_generate ();
       let t1 = now () in
       (* Each candidate is folded as its pair arrives; with sinks attached,
-         the fold's share of the execute phase is timed apart and booked
-         as feedback. *)
+         its execution is announced first, and the fold's share of the
+         execute phase is timed apart and booked as feedback. *)
       let fold_seconds = ref 0. in
       let end_execute = span "execute" in
-      Executor.execute_batch ?pool ?chunk ~checkpoint ?emit:emit_opt ?hists cfg
+      Executor.execute_batch ?pool ~checkpoint cfg
         (List.init k (fun j -> candidates.(j).cand_tc))
         (fun j pair ->
           if telemetry_on then begin
+            emit
+              (Telemetry.Testcase_executed
+                 {
+                   testcase_id = candidates.(j).cand_tc.Testcase.id;
+                   cycles0 = pair.Executor.run0.Sonar_uarch.Machine.cycles;
+                   cycles1 = pair.Executor.run1.Sonar_uarch.Machine.cycles;
+                 });
             let f0 = now () in
             fold candidates.(j) pair;
             fold_seconds := !fold_seconds +. (now () -. f0)
@@ -312,7 +320,7 @@ let run ?(options = Options.default) cfg (strategy : Feedback.t) ~iterations =
     end_campaign ()
   in
   (* Trace header: the outcome-determining campaign inputs. Emitted before
-     any generation, and never the wall-clock knobs (jobs/chunk/checkpoint)
+     any generation, and never the wall-clock knobs (jobs/checkpoint)
      — traces stay byte-identical across those. *)
   if telemetry_on then
     emit

@@ -26,22 +26,23 @@
     {b Parallel execution.} The loop is organised in {e generations}: each
     generation draws [batch] candidates sequentially (each from its own
     {!Rng.split} stream), executes them across a {!Domain_pool} of [jobs]
-    workers in chunked slices of [chunk] candidates per task (each worker
-    reusing a domain-local {!Sonar_uarch.Machine.Ctx} scratch context),
+    workers in slices of {!Executor.auto_chunk} candidates per task (each
+    worker reusing a domain-local {!Sonar_uarch.Machine.Ctx} scratch
+    context),
     and folds coverage / corpus / detector / mutation-feedback updates
     sequentially in candidate order, each candidate as soon as its pair
     arrives, so no generation's results are held until its end.
     Selection and directed mutation react to feedback at generation
     granularity, and the outcome is a pure function of (seed, strategy,
-    iterations, batch) — bit-identical for every [jobs] and [chunk]
-    value.
+    iterations, batch) — bit-identical for every [jobs] value.
 
     {b Telemetry.} When {!Options.t.sinks} is non-empty, the campaign
     streams {!Telemetry.event}s: a {!Telemetry.event.Campaign_start}
     header naming the strategy, generation boundaries, phase timings,
-    per-(point, source-pair) interval histograms, per-component coverage
-    heatmaps and profiling spans from this module, per-testcase execution
-    events from {!Executor}, retention/eviction events from {!Corpus}.
+    per-(point, source-pair) interval histograms (fed by the fold from the
+    intervals it computes anyway), per-component coverage heatmaps,
+    profiling spans and per-testcase execution events from this module,
+    retention/eviction events from {!Corpus}.
     The fold's events (coverage, CCD findings and the strategy hooks')
     are held until the generation's last
     {!Telemetry.event.Testcase_executed}, so they follow every execution
@@ -81,8 +82,8 @@ type outcome = {
 
 val default_batch : int
 (** Generation size used when [batch] is not given (64 — sized for the
-    compiled engine, where single testcases are cheap and the chunked
-    parallel executor wants whole slices per worker). *)
+    compiled engine, where single testcases are cheap and the parallel
+    executor wants whole slices per worker). *)
 
 (** Campaign configuration. Build one with a record update of
     {!Options.default} so adding fields stays source-compatible:
@@ -98,10 +99,6 @@ module Options : sig
         (** generation size; {e does} shape the campaign — feedback lands
             at generation boundaries — keep it fixed when comparing runs
             (default {!default_batch}) *)
-    chunk : int option;
-        (** testcases per parallel executor task (a {e slice} of the
-            generation); wall-clock only, never the outcome. [None]
-            (default) derives {!Executor.auto_chunk} from [jobs] *)
     checkpoint : bool;
         (** prefix-checkpointed dual runs
             ({!Sonar_uarch.Machine.run_dual}): simulate the shared prefix
@@ -125,10 +122,9 @@ val run :
   outcome
 (** Run a campaign. The outcome is a pure function of
     ([options.seed], [strategy], [iterations], [options.batch], and the
-    DUT config) — [jobs] and [chunk] change only the wall-clock; sinks
-    observe the campaign but never influence it.
-    @raise Invalid_argument when [options.batch], [options.jobs], or
-    [options.chunk] < 1. *)
+    DUT config) — [jobs] changes only the wall-clock; sinks observe the
+    campaign but never influence it.
+    @raise Invalid_argument when [options.batch] or [options.jobs] < 1. *)
 
 val json_of_outcome : outcome -> Json.t
 (** Stable JSON form of an outcome (the CLI's [--format json] document):

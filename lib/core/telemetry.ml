@@ -74,7 +74,7 @@ let is_timing_event = function
   | _ -> false
 
 (* Checkpoint statistics are deterministic per testcase (independent of
-   jobs/chunk) but differ by construction between checkpoint modes, so
+   jobs) but differ by construction between checkpoint modes, so
    they form their own opt-in class excluded from default traces: a
    --no-checkpoint campaign's trace stays byte-identical to the
    checkpointed one. *)

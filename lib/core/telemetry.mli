@@ -44,7 +44,7 @@ type event =
     }
       (** Trace header: the campaign's outcome-determining inputs, emitted
           once before the first generation. Deliberately excludes
-          jobs/chunk/checkpoint — those are wall-clock knobs, and traces
+          jobs/checkpoint — those are wall-clock knobs, and traces
           must stay byte-identical across them. *)
   | Generation_start of { generation : int; first_iteration : int; size : int }
       (** A generation of [size] candidates begins. *)

@@ -239,20 +239,3 @@ let random rng ~id ~dual =
     dual = (if dual then Some { attacker = random_attacker rng } else None);
   }
 
-let size t =
-  List.length t.prefix
-  + List.fold_left (fun a c -> a + c.length) 0 t.chains
-  + List.length t.suffix
-
-let pp fmt t =
-  Format.fprintf fmt
-    "testcase #%d: prefix %d, chains [%s], suffix %d, flavor %s%s" t.id
-    (List.length t.prefix)
-    (String.concat ";" (List.map (fun c -> string_of_int c.length) t.chains))
-    (List.length t.suffix)
-    (match t.flavor with
-    | Neutral -> "neutral"
-    | Stride _ -> "stride"
-    | Latency _ -> "latency"
-    | Gated _ -> "gated")
-    (if t.dual <> None then " (dual-core)" else "")

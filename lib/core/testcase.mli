@@ -56,8 +56,3 @@ val random_instr : Rng.t -> Sonar_isa.Instr.t list
 val random : Rng.t -> id:int -> dual:bool -> t
 (** A fresh random testcase: 4-14 prefix instructions, two chains of random
     initial length, a random flavor, 4-14 suffix instructions. *)
-
-val size : t -> int
-(** Total generated instructions (prefix + chains + suffix). *)
-
-val pp : Format.formatter -> t -> unit

@@ -83,8 +83,6 @@ let slot t name =
   | s -> s
   | exception Not_found -> raise (Unknown_signal name)
 
-let slot_width t s = t.widths.(s)
-
 (* --- native-int bit operations (mirroring Bitvec) --- *)
 
 let native_mask w = if w >= 63 then -1 else (1 lsl w) - 1

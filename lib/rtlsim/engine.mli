@@ -102,8 +102,6 @@ val signal_names : t -> string list
 val slot : t -> string -> int
 (** Resolve a signal name to its slot. @raise Unknown_signal *)
 
-val slot_width : t -> int -> int
-
 val read_slot : t -> int -> int
 (** The slot's current value as its raw 63-bit pattern (allocation-free).
     Values of width-63 signals with the top bit set read as negative ints;

@@ -245,21 +245,6 @@ let pair_intervals p =
   done;
   !l
 
-(* Invert the triangular pair enumeration of [pair_sub]. *)
-let pair_name p pair =
-  let n = Array.length p.sources in
-  let rec find i =
-    if i >= n - 1 then (0, 1)
-    else begin
-      let row = (n - 1 - i) in
-      let start = pair_sub n i (i + 1) in
-      if pair < start + row then (i, i + 1 + (pair - start)) else find (i + 1)
-    end
-  in
-  let i, j = find 0 in
-  if i < n && j < n then Printf.sprintf "%s-%s" p.sources.(i) p.sources.(j)
-  else string_of_int pair
-
 (* Checkpoint support: a registry-level save holds one preallocated buffer
    per registered point (in [points] order — registration is structural,
    so the order is stable for a given config + core count) plus the

@@ -153,9 +153,6 @@ val compare_sub : kind * int -> kind * int -> int
     [Volatile] before [Persistent], then by sub-point id. It equals
     polymorphic [compare] on the pairs. *)
 
-val pair_name : t -> int -> string
-(** Human-readable source pair, e.g. ["dread-iread"]. *)
-
 type snapshot = {
   point_name : string;
   s_component : Sonar_ir.Component.t;

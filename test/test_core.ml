@@ -319,34 +319,33 @@ let test_fuzzer_jobs_bit_identical () =
   checkb "bit-identical outcome for jobs=1 vs jobs=4" true
     (sequential = parallel)
 
-let test_fuzzer_jobs_chunk_matrix strategy_name () =
-  (* jobs and chunk are both wall-clock-only knobs: the outcome — series,
-     coverage, reports — is a pure function of (seed, strategy, iterations,
-     batch) for every combination, and for {e every} registered strategy
-     (stateful learners included — their hooks run on the campaign's
-     domain in candidate order). batch=8 keeps the campaign
-     multi-generation so feedback boundaries are exercised. A fresh
-     instance per campaign, as the {!Feedback.create} contract requires. *)
-  let batch = 8 in
-  let run jobs chunk =
+let test_fuzzer_jobs_matrix strategy_name () =
+  (* jobs is a wall-clock-only knob: the outcome — series, coverage,
+     reports — is a pure function of (seed, strategy, iterations, batch)
+     for every pool size and the slicing it derives, and for {e every}
+     registered strategy (stateful learners included — their hooks run on
+     the campaign's domain in candidate order). batch=7 keeps the campaign
+     multi-generation so feedback boundaries are exercised, and its
+     {!Executor.auto_chunk} slices cover the partial (jobs 2 and 3:
+     2,2,2,1) and single-testcase (jobs 4) cases against the sequential
+     jobs=1 reference. A fresh instance per campaign, as the
+     {!Feedback.create} contract requires. *)
+  let batch = 7 in
+  let run jobs =
     let strategy = Option.get (Feedback.create strategy_name) in
     Fuzzer.run
-      ~options:{ Fuzzer.Options.default with seed = 17L; jobs; batch; chunk }
+      ~options:{ Fuzzer.Options.default with seed = 17L; jobs; batch }
       Sonar_uarch.Config.nutshell strategy ~iterations:18
   in
-  let reference = run 1 None in
+  let reference = run 1 in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun chunk ->
-          checkb
-            (Printf.sprintf "bit-identical outcome (%s, jobs=%d chunk=%s)"
-               strategy_name jobs
-               (match chunk with Some c -> string_of_int c | None -> "auto"))
-            true
-            (run jobs chunk = reference))
-        [ None; Some 1; Some 4; Some batch ])
-    [ 1; 2; 3 ]
+      checkb
+        (Printf.sprintf "bit-identical outcome (%s, jobs=%d)" strategy_name
+           jobs)
+        true
+        (run jobs = reference))
+    [ 2; 3; 4 ]
 
 let test_fuzzer_strategy_traces_identical () =
   (* The default-class JSONL trace (everything but the wall-clock events)
@@ -426,7 +425,7 @@ let projection (o : Fuzzer.outcome) =
     (o.cycles_simulated, o.cycles_saved, o.checkpoint_hits),
     List.map (fun (i, r) -> (i, report_view r)) o.first_reports )
 
-let campaign_digest cfg ~dual =
+let campaign_digest cfg ~dual ~jobs =
   let trace = Buffer.create 65536 in
   let sink =
     Telemetry.jsonl (fun line ->
@@ -435,7 +434,8 @@ let campaign_digest cfg ~dual =
   in
   let outcome =
     Fuzzer.run
-      ~options:{ Fuzzer.Options.default with seed = 23L; dual; sinks = [ sink ] }
+      ~options:
+        { Fuzzer.Options.default with seed = 23L; dual; jobs; sinks = [ sink ] }
       cfg
       (Option.get (Feedback.create "sonar"))
       ~iterations:192
@@ -447,11 +447,20 @@ let campaign_digest cfg ~dual =
        ^ Digest.string (Buffer.contents trace)))
 
 let test_campaign_pin () =
+  (* One constant per case, at jobs 1 (sequential) and jobs 3 (the pool
+     path): the digest covers the trace, so it pins where the executed
+     events and interval histograms come from on both paths. *)
   List.iter
     (fun (cfg, dual, expected) ->
-      Alcotest.(check string)
-        (cfg.Sonar_uarch.Config.name ^ if dual then " dual" else " single")
-        expected (campaign_digest cfg ~dual))
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s jobs=%d" cfg.Sonar_uarch.Config.name
+               (if dual then "dual" else "single")
+               jobs)
+            expected
+            (campaign_digest cfg ~dual ~jobs))
+        [ 1; 3 ])
     [
       (Sonar_uarch.Config.boom, false, "33e96a255a7e126e0414daf121a89c3b");
       (Sonar_uarch.Config.boom, true, "17e782d2d677425f835bf3e8ea1f25d5");
@@ -604,13 +613,6 @@ let test_auto_chunk () =
         (n = 0 || slices <= 2 * jobs))
     [ (1, 1); (1, 64); (2, 64); (3, 17); (4, 64); (16, 5); (2, 0) ]
 
-let test_executor_chunk_validation () =
-  let cfg = Sonar_uarch.Config.nutshell in
-  checkb "chunk=0 rejected" true
-    (match Executor.execute_batch ~chunk:0 cfg [] (fun _ _ -> ()) with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_worker_local_storage () =
   let key = Sonar.Domain_pool.create_key (fun () -> ref 0) in
   Sonar.Domain_pool.with_pool ~jobs:3 (fun pool ->
@@ -681,8 +683,9 @@ let test_executor_scratch_allocates_less () =
 
 let test_executor_batch_matches_sequential () =
   (* The callback sees every index once, in input order, with the pair
-     [run_pair] gives that testcase — sequentially and on a pool, for
-     single-testcase, partial and automatic slices. *)
+     [run_pair] gives that testcase — sequentially (jobs 1) and on a pool
+     whose {!Executor.auto_chunk} slices 7 testcases as 2,2,2,1 (jobs 2,
+     a partial slice) or one testcase per slice (jobs 4). *)
   let rng = Rng.create 21L in
   let tcs = List.init 7 (fun i -> Testcase.random rng ~id:(i + 1) ~dual:false) in
   List.iter
@@ -700,19 +703,12 @@ let test_executor_batch_matches_sequential () =
       in
       List.iter
         (fun jobs ->
-          List.iter
-            (fun chunk ->
-              let label =
-                Printf.sprintf "jobs=%d chunk=%s" jobs
-                  (match chunk with Some c -> string_of_int c | None -> "auto")
-              in
-              if jobs = 1 then
-                check_run label (Executor.execute_batch ?chunk cfg tcs)
-              else
-                Sonar.Domain_pool.with_pool ~jobs (fun pool ->
-                    check_run label (Executor.execute_batch ~pool ?chunk cfg tcs)))
-            [ Some 1; Some 4; None ])
-        [ 1; 3 ])
+          let label = Printf.sprintf "jobs=%d" jobs in
+          if jobs = 1 then check_run label (Executor.execute_batch cfg tcs)
+          else
+            Sonar.Domain_pool.with_pool ~jobs (fun pool ->
+                check_run label (Executor.execute_batch ~pool cfg tcs)))
+        [ 1; 2; 4 ])
     [ Sonar_uarch.Config.nutshell; Sonar_uarch.Config.boom ]
 
 let test_domain_pool_basics () =
@@ -934,8 +930,6 @@ let () =
           Alcotest.test_case "batch matches sequential" `Quick
             test_executor_batch_matches_sequential;
           Alcotest.test_case "auto chunk sizing" `Quick test_auto_chunk;
-          Alcotest.test_case "chunk validation" `Quick
-            test_executor_chunk_validation;
           Alcotest.test_case "scratch context allocates less" `Quick
             test_executor_scratch_allocates_less;
           Alcotest.test_case "jobs bit-identical" `Quick test_fuzzer_jobs_bit_identical;
@@ -945,7 +939,7 @@ let () =
               Alcotest.test_case
                 ("jobs x chunk bit-identical: " ^ name)
                 `Quick
-                (test_fuzzer_jobs_chunk_matrix name))
+                (test_fuzzer_jobs_matrix name))
             Feedback.names
         @ [
             Alcotest.test_case "traces byte-identical across jobs" `Quick

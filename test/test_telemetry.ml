@@ -406,9 +406,9 @@ let test_span_tree_merging () =
 let nutshell = Sonar_uarch.Config.nutshell
 
 let campaign ?(sinks = []) ?(jobs = 1) ?(batch = Fuzzer.Options.default.batch)
-    ?chunk ~iterations () =
+    ~iterations () =
   Fuzzer.run
-    ~options:{ Fuzzer.Options.default with seed = 23L; jobs; batch; chunk; sinks }
+    ~options:{ Fuzzer.Options.default with seed = 23L; jobs; batch; sinks }
     nutshell Feedback.sonar ~iterations
 
 (* --- aggregator vs a hand-run campaign --- *)
@@ -453,10 +453,10 @@ let test_aggregator_matches_outcome () =
 
 (* --- JSONL trace: parser round-trip and jobs-determinism --- *)
 
-let trace_lines ?batch ?chunk ~jobs ~iterations () =
+let trace_lines ?batch ~jobs ~iterations () =
   let lines = ref [] in
   let sink = Telemetry.jsonl (fun s -> lines := s :: !lines) in
-  ignore (campaign ~sinks:[ sink ] ?batch ?chunk ~jobs ~iterations ());
+  ignore (campaign ~sinks:[ sink ] ?batch ~jobs ~iterations ());
   List.rev !lines
 
 let test_jsonl_roundtrip () =
@@ -480,28 +480,20 @@ let test_jsonl_roundtrip () =
 
 let test_trace_jobs_deterministic () =
   (* The acceptance property: the JSONL trace is byte-identical for every
-     (jobs, chunk) at fixed seed/batch — both knobs are wall-clock only
-     (Phase_timing is excluded by default). batch=8 keeps the campaign
-     multi-generation so generation events are exercised too. *)
-  let batch = 8 in
+     jobs at fixed seed/batch — jobs is wall-clock only (Phase_timing is
+     excluded by default). batch=7 keeps the campaign multi-generation so
+     generation events are exercised too, and its slices cover the
+     partial (jobs 2 and 3: 2,2,2,1) and single-testcase (jobs 4) cases. *)
+  let batch = 7 in
   let reference =
     String.concat "\n" (trace_lines ~batch ~jobs:1 ~iterations:24 ())
   in
   checkb "trace not empty" true (reference <> "");
   List.iter
     (fun jobs ->
-      List.iter
-        (fun chunk ->
-          let t =
-            String.concat "\n"
-              (trace_lines ~batch ?chunk ~jobs ~iterations:24 ())
-          in
-          checks
-            (Printf.sprintf "byte-identical trace (jobs=%d chunk=%s)" jobs
-               (match chunk with Some c -> string_of_int c | None -> "auto"))
-            reference t)
-        [ None; Some 1; Some 4; Some batch ])
-    [ 1; 2; 3 ]
+      let t = String.concat "\n" (trace_lines ~batch ~jobs ~iterations:24 ()) in
+      checks (Printf.sprintf "byte-identical trace (jobs=%d)" jobs) reference t)
+    [ 2; 3; 4 ]
 
 let test_fold_events_follow_execution () =
   (* The loop folds each testcase as its pair arrives but holds the fold's
@@ -1090,7 +1082,6 @@ let test_options_record_equivalences () =
           dual = false;
           jobs = 1;
           batch = 5;
-          chunk = None;
           checkpoint = true;
           sinks = [];
         }
@@ -1108,15 +1099,14 @@ let test_null_sink_not_observable () =
   checkb "aggregator: identical outcome" true (bare = with_agg)
 
 let test_options_validation () =
-  let run ?chunk ~batch ~jobs () =
+  let run ~batch ~jobs () =
     Fuzzer.run
-      ~options:{ Fuzzer.Options.default with batch; jobs; chunk }
+      ~options:{ Fuzzer.Options.default with batch; jobs }
       nutshell Feedback.sonar ~iterations:4
   in
   let bad f = match f () with exception Invalid_argument _ -> true | _ -> false in
   checkb "batch < 1 rejected" true (bad (run ~batch:0 ~jobs:1));
-  checkb "jobs < 1 rejected" true (bad (run ~batch:8 ~jobs:0));
-  checkb "chunk < 1 rejected" true (bad (run ~chunk:0 ~batch:8 ~jobs:1))
+  checkb "jobs < 1 rejected" true (bad (run ~batch:8 ~jobs:0))
 
 let () =
   Alcotest.run "sonar_telemetry"

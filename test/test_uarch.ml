@@ -104,14 +104,6 @@ let test_cpoint_single_source () =
   Cpoint.request reg p ~tainted:true ~source:0 ~data:7;
   checkb "triggers on first risky request" true ((Cpoint.snapshot p).s_triggered <> [])
 
-let test_cpoint_pair_name () =
-  let reg = registry () in
-  let p = Cpoint.point reg ~name:"t.n" ~component:Sonar_ir.Component.Bus
-      ~sources:[ "x"; "y"; "z" ] () in
-  Alcotest.(check string) "pair 0" "x-y" (Cpoint.pair_name p 0);
-  Alcotest.(check string) "pair 1" "x-z" (Cpoint.pair_name p 1);
-  Alcotest.(check string) "pair 2" "y-z" (Cpoint.pair_name p 2)
-
 let test_cpoint_persistent () =
   let reg = registry () in
   let p = Cpoint.point reg ~name:"t.pers" ~component:Sonar_ir.Component.Lsu
@@ -1494,7 +1486,6 @@ let () =
           Alcotest.test_case "dominance counter" `Quick test_cpoint_dominance_counter;
           Alcotest.test_case "window gating" `Quick test_cpoint_window_gating;
           Alcotest.test_case "single source" `Quick test_cpoint_single_source;
-          Alcotest.test_case "pair names" `Quick test_cpoint_pair_name;
           Alcotest.test_case "persistent subs" `Quick test_cpoint_persistent;
           Alcotest.test_case "snapshot diff" `Quick test_cpoint_snapshot_diff;
         ]
