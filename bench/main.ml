@@ -162,39 +162,7 @@ let table2 () =
   |> List.iter print_endline;
   Printf.printf
     "(paper: compile +43%%/+45%%; new verilog 14%%/20%%; sim slowdown \
-     26%%/38%%; fuzzing 239/h BOOM, 7596/h NutShell)\n";
-  (* Span-level breakdown of the compile-stage numbers above: profile one
-     representative pipeline pass sequentially (the profiler hooks feed a
-     single-domain span recorder, so this must not run under [pmap]). *)
-  let obs_sink, obs_snapshot = Sonar.Telemetry.observatory () in
-  let recorder = Sonar.Telemetry.Span.recorder obs_sink.Sonar.Telemetry.emit in
-  let hook = Some (Sonar.Telemetry.Span.hook recorder) in
-  Sonar_ir.Analysis.set_profiler hook;
-  Sonar_ir.Instrument.set_profiler hook;
-  Sonar_rtlsim.Engine.set_profiler hook;
-  Fun.protect
-    ~finally:(fun () ->
-      Sonar_ir.Analysis.set_profiler None;
-      Sonar_ir.Instrument.set_profiler None;
-      Sonar_rtlsim.Engine.set_profiler None)
-    (fun () ->
-      let cfg = Sonar_uarch.Config.nutshell in
-      let circuit =
-        Sonar_dut.Netlist_gen.generate ~scale:(if smoke then 0.02 else 0.2)
-          ~pad:false cfg
-      in
-      ignore (Sonar_ir.Analysis.summarize circuit);
-      let instr = Sonar_ir.Instrument.instrument circuit in
-      List.iter
-        (fun m -> ignore (Sonar_rtlsim.Engine.compile m))
-        instr.Sonar_ir.Instrument.circuit.Sonar_ir.Circuit.modules);
-  let snap = obs_snapshot () in
-  print_endline "\ncompile-stage span tree (NutShell, reduced scale):";
-  let rec render indent (n : Sonar.Telemetry.Observatory.span_node) =
-    Printf.printf "%s%s  %dx  %.3fs\n" indent n.span_name n.calls n.seconds;
-    List.iter (render (indent ^ "  ")) n.children
-  in
-  List.iter (render "  ") snap.Sonar.Telemetry.Observatory.span_tree
+     26%%/38%%; fuzzing 239/h BOOM, 7596/h NutShell)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8 (+ §8.3.2): Sonar vs random testing.                       *)
@@ -466,30 +434,53 @@ let speedup () =
       m.generate_seconds m.execute_seconds m.feedback_seconds
       (100. *. m.pool_utilization)
   in
-  let (o1, m1), t1 = time_it (fun () -> campaign 1 true) in
-  Printf.printf "  jobs=1            %8.2fs\n%!" t1;
+  (* The reference is jobs=1 checkpoint-on; the headline number is the
+     jobs=N checkpoint-on entry. The two checkpoint-off entries isolate the
+     prefix-reuse win: identical outcomes (modulo the cycle statistics),
+     more simulated cycles. Each point is timed as the median of [repeats]
+     runs taken in interleaved rounds, round r running every point once in
+     an order rotated by r, so drift in host load falls on all points
+     alike instead of on whichever runs last. *)
+  let repeats = 3 in
+  let points = [| (1, true); (jobs_n, true); (1, false); (jobs_n, false) |] in
+  let n = Array.length points in
+  let runs = Array.make n [] in
+  for r = 0 to repeats - 1 do
+    for k = 0 to n - 1 do
+      let i = (k + r) mod n in
+      let jobs, checkpoint = points.(i) in
+      let (o, m), t = time_it (fun () -> campaign jobs checkpoint) in
+      runs.(i) <- (t, o, m) :: runs.(i)
+    done
+  done;
+  let median i =
+    List.nth
+      (List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) runs.(i))
+      (repeats / 2)
+  in
+  let t1, o1, m1 = median 0 in
+  let identical_runs i =
+    let _, checkpoint = points.(i) in
+    List.for_all
+      (fun (_, o, _) -> if checkpoint then o = o1 else strip o = strip o1)
+      runs.(i)
+  in
+  Printf.printf "  jobs=1            %8.2fs  (median of %d)\n" t1 repeats;
   phase_line m1;
-  (* The headline number is the jobs=N checkpoint-on entry. The two
-     checkpoint-off entries isolate the prefix-reuse win: identical
-     outcomes (modulo the cycle statistics), more simulated cycles. *)
-  let sweep_points = [ (jobs_n, true); (1, false); (jobs_n, false) ] in
   let sweep =
-    List.map
-      (fun (jobs, checkpoint) ->
-        let (o, m), t = time_it (fun () -> campaign jobs checkpoint) in
+    List.init (n - 1) (fun k ->
+        let i = k + 1 in
+        let jobs, checkpoint = points.(i) in
+        let t, o, m = median i in
         let sp = t1 /. t in
-        let identical =
-          if checkpoint then o = o1 else strip o = strip o1
-        in
         Printf.printf "  jobs=%-3d checkpoint=%-3s %6.2fs  (%.2fx)\n%!" jobs
           (if checkpoint then "on" else "off")
           t sp;
         phase_line m;
-        (jobs, checkpoint, t, sp, identical, o, m))
-      sweep_points
+        (jobs, checkpoint, t, sp, identical_runs i, o, m))
   in
   let identical =
-    List.for_all (fun (_, _, _, _, id, _, _) -> id) sweep
+    identical_runs 0 && List.for_all (fun (_, _, _, _, id, _, _) -> id) sweep
   in
   Printf.printf
     "  outcomes bit-identical across all (jobs, checkpoint): %b\n"
@@ -530,6 +521,7 @@ let speedup () =
         ("batch", Sonar.Json.Int batch);
         ("jobs", Sonar.Json.Int jobs_n);
         ("host_cores", Sonar.Json.Int host_cores);
+        ("repeats", Sonar.Json.Int repeats);
         ("oversubscribed", Sonar.Json.Bool oversubscribed);
         ("seconds_jobs1", Sonar.Json.Float t1);
         ("seconds_jobsN", Sonar.Json.Float tn);
@@ -683,357 +675,6 @@ let strategies () =
   Printf.printf "  wrote BENCH_strategies.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Engine benchmark: the zero-allocation claim, a compiled/interpreted  *)
-(* differential check over generated DUT netlists (CI greps its verdict *)
-(* line), and bit-sliced batch throughput.                              *)
-
-let engine_bench () =
-  section "engine"
-    "RTL engine: step allocation; differential check; bit-sliced batch";
-  let plain =
-    Sonar_dut.Netlist_gen.generate ~scale:0.01 ~pad:false
-      Sonar_uarch.Config.boom
-  in
-  let instr = (Sonar_ir.Instrument.instrument plain).Sonar_ir.Instrument.circuit in
-  let first c = List.hd c.Sonar_ir.Circuit.modules in
-  let engine_of backend c = Sonar_rtlsim.Engine.compile ~backend (first c) in
-  (* Per-cycle allocation on the compiled path (the step loop is meant to
-     be allocation-free; the interpreted oracle boxes a Bitvec per node). *)
-  let alloc_per_kcycle backend =
-    let e = engine_of backend instr in
-    Sonar_rtlsim.Engine.step e;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1000 do
-      Sonar_rtlsim.Engine.step e
-    done;
-    Gc.minor_words () -. w0
-  in
-  Printf.printf "\nminor-heap words / 1000 cycles (instrumented netlist):\n";
-  Printf.printf "  interpreted %12.0f\n"
-    (alloc_per_kcycle Sonar_rtlsim.Engine.Tree);
-  Printf.printf "  compiled    %12.0f\n"
-    (alloc_per_kcycle Sonar_rtlsim.Engine.Compiled);
-  Printf.printf "  bit-sliced  %12.0f (63 lanes per step)\n%!"
-    (alloc_per_kcycle Sonar_rtlsim.Engine.Bitsliced);
-  (* The same with stimulus: every input driven by name with a fresh LCG
-     value before each step ([poke_int] on Compiled, [poke_lanes] on
-     Bitsliced). CI gates both below 64 words. *)
-  let lcg s = ((s * 1103515245) + 12345) land 0x3FFFFFFF in
-  let stimulus_words_per_kcycle backend =
-    let m = first instr in
-    let e = Sonar_rtlsim.Engine.compile ~backend m in
-    let inputs = Array.of_list (List.map fst (Sonar_ir.Fmodule.inputs m)) in
-    let buf = Array.make (Sonar_rtlsim.Engine.lanes e) 0 in
-    let state = ref 1 in
-    let poke =
-      match backend with
-      | Sonar_rtlsim.Engine.Bitsliced -> fun n -> Sonar_rtlsim.Engine.poke_lanes e n buf
-      | Sonar_rtlsim.Engine.Tree | Sonar_rtlsim.Engine.Compiled ->
-          fun n -> Sonar_rtlsim.Engine.poke_int e n buf.(0)
-    in
-    let cycle () =
-      for i = 0 to Array.length inputs - 1 do
-        for l = 0 to Array.length buf - 1 do
-          state := lcg !state;
-          buf.(l) <- !state
-        done;
-        poke inputs.(i)
-      done;
-      Sonar_rtlsim.Engine.step e
-    in
-    cycle ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1000 do
-      cycle ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  let stim_compiled = stimulus_words_per_kcycle Sonar_rtlsim.Engine.Compiled in
-  let stim_bitsliced = stimulus_words_per_kcycle Sonar_rtlsim.Engine.Bitsliced in
-  Printf.printf "minor-heap words / 1000 cycles of poke-every-input + step:\n";
-  Printf.printf "  compiled    %12.0f (poke_int)\n" stim_compiled;
-  Printf.printf "  bit-sliced  %12.0f (poke_lanes)\n%!" stim_bitsliced;
-  (* Differential: every module of both instrumented DUT netlists, stepped
-     under a deterministic input stimulus on both backends, must expose
-     bit-identical signal values every cycle. *)
-  let cycles = 12 in
-  let mismatches = ref 0 and modules = ref 0 in
-  List.iter
-    (fun cfg ->
-      let c =
-        Sonar_dut.Netlist_gen.generate ~scale:0.02 ~pad:false cfg
-      in
-      let ic = (Sonar_ir.Instrument.instrument c).Sonar_ir.Instrument.circuit in
-      List.iter
-        (fun m ->
-          incr modules;
-          let a = Sonar_rtlsim.Engine.compile ~backend:Sonar_rtlsim.Engine.Tree m in
-          let b =
-            Sonar_rtlsim.Engine.compile ~backend:Sonar_rtlsim.Engine.Compiled m
-          in
-          let inputs = Sonar_ir.Fmodule.inputs m in
-          let names = Sonar_rtlsim.Engine.signal_names a in
-          let state = ref (Hashtbl.hash m.Sonar_ir.Fmodule.name lor 1) in
-          for _ = 1 to cycles do
-            List.iter
-              (fun (n, _) ->
-                state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-                Sonar_rtlsim.Engine.poke_int a n !state;
-                Sonar_rtlsim.Engine.poke_int b n !state)
-              inputs;
-            Sonar_rtlsim.Engine.step a;
-            Sonar_rtlsim.Engine.step b;
-            List.iter
-              (fun n ->
-                if
-                  not
-                    (Sonar_rtlsim.Bitvec.equal
-                       (Sonar_rtlsim.Engine.peek a n)
-                       (Sonar_rtlsim.Engine.peek b n))
-                then incr mismatches)
-              names
-          done)
-        ic.Sonar_ir.Circuit.modules)
-    [ Sonar_uarch.Config.boom; Sonar_uarch.Config.nutshell ];
-  if !mismatches = 0 then
-    Printf.printf
-      "\nengine differential: ok (%d modules, %d cycles each, both DUTs)\n"
-      !modules cycles
-  else
-    Printf.printf "\nengine differential: MISMATCH (%d signal deviations)\n"
-      !mismatches;
-  (* Bit-sliced batch throughput: one 63-lane bit-sliced simulation vs 63
-     sequential compiled runs of the same instrumented module, each lane
-     driven by its own deterministic LCG stimulus. Lane identity is checked
-     exhaustively (every signal, every lane, every cycle) on a short
-     prefix; the timed runs then measure raw stepping throughput. *)
-  let lanes = Sonar_rtlsim.Engine.max_lanes in
-  let m = first instr in
-  let bs_inputs = List.map fst (Sonar_ir.Fmodule.inputs m) in
-  let seed_of lane = (0xB05 + (31 * lane)) lor 1 in
-  let verify_cycles = if smoke then 40 else 200 in
-  let lanes_identical =
-    let bs = engine_of Sonar_rtlsim.Engine.Bitsliced instr in
-    let refs =
-      Array.init lanes (fun _ -> engine_of Sonar_rtlsim.Engine.Compiled instr)
-    in
-    let states = Array.init lanes seed_of in
-    let buf = Array.make lanes 0 in
-    let names = Sonar_rtlsim.Engine.signal_names bs in
-    let ok = ref true in
-    for _ = 1 to verify_cycles do
-      List.iter
-        (fun n ->
-          for l = 0 to lanes - 1 do
-            states.(l) <- lcg states.(l);
-            buf.(l) <- states.(l);
-            Sonar_rtlsim.Engine.poke_int refs.(l) n states.(l)
-          done;
-          Sonar_rtlsim.Engine.poke_lanes bs n buf)
-        bs_inputs;
-      Sonar_rtlsim.Engine.step bs;
-      Array.iter Sonar_rtlsim.Engine.step refs;
-      List.iter
-        (fun n ->
-          let sb = Sonar_rtlsim.Engine.slot bs n in
-          for l = 0 to lanes - 1 do
-            let sr = Sonar_rtlsim.Engine.slot refs.(l) n in
-            if
-              Sonar_rtlsim.Engine.read_slot_lane bs sb ~lane:l
-              <> Sonar_rtlsim.Engine.read_slot refs.(l) sr
-            then ok := false
-          done)
-        names
-    done;
-    !ok
-  in
-  (* Engines are compiled outside the timed regions and [reset] between
-     runs, matching a fuzzing campaign (compile once, simulate many). *)
-  let timed_cycles = if smoke then 1_500 else 20_000 in
-  let bs_timed = engine_of Sonar_rtlsim.Engine.Bitsliced instr in
-  let seq_timed = engine_of Sonar_rtlsim.Engine.Compiled instr in
-  let (), t_batch =
-    time_it (fun () ->
-        let bs = bs_timed in
-        Sonar_rtlsim.Engine.reset bs;
-        let states = Array.init lanes seed_of in
-        let buf = Array.make lanes 0 in
-        for _ = 1 to timed_cycles do
-          List.iter
-            (fun n ->
-              for l = 0 to lanes - 1 do
-                states.(l) <- lcg states.(l);
-                buf.(l) <- states.(l)
-              done;
-              Sonar_rtlsim.Engine.poke_lanes bs n buf)
-            bs_inputs;
-          Sonar_rtlsim.Engine.step bs
-        done)
-  in
-  let (), t_seq =
-    time_it (fun () ->
-        let e = seq_timed in
-        for l = 0 to lanes - 1 do
-          Sonar_rtlsim.Engine.reset e;
-          let state = ref (seed_of l) in
-          for _ = 1 to timed_cycles do
-            List.iter
-              (fun n ->
-                state := lcg !state;
-                Sonar_rtlsim.Engine.poke_int e n !state)
-              bs_inputs;
-            Sonar_rtlsim.Engine.step e
-          done
-        done)
-  in
-  let lane_cycles = float_of_int (lanes * timed_cycles) in
-  let cps_seq = lane_cycles /. t_seq in
-  let cps_batch = lane_cycles /. t_batch in
-  let batch_speedup = t_seq /. t_batch in
-  Printf.printf
-    "\nbit-sliced batch (%d lanes x %d cycles, instrumented %s):\n" lanes
-    timed_cycles m.Sonar_ir.Fmodule.name;
-  Printf.printf "  lane identity vs compiled: %s\n"
-    (if lanes_identical then
-       Printf.sprintf "ok (%d cycles, every signal, every lane)" verify_cycles
-     else "MISMATCH");
-  Printf.printf "  sequential  %12.0f lane-cycles/s  (%.3f s)\n" cps_seq t_seq;
-  Printf.printf "  bit-sliced  %12.0f lane-cycles/s  (%.3f s)\n" cps_batch
-    t_batch;
-  Printf.printf "  batch speedup: %.2fx\n" batch_speedup;
-  let doc =
-    Sonar.Json.Obj
-      [
-        ("dut", Sonar.Json.String "boom");
-        ("module", Sonar.Json.String m.Sonar_ir.Fmodule.name);
-        ("lanes", Sonar.Json.Int lanes);
-        ("cycles", Sonar.Json.Int timed_cycles);
-        ("verify_cycles", Sonar.Json.Int verify_cycles);
-        ("lanes_identical", Sonar.Json.Bool lanes_identical);
-        ("seconds_sequential", Sonar.Json.Float t_seq);
-        ("seconds_bitsliced", Sonar.Json.Float t_batch);
-        ("lane_cycles_per_sec_sequential", Sonar.Json.Float cps_seq);
-        ("lane_cycles_per_sec_bitsliced", Sonar.Json.Float cps_batch);
-        ("batch_speedup", Sonar.Json.Float batch_speedup);
-        ("stimulus_words_per_kcycle_compiled", Sonar.Json.Float stim_compiled);
-        ("stimulus_words_per_kcycle_bitsliced", Sonar.Json.Float stim_bitsliced);
-      ]
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Sonar.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_engine.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Observability: trace rotation overhead vs a plain single-file trace, *)
-(* merged-report byte-identity, and the /metrics render rate a scraper  *)
-(* would see (CI greps the identity verdict).                           *)
-
-let observability () =
-  section "observability"
-    "trace rotation overhead, merged-report identity, /metrics render rate";
-  let module T = Sonar.Telemetry in
-  let iterations = if smoke then 120 else 600 in
-  let campaign sinks =
-    ignore
-      (Sonar.Fuzzer.run
-         ~options:
-           { Sonar.Fuzzer.Options.default with seed = 23L; batch = 8; sinks }
-         Sonar_uarch.Config.nutshell Sonar.Feedback.sonar ~iterations)
-  in
-  let read_lines path =
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !lines
-  in
-  (* baseline: no trace at all, then one flat file, then rotation *)
-  let (), t_bare = time_it (fun () -> campaign []) in
-  let flat = Filename.temp_file "sonar_bench_obs" ".jsonl" in
-  let (), t_flat =
-    time_it (fun () ->
-        let s = T.jsonl_file flat in
-        campaign [ s ];
-        T.close s)
-  in
-  let base = Filename.temp_file "sonar_bench_rot" ".jsonl" in
-  Sys.remove base;
-  let (), t_rot =
-    time_it (fun () ->
-        let s = T.rotating_jsonl ~max_generations:5 base in
-        campaign [ s ];
-        T.close s)
-  in
-  let segments =
-    let rec go i acc =
-      let p = T.segment_path base i in
-      if Sys.file_exists p then go (i + 1) (p :: acc) else List.rev acc
-    in
-    go 0 []
-  in
-  let merged =
-    match Sonar.Report.load_many ~label:"campaign" segments with
-    | Ok r -> r
-    | Error msg -> failwith msg
-  in
-  let reference = Sonar.Report.of_lines ~source:"campaign" (read_lines flat) in
-  let merged_identical =
-    Sonar.Report.to_markdown reference = Sonar.Report.to_markdown merged
-    && Sonar.Json.to_string (Sonar.Report.to_json reference)
-       = Sonar.Json.to_string (Sonar.Report.to_json merged)
-  in
-  Printf.printf "campaign (%d iterations):\n" iterations;
-  Printf.printf "  no trace      %7.3f s\n" t_bare;
-  Printf.printf "  flat trace    %7.3f s  (+%.1f%%)\n" t_flat
-    (100. *. ((t_flat /. t_bare) -. 1.));
-  Printf.printf "  rotated trace %7.3f s  (+%.1f%%, %d segments)\n" t_rot
-    (100. *. ((t_rot /. t_bare) -. 1.))
-    (List.length segments);
-  Printf.printf "merged report identical to flat-trace report: %s\n"
-    (if merged_identical then "ok" else "MISMATCH");
-  (* scrape cost: replay the campaign the way `sonar serve` does and
-     request /metrics from its handler *)
-  let feed, handler = Sonar.Serve.replay ~health:[] in
-  List.iter feed (read_lines flat);
-  let renders = if smoke then 200 else 2000 in
-  let body = ref "" in
-  let (), t_render =
-    time_it (fun () ->
-        for _ = 1 to renders do
-          body := (Option.get (handler "/metrics")).Sonar.Serve.body
-        done)
-  in
-  let renders_per_sec = float_of_int renders /. t_render in
-  Printf.printf "/metrics render: %d bytes, %.0f renders/s\n"
-    (String.length !body) renders_per_sec;
-  let doc =
-    Sonar.Json.Obj
-      [
-        ("iterations", Sonar.Json.Int iterations);
-        ("seconds_no_trace", Sonar.Json.Float t_bare);
-        ("seconds_flat_trace", Sonar.Json.Float t_flat);
-        ("seconds_rotated_trace", Sonar.Json.Float t_rot);
-        ("segments", Sonar.Json.Int (List.length segments));
-        ("merged_identical", Sonar.Json.Bool merged_identical);
-        ("metrics_bytes", Sonar.Json.Int (String.length !body));
-        ("metrics_renders_per_sec", Sonar.Json.Float renders_per_sec);
-      ]
-  in
-  let oc = open_out "BENCH_observability.json" in
-  output_string oc (Sonar.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_observability.json\n";
-  Sys.remove flat;
-  List.iter Sys.remove segments
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1050,8 +691,6 @@ let experiments =
     ("mitigation", mitigation);
     ("speedup", speedup);
     ("strategies", strategies);
-    ("engine", engine_bench);
-    ("observability", observability);
   ]
 
 let () =

@@ -56,17 +56,12 @@ let unknown_channel id =
     (String.concat ", " (List.map (fun c -> c.Sonar.Channels.id) Sonar.Channels.all));
   1
 
-(* Install the profiling hooks of every instrumented pipeline stage, feeding
-   one span recorder; returns the uninstaller. *)
+(* Install the analysis profiling hook, feeding one span recorder; returns
+   the uninstaller. *)
 let install_profiler emit =
   let recorder = Telemetry.Span.recorder emit in
-  let set h =
-    Sonar_ir.Analysis.set_profiler h;
-    Sonar_ir.Instrument.set_profiler h;
-    Sonar_rtlsim.Engine.set_profiler h
-  in
-  set (Some (Telemetry.Span.hook recorder));
-  fun () -> set None
+  Sonar_ir.Analysis.set_profiler (Some (Telemetry.Span.enter recorder));
+  fun () -> Sonar_ir.Analysis.set_profiler None
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)

@@ -147,45 +147,3 @@ let await { cell; pool } =
 let map_list t f xs =
   let futures = List.map (fun x -> submit t (fun () -> f x)) xs in
   List.map await futures
-
-(* --- Worker-local storage --- *)
-
-type 'a key = 'a Domain.DLS.key
-
-let create_key init = Domain.DLS.new_key init
-let get key = Domain.DLS.get key
-
-let run_on_each t f =
-  (* One barrier task per worker: each blocks until all [jobs] tasks have
-     started, so no worker can take two and every worker runs [f] exactly
-     once. The caller waits on the cells directly — the helping [await]
-     would let the calling domain steal a barrier task and leave one worker
-     without one. *)
-  let jobs = t.jobs in
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let started = ref 0 in
-  let barrier () =
-    Mutex.lock m;
-    incr started;
-    if !started >= jobs then Condition.broadcast c
-    else while !started < jobs do Condition.wait c m done;
-    Mutex.unlock m;
-    f ()
-  in
-  let futures = List.init jobs (fun _ -> submit t barrier) in
-  List.iter
-    (fun { cell; pool = _ } ->
-      Mutex.lock cell.cell_mutex;
-      let rec wait () =
-        match cell.st with
-        | Pending ->
-            Condition.wait cell.cell_cond cell.cell_mutex;
-            wait ()
-        | Done () -> Mutex.unlock cell.cell_mutex
-        | Failed (e, bt) ->
-            Mutex.unlock cell.cell_mutex;
-            Printexc.raise_with_backtrace e bt
-      in
-      wait ())
-    futures

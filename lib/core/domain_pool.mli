@@ -1,9 +1,8 @@
 (** A fixed pool of {!Domain.t} workers with future-returning submission.
 
     The pool backs every parallel stage of the pipeline: the executor fans
-    the two secret-runs of a testcase pair across it, the fuzzer executes a
-    whole generation of candidates on it, and the bench harness runs
-    independent per-DUT computations on it concurrently.
+    a generation's candidates across it in slices, and the bench harness
+    runs independent per-DUT computations on it concurrently.
 
     Scheduling is work-stealing-lite: tasks go through one shared queue, and
     {!await} {e helps} — while the awaited future is pending it pops and
@@ -13,9 +12,10 @@
     throughput during fork-join phases.
 
     Determinism: the pool only affects {e when} a task runs, never its
-    inputs; all Sonar tasks are pure functions of their arguments (the
-    machine model allocates all mutable state per run), so results are
-    independent of worker count and scheduling order. *)
+    inputs; all Sonar tasks are pure functions of their arguments (state a
+    task keeps per domain, such as the executor's run contexts, changes its
+    speed only), so results are independent of worker count and
+    scheduling order. *)
 
 type t
 
@@ -48,34 +48,3 @@ val await : 'a future -> 'a
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map]: submit one task per element, await in order. *)
-
-(** {2 Worker-local storage}
-
-    Scratch state a task can reuse across the tasks that happen to run on
-    the same domain — e.g. the executor's per-worker {!Sonar_uarch.Machine.Ctx}
-    run contexts, which keep the simulation hot loop from re-allocating
-    cache and contention-point tables on every testcase. Values are
-    per-domain (the helping {!await} means the submitting domain can also
-    run tasks, and gets its own value), initialised lazily on first {!get}.
-
-    Determinism caveat: worker-local values persist across tasks, so a task
-    must never let them influence its {e result} — only its speed. Reused
-    contexts are restored to cold start at acquisition and tested to be
-    bit-identical to fresh ones. *)
-
-type 'a key
-
-val create_key : (unit -> 'a) -> 'a key
-(** [create_key init] declares a worker-local slot; each domain that calls
-    {!get} materialises its own value with [init] on first access. *)
-
-val get : 'a key -> 'a
-(** This domain's value for [key], created with the key's initialiser on
-    first access. Usable from pool workers and ordinary domains alike. *)
-
-val run_on_each : t -> (unit -> unit) -> unit
-(** Run [f] exactly once on every worker domain of the pool and wait for
-    all of them — e.g. to eagerly initialise worker-local state before a
-    timed section. Blocks until every worker has run [f]; do not call it
-    while long-running tasks are still queued (the barrier waits for every
-    worker to become available). *)

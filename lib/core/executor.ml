@@ -8,14 +8,18 @@ type pair = {
   by_name1 : Cpoint.snapshot array;
 }
 
-(* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config).
-   Contexts are restored to cold start at every acquisition inside
-   [Machine.run], so results are bit-identical to fresh machines (tested);
-   keeping them domain-local means the hot loop re-allocates neither cache
-   line arrays nor contention-point tables per testcase, which is what
-   stops stop-the-world minor collections from serialising the pool. *)
-let scratch_key : (string, Machine.Ctx.t) Hashtbl.t Domain_pool.key =
-  Domain_pool.create_key (fun () -> Hashtbl.create 4)
+(* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config),
+   created lazily by whichever domain first runs a task for that config
+   (the helping [Domain_pool.await] means the submitting domain gets its
+   own). Keeping them domain-local means the hot loop re-allocates neither
+   cache line arrays nor contention-point tables per testcase, which is
+   what stops stop-the-world minor collections from serialising the pool.
+   Determinism: a context persists across tasks, so it may change a task's
+   speed, never its result; contexts are restored to cold start at every
+   acquisition inside [Machine.run] and tested to be bit-identical to fresh
+   machines. *)
+let scratch_key : (string, Machine.Ctx.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
 (* [fp] is the caller-precomputed [Config.fingerprint cfg]: batch entry
    points hash the config once and reuse the key across every lookup,
@@ -23,7 +27,7 @@ let scratch_key : (string, Machine.Ctx.t) Hashtbl.t Domain_pool.key =
    (A same-name fingerprint collision would surface as [Machine.run]'s
    own config guard raising, never as silent state sharing.) *)
 let scratch_ctx (cfg : Config.t) ~fp =
-  let tbl = Domain_pool.get scratch_key in
+  let tbl = Domain.DLS.get scratch_key in
   match Hashtbl.find_opt tbl cfg.Config.name with
   | Some ctx when Machine.Ctx.fingerprint ctx = fp -> ctx
   | Some _ | None ->

@@ -54,7 +54,7 @@ val execute_batch :
     {e slices} of {!auto_chunk} testcases — one pool task runs both
     secret-runs of a slice on its worker's reusable
     {!Sonar_uarch.Machine.Ctx} scratch context, kept in
-    {!Domain_pool} worker-local storage so the hot loop allocates no
+    domain-local storage ([Domain.DLS]) so the hot loop allocates no
     cache or contention-point tables per testcase — and [f] sees a slice
     once it is awaited, while later slices still run. Sequential when no
     pool is given (the calling domain reuses its own scratch context), and

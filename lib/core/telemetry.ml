@@ -654,8 +654,6 @@ module Span = struct
   let wrap r name f =
     let finish = enter r name in
     Fun.protect ~finally:finish f
-
-  let hook r name = enter r name
 end
 
 (* ------------------------------------------------------------------ *)

@@ -272,14 +272,12 @@ module Span : sig
   (** [clock] defaults to [Unix.gettimeofday]. *)
 
   val enter : recorder -> string -> unit -> unit
-  (** Open a span; the returned closure ends it (idempotent). *)
+  (** Open a span; the returned closure ends it (idempotent). Partially
+      applied to a recorder, it is the hook
+      {!Sonar_ir.Analysis.set_profiler} takes. *)
 
   val wrap : recorder -> string -> (unit -> 'a) -> 'a
   (** Run a thunk inside a span; the span ends even if the thunk raises. *)
-
-  val hook : recorder -> string -> unit -> unit
-  (** {!enter} in the shape the IR/RTL-sim profiler hooks expect
-      ({!Sonar_ir.Analysis.set_profiler} and friends). *)
 end
 
 val flush_histograms :

@@ -18,8 +18,6 @@ let classify_in ctx (point : Mux_tree.point) =
     single_valid = List.length with_valid = 1;
   }
 
-let classify m point = classify_in (Validity.context m) point
-
 let classify_module m =
   let ctx = Validity.context m in
   List.map (classify_in ctx) (Mux_tree.points_of_module m)

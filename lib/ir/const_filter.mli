@@ -15,13 +15,11 @@ type classified = {
           Figure 9 "dominated by a single signal" class *)
 }
 
-val classify : Fmodule.t -> Mux_tree.point -> classified
-(** Determine every request's validity and apply the filter. *)
-
 val classify_in : Validity.context -> Mux_tree.point -> classified
-(** Same, reusing a precomputed per-module context (linear overall). *)
+(** Determine every request's validity under a precomputed per-module
+    context (linear overall) and apply the filter. *)
 
 val classify_module : Fmodule.t -> classified list
-(** {!Mux_tree.points_of_module} composed with {!classify}. *)
+(** {!Mux_tree.points_of_module} composed with {!classify_in}. *)
 
 val monitored : classified list -> classified list

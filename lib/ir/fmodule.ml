@@ -19,11 +19,6 @@ let inputs m =
     (function Stmt.Input { name; width } -> Some (name, width) | _ -> None)
     m.stmts
 
-let outputs m =
-  List.filter_map
-    (function Stmt.Output { name; width } -> Some (name, width) | _ -> None)
-    m.stmts
-
 let is_register m =
   let regs = Hashtbl.create 16 in
   List.iter

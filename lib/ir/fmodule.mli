@@ -16,7 +16,6 @@ val signals : t -> (string * int) list
     width 0 (their width is that of the bound expression). *)
 
 val inputs : t -> (string * int) list
-val outputs : t -> (string * int) list
 
 val definitions : t -> (string, Expr.t) Hashtbl.t
 (** Map from signal name to its defining expression: a [Node] binding or the

@@ -137,16 +137,7 @@ let instrument_module m classified =
       List.length stmts )
   end
 
-(* Profiling hook; see [Analysis.set_profiler] — same contract. *)
-let profiler : (string -> unit -> unit) option ref = ref None
-
-let set_profiler h = profiler := h
-
 let instrument circuit =
-  let finish =
-    match !profiler with None -> Fun.id | Some enter -> enter "instrument"
-  in
-  Fun.protect ~finally:finish @@ fun () ->
   let monitors = ref [] in
   let stmts_added = ref 0 in
   let points = ref 0 in

@@ -34,10 +34,6 @@ type result = {
 
 val max_pairs : int
 
-val set_profiler : (string -> unit -> unit) option -> unit
-(** Install a profiling hook around {!instrument} (span name
-    ["instrument"]); same contract as {!Analysis.set_profiler}. *)
-
 val instrument_module :
   Fmodule.t -> Const_filter.classified list -> Fmodule.t * point_monitor list * int
 (** Instrument one module given its classified points; returns the rewritten

@@ -466,12 +466,3 @@ let run ?(max_instrs = default_max_instrs)
     memory = s.mem;
     exit_reason;
   }
-
-let pp_fault fmt f =
-  Format.pp_print_string fmt
-    (match f with
-    | Load_access_fault -> "load-access-fault"
-    | Store_access_fault -> "store-access-fault"
-    | Illegal_instruction -> "illegal-instruction"
-    | Breakpoint -> "breakpoint"
-    | Env_call -> "env-call")

@@ -59,5 +59,3 @@ val run :
   ?max_instrs:int -> ?transient_window:int -> Program.t -> outcome
 (** Execute to completion: falling off the end of the code, [ebreak], or the
     instruction budget. *)
-
-val pp_fault : Format.formatter -> fault -> unit

@@ -737,18 +737,7 @@ let read_slot_lanes t s =
 
 (* --- compilation --- *)
 
-(* Profiling hook; see [Sonar_ir.Analysis.set_profiler] — same contract. *)
-let profiler : (string -> unit -> unit) option ref = ref None
-
-let set_profiler h = profiler := h
-
 let compile ?(backend = Compiled) (m : Fmodule.t) =
-  let finish =
-    match !profiler with
-    | None -> Fun.id
-    | Some enter -> enter "engine.compile"
-  in
-  Fun.protect ~finally:finish @@ fun () ->
   let slots = Names.create 128 in
   let inputs = Names.create 16 in
   let decls = Hashtbl.create 128 in

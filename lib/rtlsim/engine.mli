@@ -45,11 +45,6 @@ type backend =
 
 exception Unknown_signal of string
 
-val set_profiler : (string -> unit -> unit) option -> unit
-(** Install a profiling hook around {!compile} (span name
-    ["engine.compile"], one span per compiled module); same contract as
-    {!Sonar_ir.Analysis.set_profiler}. *)
-
 val compile : ?backend:backend -> Sonar_ir.Fmodule.t -> t
 (** Build an engine; [backend] defaults to {!Compiled}.
     @raise Levelize.Combinational_cycle on cyclic combinational logic.

@@ -47,7 +47,6 @@ let create engine monitors =
   { engine; tracked; window = None }
 
 let set_window t ~start ~stop = t.window <- Some (start, stop)
-let clear_window t = t.window <- None
 
 let update_min current candidate =
   match current with Some m when m <= candidate -> current | _ -> Some candidate
@@ -151,7 +150,6 @@ module Batch = struct
 
   let lanes t = t.b_lanes
   let set_window t ~start ~stop = t.b_window <- Some (start, stop)
-  let clear_window t = t.b_window <- None
 
   let sample t =
     let cycle = Engine.cycle t.b_engine in

@@ -26,7 +26,6 @@ val create : Engine.t -> Sonar_ir.Instrument.point_monitor list -> t
 val set_window : t -> start:int -> stop:int -> unit
 (** Restrict sampling to cycles in [start, stop] (inclusive). *)
 
-val clear_window : t -> unit
 val sample : t -> unit
 (** Read the engine's monitor outputs for the current cycle. *)
 
@@ -46,7 +45,6 @@ module Batch : sig
   val create : Engine.t -> Sonar_ir.Instrument.point_monitor list -> t
   val lanes : t -> int
   val set_window : t -> start:int -> stop:int -> unit
-  val clear_window : t -> unit
 
   val sample : t -> unit
   (** Read the engine's monitor outputs for the current cycle, every lane. *)

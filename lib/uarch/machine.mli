@@ -45,7 +45,7 @@ val default_max_cycles : int
     restores that capture, so a reused machine is a fresh one. A run
     without a context runs on a fresh one. A context is {e not}
     thread-safe: keep one per domain (the executor keeps one per worker
-    via the {!Sonar.Domain_pool} worker-local storage API). Results are
+    in a [Domain.DLS] key). Results are
     bit-identical with and without a context — asserted by the tests — so
     reuse is purely a throughput optimisation: it is what keeps the
     parallel execute phase from serialising on stop-the-world minor

@@ -613,27 +613,6 @@ let test_auto_chunk () =
         (n = 0 || slices <= 2 * jobs))
     [ (1, 1); (1, 64); (2, 64); (3, 17); (4, 64); (16, 5); (2, 0) ]
 
-let test_worker_local_storage () =
-  let key = Sonar.Domain_pool.create_key (fun () -> ref 0) in
-  Sonar.Domain_pool.with_pool ~jobs:3 (fun pool ->
-      (* run_on_each visits every worker exactly once per call, and each
-         worker keeps its own slot across calls. *)
-      let bump () = incr (Sonar.Domain_pool.get key) in
-      Sonar.Domain_pool.run_on_each pool bump;
-      Sonar.Domain_pool.run_on_each pool bump;
-      let m = Mutex.create () in
-      let counts = ref [] in
-      Sonar.Domain_pool.run_on_each pool (fun () ->
-          let v = !(Sonar.Domain_pool.get key) in
-          Mutex.lock m;
-          counts := v :: !counts;
-          Mutex.unlock m);
-      Alcotest.(check (list int))
-        "every worker bumped its own slot twice" [ 2; 2; 2 ]
-        (List.sort compare !counts));
-  (* The calling domain has a slot of its own, untouched by the workers. *)
-  checki "caller slot independent" 0 !(Sonar.Domain_pool.get key)
-
 let minor_words_during f =
   let before = Gc.minor_words () in
   f ();
@@ -925,8 +904,6 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "domain pool basics" `Quick test_domain_pool_basics;
-          Alcotest.test_case "worker-local storage" `Quick
-            test_worker_local_storage;
           Alcotest.test_case "batch matches sequential" `Quick
             test_executor_batch_matches_sequential;
           Alcotest.test_case "auto chunk sizing" `Quick test_auto_chunk;

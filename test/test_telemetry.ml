@@ -401,6 +401,39 @@ let test_span_tree_merging () =
       checks "orphan becomes a root" "stray" stray.Telemetry.Observatory.span_name
   | nodes -> Alcotest.failf "expected two roots, got %d" (List.length nodes)
 
+(* The analysis profiler hook, fed by a span recorder into the campaign
+   state fold exactly as [sonar analyze --profile] wires it. *)
+let test_analysis_profiler_hook () =
+  let sink, read = Telemetry.state () in
+  let r = Telemetry.Span.recorder sink.Telemetry.emit in
+  let circuit =
+    Sonar_dut.Netlist_gen.generate ~scale:0.02 ~pad:false
+      Sonar_uarch.Config.nutshell
+  in
+  let events () = (Telemetry.State.summary (read ())).events in
+  Fun.protect ~finally:(fun () -> Sonar_ir.Analysis.set_profiler None)
+    (fun () ->
+      Sonar_ir.Analysis.set_profiler (Some (Telemetry.Span.enter r));
+      ignore (Sonar_ir.Analysis.summarize circuit));
+  (* each node as its path from the root and its call count *)
+  let rec paths prefix (n : Telemetry.Observatory.span_node) =
+    let path = prefix ^ "/" ^ n.span_name in
+    (path, n.calls) :: List.concat_map (paths path) n.children
+  in
+  Alcotest.(check (list (pair string int)))
+    "analysis span with its three phases, once each"
+    [
+      ("/analysis", 1);
+      ("/analysis/analysis.naive_mux_count", 1);
+      ("/analysis/analysis.identify", 1);
+      ("/analysis/analysis.filter", 1);
+    ]
+    (List.concat_map (paths "")
+       (Telemetry.State.summary (read ())).observatory.span_tree);
+  let before = events () in
+  ignore (Sonar_ir.Analysis.summarize circuit);
+  checki "no events once the hook is removed" before (events ())
+
 (* --- campaign helpers --- *)
 
 let nutshell = Sonar_uarch.Config.nutshell
@@ -1147,6 +1180,8 @@ let () =
           Alcotest.test_case "recorder with injected clock" `Quick
             test_span_recorder;
           Alcotest.test_case "tree merging" `Quick test_span_tree_merging;
+          Alcotest.test_case "analysis profiler hook" `Quick
+            test_analysis_profiler_hook;
         ] );
       ( "sinks",
         [
