@@ -91,13 +91,6 @@ let json_of_summary dut (s : Sonar_ir.Analysis.summary) : Json.t =
              s.per_component) );
     ]
 
-let pp_span_tree ppf tree =
-  let rec render indent (n : Telemetry.Observatory.span_node) =
-    Format.fprintf ppf "%s%s  %dx  %.3fs@." indent n.span_name n.calls n.seconds;
-    List.iter (render (indent ^ "  ")) n.children
-  in
-  List.iter (render "") tree
-
 let analyze dut format profile =
   match config_of_name dut with
   | Error (`Msg m) -> prerr_endline m; 1
@@ -119,7 +112,8 @@ let analyze dut format profile =
           Format.printf "%a@." Sonar_ir.Analysis.pp_summary summary;
           Option.iter
             (fun (s : Telemetry.Observatory.snapshot) ->
-              Format.printf "@.profiling spans:@.%a" pp_span_tree s.span_tree)
+              Format.printf "@.profiling spans:@.";
+              print_string (Sonar.Report.span_tree_text s.span_tree))
             snapshot
       | `Json ->
           let doc =
@@ -224,18 +218,8 @@ let fuzz dut iterations seed strategy_name list dual jobs batch no_checkpoint
             Option.iter Sonar.Serve.stop server)
           (fun () -> Sonar.Fuzzer.run ~options cfg strategy ~iterations)
       in
-      let summary =
-        if stats then
-          Option.map (fun (_, read) -> Sonar.Telemetry.State.summary (read ())) state
-        else None
-      in
-      let snapshot =
-        Option.map
-          (Sonar.Telemetry.State.metrics ~elapsed:(Unix.gettimeofday () -. t0))
-          summary
-      in
-      let observatory =
-        Option.map (fun (s : Sonar.Telemetry.State.summary) -> s.observatory) summary
+      let stats_state =
+        if stats then Option.map (fun (_, read) -> read ()) state else None
       in
       (match format with
       | `Json ->
@@ -257,18 +241,19 @@ let fuzz dut iterations seed strategy_name list dual jobs batch no_checkpoint
             | Json.Obj fields -> fields
             | other -> [ ("outcome", other) ]
           in
-          let metrics =
-            match snapshot with
-            | Some s -> [ ("metrics", Telemetry.Metrics.to_json s) ]
-            | None -> []
-          in
-          let obs_fields =
-            match observatory with
-            | Some s -> [ ("observatory", Telemetry.Observatory.to_json s) ]
+          let stats_fields =
+            match stats_state with
+            | Some st ->
+                let s = Telemetry.State.summary st in
+                let elapsed = Unix.gettimeofday () -. t0 in
+                [
+                  ("metrics", Telemetry.Metrics.to_json (Telemetry.State.metrics ~elapsed s));
+                  ("observatory", Telemetry.Observatory.to_json s.observatory);
+                ]
             | None -> []
           in
           print_endline
-            (Json.to_string (Json.Obj (meta @ outcome_fields @ metrics @ obs_fields)))
+            (Json.to_string (Json.Obj (meta @ outcome_fields @ stats_fields)))
       | `Text ->
           Format.printf
             "%s, %d iterations (strategy %s):@.  contention coverage %.0f \
@@ -282,13 +267,15 @@ let fuzz dut iterations seed strategy_name list dual jobs batch no_checkpoint
               Format.printf "@.finding at iteration %d:@.%a@." iteration
                 Sonar.Detector.pp_report report)
             o.first_reports;
+          (* The `sonar report` document of the live state: with
+             --trace T --timings, the same bytes as `sonar report T`. *)
           Option.iter
-            (fun s -> Format.printf "@.%a@." Telemetry.Metrics.pp s)
-            snapshot;
-          Option.iter
-            (fun s ->
-              Format.printf "@.%a@." (fun ppf -> Telemetry.Observatory.pp ppf) s)
-            observatory);
+            (fun st ->
+              let source = Option.value ~default:"<live>" trace in
+              Format.printf "@.";
+              print_string
+                (Sonar.Report.to_markdown (Sonar.Report.of_state ~source ~skipped:0 st)))
+            stats_state);
       0)
 
 (* ------------------------------------------------------------------ *)
@@ -593,10 +580,13 @@ let fuzz_cmd =
       & flag
       & info [ "stats" ]
           ~doc:
-            "Aggregate telemetry in memory and report campaign metrics \
-             (counters, per-phase wall-clock, events/sec) plus the \
-             contention observatory (interval histograms, coverage \
-             heatmap, profiling span tree) at the end.")
+            "Fold telemetry in memory and print, after the outcome, the \
+             $(b,sonar report) document of the campaign (summary, \
+             checkpointing and throughput, coverage series, interval \
+             histograms, coverage heatmap, profiling span tree, CCD \
+             findings). With $(b,--trace) $(i,FILE) $(b,--timings) it is \
+             byte-identical to $(b,sonar report) $(i,FILE). With \
+             $(b,--format json), the metrics and observatory snapshots.")
   in
   let progress =
     Arg.(

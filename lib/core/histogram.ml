@@ -78,30 +78,6 @@ let merge a b =
   end;
   h
 
-(* Eight-level unicode bars over the populated bucket range, scaled to the
-   fullest bucket; empty buckets inside the range render as spaces so gaps
-   in the distribution stay visible. *)
-let spark_levels = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
-                      "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
-                      "\xe2\x96\x87"; "\xe2\x96\x88" |]
-
-let sparkline h =
-  match counts h with
-  | [] -> ""
-  | nonzero ->
-      let lo = fst (List.hd nonzero) in
-      let hi = List.fold_left (fun a (b, _) -> max a b) lo nonzero in
-      let peak = List.fold_left (fun a (_, c) -> max a c) 1 nonzero in
-      let buf = Buffer.create (hi - lo + 1) in
-      for b = lo to hi do
-        let c = h.counts.(b) in
-        if c = 0 then Buffer.add_char buf ' '
-        else
-          let level = (c * (Array.length spark_levels - 1) + peak - 1) / peak in
-          Buffer.add_string buf spark_levels.(min level (Array.length spark_levels - 1))
-      done;
-      Buffer.contents buf
-
 let to_json h : Json.t =
   Json.Obj
     [
@@ -114,24 +90,6 @@ let to_json h : Json.t =
              (fun (b, c) -> Json.List [ Json.Int b; Json.Int c ])
              (counts h)) );
     ]
-
-let of_json doc =
-  let open Json in
-  try
-    let buckets =
-      match member "buckets" doc with
-      | List items ->
-          List.map
-            (function
-              | List [ Int b; Int c ] -> (b, c)
-              | _ -> raise (Parse_error "bad bucket"))
-            items
-      | _ -> raise (Parse_error "buckets must be a list")
-    in
-    let min_value = match member "min" doc with Int i -> i | _ -> 0 in
-    let max_value = match member "max" doc with Int i -> i | _ -> 0 in
-    Some (of_counts ~min_value ~max_value buckets)
-  with Parse_error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Registry: keyed histograms with incremental dirty tracking, so the

@@ -34,15 +34,9 @@ val of_counts : min_value:int -> max_value:int -> (int * int) list -> t
 val merge : t -> t -> t
 (** Pointwise sum; the arguments are not mutated. *)
 
-val sparkline : t -> string
-(** Unicode bar rendering over the populated bucket range ([""] when
-    empty); empty interior buckets render as spaces. *)
-
 val to_json : t -> Json.t
 (** [{"total":n,"min":m,"max":M,"buckets":[[bucket,count],...]}]; [min] and
     [max] are [null] when empty. *)
-
-val of_json : Json.t -> t option
 
 (** {1 Registry}
 

@@ -1,8 +1,9 @@
-(* Offline campaign reports: replay JSONL telemetry traces into a
-   self-contained markdown or HTML document (plus a JSON form for
-   machines). The numbers are Telemetry.State's summary, the same fold the
-   live views read, so the report of a trace is as deterministic as the
-   trace itself. *)
+(* Campaign reports: a Telemetry.State — replayed from JSONL traces, or
+   the live state of `sonar fuzz --stats` — as a self-contained markdown
+   or HTML document (plus a JSON form for machines). This module is the
+   one text renderer of campaign state; the numbers are the state's
+   summary, so the report of a trace is as deterministic as the trace
+   itself. *)
 
 type t = {
   source : string;
@@ -84,6 +85,8 @@ let spark_glyphs = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
                      "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
                      "\xe2\x96\x87"; "\xe2\x96\x88" |]
 
+let glyph level = spark_glyphs.(max 0 (min 7 level))
+
 (* One glyph per value, scaled to the series maximum; long series are
    resampled (by last-value-in-bin) to [width] columns. *)
 let spark_of_floats ?(width = 60) values =
@@ -100,16 +103,28 @@ let spark_of_floats ?(width = 60) values =
       let peak = List.fold_left Float.max 1e-9 values in
       String.concat ""
         (List.map
-           (fun v ->
-             let level =
-               int_of_float (Float.round (7. *. Float.max 0. v /. peak))
-             in
-             spark_glyphs.(max 0 (min 7 level)))
+           (fun v -> glyph (int_of_float (Float.round (7. *. Float.max 0. v /. peak))))
            values)
+
+(* A histogram's bars over its populated bucket range, scaled to the
+   fullest bucket (any non-empty bucket shows at least the second level);
+   empty buckets inside the range render as spaces so gaps in the
+   distribution stay visible. *)
+let sparkline h =
+  match Telemetry.Histogram.counts h with
+  | [] -> ""
+  | (lo, _) :: _ as nonzero ->
+      let hi = fst (List.nth nonzero (List.length nonzero - 1)) in
+      let peak = List.fold_left (fun a (_, c) -> max a c) 1 nonzero in
+      String.concat ""
+        (List.init (hi - lo + 1) (fun i ->
+             match List.assoc_opt (lo + i) nonzero with
+             | None -> " "
+             | Some c -> glyph (((c * 7) + peak - 1) / peak)))
 
 let bar ?(width = 24) ~peak v =
   let n = int_of_float (Float.round (float_of_int width *. v /. Float.max peak 1e-9)) in
-  String.concat "" (List.init (max 0 (min width n)) (fun _ -> "\xe2\x96\x88"))
+  String.concat "" (List.init (max 0 (min width n)) (fun _ -> glyph 7 (* full block *)))
 
 let fmt_f = Printf.sprintf "%.1f"
 let fmt_s = Printf.sprintf "%.3fs"
@@ -133,7 +148,13 @@ let summary_section ({ source; skipped; s } : t) =
         Option.value ~default:"incomplete (no campaign_end)" s.outcome ];
     ]
     @ (match s.wall_seconds with
-      | Some w -> [ [ "campaign wall-clock"; fmt_s w ] ]
+      | Some w ->
+          [
+            [ "campaign wall-clock"; fmt_s w ];
+            [ "throughput";
+              Printf.sprintf "%.1f testcases/s"
+                (Telemetry.State.metrics ~elapsed:w s).testcases_per_second ];
+          ]
       | None -> [])
     @ (if s.campaigns > 1 then
          [ [ "campaigns merged"; string_of_int s.campaigns ] ]
@@ -153,6 +174,13 @@ let summary_section ({ source; skipped; s } : t) =
         Printf.sprintf "%d / %d" s.retained s.evicted ];
       [ "direction flips"; string_of_int s.direction_flips ];
     ]
+    (* only checkpoint_stats events count simulated cycles, and every
+       testcase simulates some *)
+    @ (if s.cycles_simulated > 0 then
+         [ [ "checkpointing";
+             Printf.sprintf "%d cycles simulated, %d saved (%d hits)"
+               s.cycles_simulated s.cycles_saved s.checkpoint_hits ] ]
+       else [])
     @ List.map
         (fun (p, secs) -> [ Telemetry.phase_name p ^ " wall-clock"; fmt_s secs ])
         s.phase_seconds
@@ -212,7 +240,7 @@ let points_section ~top (s : Telemetry.State.summary) =
                  (Option.value ~default:0 (Telemetry.Histogram.min_value h));
                string_of_int
                  (Option.value ~default:0 (Telemetry.Histogram.max_value h));
-               Telemetry.Histogram.sparkline h;
+               sparkline h;
              ])
     in
     {
@@ -245,6 +273,19 @@ let heatmap_section (s : Telemetry.State.summary) =
     { title = "Coverage heatmap";
       blocks = [ Table ([ "component"; "weight"; "share" ], rows) ] }
 
+let span_tree_text tree =
+  let buf = Buffer.create 256 in
+  let rec render indent (n : Telemetry.Observatory.span_node) =
+    Buffer.add_string buf
+      (Printf.sprintf "%-*s %6dx %10.3fs\n"
+         (max (String.length indent + String.length n.span_name) 30)
+         (indent ^ n.span_name)
+         n.calls n.seconds);
+    List.iter (render (indent ^ "  ")) n.children
+  in
+  List.iter (render "") tree;
+  Buffer.contents buf
+
 let spans_section (s : Telemetry.State.summary) =
   let tree = s.observatory.span_tree in
   if tree = [] then
@@ -256,18 +297,7 @@ let spans_section (s : Telemetry.State.summary) =
              with the timings opt-in, e.g. `sonar fuzz --trace FILE \
              --timings`).";
         ] }
-  else
-    let buf = Buffer.create 256 in
-    let rec render indent (n : Telemetry.Observatory.span_node) =
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s %6dx %10.3fs\n"
-           (max (String.length indent + String.length n.span_name) 30)
-           (indent ^ n.span_name)
-           n.calls n.seconds);
-      List.iter (render (indent ^ "  ")) n.children
-    in
-    List.iter (render "") tree;
-    { title = "Profiling spans"; blocks = [ Pre (Buffer.contents buf) ] }
+  else { title = "Profiling spans"; blocks = [ Pre (span_tree_text tree) ] }
 
 let findings_section (s : Telemetry.State.summary) =
   if s.findings = [] then

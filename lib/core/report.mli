@@ -1,11 +1,17 @@
-(** Offline campaign reports (the [sonar report] subcommand).
+(** Campaign reports: the one text renderer of campaign state.
 
-    Replays one or more JSONL telemetry traces (written by
+    [sonar report] replays one or more JSONL telemetry traces (written by
     {!Telemetry.jsonl_file} or {!Telemetry.rotating_jsonl}) into a
     self-contained document: campaign summary, coverage-over-iterations
     series, top contention points by minimum observed interval (with
     sparkline histograms), per-component coverage heatmap, merged
-    profiling span tree, and CCD finding summaries.
+    profiling span tree, and CCD finding summaries. [sonar fuzz --stats]
+    prints the same document of its live state ({!of_state}), so a
+    campaign traced with [--timings] prints exactly what [sonar report]
+    prints for its trace. The summary shows a checkpointing row (cycles
+    simulated and saved, checkpoint hits) only when the state holds
+    [checkpoint_stats] events, and a throughput row only when it holds a
+    footer wall-clock; default traces carry neither.
 
     {b Merging.} All inputs are read as one line stream by one
     {!Telemetry.reader} and folded into one {!Telemetry.State.t} — the
@@ -33,7 +39,8 @@ val of_events : ?source:string -> ?skipped:int -> Telemetry.event list -> t
     summary. *)
 
 val of_state : source:string -> skipped:int -> Telemetry.State.t -> t
-(** The report of an already folded state. *)
+(** The report of an already folded state, such as a live campaign's
+    {!Telemetry.state}. *)
 
 val of_lines : ?source:string -> string list -> t
 (** Parse each non-blank line as one JSON event document; lines that fail
@@ -80,6 +87,11 @@ val to_markdown : ?top:int -> t -> string
 
 val to_html : ?top:int -> t -> string
 (** Single-file HTML document (inline CSS, no external assets). *)
+
+val span_tree_text : Telemetry.Observatory.span_node list -> string
+(** The span tree as the report's "Profiling spans" block prints it: one
+    line per node (name indented two spaces per level, calls, seconds).
+    [sonar analyze --profile] prints its spans through it. *)
 
 val to_json : t -> Json.t
 (** Machine-readable sidecar: summary counters, the per-generation series,

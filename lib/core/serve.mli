@@ -25,12 +25,6 @@ type handler = string -> response option
 (** Maps a request path (query string already stripped) to a response;
     [None] means 404. *)
 
-val ok_json : Json.t -> response
-(** 200 with [application/json]. *)
-
-val ok_text : string -> response
-(** 200 with the Prometheus text exposition content type. *)
-
 type t
 
 val start : ?host:string -> port:int -> handler -> t

@@ -595,26 +595,6 @@ module Metrics = struct
         ("cycles_saved", Json.Int s.cycles_saved);
         ("checkpoint_hits", Json.Int s.checkpoint_hits);
       ]
-
-  let pp fmt s =
-    Format.fprintf fmt
-      "@[<v>campaign metrics:@,\
-      \  testcases        %d (%.1f/s)@,\
-      \  generations      %d@,\
-      \  coverage         %.0f netlist points (%d testcases contributed)@,\
-      \  CCD findings     %d in %d testcases@,\
-      \  corpus           %d entries (%d retained, %d evicted)@,\
-      \  direction flips  %d@,\
-      \  checkpointing    %d cycles saved over %d simulated (%d hits)@,\
-      \  phase wall-clock generate %.3fs | execute %.3fs | feedback %.3fs@,\
-      \  total wall-clock %.3fs (pool utilization %.0f%%, %.0f events/s)@]"
-      s.testcases s.testcases_per_second s.generations s.coverage
-      s.contention_testcases s.ccd_findings s.finding_testcases s.corpus_size
-      s.retained s.evicted s.direction_flips s.cycles_saved s.cycles_simulated
-      s.checkpoint_hits s.generate_seconds s.execute_seconds s.feedback_seconds
-      s.wall_seconds
-      (100. *. s.pool_utilization)
-      s.events_per_second
 end
 
 (* ------------------------------------------------------------------ *)
@@ -650,10 +630,6 @@ module Span = struct
           | st -> List.filter (fun x -> x <> id) st);
         r.emit (Span_end { span_id = id; name; seconds })
       end
-
-  let wrap r name f =
-    let finish = enter r name in
-    Fun.protect ~finally:finish f
 end
 
 (* ------------------------------------------------------------------ *)
@@ -803,55 +779,6 @@ module Observatory = struct
         );
         ("span_tree", Json.List (List.map json_of_span s.span_tree))
       ]
-
-  let pp_spans fmt span_tree =
-    let rec pp_node indent n =
-      Format.fprintf fmt "%s%-*s %5dx %9.3fs@," indent
-        (max 1 (28 - String.length indent))
-        n.span_name n.calls n.seconds;
-      List.iter (pp_node (indent ^ "  ")) n.children
-    in
-    List.iter (pp_node "  ") span_tree
-
-  let pp ?(top = 10) fmt s =
-    Format.fprintf fmt "@[<v>contention observatory:@,";
-    (if s.points = [] then
-       Format.fprintf fmt "  no interval observations@,"
-     else begin
-       Format.fprintf fmt
-         "  top %d of %d (point, source-pair) interval distributions:@,"
-         (min top (List.length s.points))
-         (List.length s.points);
-       Format.fprintf fmt "  %-34s %4s %6s %5s %5s  %s@," "point" "pair" "n"
-         "min" "max" "distribution";
-       List.iteri
-         (fun i p ->
-           if i < top then
-             Format.fprintf fmt "  %-34s %4d %6d %5d %5d  %s@," p.point
-               p.src_pair (Histogram.total p.hist)
-               (Option.value ~default:0 (Histogram.min_value p.hist))
-               (Option.value ~default:0 (Histogram.max_value p.hist))
-               (Histogram.sparkline p.hist))
-         s.points
-     end);
-    (if s.heatmap <> [] then begin
-       Format.fprintf fmt "  coverage heatmap (weighted, per component):@,";
-       let peak =
-         List.fold_left (fun a (_, w) -> Float.max a w) 1e-9 s.heatmap
-       in
-       List.iter
-         (fun (name, w) ->
-           let bars = int_of_float (Float.round (24. *. w /. peak)) in
-           Format.fprintf fmt "  %-10s %-24s %8.1f@," name
-             (String.concat "" (List.init bars (fun _ -> "\xe2\x96\x88")))
-             w)
-         s.heatmap
-     end);
-    (if s.span_tree <> [] then begin
-       Format.fprintf fmt "  profiling spans:@,";
-       pp_spans fmt s.span_tree
-     end);
-    Format.fprintf fmt "@]"
 end
 
 (* ------------------------------------------------------------------ *)

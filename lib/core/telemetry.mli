@@ -118,12 +118,6 @@ val is_timing_event : event -> bool
 (** Whether the event belongs to the wall-clock (timings opt-in) class:
     {!event.Phase_timing}, {!event.Span_begin}, {!event.Span_end}. *)
 
-val is_execution_event : event -> bool
-(** Whether the event describes {e how} the campaign executed rather than
-    what it found ({!event.Checkpoint_stats}): deterministic, yet excluded
-    from traces by default because it varies with execution options (e.g.
-    [--no-checkpoint]) that must not perturb the trace. *)
-
 type sink = {
   emit : event -> unit;
   close : unit -> unit;  (** flush and release resources; idempotent. *)
@@ -180,9 +174,11 @@ val jsonl : ?timings:bool -> (string -> unit) -> sink
 (** A trace writer calling the function once per event with one compact
     JSON document (no trailing newline). [timings] (default [false])
     includes the wall-clock event class ({!is_timing_event}:
-    [Phase_timing] and the profiling spans) and the [wall_seconds] field
-    of {!event.Campaign_end} (dropped otherwise, so default traces stay
-    deterministic). *)
+    [Phase_timing] and the profiling spans), {!event.Checkpoint_stats}
+    and the [wall_seconds] field of {!event.Campaign_end} (all dropped
+    otherwise, so default traces stay deterministic and independent of
+    the checkpoint option). A [timings] trace thus carries every event,
+    and its {!Report} equals that of the live {!state}. *)
 
 val jsonl_file : ?timings:bool -> string -> sink
 (** {!jsonl} over a freshly created file, one event per line; the sink's
@@ -218,7 +214,11 @@ val rotating_jsonl :
     state, while a merger that drops the marked lines recovers exactly
     the unrotated event stream — byte-identical reports either way. *)
 
-(** {1 In-memory aggregation} *)
+(** {1 In-memory aggregation}
+
+    The counters of the fold, for the machine views ([fuzz --format json
+    --stats], [/snapshot], [/metrics]); the text views render the same
+    fold through {!Report}. *)
 
 module Metrics : sig
   type snapshot = {
@@ -248,8 +248,6 @@ module Metrics : sig
   }
 
   val to_json : snapshot -> Json.t
-
-  val pp : Format.formatter -> snapshot -> unit
 end
 
 val aggregator : unit -> sink * (unit -> Metrics.snapshot)
@@ -275,9 +273,6 @@ module Span : sig
   (** Open a span; the returned closure ends it (idempotent). Partially
       applied to a recorder, it is the hook
       {!Sonar_ir.Analysis.set_profiler} takes. *)
-
-  val wrap : recorder -> string -> (unit -> 'a) -> 'a
-  (** Run a thunk inside a span; the span ends even if the thunk raises. *)
 end
 
 val flush_histograms :
@@ -311,27 +306,20 @@ module Observatory : sig
 
   val to_json : snapshot -> Json.t
 
-  val pp : ?top:int -> Format.formatter -> snapshot -> unit
-  (** Sparkline table of the [top] (default 10) points, the heatmap as
-      horizontal bars, and the merged span tree. *)
-
   val build_span_tree : (int * int option * string * float) list -> span_node list
   (** Merge raw (id, parent, name, seconds) spans — in begin order — into a
       tree grouping same-named spans under the same parent path. A parent
       is the latest earlier span with that id; spans without one become
       roots (tolerates truncated and damaged traces). *)
 
-  val merge_span_trees : span_node list -> span_node list -> span_node list
-  (** Merge two span forests: same-named nodes under the same parent path
-      combine (calls and seconds summed, children merged recursively);
-      first-forest name order is preserved, new names append. *)
-
   val merge : snapshot -> snapshot -> snapshot
   (** Cluster-level merge of two campaign snapshots (e.g. per-shard
       traces): interval histograms with the same (point, source-pair) key
       sum via {!Histogram.merge} and the points re-sort by the usual
       (min interval, point, pair) order; heatmap weights sum per
-      component; span trees merge via {!merge_span_trees}. *)
+      component; span trees merge structurally (same-named nodes under the
+      same parent path sum calls and seconds; first-tree name order is
+      kept, new names append). *)
 end
 
 val observatory : unit -> sink * (unit -> Observatory.snapshot)
@@ -341,7 +329,10 @@ val observatory : unit -> sink * (unit -> Observatory.snapshot)
 
     Every reader of campaign state — [sonar fuzz --stats], the [/healthz],
     [/snapshot] and [/metrics] endpoints, [sonar serve] and [sonar report]
-    — folds events into a {!State.t} and renders one of its views. *)
+    — folds events into a {!State.t} and renders one of its views. This
+    module renders them as JSON only ({!Metrics.to_json},
+    {!Observatory.to_json}); {!Report} is the one text renderer, and
+    [--stats] prints its document of the live state. *)
 
 module State : sig
   (** A [campaign_start] event opens a new campaign; events before any

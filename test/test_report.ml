@@ -294,6 +294,58 @@ let test_top_limits_points () =
   checki "top=3 keeps three rows" 3 (count_rows (Report.to_markdown ~top:3 r));
   checkb "default keeps more" true (count_rows (Report.to_markdown r) > 3)
 
+(* The distribution cell of the contention-point table: an empty
+   histogram renders as an empty cell, and a populated one as one glyph
+   per bucket over its range, scaled to the fullest bucket, with a space
+   for each empty bucket inside the range. *)
+let test_point_sparklines () =
+  let hist point src_pair ~min_interval ~max_interval buckets =
+    Telemetry.Interval_histogram
+      { generation = 0; point; src_pair; total = List.fold_left (fun n (_, c) -> n + c) 0 buckets;
+        min_interval; max_interval; buckets }
+  in
+  let md =
+    Report.to_markdown
+      (Report.of_events
+         [ hist "quiet" 0 ~min_interval:0 ~max_interval:0 [];
+           hist "busy" 1 ~min_interval:1 ~max_interval:12 [ (1, 1); (3, 4); (4, 2) ] ])
+  in
+  checkb "empty histogram, empty cell" true (contains ~needle:"| quiet | 0 | 0 | 0 | 0 |  |\n" md);
+  checkb "levels 2, gap, 7, 4" true
+    (contains ~needle:"| busy | 1 | 7 | 1 | 12 | \xe2\x96\x83 \xe2\x96\x88\xe2\x96\x85 |\n" md)
+
+(* `sonar fuzz --stats` prints the report of its live state: a campaign
+   folded live renders the same markdown and JSON as its --timings trace
+   replayed, and the rows only live state and --timings traces can fill
+   stay out of a default trace's report. *)
+let test_live_state_equals_timings_trace () =
+  let sink, read = Telemetry.state () in
+  let timed = ref [] and plain = ref [] in
+  let buffer lines ~timings = Telemetry.jsonl ~timings (fun l -> lines := l :: !lines) in
+  ignore
+    (Fuzzer.run
+       ~options:
+         {
+           Fuzzer.Options.default with
+           seed = 3L;
+           batch = 8;
+           sinks = [ sink; buffer timed ~timings:true; buffer plain ~timings:false ];
+         }
+       nutshell Feedback.sonar ~iterations:40);
+  let live = Report.of_state ~source:"campaign" ~skipped:0 (read ()) in
+  let replayed = Report.of_lines ~source:"campaign" (List.rev !timed) in
+  let md = Report.to_markdown live in
+  checks "markdown" (Report.to_markdown replayed) md;
+  checks "json" (Json.to_string (Report.to_json replayed))
+    (Json.to_string (Report.to_json live));
+  let rows md =
+    List.map (fun row -> contains ~needle:("| " ^ row ^ " | ") md) [ "checkpointing"; "throughput" ]
+  in
+  Alcotest.(check (list bool)) "live report has both rows" [ true; true ] (rows md);
+  Alcotest.(check (list bool))
+    "default trace report has neither" [ false; false ]
+    (rows (Report.to_markdown (Report.of_lines ~source:"campaign" (List.rev !plain))))
+
 let () =
   Alcotest.run "sonar_report"
     [
@@ -315,5 +367,8 @@ let () =
           Alcotest.test_case "shard merge equals concatenation" `Quick
             test_shard_merge_equals_concat;
           Alcotest.test_case "outcome surfacing" `Quick test_outcome_surfacing;
+          Alcotest.test_case "point sparklines" `Quick test_point_sparklines;
+          Alcotest.test_case "live state equals its timings trace" `Quick
+            test_live_state_equals_timings_trace;
         ] );
     ]
