@@ -107,12 +107,14 @@ module Ring = struct
     r.head <- 0;
     r.len <- 0
 
-  let slot r i =
+  (* Without flambda these are calls unless marked [@inline], and every
+     ROB visit makes one. *)
+  let[@inline] slot r i =
     let j = r.head + i in
     if j >= Array.length r.buf then j - Array.length r.buf else j
 
-  let get r i = r.buf.(slot r i)
-  let peek r = r.buf.(r.head)
+  let[@inline] get r i = r.buf.(slot r i)
+  let[@inline] peek r = r.buf.(r.head)
 
   (* Capacities come from the configuration's admission checks (fetch
      buffer, ROB, store queue), so a full push is a model bug. *)
@@ -159,6 +161,8 @@ type t = {
   mutable rob_dests : int;  (* ROB uops with a destination register *)
   mutable rob_loads : int;
   mutable rob_stores : int;
+  mutable rob_dispatched : int;  (* ROB uops in [Dispatched] *)
+  mutable rob_inflight : int;  (* ROB uops in [Issued] or [Wait_mem] *)
   mutable next_id : int;
   pool : Exec_unit.t;
   bp : Branch_pred.t;
@@ -219,6 +223,8 @@ let create cfg reg ms ~core_id ~drives_window =
     rob_dests = 0;
     rob_loads = 0;
     rob_stores = 0;
+    rob_dispatched = 0;
+    rob_inflight = 0;
     next_id = 0;
     pool = Exec_unit.create cfg reg ~core:core_id;
     bp = Branch_pred.create cfg;
@@ -428,10 +434,14 @@ let producer t src = if src > 0 then t.last_writer.(src) else no_uop
 
 let count_in t u d =
   if u.dest >= 0 then t.rob_dests <- t.rob_dests + d;
-  match u.cls with
+  (match u.cls with
   | Class_load -> t.rob_loads <- t.rob_loads + d
   | Class_store -> t.rob_stores <- t.rob_stores + d
-  | Class_alu | Class_mul | Class_div -> ()
+  | Class_alu | Class_mul | Class_div -> ());
+  match u.state with
+  | Dispatched -> t.rob_dispatched <- t.rob_dispatched + d
+  | Issued | Wait_mem -> t.rob_inflight <- t.rob_inflight + d
+  | Exec_done | Done -> ()
 
 (* Enter [u] into the ROB's dependency state: link its sources, then
    become its destination's youngest writer. *)
@@ -449,6 +459,8 @@ let relink t =
   t.rob_dests <- 0;
   t.rob_loads <- 0;
   t.rob_stores <- 0;
+  t.rob_dispatched <- 0;
+  t.rob_inflight <- 0;
   for i = 0 to Ring.length t.rob - 1 do
     link t (Ring.get t.rob i)
   done
@@ -568,9 +580,12 @@ let is_access_fault = function
   | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> true
   | Some _ | None -> false
 
-(* [u] leaves [Dispatched]: a transient uop counts as executed. *)
+(* [u] leaves [Dispatched] for [Issued] or [Wait_mem]: a transient uop
+   counts as executed. *)
 let start t u state =
   u.state <- state;
+  t.rob_dispatched <- t.rob_dispatched - 1;
+  t.rob_inflight <- t.rob_inflight + 1;
   if u.transient then t.transient_issued <- t.transient_issued + 1
 
 let issue_until t u c =
@@ -580,67 +595,77 @@ let issue_until t u c =
 (* [c] is an [Exec_unit.try_issue_*] result: -1 when the unit refused. *)
 let issue_at t u c = if c >= 0 then issue_until t u c
 
+(* The uop at ROB index [i], [Dispatched] with its operands ready, asks
+   its unit. *)
+let try_issue t u i ~cycle =
+  let early_fault =
+    is_access_fault u.eff.Golden.fault
+    && t.cfg.exception_policy = Config.Early_at_execute
+    && not u.transient
+  in
+  match u.cls with
+  | Class_alu ->
+      issue_at t u (Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted)
+  | Class_mul ->
+      issue_at t u
+        (Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
+           ~tainted:u.tainted)
+  | Class_div ->
+      issue_at t u
+        (Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
+           ~tainted:u.tainted)
+  | Class_store ->
+      if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
+        Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
+          ~data:(Int64.to_int u.eff.Golden.pc);
+        issue_until t u (cycle + 1);
+        if early_fault && t.pending_early_squash == no_uop then
+          t.pending_early_squash <- u
+      end
+  | Class_load ->
+      if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
+        Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
+          ~data:(Int64.to_int u.eff.Golden.pc);
+        if early_fault then begin
+          issue_until t u (cycle + 1);
+          if t.pending_early_squash == no_uop then
+            t.pending_early_squash <- u
+        end
+        else begin
+          let v = older_store_same_addr t u i in
+          if v != no_uop then begin
+            (* Store-to-load forwarding; otherwise a hazard: stay
+               Dispatched, mem slot wasted this cycle. *)
+            if value_ready v ~cycle then issue_until t u (cycle + 1)
+          end
+          else begin
+            let addr =
+              match u.eff.Golden.mem with Some m -> m.addr | None -> 0L
+            in
+            if in_store_buffer t addr then issue_until t u (cycle + 1)
+            else
+              match
+                Memsys.dload t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr
+                  ~cycle ~tainted:u.tainted
+              with
+              | Memsys.Ready c -> issue_until t u c
+              | Memsys.Waiting -> start t u Wait_mem
+              | Memsys.Blocked _ -> ()
+          end
+        end
+      end
+
+(* Oldest first over the ROB, stopping once every uop that was
+   [Dispatched] at the start has been visited. *)
 let step_issue t ~cycle =
-  for i = 0 to Ring.length t.rob - 1 do
-    let u = Ring.get t.rob i in
-    if u.state = Dispatched && operands_ready u ~cycle then begin
-      let early_fault =
-        is_access_fault u.eff.Golden.fault
-        && t.cfg.exception_policy = Config.Early_at_execute
-        && not u.transient
-      in
-      match u.cls with
-      | Class_alu ->
-          issue_at t u (Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted)
-      | Class_mul ->
-          issue_at t u
-            (Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
-               ~tainted:u.tainted)
-      | Class_div ->
-          issue_at t u
-            (Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
-               ~tainted:u.tainted)
-      | Class_store ->
-          if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
-            Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
-              ~data:(Int64.to_int u.eff.Golden.pc);
-            issue_until t u (cycle + 1);
-            if early_fault && t.pending_early_squash == no_uop then
-              t.pending_early_squash <- u
-          end
-      | Class_load ->
-          if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
-            Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
-              ~data:(Int64.to_int u.eff.Golden.pc);
-            if early_fault then begin
-              issue_until t u (cycle + 1);
-              if t.pending_early_squash == no_uop then
-                t.pending_early_squash <- u
-            end
-            else begin
-              let v = older_store_same_addr t u i in
-              if v != no_uop then begin
-                (* Store-to-load forwarding; otherwise a hazard: stay
-                   Dispatched, mem slot wasted this cycle. *)
-                if value_ready v ~cycle then issue_until t u (cycle + 1)
-              end
-              else begin
-                let addr =
-                  match u.eff.Golden.mem with Some m -> m.addr | None -> 0L
-                in
-                if in_store_buffer t addr then issue_until t u (cycle + 1)
-                else
-                  match
-                    Memsys.dload t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr
-                      ~cycle ~tainted:u.tainted
-                  with
-                  | Memsys.Ready c -> issue_until t u c
-                  | Memsys.Waiting -> start t u Wait_mem
-                  | Memsys.Blocked _ -> ()
-              end
-            end
-          end
-    end
+  let left = ref t.rob_dispatched and i = ref 0 in
+  while !left > 0 && !i < Ring.length t.rob do
+    let u = Ring.get t.rob !i in
+    if u.state = Dispatched then begin
+      decr left;
+      if operands_ready u ~cycle then try_issue t u !i ~cycle
+    end;
+    incr i
   done
 
 (* --- Squash --- *)
@@ -680,36 +705,48 @@ let wb_class_of u =
   | Class_div -> Exec_unit.Wb_div
   | Class_load | Class_store -> Exec_unit.Wb_mem
 
+(* [u] leaves [Issued] or [Wait_mem] for [Exec_done] or [Done]. *)
+let finish t u state =
+  u.state <- state;
+  t.rob_inflight <- t.rob_inflight - 1
+
+(* Oldest first over the ROB, stopping once every uop that was in flight
+   at the start has been visited. *)
 let step_complete t ~cycle =
-  for i = 0 to Ring.length t.rob - 1 do
-    let u = Ring.get t.rob i in
-    match u.state with
-    | Issued when u.complete_at <= cycle ->
-        Cpoint.mark_active t.reg;
-        (* Control resolves here: train the predictor, unblock fetch. *)
-        (match u.eff.Golden.instr with
-        | Instr.Branch _ ->
-            Branch_pred.update t.bp ~pc:u.eff.Golden.pc
-              ~taken:(Option.value ~default:false u.eff.Golden.taken)
-              ~target:u.resolved_target
-        | Instr.Jal _ | Instr.Jalr _ ->
-            Branch_pred.update_jump t.bp ~pc:u.eff.Golden.pc
-              ~target:u.resolved_target
-        | _ -> ());
-        if u.mispredicted then begin
-          t.blocked_on_branch <- -1;
-          t.fetch_stall_until <- Int.max t.fetch_stall_until (cycle + 2);
-          Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
-            ~data:(Int64.to_int u.eff.Golden.pc);
-          u.mispredicted <- false
-        end;
-        if u.dest < 0 then u.state <- Done
-        else begin
-          u.state <- Exec_done;
-          Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id
-            ~tainted:u.tainted
+  let left = ref t.rob_inflight and i = ref 0 in
+  while !left > 0 && !i < Ring.length t.rob do
+    let u = Ring.get t.rob !i in
+    (match u.state with
+    | Issued ->
+        decr left;
+        if u.complete_at <= cycle then begin
+          Cpoint.mark_active t.reg;
+          (* Control resolves here: train the predictor, unblock fetch. *)
+          (match u.eff.Golden.instr with
+          | Instr.Branch _ ->
+              Branch_pred.update t.bp ~pc:u.eff.Golden.pc
+                ~taken:(Option.value ~default:false u.eff.Golden.taken)
+                ~target:u.resolved_target
+          | Instr.Jal _ | Instr.Jalr _ ->
+              Branch_pred.update_jump t.bp ~pc:u.eff.Golden.pc
+                ~target:u.resolved_target
+          | _ -> ());
+          if u.mispredicted then begin
+            t.blocked_on_branch <- -1;
+            t.fetch_stall_until <- Int.max t.fetch_stall_until (cycle + 2);
+            Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
+              ~data:(Int64.to_int u.eff.Golden.pc);
+            u.mispredicted <- false
+          end;
+          if u.dest < 0 then finish t u Done
+          else begin
+            finish t u Exec_done;
+            Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id
+              ~tainted:u.tainted
+          end
         end
     | Wait_mem ->
+        decr left;
         let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id in
         if c >= 0 && c <= cycle then begin
           Cpoint.mark_active t.reg;
@@ -719,11 +756,12 @@ let step_complete t ~cycle =
             t.fetch_stall_until <- Int.max t.fetch_stall_until (cycle + 2);
             u.mispredicted <- false
           end;
-          u.state <- Exec_done;
+          finish t u Exec_done;
           Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id
             ~tainted:u.tainted
         end
-    | Dispatched | Issued | Exec_done | Done -> ()
+    | Dispatched | Exec_done | Done -> ());
+    incr i
   done
 
 (* The ROB uop with id [id], or [no_uop]: binary search, since ids increase
@@ -900,11 +938,12 @@ let rec rob_wake t ~soon w i =
   end
 
 (* The earliest cycle after [cycle] in which some stage of the core could
-   act, given the state after [cycle]: [max_int] when only another core
-   or [Memsys] can wake it.  The machine loop skips every cycle before
-   the bound, so the bound must never pass a cycle in which a stage
-   would change state or call the registry.  Each arm reads the test its
-   stage makes, stage by stage in [step] order:
+   act, given the state after [cycle]: [max_int] when only [Memsys] can
+   wake it.  The machine loop does not step the core before the bound
+   (unless a refill lands for it, see [Memsys.take_woken]), so the bound
+   must never pass a cycle in which a stage would change state or call
+   the registry.  Each arm reads the test its stage makes, stage by
+   stage in [step] order:
    - complete: an [Issued] uop at its [complete_at]; a [Wait_mem] load
      once [Memsys.load_ready] names its cycle (until then the refill is
      in flight, and [Memsys.next_wake] bounds it);
@@ -922,9 +961,12 @@ let rec rob_wake t ~soon w i =
      something to fetch: once [fetch_stall_until] has passed and the head
      line is available — a line not yet looked up asks the ICache port
      each cycle, a pending one wakes at its [Memsys.ifetch_ready] cycle.
-   A skipped cycle leaves one trace: [line_ready] may record a pending
-   line's known ready cycle in [lines], which [line_ready] and
-   [line_known_unready] read exactly as the pending mark. *)
+   A step in a cycle before the bound would still do two things, and
+   leaving it out changes nothing read: [line_ready] may record a
+   pending line's known ready cycle in [lines], which [line_ready] and
+   [line_known_unready] read exactly as the pending mark; and
+   [Exec_unit.new_cycle] resets the issue counters, which only
+   [step_issue] reads, after the next step has reset them. *)
 let next_wake t ~cycle =
   let soon = cycle + 1 in
   if Exec_unit.writeback_pending t.pool then soon

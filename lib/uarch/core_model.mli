@@ -43,7 +43,9 @@ val prepare :
     {!capture} of a fresh core (see {!Machine.Ctx}). *)
 
 val step : t -> cycle:int -> unit
-(** Advance all pipeline stages by one cycle. *)
+(** Advance all pipeline stages by one cycle. Issue and completion visit
+    the ROB oldest first and stop once they have seen every [Dispatched]
+    uop, or every uop in flight, that the ROB held when they began. *)
 
 val next_wake : t -> cycle:int -> int
 (** A lower bound, greater than [cycle], on the next cycle in which any
@@ -51,8 +53,12 @@ val next_wake : t -> cycle:int -> int
     given the state after [cycle]; [max_int] when the core waits only on
     {!Memsys} or on nothing. [cycle + 1] whenever something retries every
     cycle: a queued writeback, a [Drain_new] store, an issuable uop, a
-    dispatchable fetch-buffer head or a fetchable line. Sound for any
-    state, so the machine may skip every cycle below it. *)
+    dispatchable fetch-buffer head or a fetchable line. It reads only the
+    core's own state and its {!Memsys} ready tables, and is sound for any
+    state. So the machine lets the core sleep until the bound while
+    another core or {!Memsys} runs, and wakes it early only when a
+    refill writes its ready tables ({!Memsys.take_woken}); and when
+    nothing else acts, it skips every cycle below the bound. *)
 
 val fetch_bound : t -> cycle:int -> int
 (** Exclusive upper bound on the architectural trace positions fetch can

@@ -9,8 +9,8 @@ type t = {
   sources : string array;
   last_valid : int array;
   hits : int array;
-  mutable min_pair : int option;
-  mutable min_self : int option;
+  mutable min_pair : int;  (* [max_int] = none *)
+  mutable min_self : int;
   mutable active_sources : int;  (* sources with hits > 0, kept incrementally *)
   mutable single_valid_dominated : bool;
   volatile_slots : int;
@@ -19,6 +19,7 @@ type t = {
   pair_min : int array;  (* per source pair: min interval, [max_int] = none *)
   mutable n_pairs : int;  (* entries of [pair_min] below [max_int] *)
   last_tainted : bool array;  (* was each source's latest request tainted *)
+  mutable n_tainted : int;  (* entries of [last_tainted] that are true *)
   mutable digest : int;
   mutable event_count : int;
 }
@@ -93,8 +94,8 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
           sources = Array.of_list sources;
           last_valid = Array.make n (-1);
           hits = Array.make n 0;
-          min_pair = None;
-          min_self = None;
+          min_pair = max_int;
+          min_self = max_int;
           active_sources = 0;
           single_valid_dominated = true;
           volatile_slots;
@@ -105,6 +106,7 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
           pair_min = Array.make volatile_pairs max_int;
           n_pairs = 0;
           last_tainted = Array.make n false;
+          n_tainted = 0;
           digest = Hashtbl.hash name;
           event_count = 0;
         }
@@ -112,9 +114,6 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
       Hashtbl.replace reg.table name p;
       reg.points <- reg.points @ [ p ];
       p
-
-let update_min current candidate =
-  match current with Some m when m <= candidate -> current | _ -> Some candidate
 
 let mix digest v = (digest * 0x01000193) lxor (v land 0xFFFFFF)
 
@@ -146,29 +145,34 @@ let request reg p ~tainted ~source ~data =
     if n = 1 && tainted then trigger p (bucket_of data);
     (* Same-source consecutive interval. *)
     if p.last_valid.(source) >= 0 then
-      p.min_self <- update_min p.min_self (cycle - p.last_valid.(source));
+      p.min_self <- Int.min p.min_self (cycle - p.last_valid.(source));
     (* Pairwise intervals against other sources' latest firing. Only risky
        pairs — those with a secret-dependent member — are recorded: they
        are the ones that can leak, and the only ones used for guidance
-       (§6.1: secret-dependent contention). *)
-    for other = 0 to n - 1 do
-      if other <> source && p.last_valid.(other) >= 0 then begin
-        let interval = cycle - p.last_valid.(other) in
-        if tainted || p.last_tainted.(other) then begin
-          p.min_pair <- update_min p.min_pair interval;
-          let pair = pair_sub n source other in
-          let prev = p.pair_min.(pair) in
-          if prev > interval then begin
-            if prev = max_int then p.n_pairs <- p.n_pairs + 1;
-            p.pair_min.(pair) <- interval
-          end;
-          if interval = 0 then trigger p ((pair * data_buckets) + bucket_of data)
+       (§6.1: secret-dependent contention). With this request untainted
+       and no other source's latest one tainted, no pair is risky. *)
+    if tainted || p.n_tainted > Bool.to_int p.last_tainted.(source) then
+      for other = 0 to n - 1 do
+        if other <> source && p.last_valid.(other) >= 0 then begin
+          let interval = cycle - p.last_valid.(other) in
+          if tainted || p.last_tainted.(other) then begin
+            p.min_pair <- Int.min p.min_pair interval;
+            let pair = pair_sub n source other in
+            let prev = p.pair_min.(pair) in
+            if prev > interval then begin
+              if prev = max_int then p.n_pairs <- p.n_pairs + 1;
+              p.pair_min.(pair) <- interval
+            end;
+            if interval = 0 then trigger p ((pair * data_buckets) + bucket_of data)
+          end
         end
-      end
-    done
+      done
   end;
   p.last_valid.(source) <- cycle;
-  p.last_tainted.(source) <- tainted
+  if p.last_tainted.(source) <> tainted then begin
+    p.last_tainted.(source) <- tainted;
+    p.n_tainted <- p.n_tainted + if tainted then 1 else -1
+  end
 
 let grant reg p ~source =
   mark_active reg;
@@ -254,8 +258,8 @@ type point_save = {
   ps_last_valid : int array;
   ps_hits : int array;
   ps_last_tainted : bool array;
-  mutable ps_min_pair : int option;
-  mutable ps_min_self : int option;
+  mutable ps_min_pair : int;
+  mutable ps_min_self : int;
   mutable ps_active_sources : int;
   mutable ps_single_valid_dominated : bool;
   ps_triggered : int array;
@@ -286,8 +290,8 @@ let make_save reg =
                  ps_last_valid = Array.make n (-1);
                  ps_hits = Array.make n 0;
                  ps_last_tainted = Array.make n false;
-                 ps_min_pair = None;
-                 ps_min_self = None;
+                 ps_min_pair = max_int;
+                 ps_min_self = max_int;
                  ps_active_sources = 0;
                  ps_single_valid_dominated = true;
                  ps_triggered = Array.make (Array.length p.triggered) 0;
@@ -337,6 +341,8 @@ let restore reg sv =
       copy_ints ps.ps_last_valid p.last_valid;
       copy_ints ps.ps_hits p.hits;
       Array.blit ps.ps_last_tainted 0 p.last_tainted 0 (Array.length p.sources);
+      p.n_tainted <-
+        Array.fold_left (fun k b -> k + Bool.to_int b) 0 p.last_tainted;
       p.min_pair <- ps.ps_min_pair;
       p.min_self <- ps.ps_min_self;
       p.active_sources <- ps.ps_active_sources;
@@ -368,6 +374,15 @@ type snapshot = {
   s_digest : int;
 }
 
+(* A snapshot reads a minimum out as an option; the small intervals
+   that nearly every minimum is share preallocated boxes. *)
+let small_mins = Array.init 64 Option.some
+
+let min_opt m =
+  if m = max_int then None
+  else if m >= 0 && m < Array.length small_mins then small_mins.(m)
+  else Some m
+
 let snapshot p =
   {
     point_name = p.name;
@@ -377,8 +392,8 @@ let snapshot p =
     s_single_valid = p.single_valid;
     s_n_sources = Array.length p.sources;
     s_hits = Array.copy p.hits;
-    s_min_pair = p.min_pair;
-    s_min_self = p.min_self;
+    s_min_pair = min_opt p.min_pair;
+    s_min_self = min_opt p.min_self;
     s_triggered = triggered_subs p;
     s_pair_intervals = pair_intervals p;
     s_digest = p.digest;

@@ -20,8 +20,8 @@
     cluster-shaped growth of Figure 8.
 
     The registry is on the cycle path: {!request}, {!grant},
-    {!persistent} and {!set_cycle} allocate nothing but the occasional
-    improved overall minimum. Request data is a native int, and a point's
+    {!persistent} and {!set_cycle} allocate nothing. The minima are ints
+    with [max_int] for none until {!snapshot} reads them out. Request data is a native int, and a point's
     state is dense and preallocated: triggered sub-points are a bitset
     over sub-point ids, per-pair minima an [int array] indexed by pair
     id, each with a live count, and the window bounds are ints until
@@ -46,8 +46,13 @@ type t = private {
   sources : string array;
   last_valid : int array;  (** per source; -1 = never *)
   hits : int array;  (** in-window valid requests per source *)
-  mutable min_pair : int option;
-  mutable min_self : int option;
+  mutable min_pair : int;
+      (** minimum risky pair interval in the window, [max_int] when none
+          was seen; {!snapshot} reads it out as [s_min_pair], [None] for
+          [max_int] *)
+  mutable min_self : int;
+      (** minimum same-source interval, [max_int] when none; read out as
+          [s_min_self] *)
   mutable active_sources : int;
       (** sources with at least one in-window request, maintained
           incrementally (avoids an O(sources) rescan per request) *)
@@ -68,6 +73,10 @@ type t = private {
   mutable n_pairs : int;  (** entries of [pair_min] below [max_int] *)
   last_tainted : bool array;
       (** was each source's most recent request secret-dependent *)
+  mutable n_tainted : int;
+      (** entries of [last_tainted] that are [true]: with none but the
+          requesting source's, an untainted request has no risky pair and
+          {!request} skips its pair loop *)
   mutable digest : int;
   mutable event_count : int;
 }

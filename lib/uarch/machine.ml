@@ -37,6 +37,9 @@ module Ctx = struct
     s_cold_snaps : Cpoint.snapshot array;
         (* each point's snapshot when a run leaves it cold, shared *)
     s_rank : int array;  (* each point's position in name order *)
+    s_wake : int array;  (* per core: the first cycle it may act in *)
+    s_quiet : bool array;
+        (* per core: its step this cycle left the activity count as it was *)
     mutable s_kbufs : bufs option;
         (* dual-run checkpoint buffers, made on the first dual run *)
   }
@@ -46,14 +49,22 @@ module Ctx = struct
     ctx_fp : int;
     mutable slots : (int * slot) list;  (* keyed by core count (1 or 2) *)
     mutable stepped : int;
+    mutable core_steps : int;
   }
 
   let create cfg =
-    { ctx_cfg = cfg; ctx_fp = Config.fingerprint cfg; slots = []; stepped = 0 }
+    {
+      ctx_cfg = cfg;
+      ctx_fp = Config.fingerprint cfg;
+      slots = [];
+      stepped = 0;
+      core_steps = 0;
+    }
 
   let config t = t.ctx_cfg
   let fingerprint t = t.ctx_fp
   let cycles_stepped t = t.stepped
+  let core_steps t = t.core_steps
 
   let make_bufs reg ms cores =
     {
@@ -113,6 +124,8 @@ module Ctx = struct
             s_points = points;
             s_cold_snaps = Array.map Cpoint.snapshot points;
             s_rank = rank;
+            s_wake = Array.make cores 0;
+            s_quiet = Array.make cores false;
             s_kbufs = None;
           }
         in
@@ -166,56 +179,77 @@ let acquire ctx inputs outcomes =
 let all_done ms cores =
   Array.for_all Core_model.finished cores && not (Memsys.busy ms)
 
-(* One machine cycle: every core, then the shared hierarchy. *)
-let step_cycle reg ms cores cycle =
-  Cpoint.set_cycle reg cycle;
-  for i = 0 to Array.length cores - 1 do
-    Core_model.step cores.(i) ~cycle
-  done;
-  Memsys.tick ms ~cycle
-
-(* The earliest cycle after [cycle] in which a core or the hierarchy
-   could act. *)
-let next_wake ms cores ~cycle =
-  let wake = ref (Memsys.next_wake ms ~cycle) in
-  for i = 0 to Array.length cores - 1 do
-    wake := Int.min !wake (Core_model.next_wake cores.(i) ~cycle)
-  done;
-  !wake
-
 (* Step cycles from [from] until every core has finished or the budget
    runs out; return the cycle reached.  [top] runs at the top of every
-   stepped cycle.  With [skip], a cycle that leaves the registry's
-   activity count unchanged — probably no stage acted — is followed by a
-   jump to the wake bound, clamped at [max_cycles] and by [clamp].  The
-   jump is sound whether or not the cycle was really quiet: the bound
-   holds for any state, and the skipped cycles would have changed
-   nothing.  Setting the registry's cycle to the last skipped one leaves
-   the window's last bound where stepping would. *)
-let run_cycles ~skip ~steps ~top ~clamp reg ms cores ~from ~max_cycles =
+   stepped cycle.  A stepped cycle steps each core whose wake bound has
+   come, then ticks the shared hierarchy; every core is awake at [from].
+
+   With [skip], a core whose step left the registry's activity count
+   unchanged — probably no stage acted — sleeps until its own
+   [Core_model.next_wake], read after the tick; any other stepped core
+   wakes next cycle.  A sleeping core's inputs are its own state and its
+   ready tables in the hierarchy, and only a completed refill writes
+   those: its [Memsys.take_woken] mark wakes the core next cycle.
+   Without [skip] every core wakes every cycle.
+
+   With [skip], too, a cycle that leaves the activity count unchanged is
+   followed by a jump to the earliest wake bound of the cores and the
+   hierarchy, clamped at [max_cycles] and by [clamp].  The jump is sound
+   whether or not the cycle was really quiet: the bounds hold for any
+   state, and the skipped cycles would have changed nothing.  After a
+   quiet cycle a sleeping core's cached bound is the one a fresh read
+   would give, since its state has not changed.  Setting the registry's
+   cycle to the last skipped one leaves the window's last bound where
+   stepping would. *)
+let run_cycles ~skip ~top ~clamp ctx (sl : Ctx.slot) ~from ~max_cycles =
+  let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; s_wake = wake; s_quiet = quiet; _ }
+      =
+    sl
+  in
+  let n = Array.length cores in
+  Array.fill wake 0 n from;
   let cycle = ref from in
   while (not (all_done ms cores)) && !cycle < max_cycles do
-    top !cycle;
+    let c = !cycle in
+    top c;
     let activity = Cpoint.activity reg in
-    step_cycle reg ms cores !cycle;
-    incr steps;
-    incr cycle;
+    Cpoint.set_cycle reg c;
+    for i = 0 to n - 1 do
+      if wake.(i) <= c then begin
+        let before = Cpoint.activity reg in
+        Core_model.step cores.(i) ~cycle:c;
+        ctx.Ctx.core_steps <- ctx.Ctx.core_steps + 1;
+        quiet.(i) <- skip && Cpoint.activity reg = before;
+        wake.(i) <- c + 1
+      end
+      else quiet.(i) <- false
+    done;
+    Memsys.tick ms ~cycle:c;
+    for i = 0 to n - 1 do
+      if Memsys.take_woken ms ~core:i then wake.(i) <- c + 1
+      else if quiet.(i) then wake.(i) <- Core_model.next_wake cores.(i) ~cycle:c
+    done;
+    ctx.Ctx.stepped <- ctx.Ctx.stepped + 1;
+    cycle := c + 1;
     if skip && Cpoint.activity reg = activity && not (all_done ms cores) then begin
-      let bound = Int.min (next_wake ms cores ~cycle:(!cycle - 1)) max_cycles in
-      let wake = clamp ~from:!cycle ~upto:bound in
-      if wake > !cycle then begin
-        Cpoint.set_cycle reg (wake - 1);
-        cycle := wake
+      let bound = ref (Int.min (Memsys.next_wake ms ~cycle:c) max_cycles) in
+      for i = 0 to n - 1 do
+        bound := Int.min !bound wake.(i)
+      done;
+      let next = clamp ~from:!cycle ~upto:!bound in
+      if next > !cycle then begin
+        Cpoint.set_cycle reg (next - 1);
+        cycle := next
       end
     end
   done;
   !cycle
 
-let sim_loop ~skip ~steps reg ms cores ~from ~max_cycles =
-  run_cycles ~skip ~steps
+let sim_loop ~skip ctx sl ~from ~max_cycles =
+  run_cycles ~skip
     ~top:(fun _ -> ())
     ~clamp:(fun ~from:_ ~upto -> upto)
-    reg ms cores ~from ~max_cycles
+    ctx sl ~from ~max_cycles
 
 (* A point with no in-window request or persistent event, and a digest
    no grant has moved, is as it was built: it shares the slot's cold
@@ -255,10 +289,7 @@ let run_with ~skip ?(max_cycles = default_max_cycles) ?ctx cfg inputs =
   in
   let ctx = resolve ?ctx cfg in
   let sl = acquire ctx inputs outcomes in
-  let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } = sl in
-  let steps = ref 0 in
-  let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
-  ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
+  let cycles = sim_loop ~skip ctx sl ~from:0 ~max_cycles in
   collect sl ~cycles ~max_cycles
 
 let run ?max_cycles ?ctx cfg inputs = run_with ~skip:true ?max_cycles ?ctx cfg inputs
@@ -432,11 +463,9 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
       inputs1
   in
   let ctx = resolve ?ctx cfg in
-  let steps = ref 0 in
   let run_full inputs outcomes =
     let sl = acquire ctx inputs outcomes in
-    let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } = sl in
-    let cycles = sim_loop ~skip ~steps reg ms cores ~from:0 ~max_cycles in
+    let cycles = sim_loop ~skip ctx sl ~from:0 ~max_cycles in
     collect sl ~cycles ~max_cycles
   in
   (* Checkpointing forks the taint pipeline too, so it requires identical
@@ -452,7 +481,6 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
   if not viable then begin
     let r0 = run_full inputs0 outcomes0 in
     let r1 = run_full inputs1 outcomes1 in
-    ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
     (r0, r1, { fork_cycle = None; cycles_saved = 0 })
   end
   else begin
@@ -470,7 +498,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
             ~fork_issue:forks.(i))
     in
     let sl = acquire ctx inputs0 outcomes0 in
-    let { Ctx.s_reg = reg; s_ms = ms; s_cores = cores; _ } = sl in
+    let cores = sl.Ctx.s_cores in
     let kbufs = Ctx.kbufs sl in
     (* Run 0, capturing the machine state at the top of the first cycle
        in which a divergent position could reach a stage that reads its
@@ -493,7 +521,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
        and captures where stepping does.  The capture's thresholds are
        nearly always wake cycles, so this is rare. *)
     let cycles0 =
-      run_cycles ~skip ~steps
+      run_cycles ~skip
         ~top:(fun cycle ->
           if !captured < 0 && must_capture cores forks_fetch forks_exec ~cycle
           then capture cycle)
@@ -503,7 +531,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
             && capture_within cores forks_fetch forks_exec ~from ~upto
           then from
           else upto)
-        reg ms cores ~from:0 ~max_cycles
+        ctx sl ~from:0 ~max_cycles
     in
     let r0 = collect sl ~cycles:cycles0 ~max_cycles in
     (* If the capture test stayed false for the whole of run 0 — no
@@ -525,11 +553,8 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
           ~secret_range:inputs1.(i).secret_range)
       cores;
     Ctx.restore ~forks sl kbufs;
-    let cycles1 =
-      sim_loop ~skip ~steps reg ms cores ~from:!captured ~max_cycles
-    in
+    let cycles1 = sim_loop ~skip ctx sl ~from:!captured ~max_cycles in
     let r1 = collect sl ~cycles:cycles1 ~max_cycles in
-    ctx.Ctx.stepped <- ctx.Ctx.stepped + !steps;
     (r0, r1, { fork_cycle = Some !captured; cycles_saved = !captured })
   end
 

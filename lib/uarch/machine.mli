@@ -71,6 +71,13 @@ module Ctx : sig
       not in any result, so that results stay the same whether or not
       cycles are skipped. *)
 
+  val core_steps : t -> int
+  (** Core steps taken by the runs under this context so far: a stepped
+      machine cycle steps only the cores whose wake bound has come, so
+      this is at most the core count times {!cycles_stepped}, and is
+      exactly that under {!Stepped}. Like {!cycles_stepped}, it lives
+      here so that results do not depend on it. *)
+
   val snapshots_by_name : t -> result -> Cpoint.snapshot array
   (** A result's [snapshots] in point-name order, by a permutation each
       machine computes once.
@@ -115,9 +122,10 @@ val run_dual :
     @raise Invalid_argument on 0 or more than 2 cores, mismatched core
     counts, or a [ctx] for a different configuration. *)
 
-(** The same runs with the quiet-cycle jump disabled: every model cycle
-    is stepped. Results equal {!run}'s and {!run_dual}'s exactly; the
-    differential tests hold the jump to that. *)
+(** The same runs with the quiet-cycle jump and per-core sleeping
+    disabled: every model cycle steps every core. Results equal {!run}'s
+    and {!run_dual}'s exactly; the differential tests hold the jump and
+    the sleeping to that. *)
 module Stepped : sig
   val run :
     ?max_cycles:int -> ?ctx:Ctx.t -> Config.t -> core_input array -> result

@@ -45,6 +45,9 @@ type t = {
   ifetch_ready_tbl : Itbl.t array;
   icache_port_busy : int array;  (** per core: busy-until cycle *)
   write_lb_busy : int array;  (** per core: write line buffer busy-until *)
+  woken : bool array;
+      (* per core: a refill completed for it since [take_woken] last read
+         the mark *)
   p_channel : Cpoint.t;
   p_l2 : Cpoint.t;
   p_mshr : Cpoint.t array;
@@ -102,6 +105,7 @@ let create (cfg : Config.t) reg ~cores =
     ifetch_ready_tbl = Array.init cores (fun _ -> Itbl.create 32);
     icache_port_busy = Array.make cores (-1);
     write_lb_busy = Array.make cores (-1);
+    woken = Array.make cores false;
     p_channel =
       Cpoint.point reg ~name:channel_name ~component:Bus ~sources:channel_sources ();
     p_l2 =
@@ -204,6 +208,7 @@ let restore t sv =
   blit_tables ~src:sv.s_ifetch_ready ~dst:t.ifetch_ready_tbl;
   Array.blit sv.s_icache_port_busy 0 t.icache_port_busy 0 t.cores;
   Array.blit sv.s_write_lb_busy 0 t.write_lb_busy 0 t.cores;
+  Array.fill t.woken 0 t.cores false;
   Array.iteri (fun i c -> Cache.restore c sv.s_l1i.(i)) t.l1i;
   Array.iteri (fun i c -> Cache.restore c sv.s_l1d.(i)) t.l1d;
   Cache.restore t.l2 sv.s_l2
@@ -437,10 +442,13 @@ let grant_priority tr =
   (* ICache reads first, then DCache reads, then writebacks. *)
   if tr.writeback then 2 else match tr.kind with `I -> 0 | `D -> 1
 
+(* The one writer of a core's ready tables, so the one way a sleeping
+   core's inputs change: it marks the core woken. *)
 let complete_transfer t tr ~cycle =
   tr.processed <- true;
   if tr.writeback then ()
   else begin
+    t.woken.(tr.core) <- true;
     if tr.mshr_idx >= 0 then t.mshrs.(tr.core).(tr.mshr_idx) <- None;
     match tr.kind with
     | `I ->
@@ -555,6 +563,11 @@ let tick t ~cycle =
     | None -> ()
 
 let busy t = match t.transfers with [] -> false | _ :: _ -> true
+
+let take_woken t ~core =
+  let w = t.woken.(core) in
+  t.woken.(core) <- false;
+  w
 
 (* The earliest cycle after [cycle] in which [tick] could act: a granted
    transfer completes at [complete_at]; an ungranted one requests the

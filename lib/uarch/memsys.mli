@@ -40,7 +40,8 @@ val restore : t -> save -> unit
     state [capture t sv] saw, reusing every array, cache line and table.
     Pair with {!Cpoint.restore} on the owning registry. Restoring a
     capture of a fresh hierarchy rewinds it to cold start — the rewind
-    behind {!Machine.Ctx} run-context reuse. *)
+    behind {!Machine.Ctx} run-context reuse. It clears every
+    {!take_woken} mark. *)
 
 val ifetch :
   t -> core:int -> addr:int64 -> cycle:int -> tainted:bool -> access_result
@@ -55,7 +56,7 @@ val ifetch_line_key : t -> core:int -> int64 -> int
 
 val ifetch_ready : t -> core:int -> addr:int64 -> int
 (** Cycle the fetch line became available, once its refill completed;
-    -1 before. Polled every cycle: allocates nothing and never raises. *)
+    -1 before. Allocates nothing and never raises. *)
 
 val dload :
   t ->
@@ -64,7 +65,7 @@ val dload :
 
 val load_ready : t -> core:int -> rob:int -> int
 (** Cycle the load's data is ready, once its refill completed; -1 before.
-    Polled every cycle: allocates nothing and never raises. *)
+    Allocates nothing and never raises. *)
 
 val dstore :
   t ->
@@ -79,7 +80,15 @@ val store_ready : t -> core:int -> rob:int -> int
 
 val tick : t -> cycle:int -> unit
 (** Advance channel arbitration, transfers, refill completions. Call once
-    per machine cycle after the cores have issued their accesses. *)
+    per machine cycle after the cores have issued their accesses. A
+    completed refill is the only write to a core's ready tables
+    ({!ifetch_ready}, {!load_ready}, {!store_ready}), and it marks that
+    core for {!take_woken}. *)
+
+val take_woken : t -> core:int -> bool
+(** Whether a refill for [core] completed since the last call, clearing
+    the mark. The machine loop reads it after every tick to wake a core
+    that sleeps on its ready tables. Allocates nothing. *)
 
 val busy : t -> bool
 (** Any transfer still in flight (used for drain loops at end of run). *)
@@ -88,5 +97,6 @@ val next_wake : t -> cycle:int -> int
 (** A lower bound, greater than [cycle], on the next cycle in which
     {!tick} could act — complete a transfer or make a channel request —
     given the state after [cycle]'s tick; [max_int] with nothing in
-    flight. The cores' pollers ({!ifetch_ready}, {!load_ready},
-    {!store_ready}) are bounded by the cores. *)
+    flight. A core reads its ready tables ({!ifetch_ready},
+    {!load_ready}, {!store_ready}) in its own wake bound, and a refill
+    that writes them wakes it through {!take_woken}. *)

@@ -43,7 +43,8 @@ let test_cpoint_intervals_and_triggers () =
   Cpoint.request reg p ~tainted:true ~source:0 ~data:1;
   Cpoint.set_cycle reg 13;
   Cpoint.request reg p ~tainted:true ~source:1 ~data:2;
-  Alcotest.(check (option int)) "pair interval 3" (Some 3) p.Cpoint.min_pair;
+  Alcotest.(check (option int))
+    "pair interval 3" (Some 3) (Cpoint.snapshot p).s_min_pair;
   checkb "not yet triggered" true ((Cpoint.snapshot p).s_triggered = []);
   Cpoint.request reg p ~tainted:true ~source:0 ~data:3;
   checkb "same-cycle pair triggers" true ((Cpoint.snapshot p).s_triggered <> [])
@@ -57,7 +58,8 @@ let test_cpoint_taint_gating () =
   Cpoint.request reg p ~tainted:false ~source:0 ~data:1;
   Cpoint.request reg p ~tainted:false ~source:1 ~data:2;
   checkb "untainted pair does not trigger" true ((Cpoint.snapshot p).s_triggered = []);
-  Alcotest.(check (option int)) "untainted pair not recorded" None p.Cpoint.min_pair;
+  Alcotest.(check (option int))
+    "untainted pair not recorded" None (Cpoint.snapshot p).s_min_pair;
   Cpoint.request reg p ~tainted:true ~source:0 ~data:3;
   checkb "tainted member triggers" true ((Cpoint.snapshot p).s_triggered <> [])
 
@@ -1347,11 +1349,16 @@ let test_skip_channels () =
         [ (0, i0); (1, i1) ])
     Sonar.Channels.all
 
-(* Cycles stepped by one run under [ctx]. *)
-let stepped_by ctx f =
-  let before = Machine.Ctx.cycles_stepped ctx in
+(* Machine cycles stepped and core steps taken by one call under [ctx]. *)
+let steps_by ctx f =
+  let cycles = Machine.Ctx.cycles_stepped ctx
+  and cores = Machine.Ctx.core_steps ctx in
   let r = f () in
-  (r, Machine.Ctx.cycles_stepped ctx - before)
+  (r, Machine.Ctx.cycles_stepped ctx - cycles, Machine.Ctx.core_steps ctx - cores)
+
+let stepped_by ctx f =
+  let r, cycles, _ = steps_by ctx f in
+  (r, cycles)
 
 let test_skip_limit_in_quiet_stretch () =
   (* The first fetch misses a cold ICache and waits about 49 cycles for
@@ -1455,6 +1462,74 @@ let test_skip_stepped_share () =
        !model)
     true (share <= 0.376)
 
+(* Core steps over cores x stepped cycles on the pin's BOOM dual-core
+   corpus.  A core sleeps through a stepped cycle that only its
+   neighbour or the hierarchy acts in; stepping every core every cycle
+   gives 1.0.  Sleeping measured 0.525 (5,375 of 2 x 5,122), and the
+   bound is 1.15 times that.  The machine cycles stepped are the 5,122
+   the loop stepped before cores could sleep, so the quiet-cycle jump
+   is untouched. *)
+let test_skip_core_steps_share () =
+  let ctx = Machine.Ctx.create Config.boom in
+  let cycles = ref 0 and core_steps = ref 0 in
+  for seed = 1 to 32 do
+    let rng = Sonar.Rng.create (Int64.of_int seed) in
+    let tc = Sonar.Testcase.random rng ~id:seed ~dual:true in
+    let _, n, k =
+      steps_by ctx (fun () ->
+          Machine.run_dual ~ctx Config.boom
+            (Sonar.Testcase.materialize tc ~secret:0)
+            (Sonar.Testcase.materialize tc ~secret:1))
+    in
+    cycles := !cycles + n;
+    core_steps := !core_steps + k
+  done;
+  checki "stepped machine cycles" 5122 !cycles;
+  let share = float_of_int !core_steps /. float_of_int (2 * !cycles) in
+  checkb
+    (Printf.sprintf "core steps/(2 x stepped cycles) %.3f (%d/%d) <= 0.603"
+       share !core_steps (2 * !cycles))
+    true (share <= 0.603)
+
+let test_skip_sleeping_core () =
+  (* Core 1's load misses the DCache, and its refill lands about 50
+     cycles later, while core 0 keeps the machine stepping with a
+     dependent add chain around a divide.  Core 1 sleeps through those
+     cycles, and only the refill's wake mark can wake it: without the
+     mark it would sleep to the cycle limit. *)
+  let chain = List.init 40 (fun _ -> Instr.Rtype (Instr.ADD, r 6, r 6, r 7)) in
+  let p0 =
+    Program.make
+      (Asm.li (r 6) 0x7fff_ffffL @ Asm.li (r 7) 3L @ chain
+      @ [ Instr.Rtype (Instr.DIV, r 5, r 6, r 7) ]
+      @ chain @ [ Asm.halt ])
+  in
+  let p1 =
+    Program.make
+      (Asm.li (r 12) 0x1000_0000L
+      @ [
+          Instr.Load (Instr.LD, r 5, r 12, 0);
+          Instr.Rtype (Instr.ADD, r 6, r 5, r 5);
+          Asm.halt;
+        ])
+  in
+  let inputs =
+    [|
+      { Machine.program = p0; secret_range = None };
+      { Machine.program = p1; secret_range = None };
+    |]
+  in
+  let ctx = Machine.Ctx.create Config.boom in
+  let m, cycles, core_steps =
+    steps_by ctx (fun () -> Machine.run ~ctx Config.boom inputs)
+  in
+  checkb "finished" false m.Machine.hit_cycle_limit;
+  checkb
+    (Printf.sprintf "%d core steps < 2 x %d stepped cycles" core_steps cycles)
+    true
+    (core_steps < 2 * cycles);
+  checkb "= stepping" true (m = Machine.Stepped.run Config.boom inputs)
+
 (* Golden/uarch architectural equivalence over random testcases. *)
 let prop_machine_matches_golden =
   QCheck2.Test.make ~name:"uarch commits = golden trace (random testcases)"
@@ -1541,6 +1616,10 @@ let () =
             test_skip_store_drain;
           Alcotest.test_case "skip: stepped share of model cycles" `Quick
             test_skip_stepped_share;
+          Alcotest.test_case "skip: core steps per stepped cycle" `Quick
+            test_skip_core_steps_share;
+          Alcotest.test_case "skip: a core sleeps on its refill" `Quick
+            test_skip_sleeping_core;
         ]
         @ qcheck
             [
