@@ -40,4 +40,4 @@ let () =
         | Some v -> string_of_int v ^ " cycles"
         | None -> "-")
         (if st.triggered then "TRIGGERED" else "not triggered"))
-    (Sonar_rtlsim.Monitor.states monitor)
+    (Sonar_rtlsim.Monitor.states monitor ~lane:0)

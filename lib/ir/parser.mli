@@ -16,8 +16,8 @@
                | PRIMOP ("<" INT ("," INT)? ">")? "(" expr ("," expr)* ")"
                | IDENT
     v}
-    The printer ({!Printer}) emits exactly this grammar, so
-    [parse (Printer.circuit_to_string c)] round-trips. *)
+    The printer ({!Circuit.pp}) emits exactly this grammar, so
+    [parse (Format.asprintf "%a" Circuit.pp c)] round-trips. *)
 
 exception Error of string
 

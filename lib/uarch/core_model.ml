@@ -551,31 +551,6 @@ let magnitude_of (e : Golden.effect) =
 
 let operand_magnitude (u : uop) = magnitude_of u.eff
 
-(* Equality on every effect field the backend reads once a uop has entered
-   the ROB: the memory address (load/store issue, store-forwarding search,
-   store-buffer drain) and, where the configuration makes it observable,
-   the writeback magnitude (the data-dependent latency operand).  The
-   divider's latency is operand-dependent in both modelled designs, and
-   NutShell's unified MDU additionally records the operand as
-   contention-point data on every request — but BOOM's pipelined IMUL has
-   a constant latency and its issue path never touches the operand, so
-   multiply magnitudes are exec-visible only under a unified MDU.  Loaded
-   / stored data and ALU results are never read by the timing model —
-   they flow only into the commit log, which a checkpoint restore
-   re-points.  With equal instructions, [mem] presence, size and
-   direction are equal by construction, so only the address matters. *)
-let exec_visible_equal (cfg : Config.t) (a : Golden.effect) (b : Golden.effect) =
-  (match (a.Golden.mem, b.Golden.mem) with
-  | Some ma, Some mb -> Int64.equal ma.Golden.addr mb.Golden.addr
-  | None, None -> true
-  | Some _, None | None, Some _ -> false)
-  &&
-  match classify a.Golden.instr with
-  | Class_div -> Int64.equal (magnitude_of a) (magnitude_of b)
-  | Class_mul when cfg.Config.unified_mdu ->
-      Int64.equal (magnitude_of a) (magnitude_of b)
-  | Class_mul | Class_alu | Class_load | Class_store -> true
-
 let is_access_fault = function
   | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> true
   | Some _ | None -> false
@@ -1090,6 +1065,124 @@ let rob_issue_reaches t ~fork ~cycle =
     decr i
   done;
   !reaches
+
+(* --- Dual-run fork rule ---
+
+   Which golden-effect fields each stage reads decides how far run 0 may
+   run before the checkpoint that run 1 resumes from: a divergent field
+   must not be read before the capture.  Below, [fetch_visible_equal] is
+   what the front end reads and [exec_visible_equal] what the backend
+   reads once a uop is in the ROB; issue reads everything. *)
+
+(* Equality on every effect field the backend reads once a uop has entered
+   the ROB: the memory address (load/store issue, store-forwarding search,
+   store-buffer drain) and, where the configuration makes it observable,
+   the writeback magnitude (the data-dependent latency operand).  The
+   divider's latency is operand-dependent in both modelled designs, and
+   NutShell's unified MDU additionally records the operand as
+   contention-point data on every request — but BOOM's pipelined IMUL has
+   a constant latency and its issue path never touches the operand, so
+   multiply magnitudes are exec-visible only under a unified MDU.  Loaded
+   / stored data and ALU results are never read by the timing model —
+   they flow only into the commit log, which a checkpoint restore
+   re-points.  With equal instructions, [mem] presence, size and
+   direction are equal by construction, so only the address matters. *)
+let exec_visible_equal (cfg : Config.t) (a : Golden.effect) (b : Golden.effect) =
+  (match (a.Golden.mem, b.Golden.mem) with
+  | Some ma, Some mb -> Int64.equal ma.Golden.addr mb.Golden.addr
+  | None, None -> true
+  | Some _, None | None, Some _ -> false)
+  &&
+  match classify a.Golden.instr with
+  | Class_div -> Int64.equal (magnitude_of a) (magnitude_of b)
+  | Class_mul when cfg.Config.unified_mdu ->
+      Int64.equal (magnitude_of a) (magnitude_of b)
+  | Class_mul | Class_alu | Class_load | Class_store -> true
+
+(* Equality on every effect field the front end can read: [wb] and [mem]
+   are the written-back / loaded-or-stored values, which no stage before
+   issue inspects, so they are excluded. *)
+let fetch_visible_equal (a : Golden.effect) (b : Golden.effect) =
+  a.Golden.seq = b.Golden.seq
+  && a.index = b.index && a.pc = b.pc && a.instr = b.instr
+  && a.taken = b.taken && a.fault = b.fault && a.transient = b.transient
+
+type fork = { value : int; fetch : int; exec : int }
+
+let no_fork = { value = max_int; fetch = max_int; exec = max_int }
+
+(* One scan of the two traces finds all three positions; fields equal
+   below [value] are equal under every narrower equality, so [fetch] and
+   [exec] are never below it.  Past the shorter trace's end, positions
+   are constrained only when the lengths differ ([past_end]).
+
+   - [value]: the longest common prefix under structural equality (pc,
+     instruction, writeback value, memory effect, branch direction,
+     fault).  A uop at or past it must not reach issue before the
+     capture; it may be fetched and dispatched, where nothing reads
+     values, and restore re-points it at the other run's trace.
+   - [fetch]: the first fetch-visible difference.  An indirect jump
+     ([Jalr]) fetched just below it predicts through its pc (or through
+     its absence at trace end), so the bound pulls back to the jump.
+   - [exec]: the first backend-read difference; uops below it diverge
+     only in data the timing model never reads, so they may issue,
+     complete and commit before the capture.
+
+   All three are capped at the first position whose transient
+   continuation differs between the outcomes or exists under only one
+   secret: consuming a faulting position switches fetch to its transient
+   continuation within the same cycle, and transient uops carry no trace
+   position, so a checkpoint cannot re-point them afterwards.  The
+   continuations compare structurally, values included (transient uops
+   do reach issue), each at most once and only below the largest of the
+   three positions, since no cap at or above it changes anything. *)
+let forks cfg (o0 : Golden.outcome) (o1 : Golden.outcome) =
+  if o0 == o1 then no_fork
+  else begin
+    let t0 = o0.trace and t1 = o1.trace in
+    let n = Int.min (Array.length t0) (Array.length t1) in
+    let past_end = if Array.length t0 = Array.length t1 then max_int else n in
+    let value = ref n and fetch = ref past_end and exec = ref past_end in
+    let i = ref 0 in
+    while !i < n && (!fetch = past_end || !exec = past_end) do
+      let a = t0.(!i) and b = t1.(!i) in
+      if !value = n && not (a = b) then value := !i;
+      if !value < n then begin
+        if !fetch = past_end && not (fetch_visible_equal a b) then fetch := !i;
+        if !exec = past_end && not (exec_visible_equal cfg a b) then exec := !i
+      end;
+      incr i
+    done;
+    let d = !fetch in
+    let fetch =
+      if d >= 1 && d <= n then
+        match t0.(d - 1).Golden.instr with Instr.Jalr _ -> d - 1 | _ -> d
+      else d
+    in
+    let cap = ref (Int.max !value (Int.max fetch !exec)) in
+    List.iter
+      (fun (pos, cont0) ->
+        if pos < !cap then
+          match List.assoc_opt pos o1.transients with
+          | Some cont1 -> if not (cont0 = cont1) then cap := pos
+          | None -> cap := pos)
+      o0.transients;
+    List.iter
+      (fun ((pos : int), _) ->
+        if pos < !cap && not (List.mem_assoc pos o0.transients) then cap := pos)
+      o1.transients;
+    {
+      value = Int.min !value !cap;
+      fetch = Int.min fetch !cap;
+      exec = Int.min !exec !cap;
+    }
+  end
+
+(* The capture test for one core at the top of [cycle]: fetch could pass
+   the fetch fork, or a ROB uop at or past the execution fork could have
+   a divergent field read.  Never true for [no_fork]. *)
+let capture_due t fork ~cycle =
+  fetch_bound t ~cycle > fork.fetch || rob_issue_reaches t ~fork:fork.exec ~cycle
 
 (* Checkpoint support.  Uops are mutable, so capture deep-copies each one
    ([{ u with state = u.state }] — the immutable [eff] is shared).  The

@@ -60,37 +60,58 @@ val next_wake : t -> cycle:int -> int
     refill writes its ready tables ({!Memsys.take_woken}); and when
     nothing else acts, it skips every cycle below the bound. *)
 
-val fetch_bound : t -> cycle:int -> int
-(** Exclusive upper bound on the architectural trace positions fetch can
-    consume during the coming cycle, evaluated at the top of the cycle.
-    While every core's bound stays ≤ its dual-run {e fetch-visible} fork
-    position, the coming cycle's front end is secret-independent — one half
-    of the checkpoint capture test. *)
+(** {2 Dual-run fork rule}
 
-val rob_issue_reaches : t -> fork:int -> cycle:int -> bool
-(** Whether the ROB holds a uop at or past trace position [fork] whose
-    divergent backend-read fields could be read this cycle, evaluated at
-    the top of the cycle — the other half of the capture test, with
-    [fork] the first {!exec_visible_equal}-divergent position. A
-    divergent store trips the test as soon as it is in the ROB (younger
-    loads search store addresses); a divergent load or mul/div only once
-    its operands could be ready — its fields are read at its own issue —
-    which rides out the dependency chain delaying it. *)
+    A dual run replays one testcase under two secrets; run 1 resumes from
+    a checkpoint of run 0 taken before any stage reads a field on which
+    the two golden traces disagree. This module decides which effect
+    fields each stage reads, and so where each core's traces fork. *)
 
-val exec_visible_equal :
-  Config.t -> Sonar_isa.Golden.effect -> Sonar_isa.Golden.effect -> bool
-(** Whether two effects agree on every field the backend reads once a uop
-    has entered the ROB: the memory address, the writeback magnitude for
-    divides (the divider's data-dependent latency operand), and — only
-    under a unified MDU, whose issue path records the operand as
-    contention-point data — the magnitude for multiplies (BOOM's
-    pipelined IMUL has constant latency and never touches the operand).
-    Effects differing only in loaded / stored data or ALU results are
-    invisible to the timing model — such uops may issue, complete and
-    commit before a dual-run checkpoint is captured; {!restore} re-points
-    their records (fetch buffer, ROB, store buffer, commit log) at the
-    new run's trace. Assumes equal instructions (below the fetch-visible
-    fork). *)
+type fork = {
+  value : int;
+      (** The first trace position whose golden effects differ at all.
+          A uop at or past it must not reach issue before the capture
+          (issue reads values); it may be fetched and dispatched, and
+          {!restore} re-points it at the other run's trace. *)
+  fetch : int;
+      (** Exclusive bound on what fetch may consume before the capture:
+          the first position whose pc, instruction, branch direction or
+          fault differs (or where one trace ends), pulled back onto an
+          indirect jump just below it, whose prediction reads the next
+          pc. *)
+  exec : int;
+      (** The first position whose backend-read fields differ: the
+          memory address, the divide operand magnitude, and — only under
+          a unified MDU, whose issue path records it as contention-point
+          data — the multiply operand magnitude. Uops below it diverge
+          only in loaded / stored data or ALU results, which the timing
+          model never reads, so they may issue, complete and commit
+          before the capture. *)
+}
+(** One core's fork positions, each capped at the first position whose
+    transient continuation differs between the runs or exists in only
+    one: fetch switches to a continuation in the cycle it consumes the
+    faulting position, and transient uops cannot be re-pointed. *)
+
+val no_fork : fork
+(** All positions [max_int]: nothing constrains the capture. *)
+
+val forks :
+  Config.t -> Sonar_isa.Golden.outcome -> Sonar_isa.Golden.outcome -> fork
+(** [forks cfg o0 o1] finds all three positions in one scan of the two
+    golden traces, comparing each pair of transient continuations at most
+    once. Physically shared outcomes (a core whose program does not
+    depend on the secret) give {!no_fork}. *)
+
+val capture_due : t -> fork -> cycle:int -> bool
+(** The capture test at the top of [cycle], before any stage steps:
+    fetch could consume a position at or past [fork.fetch], or a ROB uop
+    at or past [fork.exec] could have a divergent field read — a store as
+    soon as it is in the ROB (younger loads search store addresses), a
+    load or mul/div once its operands could be ready for its own issue,
+    which rides out the dependency chain delaying it. On a state that no
+    stage changes, it only turns true as [cycle] grows. Always false for
+    {!no_fork}. *)
 
 type save
 (** Preallocated checkpoint buffer for one core's dynamic pipeline state
@@ -107,7 +128,8 @@ val restore : ?fork:int -> t -> save -> unit
     re-pointed at the {e current} golden trace (call {!prepare} with the
     new outcome first): such uops may carry the captured run's divergent
     values, which are unread until the uop's first post-dispatch issue
-    opportunity — after the capture, by {!rob_issue_reaches}. Default
+    opportunity — after the capture, by {!capture_due}; pass the
+    core's [fork.value]. Default
     [max_int]: no re-pointing. Operand producer links are rebuilt from
     the restored ROB either way. *)
 

@@ -80,12 +80,14 @@ module Ctx = struct
       Core_model.capture sl.s_cores.(i) k.k_cores.(i)
     done
 
-  (* [forks.(i)] is core [i]'s [Core_model.restore ~fork]. *)
+  (* [forks.(i).value] is core [i]'s [Core_model.restore ~fork]. *)
   let restore ?forks sl k =
     Cpoint.restore sl.s_reg k.k_reg;
     Memsys.restore sl.s_ms k.k_ms;
     for i = 0 to Array.length sl.s_cores - 1 do
-      let fork = match forks with Some f -> f.(i) | None -> max_int in
+      let fork =
+        match forks with Some f -> f.(i).Core_model.value | None -> max_int
+      in
       Core_model.restore ~fork sl.s_cores.(i) k.k_cores.(i)
     done
 
@@ -299,148 +301,20 @@ let run_single ?max_cycles ?ctx ?(secret_range = None) cfg program =
 
 (* --- Prefix-checkpointed dual runs --- *)
 
-(* Cap a fork bound at the smallest position whose transient continuation
-   differs between the outcomes or exists under only one secret —
-   consuming a faulting position switches fetch to its transient
-   continuation within the same cycle, and transient uops carry no trace
-   position, so a checkpoint cannot re-point them afterwards.  Structural
-   comparison of whole continuations (values included): transient uops do
-   reach issue, where values are read. *)
-let cap_at_transient_divergence (o0 : Sonar_isa.Golden.outcome)
-    (o1 : Sonar_isa.Golden.outcome) bound =
-  let fork = ref bound in
-  List.iter
-    (fun (pos, cont0) ->
-      if pos < !fork then
-        match List.assoc_opt pos o1.transients with
-        | Some cont1 -> if not (cont0 = cont1) then fork := pos
-        | None -> fork := pos)
-    o0.transients;
-  List.iter
-    (fun ((pos : int), _) ->
-      if pos < !fork && not (List.mem_assoc pos o0.transients) then fork := pos)
-    o1.transients;
-  !fork
-
-(* The first position in [from, n) at which [equal] fails on the two
-   traces, or [default] when there is none; [n] is the shorter trace's
-   length. *)
-let first_difference equal (o0 : Sonar_isa.Golden.outcome)
-    (o1 : Sonar_isa.Golden.outcome) ~from ~default =
-  let t0 = o0.trace and t1 = o1.trace in
-  let n = min (Array.length t0) (Array.length t1) in
-  let rec scan i =
-    if i >= n then default else if equal t0.(i) t1.(i) then scan (i + 1) else i
-  in
-  scan from
-
-(* The {e value} fork: the first architectural trace position at which the
-   two runs' golden effects differ at all — the longest common prefix of
-   the golden traces (structural comparison covers pc, instruction,
-   writeback value, memory effect, branch direction and fault), capped at
-   transient divergence.  A uop at or past this position must not reach
-   issue before the checkpoint is captured (issue reads values); it
-   {e may} be fetched and dispatched, where nothing reads values —
-   restore re-points such uops at the other run's trace.  The bound is
-   exclusive.  Physically shared outcomes (same program, see [run_dual])
-   place no constraint at all. *)
-let fork_position (o0 : Sonar_isa.Golden.outcome) (o1 : Sonar_isa.Golden.outcome)
-    =
-  if o0 == o1 then max_int
-  else
-    let n = min (Array.length o0.trace) (Array.length o1.trace) in
-    cap_at_transient_divergence o0 o1
-      (first_difference ( = ) o0 o1 ~from:0 ~default:n)
-
-(* Equality on every effect field the front end can read: [wb] and [mem]
-   are the written-back / loaded-or-stored values, which no stage before
-   issue inspects, so they are excluded. *)
-let fetch_visible_equal (a : Sonar_isa.Golden.effect)
-    (b : Sonar_isa.Golden.effect) =
-  a.Sonar_isa.Golden.seq = b.Sonar_isa.Golden.seq
-  && a.index = b.index && a.pc = b.pc && a.instr = b.instr
-  && a.taken = b.taken && a.fault = b.fault && a.transient = b.transient
-
-(* The {e fetch} fork: the first architectural trace position whose
-   fetch-visible fields differ between the runs (or where one trace ends),
-   ≥ [fork_issue] since positions below it are fully equal.  Fetch must
-   not consume this position before the checkpoint is captured — the
-   front end reads pc / instruction / branch direction / fault at fetch
-   time — but positions in [fork_issue, fork_fetch) differ only in values
-   and may be fetched freely.  Two adjustments: an indirect jump ([Jalr])
-   fetched at [d - 1] predicts through position [d]'s pc (or through its
-   absence at trace end), so the bound pulls back to the jump; and the
-   same transient cap as [fork_position] applies, since a faulting
-   position's continuation is consumed by fetch in the same cycle. *)
-let fork_fetch_position (o0 : Sonar_isa.Golden.outcome)
-    (o1 : Sonar_isa.Golden.outcome) ~fork_issue =
-  if o0 == o1 then max_int
-  else begin
-    let t0 = o0.trace and t1 = o1.trace in
-    let n = min (Array.length t0) (Array.length t1) in
-    (* Equal-length traces with no fetch-visible difference place no
-       fetch constraint at all; the end-of-trace bound [n] matters only
-       when one run keeps fetching where the other stops. *)
-    let d =
-      first_difference fetch_visible_equal o0 o1 ~from:fork_issue
-        ~default:(if Array.length t0 = Array.length t1 then max_int else n)
-    in
-    let d =
-      if d >= 1 && (d < n || Array.length t0 <> Array.length t1) then
-        match t0.(d - 1).Sonar_isa.Golden.instr with
-        | Sonar_isa.Instr.Jalr _ -> d - 1
-        | _ -> d
-      else d
-    in
-    cap_at_transient_divergence o0 o1 d
-  end
-
-(* The {e execution} fork: the first position whose backend-read fields
-   differ — memory address, or operand magnitude for mul/div (see
-   [Core_model.exec_visible_equal]).  A uop at or past this position must
-   not reach issue before the capture.  Positions in [fork_issue,
-   fork_exec) diverge only in fields the timing model never reads (loaded
-   or stored data, ALU results): uops from them may issue, complete and
-   commit before the capture, behaving cycle-identically under both
-   secrets — restore re-points their effect records wherever they ended
-   up, commit log included.  Same transient cap as the other forks:
-   transient uops read values at issue and cannot be re-pointed. *)
-let fork_exec_position cfg (o0 : Sonar_isa.Golden.outcome)
-    (o1 : Sonar_isa.Golden.outcome) ~fork_issue =
-  if o0 == o1 then max_int
-  else begin
-    let t0 = o0.trace and t1 = o1.trace in
-    (* As for the fetch fork: positions past the shorter trace's end are
-       constrained through the fetch arm, so equal-length traces with no
-       backend-read difference place no ROB constraint. *)
-    let n = min (Array.length t0) (Array.length t1) in
-    cap_at_transient_divergence o0 o1
-      (first_difference (Core_model.exec_visible_equal cfg) o0 o1
-         ~from:fork_issue
-         ~default:(if Array.length t0 = Array.length t1 then max_int else n))
-  end
-
-(* The dual-run capture test at the top of [cycle]: some core's fetch could
-   pass its fetch fork, or a ROB uop at or past its execution fork could
-   have a divergent field read (see [run_dual]). *)
-let must_capture cores forks_fetch forks_exec ~cycle =
-  let hit = ref false and i = ref 0 in
-  while (not !hit) && !i < Array.length cores do
-    hit :=
-      Core_model.fetch_bound cores.(!i) ~cycle > forks_fetch.(!i)
-      || Core_model.rob_issue_reaches cores.(!i) ~fork:forks_exec.(!i) ~cycle;
-    incr i
-  done;
-  !hit
+(* The dual-run capture test at the top of [cycle] over the forked cores,
+   given as (core, fork) pairs: see [Core_model.capture_due]. *)
+let rec must_capture forked ~cycle i =
+  i < Array.length forked
+  &&
+  let core, fork = forked.(i) in
+  Core_model.capture_due core fork ~cycle || must_capture forked ~cycle (i + 1)
 
 (* Whether [must_capture] holds at the top of some cycle in [from, upto),
    over a stretch in which no stage acts.  On a fixed state the test only
-   turns true as the cycle grows: the fetch stall passes and lines become
-   available ([fetch_bound] grows), and producers reach their
-   [complete_at] or [Memsys.load_ready] cycle ([rob_issue_reaches] turns
-   true).  So testing the stretch's last cycle settles all of it. *)
-let capture_within cores forks_fetch forks_exec ~from ~upto =
-  upto > from && must_capture cores forks_fetch forks_exec ~cycle:(upto - 1)
+   turns true as the cycle grows, so testing the stretch's last cycle
+   settles all of it. *)
+let capture_within forked ~from ~upto =
+  upto > from && must_capture forked ~cycle:(upto - 1) 0
 
 let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
     ?(checkpoint = true) cfg inputs0 inputs1 =
@@ -453,8 +327,8 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
   in
   (* A core whose program is unchanged across secrets (the attacker in the
      Figure 4b template) reuses run 0's golden outcome physically — the
-     golden half of the per-run reuse, and the marker [fork_position] uses
-     to lift the fork constraint for that core. *)
+     golden half of the per-run reuse, and the marker [Core_model.forks]
+     reads as [no_fork]. *)
   let outcomes1 =
     Array.mapi
       (fun i (input : core_input) ->
@@ -485,20 +359,17 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
   end
   else begin
     let forks =
-      Array.init n (fun i -> fork_position outcomes0.(i) outcomes1.(i))
-    in
-    let forks_fetch =
-      Array.init n (fun i ->
-          fork_fetch_position outcomes0.(i) outcomes1.(i)
-            ~fork_issue:forks.(i))
-    in
-    let forks_exec =
-      Array.init n (fun i ->
-          fork_exec_position cfg outcomes0.(i) outcomes1.(i)
-            ~fork_issue:forks.(i))
+      Array.init n (fun i -> Core_model.forks cfg outcomes0.(i) outcomes1.(i))
     in
     let sl = acquire ctx inputs0 outcomes0 in
     let cores = sl.Ctx.s_cores in
+    (* Only a core whose traces fork can trip the capture test; the
+       attacker core of the Figure 4b template never does. *)
+    let forked =
+      Array.combine cores forks |> Array.to_list
+      |> List.filter (fun (_, fork) -> fork <> Core_model.no_fork)
+      |> Array.of_list
+    in
     let kbufs = Ctx.kbufs sl in
     (* Run 0, capturing the machine state at the top of the first cycle
        in which a divergent position could reach a stage that reads its
@@ -523,13 +394,9 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
     let cycles0 =
       run_cycles ~skip
         ~top:(fun cycle ->
-          if !captured < 0 && must_capture cores forks_fetch forks_exec ~cycle
-          then capture cycle)
+          if !captured < 0 && must_capture forked ~cycle 0 then capture cycle)
         ~clamp:(fun ~from ~upto ->
-          if
-            !captured < 0
-            && capture_within cores forks_fetch forks_exec ~from ~upto
-          then from
+          if !captured < 0 && capture_within forked ~from ~upto then from
           else upto)
         ctx sl ~from:0 ~max_cycles
     in

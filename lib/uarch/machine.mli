@@ -115,7 +115,10 @@ val run_dual :
     ROB, store-buffer and commit-log entries at its own golden trace, and
     resumes from the capture cycle, skipping the shared prefix. Golden
     simulation of a core whose program is identical across secrets (the
-    attacker core) runs once and is shared. Both results are bit-identical
+    attacker core) runs once and is shared, and such a core has no fork,
+    so the capture test never looks at it. Where each core's traces fork
+    and when a fork is due for capture are {!Core_model.forks} and
+    {!Core_model.capture_due}. Both results are bit-identical
     to two independent {!run} calls — the determinism invariant the
     equivalence tests assert — so checkpointing is purely a
     simulated-cycle optimisation.

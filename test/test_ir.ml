@@ -54,7 +54,7 @@ let test_parse_expr () =
   let e = Parser.parse_expr "mux(sel, add(a, UInt<8>(3)), shl<2>(b))" in
   checki "muxes" 1 (Expr.count_muxes e);
   checks "roundtrip" "mux(sel, add(a, UInt<8>(3)), shl<2>(b))"
-    (Printer.expr_to_string e)
+    (Format.asprintf "%a" Expr.pp e)
 
 let example_text =
   {|
@@ -81,9 +81,9 @@ let test_parse_circuit () =
 
 let test_print_parse_roundtrip () =
   let c = Parser.parse example_text in
-  let text = Printer.circuit_to_string c in
+  let text = Format.asprintf "%a" Circuit.pp c in
   let c2 = Parser.parse text in
-  checks "roundtrip text" text (Printer.circuit_to_string c2)
+  checks "roundtrip text" text (Format.asprintf "%a" Circuit.pp c2)
 
 let test_parse_errors () =
   let fails s =
@@ -106,10 +106,10 @@ let test_lexer_comments () =
 (* Round-trip property over generated netlists. *)
 let test_netlist_roundtrip () =
   let c = Sonar_dut.Netlist_gen.generate ~scale:0.005 ~pad:false Sonar_uarch.Config.boom in
-  let text = Printer.circuit_to_string c in
+  let text = Format.asprintf "%a" Circuit.pp c in
   let c2 = Parser.parse text in
   checki "stmt count preserved" (Circuit.stmt_count c) (Circuit.stmt_count c2);
-  checks "fixpoint" text (Printer.circuit_to_string c2)
+  checks "fixpoint" text (Format.asprintf "%a" Circuit.pp c2)
 
 (* --- Mux-tree tracing --- *)
 
@@ -370,7 +370,7 @@ let gen_expr =
 
 let prop_expr_print_parse =
   QCheck2.Test.make ~name:"expr print/parse roundtrip" ~count:200 gen_expr (fun e ->
-      Expr.equal e (Parser.parse_expr (Printer.expr_to_string e)))
+      Expr.equal e (Parser.parse_expr (Format.asprintf "%a" Expr.pp e)))
 
 let prop_mux_count_vs_points =
   QCheck2.Test.make ~name:"points never exceed naive mux count" ~count:100 gen_expr

@@ -851,7 +851,7 @@ let test_monitor_simultaneous () =
   Engine.poke_int e "io_stq_idx_valid" 1;
   Engine.settle e;
   Monitor.sample mon;
-  let st = List.hd (Monitor.states mon) in
+  let st = List.hd (Monitor.states mon ~lane:0) in
   checkb "triggered" true st.Monitor.triggered;
   Alcotest.(check (option int)) "interval 0" (Some 0) st.min_pair_interval
 
@@ -867,7 +867,7 @@ let test_monitor_interval () =
   Engine.poke_int e "io_stq_idx_valid" 1;
   Engine.settle e;
   Monitor.sample mon;
-  let st = List.hd (Monitor.states mon) in
+  let st = List.hd (Monitor.states mon ~lane:0) in
   checkb "not simultaneous" false st.Monitor.triggered;
   Alcotest.(check (option int)) "interval 2" (Some 2) st.min_pair_interval
 
@@ -878,7 +878,7 @@ let test_monitor_window () =
   Engine.poke_int e "io_stq_idx_valid" 1;
   Engine.settle e;
   Monitor.sample mon;
-  let st = List.hd (Monitor.states mon) in
+  let st = List.hd (Monitor.states mon ~lane:0) in
   checkb "outside window ignored" false st.Monitor.triggered;
   checki "no hits recorded" 0 st.request_hits
 
@@ -907,22 +907,22 @@ let test_monitor_stream_backends () =
                 s.min_self_interval,
                 s.triggered,
                 s.request_hits ))
-            (Monitor.states mon)
+            (Monitor.states mon ~lane:0)
           :: !stream)
       [ (1, 0); (0, 0); (0, 0); (0, 1); (1, 1); (0, 0); (1, 0); (0, 1) ];
     List.rev !stream
   in
   let compiled = run Engine.Compiled in
   checkb "identical reqsIntvl streams (tree)" true (run Engine.Tree = compiled);
-  (* Scalar pokes broadcast on the bit-sliced backend and the scalar monitor
-     reads lane 0, so the stream must be identical there too. *)
+  (* Scalar pokes broadcast on the bit-sliced backend, so its lane 0 must
+     carry the identical stream too. *)
   checkb "identical reqsIntvl streams (bitsliced)" true
     (run Engine.Bitsliced = compiled)
 
-(* Batch sampling differential: every lane of a [Monitor.Batch] over a
-   bit-sliced engine must report exactly the per-point state a scalar
-   [Monitor] reports for a compiled run of that lane's stimulus — window
-   gating included. *)
+(* Batch sampling differential: every lane of a [Monitor] over a
+   bit-sliced engine must report exactly the per-point state the same
+   monitor reports over a compiled run of that lane's stimulus (one lane)
+   — window gating included. *)
 let test_monitor_batch_lanes () =
   let m = Sonar_dut.Netlist_gen.example_module () in
   let r = Sonar_ir.Instrument.instrument (Sonar_ir.Circuit.make "c" [ m ]) in
@@ -942,16 +942,16 @@ let test_monitor_batch_lanes () =
       states
   in
   let bs = Engine.compile ~backend:Engine.Bitsliced m' in
-  let bmon = Monitor.Batch.create bs r.monitors in
-  checki "batch lanes" Engine.max_lanes (Monitor.Batch.lanes bmon);
-  Monitor.Batch.set_window bmon ~start:5 ~stop:18;
+  let bmon = Monitor.create bs r.monitors in
+  checki "batch lanes" Engine.max_lanes (Monitor.lanes bmon);
+  Monitor.set_window bmon ~start:5 ~stop:18;
   for cycle = 0 to cycles - 1 do
     for lane = 0 to Engine.max_lanes - 1 do
       Engine.poke_lane bs "io_ldq_idx_valid" ~lane (ld_stim lane cycle);
       Engine.poke_lane bs "io_stq_idx_valid" ~lane (st_stim lane cycle)
     done;
     Engine.step bs;
-    Monitor.Batch.sample bmon
+    Monitor.sample bmon
   done;
   for lane = 0 to Engine.max_lanes - 1 do
     let e = Engine.compile ~backend:Engine.Compiled m' in
@@ -964,9 +964,9 @@ let test_monitor_batch_lanes () =
       Monitor.sample mon
     done;
     checkb
-      (Printf.sprintf "lane %d batch = scalar monitor" lane)
+      (Printf.sprintf "lane %d bitsliced = compiled monitor" lane)
       true
-      (snapshot (Monitor.Batch.states bmon ~lane) = snapshot (Monitor.states mon))
+      (snapshot (Monitor.states bmon ~lane) = snapshot (Monitor.states mon ~lane:0))
   done
 
 let qcheck = List.map QCheck_alcotest.to_alcotest

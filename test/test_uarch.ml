@@ -1249,6 +1249,163 @@ let prop_checkpoint_equivalent =
       && c0 = Machine.run cfg i0
       && c1 = Machine.run cfg i1)
 
+(* The dual-run fork rule, as DESIGN.md §7.1 defines it: three bounds,
+   each from its own scan of the two golden traces — the structural
+   common prefix, the first fetch-visible difference (pulled back onto a
+   [jalr] just below it) and the first backend-read difference — and each
+   capped at the first position whose transient continuation differs or
+   exists under one secret only.  Physically shared outcomes give
+   [no_fork]. *)
+let reference_forks (cfg : Config.t) (o0 : Golden.outcome)
+    (o1 : Golden.outcome) =
+  if o0 == o1 then Core_model.no_fork
+  else begin
+    let t0 = o0.trace and t1 = o1.trace in
+    let n = min (Array.length t0) (Array.length t1) in
+    let same_length = Array.length t0 = Array.length t1 in
+    let first_difference equal ~default =
+      let rec scan i =
+        if i >= n then default
+        else if equal t0.(i) t1.(i) then scan (i + 1)
+        else i
+      in
+      scan 0
+    in
+    let diverging =
+      List.filter_map
+        (fun (pos, c0) ->
+          match List.assoc_opt pos o1.transients with
+          | Some c1 when c0 = c1 -> None
+          | Some _ | None -> Some pos)
+        o0.transients
+      @ List.filter_map
+          (fun (pos, _) ->
+            if List.mem_assoc pos o0.transients then None else Some pos)
+          o1.transients
+    in
+    let cap pos = List.fold_left min pos diverging in
+    let value = first_difference ( = ) ~default:n in
+    let fetch_fields (e : Golden.effect) =
+      (e.seq, e.index, e.pc, e.instr, e.taken, e.fault, e.transient)
+    in
+    let fetch =
+      first_difference
+        (fun a b -> fetch_fields a = fetch_fields b)
+        ~default:(if same_length then max_int else n)
+    in
+    let fetch =
+      if fetch >= 1 && (fetch < n || not same_length) then
+        match t0.(fetch - 1).instr with Instr.Jalr _ -> fetch - 1 | _ -> fetch
+      else fetch
+    in
+    let magnitude (e : Golden.effect) =
+      match e.wb with Some (_, v) -> v | None -> 1024L
+    in
+    (* The latency operand is read when run 0's instruction reads it:
+       the divider's always, the multiplier's under a unified MDU only. *)
+    let reads_operand (e : Golden.effect) =
+      match e.instr with
+      | Instr.Rtype ((DIV | DIVU | REM | REMU | DIVW | DIVUW | REMW | REMUW), _, _, _)
+        ->
+          true
+      | Instr.Rtype ((MUL | MULH | MULHSU | MULHU | MULW), _, _, _) ->
+          cfg.unified_mdu
+      | _ -> false
+    in
+    let address (e : Golden.effect) =
+      Option.map (fun (m : Golden.mem_access) -> m.addr) e.mem
+    in
+    let exec =
+      first_difference
+        (fun a b ->
+          address a = address b
+          && ((not (reads_operand a)) || magnitude a = magnitude b))
+        ~default:(if same_length then max_int else n)
+    in
+    { Core_model.value = cap value; fetch = cap fetch; exec = cap exec }
+  end
+
+(* Edits that place each arm of the fork rule where random testcases
+   rarely do, applied to copies of a core's two outcomes at trace
+   position [p]: a pc, writeback or address change in run 1, a [jalr] or
+   a divide in both runs, run 1's trace cut at [p], or a transient
+   continuation at [p] that run 0 lacks or has with other contents. *)
+let edit_outcomes (o0 : Golden.outcome) (o1 : Golden.outcome) edits =
+  let o0 = { o0 with trace = Array.copy o0.trace }
+  and o1 = ref { o1 with trace = Array.copy o1.trace } in
+  List.iter
+    (fun (kind, pos) ->
+      let t0 = o0.trace and t1 = !o1.trace in
+      let n = min (Array.length t0) (Array.length t1) in
+      if n > 0 then begin
+        let p = pos mod n in
+        let both f =
+          t0.(p) <- f t0.(p);
+          t1.(p) <- f t1.(p)
+        in
+        let e = t1.(p) in
+        match kind with
+        | 0 -> t1.(p) <- { e with pc = Int64.add e.pc 4L }
+        | 1 ->
+            let v = match e.wb with Some (_, v) -> v | None -> 0L in
+            t1.(p) <- { e with wb = Some (r 5, Int64.succ v) }
+        | 2 ->
+            t1.(p) <-
+              {
+                e with
+                mem =
+                  Option.map
+                    (fun (m : Golden.mem_access) ->
+                      { m with addr = Int64.add m.addr 8L })
+                    e.mem;
+              }
+        | 3 -> both (fun e -> { e with instr = Instr.Jalr (r 0, r 1, 0) })
+        | 4 -> both (fun e -> { e with instr = Instr.Rtype (DIV, r 1, r 2, r 3) })
+        | 5 -> o1 := { !o1 with trace = Array.sub t1 0 p }
+        | _ -> o1 := { !o1 with transients = (p, [| e |]) :: !o1.transients }
+      end)
+    edits;
+  (o0, !o1)
+
+(* [Core_model.forks] finds the three bounds in one scan; over random
+   testcase pairs on both designs, single and dual core, plain and
+   [meltdown] (whose faulting secret load forks a transient
+   continuation), it must equal the reference for every core — sharing
+   the attacker core's outcome physically, as [Machine.run_dual] does,
+   which must give [no_fork] — and for edited copies of the victim
+   core's outcomes. *)
+let prop_forks_match_reference =
+  QCheck2.Test.make ~name:"fork rule = three capped scans (random testcases)"
+    ~count:200 ~long_factor:25
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 1 10_000) bool bool bool)
+        (list_size (int_range 0 4) (pair (int_range 0 6) nat)))
+    (fun ((seed, dual, nutshell, fault), edits) ->
+      let cfg = if nutshell then Config.nutshell else Config.boom in
+      let rng = Sonar.Rng.create (Int64.of_int seed) in
+      let tc = Sonar.Testcase.random rng ~id:seed ~dual in
+      let inputs secret =
+        let i = Sonar.Testcase.materialize tc ~secret in
+        if fault then meltdown i else i
+      in
+      let i0 = inputs 0 and i1 = inputs 1 in
+      let agrees (o0, o1) =
+        Core_model.forks cfg o0 o1 = reference_forks cfg o0 o1
+      in
+      let outcomes k =
+        let p0 = i0.(k).Machine.program and p1 = i1.(k).Machine.program in
+        let o0 = Golden.run p0 in
+        (o0, if p1 = p0 then o0 else Golden.run p1)
+      in
+      let victim = outcomes 0 in
+      agrees victim
+      && agrees (edit_outcomes (fst victim) (snd victim) edits)
+      && ((not dual)
+         ||
+         let o0, o1 = outcomes 1 in
+         o0 == o1 && Core_model.forks cfg o0 o1 = Core_model.no_fork))
+
 (* --- Quiet-cycle skipping --- *)
 
 (* The cycle loop jumps from a quiet cycle to the wake bound of the cores
@@ -1625,6 +1782,7 @@ let () =
             [
               prop_machine_matches_golden;
               prop_checkpoint_equivalent;
+              prop_forks_match_reference;
               prop_skip_matches_stepping;
               prop_ctx_reuse_matches_fresh;
             ] );
