@@ -4,8 +4,6 @@ type pair = {
   run0 : Machine.result;
   run1 : Machine.result;
   cp : Machine.dual_stats;
-  by_name0 : Cpoint.snapshot array;
-  by_name1 : Cpoint.snapshot array;
 }
 
 (* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config),
@@ -46,42 +44,36 @@ let run_pair ?ctx ?checkpoint cfg build =
   let run0, run1, cp =
     Machine.run_dual ~ctx ?checkpoint cfg (build ~secret:0) (build ~secret:1)
   in
-  {
-    run0;
-    run1;
-    cp;
-    by_name0 = Machine.Ctx.snapshots_by_name ctx run0;
-    by_name1 = Machine.Ctx.snapshots_by_name ctx run1;
-  }
+  { run0; run1; cp }
 
 (* The per-testcase fold. Each point's snapshot lists its pair intervals
-   and triggered sub-points sorted, so the two runs merge point by point;
-   the points are walked in name order, which orders the output as a sort
-   of every (point, key) entry would, since point names are unique. Both
-   runs of a pair come from one registry, so their name-ordered snapshots
-   pair up by index. *)
+   and triggered sub-points sorted, so the two runs merge point by point.
+   Both runs of a pair come from one registry, so their snapshot lists
+   pair up by position, in registration order; the output lists each
+   point's entries together, in that order, and is read as a set. *)
 
 (* Each point's merge of ascending (pair id, interval) lists, keeping the
    smaller interval of a pair both have, tagged with the point's name and
    built in place in front of the next point's. *)
-let min_intervals { by_name0 = a; by_name1 = b; _ } =
-  let[@tail_mod_cons] rec point k =
-    if k = Array.length a then []
-    else begin
-      let x = a.(k) and y = b.(k) in
-      assert (String.equal x.point_name y.point_name);
-      merge x.point_name x.s_pair_intervals y.s_pair_intervals (k + 1)
-    end
-  and[@tail_mod_cons] merge name l r k =
+let min_intervals { run0; run1; _ } =
+  let[@tail_mod_cons] rec point a b =
+    match (a, b) with
+    | [], [] -> []
+    | (x : Cpoint.snapshot) :: a, (y : Cpoint.snapshot) :: b ->
+        assert (String.equal x.point_name y.point_name);
+        merge x.point_name x.s_pair_intervals y.s_pair_intervals a b
+    | _ :: _, [] | [], _ :: _ ->
+        invalid_arg "Executor: runs of different machines"
+  and[@tail_mod_cons] merge name l r a b =
     match (l, r) with
-    | [], [] -> point k
-    | (p, v) :: l, [] | [], (p, v) :: l -> ((name, p), v) :: merge name l [] k
+    | [], [] -> point a b
+    | (p, v) :: l, [] | [], (p, v) :: l -> ((name, p), v) :: merge name l [] a b
     | (pa, va) :: la, (pb, vb) :: lb ->
-        if pa < pb then ((name, pa), va) :: merge name la r k
-        else if pb < pa then ((name, pb), vb) :: merge name l lb k
-        else ((name, pa), if vb < va then vb else va) :: merge name la lb k
+        if pa < pb then ((name, pa), va) :: merge name la r a b
+        else if pb < pa then ((name, pb), vb) :: merge name l lb a b
+        else ((name, pa), if vb < va then vb else va) :: merge name la lb a b
   in
-  point 0
+  point run0.snapshots run1.snapshots
 
 let auto_chunk ~jobs n =
   (* Aim for ~2 slices per worker: coarse enough that per-task dispatch and
@@ -148,25 +140,26 @@ let weight (s : Cpoint.snapshot) =
 
 (* Union of two runs' sorted triggered sub-points of one point, each with
    its run's weight; a sub-point both runs triggered takes run 1's. *)
-let triggered { by_name0 = a; by_name1 = b; _ } =
-  let[@tail_mod_cons] rec point k =
-    if k = Array.length a then []
-    else begin
-      let x = a.(k) and y = b.(k) in
-      assert (String.equal x.point_name y.point_name);
-      match (x.s_triggered, y.s_triggered) with
-      | [], [] -> point (k + 1)
-      | l, r -> merge x.point_name (weight x) (weight y) l r (k + 1)
-    end
-  and[@tail_mod_cons] merge name wx wy l r k =
+let triggered { run0; run1; _ } =
+  let[@tail_mod_cons] rec point a b =
+    match (a, b) with
+    | [], [] -> []
+    | (x : Cpoint.snapshot) :: a, (y : Cpoint.snapshot) :: b -> (
+        assert (String.equal x.point_name y.point_name);
+        match (x.s_triggered, y.s_triggered) with
+        | [], [] -> point a b
+        | l, r -> merge x.point_name (weight x) (weight y) l r a b)
+    | _ :: _, [] | [], _ :: _ ->
+        invalid_arg "Executor: runs of different machines"
+  and[@tail_mod_cons] merge name wx wy l r a b =
     match (l, r) with
-    | [], [] -> point k
-    | (kind, sub) :: l, [] -> ((name, kind, sub), wx) :: merge name wx wy l [] k
-    | [], (kind, sub) :: r -> ((name, kind, sub), wy) :: merge name wx wy [] r k
+    | [], [] -> point a b
+    | (kind, sub) :: l, [] -> ((name, kind, sub), wx) :: merge name wx wy l [] a b
+    | [], (kind, sub) :: r -> ((name, kind, sub), wy) :: merge name wx wy [] r a b
     | ((ka, sa) as x) :: la, ((kb, sb) as y) :: lb ->
         let c = Cpoint.compare_sub x y in
-        if c < 0 then ((name, ka, sa), wx) :: merge name wx wy la r k
-        else if c > 0 then ((name, kb, sb), wy) :: merge name wx wy l lb k
-        else ((name, kb, sb), wy) :: merge name wx wy la lb k
+        if c < 0 then ((name, ka, sa), wx) :: merge name wx wy la r a b
+        else if c > 0 then ((name, kb, sb), wy) :: merge name wx wy l lb a b
+        else ((name, kb, sb), wy) :: merge name wx wy la lb a b
   in
-  point 0
+  point run0.snapshots run1.snapshots

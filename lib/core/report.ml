@@ -130,9 +130,11 @@ let fmt_f = Printf.sprintf "%.1f"
 let fmt_s = Printf.sprintf "%.3fs"
 
 (* One line under the title, rendered in both markdown and HTML: the
-   reader learns up front how much of the input actually decoded. *)
+   reader learns up front how much of the input actually decoded. It
+   reads alike for a trace replayed from a file and for the live state
+   [sonar fuzz --stats] folds, which skips no line. *)
 let header_para r =
-  Printf.sprintf "Replayed %d events, %d skipped lines%s." r.s.events r.skipped
+  Printf.sprintf "Folded %d events, %d skipped lines%s." r.s.events r.skipped
     (if r.s.campaigns > 1 then
        Printf.sprintf " across %d merged campaigns" r.s.campaigns
      else "")

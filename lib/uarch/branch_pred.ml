@@ -35,19 +35,17 @@ let update t ~pc ~taken ~target =
 
 let update_jump t ~pc ~target = Pcs.replace t.btb pc target
 
-type save = {
-  mutable s_btb : (int64 * int64) list;
-  mutable s_counters : (int64 * int) list;
-}
+(* Prediction only looks keys up, so a copy that rebinds every key
+   predicts alike whatever its tables' bucket layout. *)
+let copy_table ~src ~dst =
+  Pcs.reset dst;
+  Pcs.iter (Pcs.replace dst) src
 
-let make_save () = { s_btb = []; s_counters = [] }
+let copy ~src ~dst =
+  copy_table ~src:src.btb ~dst:dst.btb;
+  copy_table ~src:src.counters ~dst:dst.counters
 
-let capture t sv =
-  sv.s_btb <- Pcs.fold (fun k v acc -> (k, v) :: acc) t.btb [];
-  sv.s_counters <- Pcs.fold (fun k v acc -> (k, v) :: acc) t.counters []
-
-let restore t sv =
-  Pcs.reset t.btb;
-  List.iter (fun (k, v) -> Pcs.replace t.btb k v) sv.s_btb;
-  Pcs.reset t.counters;
-  List.iter (fun (k, v) -> Pcs.replace t.counters k v) sv.s_counters
+let clone t =
+  let c = { btb = Pcs.create 1; counters = Pcs.create 1 } in
+  copy ~src:t ~dst:c;
+  c

@@ -22,10 +22,9 @@ val update : t -> pc:int64 -> taken:bool -> target:int64 -> unit
 
 val update_jump : t -> pc:int64 -> target:int64 -> unit
 
-type save
+val clone : t -> t
+(** A checkpoint of the BTB and counter tables, with tables of its own. *)
 
-val make_save : unit -> save
-val capture : t -> save -> unit
-val restore : t -> save -> unit
-(** Checkpoint the BTB and counter tables; [restore] makes later
-    predictions bit-identical to the captured state. *)
+val copy : src:t -> dst:t -> unit
+(** Make [dst]'s predictions bit-identical to [src]'s: capture is
+    [copy ~src:live ~dst:ckpt], restore [copy ~src:ckpt ~dst:live]. *)

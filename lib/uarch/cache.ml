@@ -11,7 +11,10 @@ type line = {
 type victim = { victim_addr : int64; was_dirty : bool }
 
 type t = {
-  lines : line array;  (* flat: set [s], way [w] at slot [s * ways + w] *)
+  (* Flat: set [s], way [w] at slot [s * ways + w]. A clone's slots hold
+     [no_line] until a copy writes a line there, and the array itself is
+     empty until the first such write. *)
+  mutable lines : line array;
   line_bytes : int;
   n_sets : int;
   ways : int;
@@ -23,10 +26,10 @@ type t = {
   evicted : Itbl.t;
   (* Touched-line index: the slot of every valid line, each exactly once.
      [fill] appends a slot when it installs into an invalid way, and a
-     valid line is only ever invalidated by [restore], which rebuilds the
-     index — so [restore] and [capture] visit the lines a run filled
-     instead of the whole cache. *)
-  touched : int array;
+     valid line is only ever invalidated by [copy], which rebuilds the
+     index — so a copy visits the lines a run filled instead of the
+     whole cache. A clone's index grows to the lines it holds. *)
+  mutable touched : int array;
   mutable n_touched : int;
 }
 
@@ -34,20 +37,16 @@ let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
   go 0 n
 
+let no_info = { filler_seq = -1; fill_cycle = -1; filler_tainted = false }
+let fresh_line () =
+  { tag = 0; valid = false; dirty = false; lru = 0; info = no_info }
+
 let create (cfg : Config.cache_cfg) =
   let total = cfg.size_kb * 1024 in
   let n_sets = max 1 (total / (cfg.ways * cfg.line_bytes)) in
   let n_lines = n_sets * cfg.ways in
   {
-    lines =
-      Array.init n_lines (fun _ ->
-          {
-            tag = 0;
-            valid = false;
-            dirty = false;
-            lru = 0;
-            info = { filler_seq = -1; fill_cycle = -1; filler_tainted = false };
-          });
+    lines = Array.init n_lines (fun _ -> fresh_line ());
     line_bytes = cfg.line_bytes;
     n_sets;
     ways = cfg.ways;
@@ -159,83 +158,56 @@ let recently_evicted t addr =
   | packed when packed = min_int -> None
   | packed -> Some (packed asr 1, packed land 1 = 1)
 
-(* Checkpoint support: capture the full observable cache state into a
-   save, and restore it later.  Only the indexed lines are saved: stale
+(* Checkpoint support: a checkpoint is a clone, and [copy] is capture,
+   restore and the cold rewind.  Only the indexed lines are copied: stale
    [tag]/[lru]/[info] on invalid lines are never read before [fill]
    overwrites them (victim selection among invalid ways ignores them).
-   Restore first invalidates the currently indexed lines, then reinstalls
-   each saved line in place and makes the saved slots the index, so any
-   line filled between capture and restore disappears and the LRU clock
-   rewinds — restored state is bit-identical to the captured one.  A
-   capture of a fresh cache saves no line, and restoring it is the
+   A copy first invalidates the destination's indexed lines, then
+   reinstalls each of the source's in place and makes its slots the
+   index, so any line filled since the source was copied disappears and
+   the LRU clock rewinds — the destination is bit-identical to the
+   source.  A clone of a fresh cache holds no line, and copying it is the
    rewind to cold start. *)
 
-(* The line arrays grow at [capture] to the lines it saves, so a save
-   costs what the cache held, not its capacity. *)
-type save = {
-  mutable n_saved : int;
-  mutable s_slot : int array;
-  mutable s_tag : int array;
-  mutable s_dirty : bool array;
-  mutable s_lru : int array;
-  mutable s_info : fill_info array;
-  mutable s_tick : int;
-  s_evicted : Itbl.t;
-}
+(* The filler of a clone's empty slots. It is never written: [copy]
+   gives a slot a line of its own before writing it, and invalidates
+   only indexed slots. *)
+let no_line = fresh_line ()
 
-let make_save () =
-  {
-    n_saved = 0;
-    s_slot = [||];
-    s_tag = [||];
-    s_dirty = [||];
-    s_lru = [||];
-    s_info = [||];
-    s_tick = 0;
-    s_evicted = Itbl.create 8;
-  }
-
-(* Room for [n] saved lines, doubling so a reused save stops growing. *)
-let reserve sv n =
-  if n > Array.length sv.s_slot then begin
-    let cap = Int.max n (2 * Array.length sv.s_slot) in
-    sv.s_slot <- Array.make cap 0;
-    sv.s_tag <- Array.make cap 0;
-    sv.s_dirty <- Array.make cap false;
-    sv.s_lru <- Array.make cap 0;
-    sv.s_info <-
-      Array.make cap { filler_seq = -1; fill_cycle = -1; filler_tainted = false }
-  end
-
-let capture t sv =
-  reserve sv t.n_touched;
-  for i = 0 to t.n_touched - 1 do
-    let slot = t.touched.(i) in
-    let l = t.lines.(slot) in
-    sv.s_slot.(i) <- slot;
-    sv.s_tag.(i) <- l.tag;
-    sv.s_dirty.(i) <- l.dirty;
-    sv.s_lru.(i) <- l.lru;
-    sv.s_info.(i) <- l.info
+let copy ~src ~dst =
+  for i = 0 to dst.n_touched - 1 do
+    dst.lines.(dst.touched.(i)).valid <- false
   done;
-  sv.n_saved <- t.n_touched;
-  sv.s_tick <- t.tick;
-  Itbl.blit ~src:t.evicted ~dst:sv.s_evicted
-
-let restore t sv =
-  for i = 0 to t.n_touched - 1 do
-    t.lines.(t.touched.(i)).valid <- false
-  done;
-  for i = 0 to sv.n_saved - 1 do
-    let slot = sv.s_slot.(i) in
-    let l = t.lines.(slot) in
-    l.tag <- sv.s_tag.(i);
+  let n = src.n_touched in
+  if n > 0 && Array.length dst.lines = 0 then
+    dst.lines <- Array.make (Array.length src.lines) no_line;
+  if n > Array.length dst.touched then
+    dst.touched <- Array.make (Int.max n (2 * Array.length dst.touched)) 0;
+  for i = 0 to n - 1 do
+    let slot = src.touched.(i) in
+    let s = src.lines.(slot) in
+    let l =
+      match dst.lines.(slot) with
+      | l when l == no_line ->
+          let l = fresh_line () in
+          dst.lines.(slot) <- l;
+          l
+      | l -> l
+    in
+    l.tag <- s.tag;
     l.valid <- true;
-    l.dirty <- sv.s_dirty.(i);
-    l.lru <- sv.s_lru.(i);
-    l.info <- sv.s_info.(i);
-    t.touched.(i) <- slot
+    l.dirty <- s.dirty;
+    l.lru <- s.lru;
+    l.info <- s.info;
+    dst.touched.(i) <- slot
   done;
-  t.n_touched <- sv.n_saved;
-  t.tick <- sv.s_tick;
-  Itbl.blit ~src:sv.s_evicted ~dst:t.evicted
+  dst.n_touched <- n;
+  dst.tick <- src.tick;
+  Itbl.blit ~src:src.evicted ~dst:dst.evicted
+
+let clone t =
+  let c =
+    { t with lines = [||]; evicted = Itbl.create 0; touched = [||]; n_touched = 0 }
+  in
+  copy ~src:t ~dst:c;
+  c

@@ -44,21 +44,19 @@ val recently_evicted : t -> int64 -> (int * bool) option
     sequence number of the instruction whose fill evicted it and that
     fill's taint (S12). *)
 
-type save
-(** Checkpoint buffer for one cache's valid lines, LRU clock and eviction
-    history. Its line arrays grow at {!capture} to the lines saved, so a
-    save of a cold cache holds no line. *)
+val clone : t -> t
+(** A checkpoint of the cache: its valid lines, LRU clock and eviction
+    history, sharing the geometry. A clone holds no line array until a
+    {!copy} first writes a line into it, and its index of valid lines
+    grows to what it holds, so the clone of a cold cache costs nothing.
+    A clone is only ever copied to or from. *)
 
-val make_save : unit -> save
-val capture : t -> save -> unit
-(** Save the valid lines; O(valid lines). *)
-
-val restore : t -> save -> unit
-(** [restore t sv] returns [t] to the exact state [capture t sv] saw:
-    observable behaviour after restore is bit-identical to the captured
-    cache. A [save] may only be restored into a cache of the geometry it
-    was captured from. Restoring a capture of a fresh cache rewinds to
-    cold start (all lines invalid and clean, LRU clock rewound, eviction
-    history cleared) — the rewind {!Machine.Ctx} run contexts use.
-    O(valid lines now + lines saved): the cache indexes the slot of every
-    valid line, so neither {!capture} nor [restore] walks its capacity. *)
+val copy : src:t -> dst:t -> unit
+(** [copy ~src ~dst] makes [dst] bit-identical to [src] in observable
+    behaviour. Capture is [copy ~src:live ~dst:ckpt]; restore is
+    [copy ~src:ckpt ~dst:live]. Both must have one geometry. Copying
+    a clone of a fresh cache rewinds to cold start (all lines invalid
+    and clean, LRU clock rewound, eviction history cleared) — the rewind
+    {!Machine.Ctx} run contexts use. O(valid lines in [dst] + valid
+    lines in [src]): a cache indexes the slot of every valid line, so a
+    copy never walks its capacity. *)

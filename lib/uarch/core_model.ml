@@ -250,8 +250,8 @@ let create cfg reg ms ~core_id ~drives_window =
 
 let prepare t ~outcome ~secret_range =
   (* Arm the core for a run: its golden trace, transient continuations
-     and secret region.  Every other dynamic field is saved state, which
-     a restore rewinds (see [Machine.Ctx]). *)
+     and secret region.  Every other dynamic field is checkpoint state,
+     which a restore rewinds (see [Machine.Ctx]). *)
   t.trace <- outcome.Golden.trace;
   Hashtbl.reset t.transients;
   List.iter
@@ -1184,90 +1184,77 @@ let forks cfg (o0 : Golden.outcome) (o1 : Golden.outcome) =
 let capture_due t fork ~cycle =
   fetch_bound t ~cycle > fork.fetch || rob_issue_reaches t ~fork:fork.exec ~cycle
 
-(* Checkpoint support.  Uops are mutable, so capture deep-copies each one
-   ([{ u with state = u.state }] — the immutable [eff] is shared).  The
-   copies' producer links still name the live uops, so restore rebuilds
-   the links, the writer table and the occupancy counts from the restored
-   ROB ([relink]) instead of saving them.  The commit log's records are
-   immutable, so its spine is shared.  [fetch_source]'s
-   [Trans] payload is replaced, never mutated, so saving it by value is
+(* Checkpoint support: a checkpoint is a clone, and [copy] writes each
+   dynamic field once, for capture (live into clone) and restore (clone
+   into live).  [uop] maps each fetch-buffer, ROB and store-buffer uop on
+   its way: capture deep-copies it ([{ u with state = u.state }] — the
+   immutable [eff] is shared), and restore adopts the checkpoint's
+   records, re-pointing those past the fork.  A store-buffer entry
+   whose uop [uop] keeps is adopted too, so a restore allocates only
+   re-pointed records; a checkpoint is therefore restored at most once
+   per capture.  The producer links, the writer table and the occupancy
+   counts derive from the ROB, so [copy] leaves them and restore
+   rebuilds them ([relink]).  [prepare]'s fields — trace, transient
+   continuations, secret region — are not copied.  The commit log's
+   records are immutable, so its spine is shared, and [fetch_source]'s
+   [Trans] payload is replaced, never mutated, so sharing it is
    faithful. *)
 
-type save = {
-  mutable s_secret_committed : int;
-  mutable s_fetch_pos : int;
-  mutable s_fetch_source : fetch_source;
-  mutable s_fetch_stall_until : int;
-  mutable s_fetch_halted : bool;
-  mutable s_blocked_on_branch : int;
-  s_lines : Itbl.t;
-  mutable s_fb : uop list;
-  mutable s_rob : uop list;
-  mutable s_stbuf : (uop * stbuf_state) list;
-  s_taint_reg : bool array;
-  mutable s_next_id : int;
-  s_pool : Exec_unit.save;
-  s_bp : Branch_pred.save;
-  mutable s_commit_log : commit_record list;
-  mutable s_transient_issued : int;
-}
+let copy_ring ~src ~dst f =
+  Ring.clear dst;
+  for i = 0 to Ring.length src - 1 do
+    Ring.push dst (f (Ring.get src i))
+  done
 
-let make_save () =
-  {
-    s_secret_committed = 0;
-    s_fetch_pos = 0;
-    s_fetch_source = Arch;
-    s_fetch_stall_until = 0;
-    s_fetch_halted = false;
-    s_blocked_on_branch = -1;
-    s_lines = Itbl.create 32;
-    s_fb = [];
-    s_rob = [];
-    s_stbuf = [];
-    s_taint_reg = Array.make 32 false;
-    s_next_id = 0;
-    s_pool = Exec_unit.make_save ();
-    s_bp = Branch_pred.make_save ();
-    s_commit_log = [];
-    s_transient_issued = 0;
-  }
+let copy ~uop ~src ~dst =
+  dst.secret_committed <- src.secret_committed;
+  dst.fetch_pos <- src.fetch_pos;
+  dst.fetch_source <- src.fetch_source;
+  dst.fetch_stall_until <- src.fetch_stall_until;
+  dst.fetch_halted <- src.fetch_halted;
+  dst.blocked_on_branch <- src.blocked_on_branch;
+  Itbl.blit ~src:src.lines ~dst:dst.lines;
+  copy_ring ~src:src.fb ~dst:dst.fb uop;
+  copy_ring ~src:src.rob ~dst:dst.rob uop;
+  copy_ring ~src:src.stbuf ~dst:dst.stbuf (fun e ->
+      let u = uop e.sb_uop in
+      if u == e.sb_uop then e else { sb_uop = u; sb_state = e.sb_state });
+  Array.blit src.taint_reg 0 dst.taint_reg 0 (Array.length src.taint_reg);
+  dst.next_id <- src.next_id;
+  Exec_unit.copy ~src:src.pool ~dst:dst.pool;
+  Branch_pred.copy ~src:src.bp ~dst:dst.bp;
+  dst.commit_log <- src.commit_log;
+  dst.transient_issued <- src.transient_issued;
+  dst.pending_early_squash <- src.pending_early_squash
 
 let copy_uop u = { u with state = u.state }
-let ring_to_list r f = List.init (Ring.length r) (fun i -> f (Ring.get r i))
 
-let ring_of_list r l f =
-  Ring.clear r;
-  List.iter (fun x -> Ring.push r (f x)) l
-
-let capture t sv =
+let capture t ~into =
   (* [pending_early_squash] is set and consumed within one [step], so it
      is always [no_uop] at a cycle boundary. *)
   assert (t.pending_early_squash == no_uop);
-  sv.s_secret_committed <- t.secret_committed;
-  sv.s_fetch_pos <- t.fetch_pos;
-  sv.s_fetch_source <- t.fetch_source;
-  sv.s_fetch_stall_until <- t.fetch_stall_until;
-  sv.s_fetch_halted <- t.fetch_halted;
-  sv.s_blocked_on_branch <- t.blocked_on_branch;
-  Itbl.blit ~src:t.lines ~dst:sv.s_lines;
-  sv.s_fb <- ring_to_list t.fb copy_uop;
-  sv.s_rob <- ring_to_list t.rob copy_uop;
-  sv.s_stbuf <- ring_to_list t.stbuf (fun e -> (copy_uop e.sb_uop, e.sb_state));
-  Array.blit t.taint_reg 0 sv.s_taint_reg 0 32;
-  sv.s_next_id <- t.next_id;
-  Exec_unit.capture t.pool sv.s_pool;
-  Branch_pred.capture t.bp sv.s_bp;
-  sv.s_commit_log <- t.commit_log;
-  sv.s_transient_issued <- t.transient_issued
+  copy ~uop:copy_uop ~src:t ~dst:into
 
-let restore ?(fork = max_int) t sv =
-  t.secret_committed <- sv.s_secret_committed;
-  t.fetch_pos <- sv.s_fetch_pos;
-  t.fetch_source <- sv.s_fetch_source;
-  t.fetch_stall_until <- sv.s_fetch_stall_until;
-  t.fetch_halted <- sv.s_fetch_halted;
-  t.blocked_on_branch <- sv.s_blocked_on_branch;
-  Itbl.blit ~src:sv.s_lines ~dst:t.lines;
+let clone t =
+  let cfg = t.cfg in
+  let c =
+    {
+      t with
+      transients = Hashtbl.create 1;
+      lines = Itbl.create 0;
+      fb = Ring.create cfg.fetch_buffer no_uop;
+      rob = Ring.create cfg.rob_entries no_uop;
+      stbuf = Ring.create cfg.stq_entries no_entry;
+      taint_reg = Array.make (Array.length t.taint_reg) false;
+      last_writer = Array.make (Array.length t.last_writer) no_uop;
+      pool = Exec_unit.clone t.pool;
+      bp = Branch_pred.clone t.bp;
+    }
+  in
+  capture t ~into:c;
+  c
+
+let restore ?(fork = max_int) t ~from =
   (* Uops at or past [fork] were captured with run 0's effect records.
      None of the fields the two runs disagree on was ever read — the
      capture fires before the first cycle in which issue could touch a
@@ -1284,28 +1271,18 @@ let restore ?(fork = max_int) t sv =
   let repoint u =
     if u.trace_pos >= fork then { u with eff = t.trace.(u.trace_pos) } else u
   in
-  ring_of_list t.fb sv.s_fb repoint;
-  ring_of_list t.rob sv.s_rob repoint;
-  ring_of_list t.stbuf sv.s_stbuf (fun (u, st) ->
-      { sb_uop = repoint u; sb_state = st });
+  copy ~uop:repoint ~src:from ~dst:t;
   relink t;
-  Array.blit sv.s_taint_reg 0 t.taint_reg 0 32;
-  t.next_id <- sv.s_next_id;
-  Exec_unit.restore t.pool sv.s_pool;
-  Branch_pred.restore t.bp sv.s_bp;
   (* The [k]-th commit (commit order = architectural trace order; the log
      is most-recent-first) is trace position [k] — re-point committed
      records past [fork] too, so the commit trace reports the new run's
      data. *)
-  t.commit_log <-
-    (if fork = max_int then sv.s_commit_log
-     else begin
-       let len = List.length sv.s_commit_log in
-       List.mapi
-         (fun j r ->
-           let pos = len - 1 - j in
-           if pos >= fork then { r with c_eff = t.trace.(pos) } else r)
-         sv.s_commit_log
-     end);
-  t.transient_issued <- sv.s_transient_issued;
-  t.pending_early_squash <- no_uop
+  if fork <> max_int then begin
+    let len = List.length t.commit_log in
+    t.commit_log <-
+      List.mapi
+        (fun j r ->
+          let pos = len - 1 - j in
+          if pos >= fork then { r with c_eff = t.trace.(pos) } else r)
+        t.commit_log
+  end

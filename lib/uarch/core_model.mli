@@ -40,7 +40,7 @@ val prepare :
     last commits; with no range, [prepare] opens it at once. Only this
     arming changes: the pipeline, predictor and execution units keep
     their dynamic state, which {!restore} rewinds — to cold start, from a
-    {!capture} of a fresh core (see {!Machine.Ctx}). *)
+    {!clone} of a fresh core (see {!Machine.Ctx}). *)
 
 val step : t -> cycle:int -> unit
 (** Advance all pipeline stages by one cycle. Issue and completion visit
@@ -113,25 +113,31 @@ val capture_due : t -> fork -> cycle:int -> bool
     stage changes, it only turns true as [cycle] grows. Always false for
     {!no_fork}. *)
 
-type save
-(** Preallocated checkpoint buffer for one core's dynamic pipeline state
-    (fetch state, fetch buffer, ROB, store buffer, taint, predictor,
-    execution units, commit log). The golden trace itself is not saved —
-    {!prepare} supplies it. *)
+val clone : t -> t
+(** A checkpoint of the core's dynamic pipeline state (fetch state,
+    fetch buffer, ROB, store buffer, taint, predictor and execution
+    units by {!Branch_pred.clone} and {!Exec_unit.clone}, commit log),
+    with rings, arrays and tables of its own; it shares the
+    configuration, registry, hierarchy and contention points. The golden
+    trace is not part of it — {!prepare} supplies that. *)
 
-val make_save : unit -> save
-val capture : t -> save -> unit
+val capture : t -> into:t -> unit
+(** Copy the dynamic state into a clone, deep-copying each uop. *)
 
-val restore : ?fork:int -> t -> save -> unit
-(** Overwrite the dynamic state with a captured checkpoint. When [fork]
-    is given, fetch-buffer and ROB uops at trace positions ≥ [fork] are
-    re-pointed at the {e current} golden trace (call {!prepare} with the
-    new outcome first): such uops may carry the captured run's divergent
-    values, which are unread until the uop's first post-dispatch issue
-    opportunity — after the capture, by {!capture_due}; pass the
-    core's [fork.value]. Default
-    [max_int]: no re-pointing. Operand producer links are rebuilt from
-    the restored ROB either way. *)
+val restore : ?fork:int -> t -> from:t -> unit
+(** Overwrite the dynamic state with a clone's. The core adopts the
+    clone's uop and store-buffer records, so a clone that holds any is
+    restored at most once per capture. When [fork] is given,
+    fetch-buffer, ROB, store-buffer and commit-log entries at trace
+    positions ≥ [fork] are re-pointed at the
+    {e current} golden trace (call {!prepare} with the new outcome
+    first): such uops may carry the captured run's divergent values,
+    which are unread until the uop's first post-dispatch issue
+    opportunity — after the capture, by {!capture_due}; pass the core's
+    [fork.value]. Default [max_int]: no re-pointing. Operand producer
+    links are rebuilt from the restored ROB either way. Restoring a
+    clone of a fresh core rewinds it to cold start (see
+    {!Machine.Ctx}). *)
 
 val finished : t -> bool
 (** Trace fully committed and all buffers drained. *)

@@ -34,7 +34,7 @@ type registry = {
   mutable last_open : int;
   mutable activity : int;
       (* requests, grants, persistent events and [mark_active] calls so
-         far; never rewound, only compared across one machine cycle *)
+         far; only compared across one machine cycle *)
 }
 
 let create config =
@@ -249,115 +249,63 @@ let pair_intervals p =
   done;
   !l
 
-(* Checkpoint support: a registry-level save holds one preallocated buffer
-   per registered point (in [points] order — registration is structural,
-   so the order is stable for a given config + core count) plus the
-   window/cycle state. *)
+(* Checkpoint support: a checkpoint is a clone of the registry, and
+   [copy] is capture (live into clone), restore and the cold rewind
+   (clone into live). A clone's points are records of their own, with
+   their own arrays, in the same registration order — registration is
+   structural, so the point set of one config and core count is stable
+   once the cores exist — and share the immutable shape. *)
 
-type point_save = {
-  ps_last_valid : int array;
-  ps_hits : int array;
-  ps_last_tainted : bool array;
-  mutable ps_min_pair : int;
-  mutable ps_min_self : int;
-  mutable ps_active_sources : int;
-  mutable ps_single_valid_dominated : bool;
-  ps_triggered : int array;
-  mutable ps_n_triggered : int;
-  ps_pair_min : int array;
-  mutable ps_n_pairs : int;
-  mutable ps_digest : int;
-  mutable ps_event_count : int;
-}
-
-type save = {
-  sv_points : (t * point_save) array;
-  mutable sv_cycle : int;
-  mutable sv_open : bool;
-  mutable sv_first_open : int;
-  mutable sv_last_open : int;
-}
-
-let make_save reg =
+let clone_point p =
   {
-    sv_points =
-      Array.of_list
-        (List.map
-           (fun p ->
-             let n = Array.length p.sources in
-             ( p,
-               {
-                 ps_last_valid = Array.make n (-1);
-                 ps_hits = Array.make n 0;
-                 ps_last_tainted = Array.make n false;
-                 ps_min_pair = max_int;
-                 ps_min_self = max_int;
-                 ps_active_sources = 0;
-                 ps_single_valid_dominated = true;
-                 ps_triggered = Array.make (Array.length p.triggered) 0;
-                 ps_n_triggered = 0;
-                 ps_pair_min = Array.make (Array.length p.pair_min) max_int;
-                 ps_n_pairs = 0;
-                 ps_digest = 0;
-                 ps_event_count = 0;
-               } ))
-           (points reg));
-    sv_cycle = 0;
-    sv_open = false;
-    sv_first_open = -1;
-    sv_last_open = -1;
+    p with
+    last_valid = Array.copy p.last_valid;
+    hits = Array.copy p.hits;
+    triggered = Array.copy p.triggered;
+    pair_min = Array.copy p.pair_min;
+    last_tainted = Array.copy p.last_tainted;
   }
 
+let clone reg =
+  let points = List.map clone_point reg.points in
+  let table = Hashtbl.create (List.length points) in
+  List.iter (fun p -> Hashtbl.replace table p.name p) points;
+  { reg with table; points }
+
+(* Element-wise loops over [int array]s, not [Array.blit]: the arrays
+   are long-lived, and a blit into a major-heap array pays a write
+   barrier per word, which typed int stores skip. The loop's accesses
+   are unchecked, so the lengths are checked once. *)
 let copy_ints (src : int array) (dst : int array) =
+  if Array.length dst <> Array.length src then
+    invalid_arg "Cpoint.copy: points of different shapes";
   for i = 0 to Array.length src - 1 do
     Array.unsafe_set dst i (Array.unsafe_get src i)
   done
 
-let capture reg sv =
-  Array.iter
-    (fun (p, ps) ->
-      copy_ints p.last_valid ps.ps_last_valid;
-      copy_ints p.hits ps.ps_hits;
-      Array.blit p.last_tainted 0 ps.ps_last_tainted 0 (Array.length p.sources);
-      ps.ps_min_pair <- p.min_pair;
-      ps.ps_min_self <- p.min_self;
-      ps.ps_active_sources <- p.active_sources;
-      ps.ps_single_valid_dominated <- p.single_valid_dominated;
-      copy_ints p.triggered ps.ps_triggered;
-      ps.ps_n_triggered <- p.n_triggered;
-      copy_ints p.pair_min ps.ps_pair_min;
-      ps.ps_n_pairs <- p.n_pairs;
-      ps.ps_digest <- p.digest;
-      ps.ps_event_count <- p.event_count)
-    sv.sv_points;
-  sv.sv_cycle <- reg.cycle;
-  sv.sv_open <- reg.open_;
-  sv.sv_first_open <- reg.first_open;
-  sv.sv_last_open <- reg.last_open
+let copy_point ~src ~dst =
+  copy_ints src.last_valid dst.last_valid;
+  copy_ints src.hits dst.hits;
+  Array.blit src.last_tainted 0 dst.last_tainted 0 (Array.length src.sources);
+  dst.n_tainted <- src.n_tainted;
+  dst.min_pair <- src.min_pair;
+  dst.min_self <- src.min_self;
+  dst.active_sources <- src.active_sources;
+  dst.single_valid_dominated <- src.single_valid_dominated;
+  copy_ints src.triggered dst.triggered;
+  dst.n_triggered <- src.n_triggered;
+  copy_ints src.pair_min dst.pair_min;
+  dst.n_pairs <- src.n_pairs;
+  dst.digest <- src.digest;
+  dst.event_count <- src.event_count
 
-let restore reg sv =
-  Array.iter
-    (fun (p, ps) ->
-      copy_ints ps.ps_last_valid p.last_valid;
-      copy_ints ps.ps_hits p.hits;
-      Array.blit ps.ps_last_tainted 0 p.last_tainted 0 (Array.length p.sources);
-      p.n_tainted <-
-        Array.fold_left (fun k b -> k + Bool.to_int b) 0 p.last_tainted;
-      p.min_pair <- ps.ps_min_pair;
-      p.min_self <- ps.ps_min_self;
-      p.active_sources <- ps.ps_active_sources;
-      p.single_valid_dominated <- ps.ps_single_valid_dominated;
-      copy_ints ps.ps_triggered p.triggered;
-      p.n_triggered <- ps.ps_n_triggered;
-      copy_ints ps.ps_pair_min p.pair_min;
-      p.n_pairs <- ps.ps_n_pairs;
-      p.digest <- ps.ps_digest;
-      p.event_count <- ps.ps_event_count)
-    sv.sv_points;
-  reg.cycle <- sv.sv_cycle;
-  reg.open_ <- sv.sv_open;
-  reg.first_open <- sv.sv_first_open;
-  reg.last_open <- sv.sv_last_open
+let copy ~src ~dst =
+  List.iter2 (fun s d -> copy_point ~src:s ~dst:d) src.points dst.points;
+  dst.cycle <- src.cycle;
+  dst.open_ <- src.open_;
+  dst.first_open <- src.first_open;
+  dst.last_open <- src.last_open;
+  dst.activity <- src.activity
 
 type snapshot = {
   point_name : string;

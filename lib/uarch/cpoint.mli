@@ -141,21 +141,24 @@ val window_bounds : registry -> (int * int) option
 
 val points : registry -> t list
 
-type save
-(** Preallocated registry checkpoint: one buffer per registered point plus
-    the window/cycle state. Make it {e after} all points are registered
-    (registration is structural, so the point set is stable once the cores
-    exist); capture/restore then run allocation-light. *)
+val clone : registry -> registry
+(** A checkpoint of the registry: every registered point, in
+    registration order, with arrays of its own, sharing the immutable
+    shape (config, names, sources, fanouts). Make it {e after} all points
+    are registered (registration is structural, so the point set is
+    stable once the cores exist); {!copy} then allocates nothing. *)
 
-val make_save : registry -> save
-val capture : registry -> save -> unit
-
-val restore : registry -> save -> unit
-(** Rewind every saved point's observations (hits, intervals, triggered
-    sub-points, digest) and the window/cycle state to what {!capture}
-    saw; registered points stay registered. Restoring a capture taken
-    before any run rewinds the registry to cold start, which is how
-    {!Machine.Ctx} reuses a registry across runs. *)
+val copy : src:registry -> dst:registry -> unit
+(** Make [dst]'s observations (per point: hits, intervals, triggered
+    sub-points, taint, digest) and its window/cycle state those of
+    [src]. Capture is [copy ~src:live ~dst:ckpt]; restore is
+    [copy ~src:ckpt ~dst:live], after which [dst] behaves as [src] did.
+    Copying from a clone made before any run rewinds a registry to cold
+    start, which is how {!Machine.Ctx} reuses a registry across runs.
+    Registered points stay registered.
+    @raise Invalid_argument when the two differ in their number of
+    points or in a point's shape; they must be a registry and its
+    clone, or two registries built alike. *)
 
 val compare_sub : kind * int -> kind * int -> int
 (** The order of a snapshot's [s_triggered] and of every list built from it:

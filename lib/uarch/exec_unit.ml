@@ -140,25 +140,6 @@ let try_issue_mem t ~cycle ~tainted =
 
 let wb_source = function Wb_alu -> 0 | Wb_mul -> 1 | Wb_div -> 2 | Wb_mem -> 3
 
-type save = {
-  mutable s_alu_used : int;
-  mutable s_mem_used : int;
-  mutable s_mul_issued : bool;
-  mutable s_div_busy_until : int;
-  mutable s_mdu_busy_until : int;
-  s_wb : wb_queue;
-}
-
-let make_save () =
-  {
-    s_alu_used = 0;
-    s_mem_used = 0;
-    s_mul_issued = false;
-    s_div_busy_until = -1;
-    s_mdu_busy_until = -1;
-    s_wb = make_queue 8;
-  }
-
 (* Grow [q] so it holds at least [n] requests. *)
 let reserve q n =
   if n > Array.length q.ids then begin
@@ -173,29 +154,26 @@ let reserve q n =
     q.tainted <- extend q.tainted false
   end
 
-let copy_queue ~src ~dst =
-  reserve dst src.len;
-  Array.blit src.ids 0 dst.ids 0 src.len;
-  Array.blit src.sources 0 dst.sources 0 src.len;
-  Array.blit src.tainted 0 dst.tainted 0 src.len;
-  dst.len <- src.len
+(* Checkpoint support: a checkpoint is a clone, and [copy] is capture,
+   restore and the cold rewind.  [granted] is written and read within
+   one cycle, so it is not copied. *)
+let copy ~src ~dst =
+  dst.alu_used <- src.alu_used;
+  dst.mem_used <- src.mem_used;
+  dst.mul_issued <- src.mul_issued;
+  dst.div_busy_until <- src.div_busy_until;
+  dst.mdu_busy_until <- src.mdu_busy_until;
+  let q = src.wb and d = dst.wb in
+  reserve d q.len;
+  Array.blit q.ids 0 d.ids 0 q.len;
+  Array.blit q.sources 0 d.sources 0 q.len;
+  Array.blit q.tainted 0 d.tainted 0 q.len;
+  d.len <- q.len
 
-(* [granted] is written and read within one cycle, so it is not saved. *)
-let capture t sv =
-  sv.s_alu_used <- t.alu_used;
-  sv.s_mem_used <- t.mem_used;
-  sv.s_mul_issued <- t.mul_issued;
-  sv.s_div_busy_until <- t.div_busy_until;
-  sv.s_mdu_busy_until <- t.mdu_busy_until;
-  copy_queue ~src:t.wb ~dst:sv.s_wb
-
-let restore t sv =
-  t.alu_used <- sv.s_alu_used;
-  t.mem_used <- sv.s_mem_used;
-  t.mul_issued <- sv.s_mul_issued;
-  t.div_busy_until <- sv.s_div_busy_until;
-  t.mdu_busy_until <- sv.s_mdu_busy_until;
-  copy_queue ~src:sv.s_wb ~dst:t.wb
+let clone t =
+  let c = { t with wb = make_queue 8; granted = Array.copy t.granted } in
+  copy ~src:t ~dst:c;
+  c
 
 (* Compact the survivors in place, keeping their order. *)
 let purge_writeback t ~keep =

@@ -60,8 +60,11 @@ val purge_writeback : t -> keep:(int -> bool) -> unit
 val div_latency : Config.t -> int64 -> int
 val mul_latency : Config.t -> int
 
-type save
+val clone : t -> t
+(** A checkpoint of the pool: issue-slot and busy state and the queued
+    writeback requests, in a queue of its own; it shares the
+    configuration and contention points. *)
 
-val make_save : unit -> save
-val capture : t -> save -> unit
-val restore : t -> save -> unit
+val copy : src:t -> dst:t -> unit
+(** Make [dst] behave as [src]: capture is [copy ~src:live ~dst:ckpt],
+    restore [copy ~src:ckpt ~dst:live]. *)

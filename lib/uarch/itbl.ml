@@ -103,14 +103,15 @@ let replace t k v =
 let copy_bindings ~src ~dst =
   clear dst;
   let cap = Array.length src.keys in
-  if Array.length dst.keys > cap then
-    (* Rehash into the larger table rather than shrink it. *)
+  if Array.length dst.keys <> cap && 2 * src.size <= Array.length dst.keys then
+    (* Rehash into a table of another size that has room, rather than
+       resize it: a copy costs what [src] holds, not its capacity. *)
     for j = 0 to src.size - 1 do
       let s = src.used.(j) in
       insert dst src.keys.(s) src.vals.(s)
     done
   else begin
-    if Array.length dst.keys < cap then begin
+    if Array.length dst.keys <> cap then begin
       let fresh = make cap in
       dst.keys <- fresh.keys;
       dst.vals <- fresh.vals;

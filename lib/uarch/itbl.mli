@@ -7,8 +7,9 @@
     ([addr lsr offset_bits], lossless since the offset bits of a line
     address are zero), sub-point ids — so they are never negative.
     There is no [remove]: the models only add and overwrite entries within
-    a run, and {!blit} rewinds a table to a saved copy (a checkpoint
-    capture or restore, the cold-start rewind between runs included).
+    a run, and {!blit} makes a table hold another's bindings (a part's
+    checkpoint copy: capture, restore and the cold-start rewind between
+    runs).
 
     A slot index lists where each binding lives, so {!blit} costs what
     the tables hold, not their capacity. *)

@@ -21,27 +21,27 @@ type dual_stats = { fork_cycle : int option; cycles_saved : int }
 let default_max_cycles = 200_000
 
 module Ctx = struct
-  (* One saved machine: the registry, the hierarchy and every core. *)
-  type bufs = {
-    k_reg : Cpoint.save;
-    k_ms : Memsys.save;
-    k_cores : Core_model.save array;
+  (* One machine: the registry, the hierarchy and every core. A
+     checkpoint is a clone of the live machine. *)
+  type machine = {
+    m_reg : Cpoint.registry;
+    m_ms : Memsys.t;
+    m_cores : Core_model.t array;
   }
 
   type slot = {
     s_reg : Cpoint.registry;
     s_ms : Memsys.t;
     s_cores : Core_model.t array;
-    s_cold : bufs;  (* the machine as built, before any run *)
+    s_cold : machine;  (* the machine as built, before any run *)
     s_points : Cpoint.t array;  (* registration order *)
     s_cold_snaps : Cpoint.snapshot array;
         (* each point's snapshot when a run leaves it cold, shared *)
-    s_rank : int array;  (* each point's position in name order *)
     s_wake : int array;  (* per core: the first cycle it may act in *)
     s_quiet : bool array;
         (* per core: its step this cycle left the activity count as it was *)
-    mutable s_kbufs : bufs option;
-        (* dual-run checkpoint buffers, made on the first dual run *)
+    mutable s_ckpt : machine option;
+        (* the dual-run checkpoint, cloned on the first dual run *)
   }
 
   type t = {
@@ -66,35 +66,35 @@ module Ctx = struct
   let cycles_stepped t = t.stepped
   let core_steps t = t.core_steps
 
-  let make_bufs reg ms cores =
+  let clone reg ms cores =
     {
-      k_reg = Cpoint.make_save reg;
-      k_ms = Memsys.make_save ms;
-      k_cores = Array.map (fun _ -> Core_model.make_save ()) cores;
+      m_reg = Cpoint.clone reg;
+      m_ms = Memsys.clone ms;
+      m_cores = Array.map Core_model.clone cores;
     }
 
   let capture sl k =
-    Cpoint.capture sl.s_reg k.k_reg;
-    Memsys.capture sl.s_ms k.k_ms;
+    Cpoint.copy ~src:sl.s_reg ~dst:k.m_reg;
+    Memsys.copy ~src:sl.s_ms ~dst:k.m_ms;
     for i = 0 to Array.length sl.s_cores - 1 do
-      Core_model.capture sl.s_cores.(i) k.k_cores.(i)
+      Core_model.capture sl.s_cores.(i) ~into:k.m_cores.(i)
     done
 
   (* [forks.(i).value] is core [i]'s [Core_model.restore ~fork]. *)
   let restore ?forks sl k =
-    Cpoint.restore sl.s_reg k.k_reg;
-    Memsys.restore sl.s_ms k.k_ms;
+    Cpoint.copy ~src:k.m_reg ~dst:sl.s_reg;
+    Memsys.copy ~src:k.m_ms ~dst:sl.s_ms;
     for i = 0 to Array.length sl.s_cores - 1 do
       let fork =
         match forks with Some f -> f.(i).Core_model.value | None -> max_int
       in
-      Core_model.restore ~fork sl.s_cores.(i) k.k_cores.(i)
+      Core_model.restore ~fork sl.s_cores.(i) ~from:k.m_cores.(i)
     done
 
   (* The slot for this core count, rewound to cold start. The first
      acquisition builds the machine — every contention point registers
-     as the hierarchy and cores are made — and captures it before any
-     window opens; later ones restore that capture. So the cache line
+     as the hierarchy and cores are made — and clones it before any
+     window opens; later ones restore that clone. So the cache line
      arrays, point tables and pipeline structures are allocated once
      per (context, core count), and a reused machine is a fresh one. *)
   let slot t ~cores =
@@ -111,50 +111,29 @@ module Ctx = struct
               Core_model.create cfg reg ms ~core_id:i ~drives_window:(i = 0))
         in
         let points = Array.of_list (Cpoint.points reg) in
-        let by_name = Array.init (Array.length points) Fun.id in
-        Array.sort
-          (fun i j -> String.compare points.(i).Cpoint.name points.(j).Cpoint.name)
-          by_name;
-        let rank = Array.make (Array.length points) 0 in
-        Array.iteri (fun k i -> rank.(i) <- k) by_name;
         let sl =
           {
             s_reg = reg;
             s_ms = ms;
             s_cores = cs;
-            s_cold = make_bufs reg ms cs;
+            s_cold = clone reg ms cs;
             s_points = points;
             s_cold_snaps = Array.map Cpoint.snapshot points;
-            s_rank = rank;
             s_wake = Array.make cores 0;
             s_quiet = Array.make cores false;
-            s_kbufs = None;
+            s_ckpt = None;
           }
         in
-        capture sl sl.s_cold;
         t.slots <- (cores, sl) :: t.slots;
         sl
 
-  (* Point names are unique, so a result's snapshots sorted by name are
-     its list permuted by the slot's rank, which is computed once. *)
-  let snapshots_by_name t (r : result) =
-    match (List.assoc_opt (Array.length r.cores) t.slots, r.snapshots) with
-    | Some sl, (first :: _ as snaps)
-      when List.compare_length_with snaps (Array.length sl.s_rank) = 0 ->
-        let by_name = Array.make (Array.length sl.s_rank) first in
-        List.iteri (fun i s -> by_name.(sl.s_rank.(i)) <- s) snaps;
-        by_name
-    | _, [] -> [||]
-    | _ ->
-        invalid_arg "Machine.Ctx.snapshots_by_name: not a result of this context"
-
-  (* The dual-run checkpoint buffers of a slot. *)
-  let kbufs sl =
-    match sl.s_kbufs with
+  (* The dual-run checkpoint of a slot. *)
+  let checkpoint sl =
+    match sl.s_ckpt with
     | Some k -> k
     | None ->
-        let k = make_bufs sl.s_reg sl.s_ms sl.s_cores in
-        sl.s_kbufs <- Some k;
+        let k = clone sl.s_reg sl.s_ms sl.s_cores in
+        sl.s_ckpt <- Some k;
         k
 end
 
@@ -370,7 +349,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
       |> List.filter (fun (_, fork) -> fork <> Core_model.no_fork)
       |> Array.of_list
     in
-    let kbufs = Ctx.kbufs sl in
+    let ckpt = Ctx.checkpoint sl in
     (* Run 0, capturing the machine state at the top of the first cycle
        in which a divergent position could reach a stage that reads its
        divergence: fetch must stay below the fetch-visible fork, and no
@@ -384,7 +363,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
        run 1's trace. *)
     let captured = ref (-1) in
     let capture cycle =
-      Ctx.capture sl kbufs;
+      Ctx.capture sl ckpt;
       captured := cycle
     in
     (* Before the capture, a jump that would pass a cycle where the
@@ -410,7 +389,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
     if !captured < 0 then capture cycles0;
     (* Re-arm each core for run 1's golden trace, then overwrite the
        dynamic state with the checkpoint (restore wins on everything it
-       saves, including the registry's window state), re-pointing
+       copies, including the registry's window state), re-pointing
        value-divergent uop and commit records at the new trace.  Resuming
        at the capture cycle replays exactly what a full run 1 would have
        done from that point. *)
@@ -419,7 +398,7 @@ let run_dual_with ~skip ?(max_cycles = default_max_cycles) ?ctx
         Core_model.prepare c ~outcome:outcomes1.(i)
           ~secret_range:inputs1.(i).secret_range)
       cores;
-    Ctx.restore ~forks sl kbufs;
+    Ctx.restore ~forks sl ckpt;
     let cycles1 = sim_loop ~skip ctx sl ~from:!captured ~max_cycles in
     let r1 = collect sl ~cycles:cycles1 ~max_cycles in
     (r0, r1, { fork_cycle = Some !captured; cycles_saved = !captured })

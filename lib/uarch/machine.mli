@@ -41,8 +41,8 @@ val default_max_cycles : int
     contention-point registry, the memory hierarchy and the cores, the
     dominant per-run heap allocations (cache line arrays, point tables,
     pipeline structures) — across {!run} calls. The first run at a core
-    count builds the machine and captures its cold state; every later run
-    restores that capture, so a reused machine is a fresh one. A run
+    count builds the machine and clones its cold state; every later run
+    copies that clone back, so a reused machine is a fresh one. A run
     without a context runs on a fresh one. A context is {e not}
     thread-safe: keep one per domain (the executor keeps one per worker
     in a [Domain.DLS] key). Results are
@@ -77,12 +77,6 @@ module Ctx : sig
       this is at most the core count times {!cycles_stepped}, and is
       exactly that under {!Stepped}. Like {!cycles_stepped}, it lives
       here so that results do not depend on it. *)
-
-  val snapshots_by_name : t -> result -> Cpoint.snapshot array
-  (** A result's [snapshots] in point-name order, by a permutation each
-      machine computes once.
-      @raise Invalid_argument when the result is not of a machine of
-      this context. *)
 end
 
 val run :

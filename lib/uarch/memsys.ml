@@ -127,91 +127,63 @@ let create (cfg : Config.t) reg ~cores =
     p_dport = per_core "lsu.dcache_port" Lsu [ "load"; "store" ] ();
   }
 
-(* Checkpoint support.  Transfers are mutable records, so capture deep-
-   copies each one (preserving list order — grant arbitration folds over
-   the list).  Waiter lists are captured as [(line, contents)] and
-   restored into fresh refs with their order preserved.  The ready tables
-   are read only via [Itbl.find], so copying their bindings is
+(* Checkpoint support: a checkpoint is a clone, and [copy] is capture,
+   restore and the cold rewind.  Transfers are mutable records, so a copy
+   deep-copies each one (preserving list order — grant arbitration folds
+   over the list), and each waiter list gets a fresh ref (its order
+   preserved).  The ready tables are read only via [Itbl.find] and the
+   waiter tables via [Lines.find_opt], so copying their bindings is
    faithful. *)
 
-type save = {
-  mutable s_transfers : transfer list;
-  mutable s_channel_busy_until : int;
-  s_mshrs : mshr_entry option array array;
-  s_load_waiters : (int * waiter list) list array;
-  s_store_waiters : (int * waiter list) list array;
-  s_load_ready : Itbl.t array;
-  s_store_ready : Itbl.t array;
-  s_ifetch_ready : Itbl.t array;
-  s_icache_port_busy : int array;
-  s_write_lb_busy : int array;
-  s_l1i : Cache.save array;
-  s_l1d : Cache.save array;
-  s_l2 : Cache.save;
-}
-
-let make_save t =
-  {
-    s_transfers = [];
-    s_channel_busy_until = 0;
-    s_mshrs = Array.map (fun m -> Array.make (Array.length m) None) t.mshrs;
-    s_load_waiters = Array.make t.cores [];
-    s_store_waiters = Array.make t.cores [];
-    s_load_ready = Array.init t.cores (fun _ -> Itbl.create 32);
-    s_store_ready = Array.init t.cores (fun _ -> Itbl.create 32);
-    s_ifetch_ready = Array.init t.cores (fun _ -> Itbl.create 32);
-    s_icache_port_busy = Array.make t.cores (-1);
-    s_write_lb_busy = Array.make t.cores (-1);
-    s_l1i = Array.map (fun _ -> Cache.make_save ()) t.l1i;
-    s_l1d = Array.map (fun _ -> Cache.make_save ()) t.l1d;
-    s_l2 = Cache.make_save ();
-  }
-
-let blit_tables ~src ~dst =
-  Array.iteri (fun i tbl -> Itbl.blit ~src:tbl ~dst:dst.(i)) src
-
-let capture_waiters tbls dst =
-  Array.iteri
-    (fun i tbl -> dst.(i) <- Lines.fold (fun k r acc -> (k, !r) :: acc) tbl [])
-    tbls
-
-let restore_waiters tbls src =
+let copy_waiters ~src ~dst =
   Array.iteri
     (fun i tbl ->
-      Lines.reset tbl;
-      List.iter (fun (k, l) -> Lines.replace tbl k (ref l)) src.(i))
-    tbls
+      Lines.reset dst.(i);
+      Lines.iter (fun k r -> Lines.replace dst.(i) k (ref !r)) tbl)
+    src
 
-let capture t sv =
-  sv.s_transfers <- List.map (fun tr -> { tr with ready_at = tr.ready_at }) t.transfers;
-  sv.s_channel_busy_until <- t.channel_busy_until;
-  Array.iteri (fun i m -> Array.blit m 0 sv.s_mshrs.(i) 0 (Array.length m)) t.mshrs;
-  capture_waiters t.load_waiters sv.s_load_waiters;
-  capture_waiters t.store_waiters sv.s_store_waiters;
-  blit_tables ~src:t.load_ready_tbl ~dst:sv.s_load_ready;
-  blit_tables ~src:t.store_ready_tbl ~dst:sv.s_store_ready;
-  blit_tables ~src:t.ifetch_ready_tbl ~dst:sv.s_ifetch_ready;
-  Array.blit t.icache_port_busy 0 sv.s_icache_port_busy 0 t.cores;
-  Array.blit t.write_lb_busy 0 sv.s_write_lb_busy 0 t.cores;
-  Array.iteri (fun i c -> Cache.capture c sv.s_l1i.(i)) t.l1i;
-  Array.iteri (fun i c -> Cache.capture c sv.s_l1d.(i)) t.l1d;
-  Cache.capture t.l2 sv.s_l2
+let copy_tables ~src ~dst =
+  Array.iteri (fun i tbl -> Itbl.blit ~src:tbl ~dst:dst.(i)) src
 
-let restore t sv =
-  t.transfers <- List.map (fun tr -> { tr with ready_at = tr.ready_at }) sv.s_transfers;
-  t.channel_busy_until <- sv.s_channel_busy_until;
-  Array.iteri (fun i m -> Array.blit sv.s_mshrs.(i) 0 m 0 (Array.length m)) t.mshrs;
-  restore_waiters t.load_waiters sv.s_load_waiters;
-  restore_waiters t.store_waiters sv.s_store_waiters;
-  blit_tables ~src:sv.s_load_ready ~dst:t.load_ready_tbl;
-  blit_tables ~src:sv.s_store_ready ~dst:t.store_ready_tbl;
-  blit_tables ~src:sv.s_ifetch_ready ~dst:t.ifetch_ready_tbl;
-  Array.blit sv.s_icache_port_busy 0 t.icache_port_busy 0 t.cores;
-  Array.blit sv.s_write_lb_busy 0 t.write_lb_busy 0 t.cores;
-  Array.fill t.woken 0 t.cores false;
-  Array.iteri (fun i c -> Cache.restore c sv.s_l1i.(i)) t.l1i;
-  Array.iteri (fun i c -> Cache.restore c sv.s_l1d.(i)) t.l1d;
-  Cache.restore t.l2 sv.s_l2
+let copy ~src ~dst =
+  dst.transfers <-
+    List.map (fun tr -> { tr with ready_at = tr.ready_at }) src.transfers;
+  dst.channel_busy_until <- src.channel_busy_until;
+  Array.iteri (fun i m -> Array.blit m 0 dst.mshrs.(i) 0 (Array.length m)) src.mshrs;
+  copy_waiters ~src:src.load_waiters ~dst:dst.load_waiters;
+  copy_waiters ~src:src.store_waiters ~dst:dst.store_waiters;
+  copy_tables ~src:src.load_ready_tbl ~dst:dst.load_ready_tbl;
+  copy_tables ~src:src.store_ready_tbl ~dst:dst.store_ready_tbl;
+  copy_tables ~src:src.ifetch_ready_tbl ~dst:dst.ifetch_ready_tbl;
+  Array.blit src.icache_port_busy 0 dst.icache_port_busy 0 src.cores;
+  Array.blit src.write_lb_busy 0 dst.write_lb_busy 0 src.cores;
+  Array.blit src.woken 0 dst.woken 0 src.cores;
+  Array.iteri (fun i c -> Cache.copy ~src:c ~dst:dst.l1i.(i)) src.l1i;
+  Array.iteri (fun i c -> Cache.copy ~src:c ~dst:dst.l1d.(i)) src.l1d;
+  Cache.copy ~src:src.l2 ~dst:dst.l2
+
+let clone t =
+  let tables () = Array.init t.cores (fun _ -> Itbl.create 0) in
+  let waiters () = Array.init t.cores (fun _ -> Lines.create 1) in
+  let c =
+    {
+      t with
+      l1i = Array.map Cache.clone t.l1i;
+      l1d = Array.map Cache.clone t.l1d;
+      l2 = Cache.clone t.l2;
+      mshrs = Array.map Array.copy t.mshrs;
+      load_waiters = waiters ();
+      store_waiters = waiters ();
+      load_ready_tbl = tables ();
+      store_ready_tbl = tables ();
+      ifetch_ready_tbl = tables ();
+      icache_port_busy = Array.copy t.icache_port_busy;
+      write_lb_busy = Array.copy t.write_lb_busy;
+      woken = Array.copy t.woken;
+    }
+  in
+  copy ~src:t ~dst:c;
+  c
 
 (* Blocked accesses retry every cycle, so the scans below that a retry
    runs are closure-free recursions. *)

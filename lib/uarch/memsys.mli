@@ -29,19 +29,19 @@ type access_result =
 
 val create : Config.t -> Cpoint.registry -> cores:int -> t
 
-type save
-(** Preallocated checkpoint buffer for one hierarchy (caches, MSHRs,
-    in-flight transfers, waiter/ready tables, port busy-state). *)
+val clone : t -> t
+(** A checkpoint of the hierarchy (caches, MSHRs, in-flight transfers,
+    waiter and ready tables, port busy state, wake marks), with arrays,
+    tables and caches ({!Cache.clone}) of its own; it shares the
+    configuration, the registry and the contention points. *)
 
-val make_save : t -> save
-val capture : t -> save -> unit
-val restore : t -> save -> unit
-(** [restore t sv] makes the hierarchy behave bit-identically to the
-    state [capture t sv] saw, reusing every array, cache line and table.
-    Pair with {!Cpoint.restore} on the owning registry. Restoring a
-    capture of a fresh hierarchy rewinds it to cold start — the rewind
-    behind {!Machine.Ctx} run-context reuse. It clears every
-    {!take_woken} mark. *)
+val copy : src:t -> dst:t -> unit
+(** [copy ~src ~dst] makes [dst] behave bit-identically to [src],
+    reusing [dst]'s arrays, cache lines and tables. Capture is
+    [copy ~src:live ~dst:ckpt], restore [copy ~src:ckpt ~dst:live];
+    pair it with {!Cpoint.copy} on the owning registry. Copying a clone
+    of a fresh hierarchy rewinds it to cold start — the rewind behind
+    {!Machine.Ctx} run-context reuse. *)
 
 val ifetch :
   t -> core:int -> addr:int64 -> cycle:int -> tainted:bool -> access_result

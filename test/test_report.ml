@@ -250,7 +250,7 @@ let test_outcome_surfacing () =
     (contains ~needle:"| outcome | completed |" md);
   checkb "header always counts events and skipped lines" true
     (contains
-       ~needle:(Printf.sprintf "Replayed %d events, 0 skipped lines." (List.length lines))
+       ~needle:(Printf.sprintf "Folded %d events, 0 skipped lines." (List.length lines))
        md);
   (* a trace cut before its footer reads as incomplete *)
   let truncated =

@@ -179,13 +179,17 @@ let test_cache_fill_info () =
       checkb "filler taint" true info.filler_tainted
   | None -> Alcotest.fail "expected hit"
 
-(* Rewinds ([capture]..[restore]) visit only the lines a run filled;
-   whatever they touch, the rewound cache must be observably a fresh
-   cache that replays the operations leading to the rewound state:
-   everything up to the capture.  [Cold] restores a capture of a fresh
-   cache — the rewind to cold start every reused run context makes — so
-   its replay is everything since.  A 4-set, 4-way cache over a pool of
-   6 tags per set forces conflicts and dirty evictions. *)
+(* Rewinds ([Capture] copies the cache into a clone, [Restore] copies
+   it back) visit only the lines a run filled; whatever they touch, the
+   rewound cache must be observably a fresh cache that replays the
+   operations leading to the rewound state: everything up to the
+   capture.  [Cold] copies a clone of a fresh cache back — the rewind to
+   cold start every reused run context makes — so its replay is
+   everything since.  [Transplant] copies the cache through a clone of
+   its own into a freshly created one and carries on there with the log
+   unchanged, so a clone must carry all of the cache's state by itself.
+   A 4-set, 4-way cache over a pool of 6 tags per set forces conflicts
+   and dirty evictions. *)
 
 type cache_op =
   | Fill of int64 * int * bool  (* address, filler seq, tainted *)
@@ -194,6 +198,7 @@ type cache_op =
   | Cold
   | Capture
   | Restore
+  | Transplant
 
 let rewind_cfg = { Config.size_kb = 1; ways = 4; line_bytes = 64; hit_latency = 1 }
 let rewind_pool = Array.init 24 (fun i -> Int64.of_int ((i * 64) + (i mod 3 * 8)))
@@ -206,7 +211,7 @@ let apply_cache_op c = function
   | Fill (a, seq, tainted) -> ignore (Cache.fill c a ~seq ~cycle:seq ~tainted)
   | Lookup a -> ignore (Cache.lookup c a)
   | Mark_dirty a -> ignore (Cache.mark_dirty c a)
-  | Cold | Capture | Restore -> ()
+  | Cold | Capture | Restore | Transplant -> ()
 
 (* The observation mutates (lookups touch LRU, fills evict), so it is
    itself a fixed operation sequence the replay log must then include. *)
@@ -235,6 +240,7 @@ let show_cache_op = function
   | Cold -> "restore cold"
   | Capture -> "capture"
   | Restore -> "restore"
+  | Transplant -> "transplant"
 
 let prop_cache_rewind =
   let gen =
@@ -249,6 +255,7 @@ let prop_cache_rewind =
            (1, pure Cold);
            (1, pure Capture);
            (1, pure Restore);
+           (1, pure Transplant);
          ])
   in
   QCheck2.Test.make ~name:"cache rewind = fresh replay" ~count:300
@@ -256,15 +263,15 @@ let prop_cache_rewind =
     ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
     gen
     (fun ops ->
-      let c = Cache.create rewind_cfg in
-      let sv = Cache.make_save () and cold = Cache.make_save () in
-      Cache.capture (Cache.create rewind_cfg) cold;
-      (* [log]: reversed ops that take a fresh cache to [c]'s state. *)
+      let c = ref (Cache.create rewind_cfg) in
+      let cold = Cache.clone (Cache.create rewind_cfg) in
+      let sv = Cache.clone cold in
+      (* [log]: reversed ops that take a fresh cache to [!c]'s state. *)
       let log = ref [] and saved = ref None in
       let matches_replay () =
         let fresh = Cache.create rewind_cfg in
         List.iter (apply_cache_op fresh) (List.rev !log);
-        let same = observe c = observe fresh in
+        let same = observe !c = observe fresh in
         log := List.rev_append observe_ops !log;
         same
       in
@@ -272,20 +279,25 @@ let prop_cache_rewind =
         (fun op ->
           match (op, !saved) with
           | Cold, _ ->
-              Cache.restore c cold;
+              Cache.copy ~src:cold ~dst:!c;
               log := [];
               matches_replay ()
           | Capture, _ ->
-              Cache.capture c sv;
+              Cache.copy ~src:!c ~dst:sv;
               saved := Some !log;
               true
           | Restore, None -> true
           | Restore, Some l ->
-              Cache.restore c sv;
+              Cache.copy ~src:sv ~dst:!c;
               log := l;
               matches_replay ()
+          | Transplant, _ ->
+              let k = Cache.clone !c and fresh = Cache.create rewind_cfg in
+              Cache.copy ~src:k ~dst:fresh;
+              c := fresh;
+              matches_replay ()
           | op, _ ->
-              apply_cache_op c op;
+              apply_cache_op !c op;
               log := op :: !log;
               true)
         ops)
@@ -419,6 +431,7 @@ let prop_wb_arbiter_matches_list =
             ]))
   in
   QCheck2.Test.make ~name:"wb arbiter = list model" ~count:300
+    ~long_factor:25
     ~print:(fun (n, ops) ->
       Printf.sprintf "nutshell=%b: %s" n
         (String.concat "; " (List.map show_wb_op ops)))
@@ -428,7 +441,7 @@ let prop_wb_arbiter_matches_list =
       let reg = Cpoint.create cfg and ref_reg = Cpoint.create cfg in
       let pool = Exec_unit.create cfg reg ~core:0 in
       let model = Wb_list.create cfg ref_reg in
-      let sv = Exec_unit.make_save () and saved = ref None in
+      let sv = Exec_unit.clone pool and saved = ref None in
       Cpoint.open_window reg;
       Cpoint.open_window ref_reg;
       let cycle = ref 0 in
@@ -451,13 +464,13 @@ let prop_wb_arbiter_matches_list =
                 Wb_list.purge model ~keep:(fun id -> id <= k);
                 true
             | Wb_capture ->
-                Exec_unit.capture pool sv;
+                Exec_unit.copy ~src:pool ~dst:sv;
                 saved := Some model.pending;
                 true
             | Wb_restore ->
                 (match !saved with
                 | Some pending ->
-                    Exec_unit.restore pool sv;
+                    Exec_unit.copy ~src:sv ~dst:pool;
                     model.pending <- pending
                 | None -> ());
                 true)
@@ -764,6 +777,7 @@ type cpoint_op =
   | Cp_cycle of int  (* advance by *)
   | Cp_capture
   | Cp_restore
+  | Cp_transplant
 
 let show_cpoint_op = function
   | Cp_request (p, s, t, d) -> Printf.sprintf "request(p%d,s%d,%b,%d)" p s t d
@@ -775,6 +789,7 @@ let show_cpoint_op = function
   | Cp_cycle d -> Printf.sprintf "cycle+%d" d
   | Cp_capture -> "capture"
   | Cp_restore -> "restore"
+  | Cp_transplant -> "transplant"
 
 (* Point shapes: (sources, persistent subs). One source triggers on its
    own; a point with no persistent subs puts every persistent event on
@@ -782,9 +797,13 @@ let show_cpoint_op = function
 let cpoint_shapes = [| (1, 0); (2, 0); (2, 5); (3, 64); (4, 0) |]
 
 (* Random request / grant / persistent / window / cycle / capture /
-   restore sequences over points of every shape: after every step, each
-   point's triggered sub-points, pair intervals, minima and snapshot, and
-   the window bounds, equal the hash-table reference's. *)
+   restore / transplant sequences over points of every shape: after every
+   step, each point's triggered sub-points, pair intervals, minima and
+   snapshot, and the window bounds, equal the hash-table reference's.
+   Capture copies the registry into a clone and restore copies it back;
+   transplant copies it through a clone of its own into a freshly built
+   registry and carries on there, so a clone must carry all of the
+   registry's state by itself. *)
 let prop_cpoint_matches_reference =
   let gen =
     let open QCheck2.Gen in
@@ -807,6 +826,7 @@ let prop_cpoint_matches_reference =
            (4, map (fun d -> Cp_cycle d) (int_bound 3));
            (1, pure Cp_capture);
            (1, pure Cp_restore);
+           (1, pure Cp_transplant);
          ])
   in
   QCheck2.Test.make ~name:"dense cpoint state = hash-table reference" ~count:300
@@ -814,16 +834,21 @@ let prop_cpoint_matches_reference =
     ~print:(fun ops -> String.concat "; " (List.map show_cpoint_op ops))
     gen
     (fun ops ->
-      let reg = Cpoint.create Config.boom in
-      let points =
-        Array.mapi
-          (fun i (n, persistent_subs) ->
-            Cpoint.point reg ~name:(Printf.sprintf "t.p%d" i)
-              ~component:Sonar_ir.Component.Lsu
-              ~sources:(List.init n (Printf.sprintf "s%d"))
-              ~persistent_subs ())
-          cpoint_shapes
+      let fresh () =
+        let reg = Cpoint.create Config.boom in
+        let points =
+          Array.mapi
+            (fun i (n, persistent_subs) ->
+              Cpoint.point reg ~name:(Printf.sprintf "t.p%d" i)
+                ~component:Sonar_ir.Component.Lsu
+                ~sources:(List.init n (Printf.sprintf "s%d"))
+                ~persistent_subs ())
+            cpoint_shapes
+        in
+        (reg, points)
       in
+      let reg, points = fresh () in
+      let live = ref reg and live_points = ref points in
       let model =
         {
           Cpoint_ref.points =
@@ -839,9 +864,9 @@ let prop_cpoint_matches_reference =
           last_open = -1;
         }
       in
-      let sv = Cpoint.make_save reg and saved = ref None in
+      let sv = Cpoint.clone reg and saved = ref None in
       let agrees () =
-        Cpoint.window_bounds reg
+        Cpoint.window_bounds !live
         = (if model.first_open < 0 then None
            else Some (model.first_open, model.last_open))
         && Array.for_all2
@@ -851,10 +876,11 @@ let prop_cpoint_matches_reference =
                && p.Cpoint.event_count = m.events
                && p.active_sources = m.active
                && p.single_valid_dominated = m.dominated)
-             points model.points
+             !live_points model.points
       in
       List.for_all
         (fun op ->
+          let reg = !live and points = !live_points in
           (match op with
           | Cp_request (i, s, tainted, data) ->
               let source = s mod Array.length points.(i).Cpoint.sources in
@@ -879,19 +905,24 @@ let prop_cpoint_matches_reference =
               Cpoint.set_cycle reg (model.cycle + d);
               Cpoint_ref.set_cycle model (model.cycle + d)
           | Cp_capture ->
-              Cpoint.capture reg sv;
+              Cpoint.copy ~src:reg ~dst:sv;
               saved := Some (Cpoint_ref.copy model)
           | Cp_restore -> (
               match !saved with
               | Some m ->
-                  Cpoint.restore reg sv;
+                  Cpoint.copy ~src:sv ~dst:reg;
                   let m = Cpoint_ref.copy m in
                   Array.blit m.points 0 model.points 0 (Array.length m.points);
                   model.cycle <- m.cycle;
                   model.open_ <- m.open_;
                   model.first_open <- m.first_open;
                   model.last_open <- m.last_open
-              | None -> ()));
+              | None -> ())
+          | Cp_transplant ->
+              let k = Cpoint.clone reg and fresh_reg, fresh_points = fresh () in
+              Cpoint.copy ~src:k ~dst:fresh_reg;
+              live := fresh_reg;
+              live_points := fresh_points);
           agrees ())
         ops)
 
