@@ -51,7 +51,6 @@ val run_poc :
     to that many cycles. Granularities beyond the channel's timing margin
     collapse bit inference to chance. *)
 
-val default_trials : int
 val pp_result : Format.formatter -> poc_result -> unit
 
 (** Exposed for tests: the raw attack program for a gadget/bit. *)

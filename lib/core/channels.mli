@@ -34,11 +34,6 @@ type t = {
 }
 
 val build : t -> secret:int -> Sonar_uarch.Machine.core_input array
-val victim_index : t -> int
-(** Static instruction index of the victim in the materialised program. *)
-
-val baseline_index : t -> int
-
 val all : t list
 (** S1–S14 in order. *)
 

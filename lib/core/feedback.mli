@@ -146,19 +146,15 @@ val specdoctor : t
 (** {1 Competitor strategies}
 
     Stateful: each call builds a fresh learner. Use one instance per
-    campaign. *)
-
-val timing_coverage : unit -> t
-(** WhisperFuzz-style timing coverage: a testcase is retained when it
-    lands a (point, source-pair) interval in a never-seen
-    {!Histogram.bucket_of} cell, or adds per-component heatmap weight.
-    Selection mutates a uniformly random corpus seed. *)
-
-val state_transition : unit -> t
-(** ProcessorFuzz-style state-transition coverage over the golden commit
-    trace: retain on a never-seen consecutive pair of commit labels
-    (instruction class x branch-taken x faulted x transient), uniform
-    seed selection. *)
+    campaign. Two more are built only through {!create}:
+    ["timing-coverage"], WhisperFuzz-style timing coverage (a testcase is
+    retained when it lands a (point, source-pair) interval in a
+    never-seen {!Histogram.bucket_of} cell, or adds per-component heatmap
+    weight; selection mutates a uniformly random corpus seed), and
+    ["state-transition"], ProcessorFuzz-style state-transition coverage
+    over the golden commit trace (retain on a never-seen consecutive pair
+    of commit labels: instruction class x branch-taken x faulted x
+    transient; uniform seed selection). *)
 
 val bandit : unit -> t
 (** ReFuzz-style contextual epsilon-greedy bandit over mutation operators:

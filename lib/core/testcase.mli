@@ -41,9 +41,6 @@ type t = {
   dual : dual option;
 }
 
-val chain_regs : Sonar_isa.Reg.t list
-(** Registers reserved for dependency chains (s2, s3). *)
-
 val materialize : t -> secret:int -> Sonar_uarch.Machine.core_input array
 (** Build the runnable core inputs (1 or 2 cores) for a secret bit value.
     Core 0 is the victim; its [secret_range] covers the secret region's

@@ -5,10 +5,6 @@
     module is the single source of truth for that mapping, shared by the
     netlist generator and the reports. *)
 
-val component_of_point : string -> Sonar_ir.Component.t
-(** Component of a runtime point name (with or without the per-core "c<k>."
-    prefix), e.g. ["lsu.ldq_stq_idx"] → [Lsu], ["tilelink.d_channel"] → [Bus]. *)
-
 val monitored_per_component :
   Sonar_uarch.Config.t -> (Sonar_ir.Component.t * int) list
 (** Sum of fanouts per component — the number of monitored netlist points

@@ -28,10 +28,6 @@
 val generate :
   ?scale:float -> ?pad:bool -> Sonar_uarch.Config.t -> Sonar_ir.Circuit.t
 
-val points_target : ?scale:float -> Sonar_uarch.Config.t -> int * int * int
-(** (naive MUXes, identified points, monitored points) the generator aims
-    for at this scale. *)
-
 val example_module : unit -> Sonar_ir.Fmodule.t
 (** The paper's Figure 3 example: the [ldq_stq_idx] contention point as a
     two-level MUX cascade (used in documentation and tests). *)

@@ -26,8 +26,5 @@ val set_profiler : (string -> unit -> unit) option -> unit
     ["analysis"], ["analysis.naive_mux_count"], ["analysis.identify"],
     ["analysis.filter"]. *)
 
-val classified_of_circuit : Circuit.t -> Const_filter.classified list
-(** Classified contention points of every module, in module order. *)
-
 val summarize : Circuit.t -> summary
 val pp_summary : Format.formatter -> summary -> unit

@@ -15,11 +15,9 @@ type classified = {
           Figure 9 "dominated by a single signal" class *)
 }
 
-val classify_in : Validity.context -> Mux_tree.point -> classified
-(** Determine every request's validity under a precomputed per-module
-    context (linear overall) and apply the filter. *)
-
 val classify_module : Fmodule.t -> classified list
-(** {!Mux_tree.points_of_module} composed with {!classify_in}. *)
+(** Every point of {!Mux_tree.points_of_module}, classified: each
+    request's validity is determined under one per-module context (linear
+    overall), then the filter applies. *)
 
 val monitored : classified list -> classified list

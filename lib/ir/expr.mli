@@ -52,7 +52,6 @@ val count_muxes : t -> int
     count of the paper's Figure 6 counts every one of these). *)
 
 val equal : t -> t -> bool
-val pp_primop : Format.formatter -> primop -> unit
 val pp : Format.formatter -> t -> unit
 val primop_name : primop -> string
 

@@ -32,12 +32,5 @@ type result = {
   points_instrumented : int;
 }
 
-val max_pairs : int
-
-val instrument_module :
-  Fmodule.t -> Const_filter.classified list -> Fmodule.t * point_monitor list * int
-(** Instrument one module given its classified points; returns the rewritten
-    module, its monitors, and the number of statements added. *)
-
 val instrument : Circuit.t -> result
 (** Classify and instrument every module of a circuit. *)

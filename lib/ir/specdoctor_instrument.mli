@@ -16,7 +16,4 @@ type result = {
   pair_checks : int;  (** number of statement pairs inspected — Θ(n²) *)
 }
 
-val instrument_module : Fmodule.t -> Fmodule.t * int * int
-(** Returns (module', statements added, pair checks performed). *)
-
 val instrument : Circuit.t -> result

@@ -52,9 +52,6 @@ type outcome = {
   exit_reason : exit_reason;
 }
 
-val default_max_instrs : int
-val default_transient_window : int
-
 val run :
   ?max_instrs:int -> ?transient_window:int -> Program.t -> outcome
 (** Execute to completion: falling off the end of the code, [ebreak], or the

@@ -69,7 +69,36 @@ let source i k =
   | Load (_, _, base, _) | Jalr (_, base, _) | Lr_d (_, base) -> one base
   | Jal _ | Lui _ | Auipc _ | Fence | Ecall | Ebreak | Mret -> -1
 
-let equal a b = a = b
+(* A match per constructor: the fork rule compares many instructions per
+   dual run, and the polymorphic [=] pays a [caml_equal] call for each.
+   The operation enums are constant constructors, so their [=] is an int
+   compare. *)
+let equal a b =
+  let r = Reg.equal in
+  match (a, b) with
+  | Rtype (o, d, s1, s2), Rtype (o', d', s1', s2') ->
+      (o : rop) = o' && r d d' && r s1 s1' && r s2 s2'
+  | Itype (o, d, s, i), Itype (o', d', s', i') ->
+      (o : iop) = o' && r d d' && r s s' && i = i'
+  | Load (o, d, s, i), Load (o', d', s', i') ->
+      (o : load_op) = o' && r d d' && r s s' && i = i'
+  | Store (o, d, s, i), Store (o', d', s', i') ->
+      (o : store_op) = o' && r d d' && r s s' && i = i'
+  | Branch (o, s1, s2, i), Branch (o', s1', s2', i') ->
+      (o : branch_op) = o' && r s1 s1' && r s2 s2' && i = i'
+  | Jal (d, i), Jal (d', i') | Lui (d, i), Lui (d', i') | Auipc (d, i), Auipc (d', i')
+    ->
+      r d d' && i = i'
+  | Jalr (d, s, i), Jalr (d', s', i') -> r d d' && r s s' && i = i'
+  | Csr (o, d, s, i), Csr (o', d', s', i') ->
+      (o : csr_op) = o' && r d d' && r s s' && i = i'
+  | Lr_d (d, s), Lr_d (d', s') -> r d d' && r s s'
+  | Sc_d (d, s1, s2), Sc_d (d', s1', s2') -> r d d' && r s1 s1' && r s2 s2'
+  | Fence, Fence | Ecall, Ecall | Ebreak, Ebreak | Mret, Mret -> true
+  | ( ( Rtype _ | Itype _ | Load _ | Store _ | Branch _ | Jal _ | Jalr _ | Lui _
+      | Auipc _ | Csr _ | Lr_d _ | Sc_d _ | Fence | Ecall | Ebreak | Mret ),
+      _ ) ->
+      false
 
 let rop_name = function
   | ADD -> "add" | SUB -> "sub" | SLL -> "sll" | SRL -> "srl" | SRA -> "sra"

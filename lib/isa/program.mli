@@ -30,5 +30,4 @@ val length : t -> int
 val pc_to_index : t -> int64 -> int
 (** Instruction index for a PC inside the program, [-1] outside. *)
 
-val index_to_pc : t -> int -> int64
 val pp : Format.formatter -> t -> unit

@@ -138,13 +138,9 @@ val read_slot_lane : t -> int -> lane:int -> int
 (** One lane's value of a slot, with {!read_slot}'s signed width-63
     caveat. Allocation-free. *)
 
-val read_slot_lanes_into : t -> int -> int array -> unit
-(** Bulk transpose-out: fill [dst.(lane)] with each lane's value of the
-    slot (reads [Array.length dst] lanes). Allocation-free. *)
-
 val read_slot_lanes : t -> int -> int array
-(** Allocating convenience wrapper over {!read_slot_lanes_into}, one cell
-    per {!lanes}. *)
+(** Bulk transpose-out: each lane's value of the slot, one cell per
+    {!lanes}. *)
 
 val read_slot_mask : t -> int -> int
 (** Per-lane truthiness in one word: bit [lane] is set iff the slot's value

@@ -267,7 +267,10 @@ let line_of t pc =
 
 let line_key t pc = Memsys.ifetch_line_key t.ms ~core:t.core_id pc
 
+(* Marks in [lines]: a line whose refill is in flight, and the default
+   for one fetch has not looked up. *)
 let line_pending = -2
+let line_untouched = min_int
 
 (* --- Fetch --- *)
 
@@ -294,25 +297,39 @@ let next_pc_after t pos (eff : Golden.effect) =
   | Arch when pos >= 0 && pos + 1 < Array.length t.trace -> t.trace.(pos + 1).pc
   | Arch | Trans _ -> Int64.add eff.pc 4L
 
-let line_ready t pc ~cycle ~tainted =
+(* The cycle the ICache line holding [pc] is available to fetch: the
+   cycle its lookup hit for, its refill's [Memsys.ifetch_ready] cycle
+   while [line_pending] ([max_int] until the refill lands), or
+   [line_untouched] for a line fetch has not looked up yet, whose lookup
+   may hit at once.  A landed refill's cycle is recorded in [lines], so
+   later reads take one lookup: the core never looks the line up again,
+   so its [ifetch_ready] cycle no longer changes, and the record is
+   invisible to every reader. *)
+let line_at t pc =
   let key = line_key t pc in
-  let avail = Itbl.find t.lines key ~default:(-1) in
-  if avail >= 0 then avail <= cycle
-  else if avail = line_pending then begin
+  let avail = Itbl.find t.lines key ~default:line_untouched in
+  if avail <> line_pending then avail
+  else begin
     let c = Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:pc in
-    if c >= 0 then Itbl.replace t.lines key c;
-    c >= 0 && c <= cycle
+    if c < max_int then Itbl.replace t.lines key c;
+    c
   end
+
+(* Fetch's test of the line holding [pc]: an untouched line asks the
+   ICache port (again next cycle if the port is busy). *)
+let line_ready t pc ~cycle ~tainted =
+  let avail = line_at t pc in
+  if avail <> line_untouched then avail <= cycle
   else begin
     let line = line_of t pc in
     match Memsys.ifetch t.ms ~core:t.core_id ~addr:line ~cycle ~tainted with
     | Memsys.Ready c ->
-        Itbl.replace t.lines key c;
+        Itbl.replace t.lines (line_key t pc) c;
         c <= cycle
     | Memsys.Waiting ->
         Cpoint.request ~tainted t.reg t.p_icache_mshr ~source:0
           ~data:(Int64.to_int line);
-        Itbl.replace t.lines key line_pending;
+        Itbl.replace t.lines (line_key t pc) line_pending;
         false
     | Memsys.Blocked _ -> false
   end
@@ -507,13 +524,19 @@ let step_dispatch t ~cycle =
 
 (* --- Operand readiness --- *)
 
-let value_ready v ~cycle =
+(* The cycle [v]'s value is ready: [Memsys.load_ready] for a load waiting
+   on its refill ([max_int] until the refill lands), else [complete_at] —
+   [max_int] while [Dispatched], the completion cycle once issued, and
+   [min_int] for [no_uop].  Every issue latency is at least a cycle, so
+   within [step] a value [step_complete] has not finished is not ready to
+   [step_issue] either. *)
+let ready_at t v =
   match v.state with
-  | Exec_done | Done -> v.complete_at <= cycle
-  | Dispatched | Issued | Wait_mem -> false
+  | Wait_mem -> Memsys.load_ready t.ms ~core:t.core_id ~rob:v.id
+  | Dispatched | Issued | Exec_done | Done -> v.complete_at
 
-let operands_ready u ~cycle =
-  value_ready u.prod1 ~cycle && value_ready u.prod2 ~cycle
+(* The cycle both of [u]'s operands are ready. *)
+let operands_at t u = Int.max (ready_at t u.prod1) (ready_at t u.prod2)
 
 let word a = Int64.logand a (-8L)
 
@@ -611,7 +634,7 @@ let try_issue t u i ~cycle =
           if v != no_uop then begin
             (* Store-to-load forwarding; otherwise a hazard: stay
                Dispatched, mem slot wasted this cycle. *)
-            if value_ready v ~cycle then issue_until t u (cycle + 1)
+            if ready_at t v <= cycle then issue_until t u (cycle + 1)
           end
           else begin
             let addr =
@@ -638,7 +661,7 @@ let step_issue t ~cycle =
     let u = Ring.get t.rob !i in
     if u.state = Dispatched then begin
       decr left;
-      if operands_ready u ~cycle then try_issue t u !i ~cycle
+      if operands_at t u <= cycle then try_issue t u !i ~cycle
     end;
     incr i
   done
@@ -694,7 +717,7 @@ let step_complete t ~cycle =
     (match u.state with
     | Issued ->
         decr left;
-        if u.complete_at <= cycle then begin
+        if ready_at t u <= cycle then begin
           Cpoint.mark_active t.reg;
           (* Control resolves here: train the predictor, unblock fetch. *)
           (match u.eff.Golden.instr with
@@ -722,15 +745,10 @@ let step_complete t ~cycle =
         end
     | Wait_mem ->
         decr left;
-        let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id in
-        if c >= 0 && c <= cycle then begin
+        let c = ready_at t u in
+        if c <= cycle then begin
           Cpoint.mark_active t.reg;
           u.complete_at <- c;
-          if u.mispredicted then begin
-            t.blocked_on_branch <- -1;
-            t.fetch_stall_until <- Int.max t.fetch_stall_until (cycle + 2);
-            u.mispredicted <- false
-          end;
           finish t u Exec_done;
           Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id
             ~tainted:u.tainted
@@ -767,7 +785,7 @@ let step_commit t ~cycle =
   let stop = ref false in
   while (not !stop) && !budget > 0 do
     let u = if Ring.is_empty t.rob then no_uop else Ring.peek t.rob in
-    if u != no_uop && u.state = Done && u.complete_at <= cycle then begin
+    if u != no_uop && u.state = Done && ready_at t u <= cycle then begin
       assert (not u.transient);
       Ring.pop t.rob;
       count_in t u (-1);
@@ -799,29 +817,38 @@ let step_commit t ~cycle =
 
 (* --- Store buffer drain --- *)
 
+(* The cycle the store-buffer head [e] can drain: a [Drain_new] head asks
+   the DCache every cycle ([min_int]); a [Drain_waiting] one pops at its
+   refill's [Memsys.store_ready] cycle ([max_int] until the refill
+   lands). *)
+let drain_at t e =
+  match e.sb_state with
+  | Drain_new -> min_int
+  | Drain_waiting -> Memsys.store_ready t.ms ~core:t.core_id ~rob:e.sb_uop.id
+
 let step_stbuf t ~cycle =
   if not (Ring.is_empty t.stbuf) then begin
     let entry = Ring.peek t.stbuf in
-    let u = entry.sb_uop in
-    let addr = match u.eff.Golden.mem with Some m -> m.addr | None -> 0L in
-    let is_sc = match u.eff.Golden.instr with Instr.Sc_d _ -> true | _ -> false in
-    match entry.sb_state with
-    | Drain_new -> (
-        Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
-          ~data:(Int64.to_int addr);
-        match
-          Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
-            ~cycle ~tainted:u.tainted
-        with
-        | Memsys.Ready _ -> Ring.pop t.stbuf
-        | Memsys.Waiting -> entry.sb_state <- Drain_waiting
-        | Memsys.Blocked _ -> ())
-    | Drain_waiting ->
-        let c = Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id in
-        if c >= 0 && c <= cycle then begin
+    if drain_at t entry <= cycle then
+      let u = entry.sb_uop in
+      match entry.sb_state with
+      | Drain_new -> (
+          let addr = match u.eff.Golden.mem with Some m -> m.addr | None -> 0L in
+          let is_sc =
+            match u.eff.Golden.instr with Instr.Sc_d _ -> true | _ -> false
+          in
+          Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
+            ~data:(Int64.to_int addr);
+          match
+            Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
+              ~cycle ~tainted:u.tainted
+          with
+          | Memsys.Ready _ -> Ring.pop t.stbuf
+          | Memsys.Waiting -> entry.sb_state <- Drain_waiting
+          | Memsys.Blocked _ -> ())
+      | Drain_waiting ->
           Cpoint.mark_active t.reg;
           Ring.pop t.stbuf
-        end
   end
 
 (* --- Top level --- *)
@@ -859,13 +886,7 @@ let earlier c ~soon w = if c < w then Int.max c soon else w
 
 let stbuf_wake t ~soon w =
   if Ring.is_empty t.stbuf then w
-  else
-    let e = Ring.peek t.stbuf in
-    match e.sb_state with
-    | Drain_new -> soon
-    | Drain_waiting ->
-        let c = Memsys.store_ready t.ms ~core:t.core_id ~rob:e.sb_uop.id in
-        if c >= 0 then earlier c ~soon w else w
+  else earlier (drain_at t (Ring.peek t.stbuf)) ~soon w
 
 let fetch_wake t ~soon w =
   if
@@ -875,22 +896,8 @@ let fetch_wake t ~soon w =
   else begin
     let eff = peek_next t in
     if eff == no_eff then w
-    else begin
-      let from = Int.max soon t.fetch_stall_until in
-      let avail = Itbl.find t.lines (line_key t eff.pc) ~default:(-1) in
-      if avail >= 0 then earlier (Int.max from avail) ~soon w
-      else if avail = line_pending then begin
-        let c = Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:eff.pc in
-        if c >= 0 then earlier (Int.max from c) ~soon w else w
-      end
-      else earlier from ~soon w
-    end
+    else earlier (Int.max t.fetch_stall_until (line_at t eff.pc)) ~soon w
   end
-
-let settled v =
-  match v.state with
-  | Exec_done | Done -> true
-  | Dispatched | Issued | Wait_mem -> false
 
 let rec rob_wake t ~soon w i =
   if w <= soon || i >= Ring.length t.rob then w
@@ -898,16 +905,10 @@ let rec rob_wake t ~soon w i =
     let u = Ring.get t.rob i in
     let w =
       match u.state with
-      | Issued -> earlier u.complete_at ~soon w
-      | Wait_mem ->
-          let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id in
-          if c >= 0 then earlier c ~soon w else w
-      | Dispatched ->
-          if settled u.prod1 && settled u.prod2 then
-            earlier (Int.max u.prod1.complete_at u.prod2.complete_at) ~soon w
-          else w
-      | Done -> if i = 0 then earlier u.complete_at ~soon w else w
-      | Exec_done -> w
+      | Issued | Wait_mem -> earlier (ready_at t u) ~soon w
+      | Dispatched -> earlier (operands_at t u) ~soon w
+      | Done when i = 0 -> earlier (ready_at t u) ~soon w
+      | Done | Exec_done -> w
     in
     rob_wake t ~soon w (i + 1)
   end
@@ -917,31 +918,23 @@ let rec rob_wake t ~soon w i =
    wake it.  The machine loop does not step the core before the bound
    (unless a refill lands for it, see [Memsys.take_woken]), so the bound
    must never pass a cycle in which a stage would change state or call
-   the registry.  Each arm reads the test its stage makes, stage by
-   stage in [step] order:
-   - complete: an [Issued] uop at its [complete_at]; a [Wait_mem] load
-     once [Memsys.load_ready] names its cycle (until then the refill is
-     in flight, and [Memsys.next_wake] bounds it);
+   the registry.  It is the minimum of the cycles the stages wait for,
+   each read through the function the stage itself tests, in [step]
+   order:
+   - complete: an [Issued] or [Wait_mem] uop's [ready_at];
    - writeback: every queued request asks for a port each cycle;
-   - commit: a [Done] head at its [complete_at];
-   - issue: a [Dispatched] uop once both producers are [Exec_done] or
-     [Done] and their [complete_at] has passed — it then asks a unit or a
-     port each cycle until it issues.  A producer in any other state
-     wakes the core itself first;
-   - store buffer: a [Drain_new] head asks the DCache each cycle; a
-     [Drain_waiting] one wakes at its [Memsys.store_ready] cycle;
+   - commit: the [Done] head's [ready_at];
+   - issue: a [Dispatched] uop's [operands_at], from which it asks a unit
+     or a port each cycle until it issues;
+   - store buffer: the head's [drain_at];
    - dispatch: an unblocked fetch-buffer head ([dispatch_blocked] changes
      only when commit or a drain acts);
    - fetch: neither halted nor blocked on a branch, with buffer room and
-     something to fetch: once [fetch_stall_until] has passed and the head
-     line is available — a line not yet looked up asks the ICache port
-     each cycle, a pending one wakes at its [Memsys.ifetch_ready] cycle.
-   A step in a cycle before the bound would still do two things, and
-   leaving it out changes nothing read: [line_ready] may record a
-   pending line's known ready cycle in [lines], which [line_ready] and
-   [line_known_unready] read exactly as the pending mark; and
-   [Exec_unit.new_cycle] resets the issue counters, which only
-   [step_issue] reads, after the next step has reset them. *)
+     something to fetch: the later of [fetch_stall_until] and the head
+     line's [line_at].
+   A step in a cycle before the bound would still reset the issue
+   counters ([Exec_unit.new_cycle]), which only [step_issue] reads,
+   after the next step has reset them. *)
 let next_wake t ~cycle =
   let soon = cycle + 1 in
   if Exec_unit.writeback_pending t.pool then soon
@@ -965,27 +958,14 @@ let next_wake t ~cycle =
    - otherwise fetch consumes at most [fetch_width] positions, further
      limited by fetch-buffer backpressure: dispatch (which runs before
      fetch) frees at most [decode_width] buffer slots — and clamped at the
-     first position whose instruction line is {e known} not to be ready
-     this cycle ([line_known_unready] below): fetch consumes positions in
-     order and [step_fetch] stops at the first [line_ready] failure.
+     first position whose line is not available this cycle
+     ([line_at > cycle]): fetch consumes positions in order and
+     [step_fetch] stops at the first [line_ready] failure.
 
-   The line clamp is exact, not just sound, for lines the core has already
-   touched: [ifetch_ready_tbl] entries are written only by [Memsys.tick],
-   which runs after every core's [step] within a cycle, so the table this
-   query sees at the top of the cycle is the table [step_fetch] sees.
-   Untouched lines are conservatively assumed ready (a first-touch
-   [Memsys.ifetch] could hit). *)
-let line_known_unready t pc ~cycle =
-  let avail = Itbl.find t.lines (line_key t pc) ~default:(-1) in
-  if avail >= 0 then avail > cycle
-  else
-    avail = line_pending
-    &&
-    (* Pure variant of [line_ready]'s pending path: peek at the refill
-       completion without recording it in the core's table. *)
-    let c = Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:pc in
-    c < 0 || c > cycle
-
+   The line clamp reads what [line_ready] reads, and [Memsys]'s ready
+   tables are written only by [Memsys.tick], which runs after every
+   core's [step], so it is exact for lines the core has looked up.  An
+   untouched line reads as available (a first-touch lookup could hit). *)
 let fetch_bound t ~cycle =
   match t.fetch_source with
   | Trans _ -> t.fetch_pos
@@ -1002,7 +982,7 @@ let fetch_bound t ~cycle =
         let bound = ref (t.fetch_pos + headroom) in
         (try
            for p = t.fetch_pos to last - 1 do
-             if line_known_unready t t.trace.(p).Golden.pc ~cycle then begin
+             if line_at t t.trace.(p).Golden.pc > cycle then begin
                bound := p;
                raise Exit
              end
@@ -1018,38 +998,18 @@ let fetch_bound t ~cycle =
    A divergent {e store}'s address can be read by any younger load's
    forwarding search the moment both sit in the ROB, so its mere presence
    trips the test.  A divergent load or mul/div is read only at its {e own}
-   issue ([Memsys.dload] address / latency operand), which requires its
-   operands ready — so the test defers until the cycle that could happen,
-   riding out the operand-dependency chain in front of it (the testcase
-   template's coupling chains delay exactly this readiness).
-
-   [producer_possibly_ready] predicts [value_ready] as evaluated inside
-   [step_issue], which runs {e after} complete/writeback within the cycle:
-   an [Issued] producer with [complete_at <= cycle] completes first (an
-   [Exec_done] or [Done] producer already has [complete_at <= cycle] — the
-   only transitions into those states require it); a [Wait_mem] producer
-   is released exactly when [Memsys.load_ready] says so, and the ready
-   table is written only by [Memsys.tick], which runs after every core's
-   [step] — so the top-of-cycle query sees the table [step_complete] sees.
-   Only [Dispatched] producers (which issue at the earliest this cycle,
-   completing later) and [Issued] ones with [complete_at > cycle] provably
-   stay unready.  Transient uops carry position -1 and never trip the
-   test.  Architectural positions increase along the ROB, so the scan runs
-   from the tail and stops at the first architectural uop before [fork]:
-   only the suffix at or past the fork can trip the test. *)
-let producer_possibly_ready t v ~cycle =
-  match v.state with
-  | Exec_done | Done -> true
-  | Wait_mem ->
-      let c = Memsys.load_ready t.ms ~core:t.core_id ~rob:v.id in
-      c >= 0 && c <= cycle
-  | Issued -> v.complete_at <= cycle
-  | Dispatched -> false
-
-let could_issue t u ~cycle =
-  producer_possibly_ready t u.prod1 ~cycle
-  && producer_possibly_ready t u.prod2 ~cycle
-
+   issue ([Memsys.dload] address / latency operand), from its
+   [operands_at] cycle on — so the test defers until then, riding out the
+   operand-dependency chain in front of it (the testcase template's
+   coupling chains delay exactly this readiness).  Read at the top of the
+   cycle, [operands_at] is what [step_issue] reads after complete and
+   writeback: a producer [step_complete] finishes this cycle already has
+   [ready_at <= cycle], and [Memsys]'s ready tables change only in its
+   [tick], after every core's [step].  Transient uops carry position -1
+   and never trip the test.  Architectural positions increase along the
+   ROB, so the scan runs from the tail and stops at the first
+   architectural uop before [fork]: only the suffix at or past the fork
+   can trip the test. *)
 let rob_issue_reaches t ~fork ~cycle =
   let reaches = ref false and i = ref (Ring.length t.rob - 1) in
   while
@@ -1061,7 +1021,8 @@ let rob_issue_reaches t ~fork ~cycle =
     let u = Ring.get t.rob !i in
     reaches :=
       u.trace_pos >= fork
-      && (u.state <> Dispatched || u.cls = Class_store || could_issue t u ~cycle);
+      && (u.state <> Dispatched || u.cls = Class_store
+         || operands_at t u <= cycle);
     decr i
   done;
   !reaches
@@ -1101,11 +1062,35 @@ let exec_visible_equal (cfg : Config.t) (a : Golden.effect) (b : Golden.effect) 
 
 (* Equality on every effect field the front end can read: [wb] and [mem]
    are the written-back / loaded-or-stored values, which no stage before
-   issue inspects, so they are excluded. *)
+   issue inspects, so they are excluded.  The scans below compare many
+   effects per dual run, so every comparison is typed — the polymorphic
+   [=] pays a [caml_equal] call per pair — with the instruction last.
+   [fault] is a constant-constructor type, so its [=] is an int compare. *)
 let fetch_visible_equal (a : Golden.effect) (b : Golden.effect) =
-  a.Golden.seq = b.Golden.seq
-  && a.index = b.index && a.pc = b.pc && a.instr = b.instr
-  && a.taken = b.taken && a.fault = b.fault && a.transient = b.transient
+  a.seq = b.seq && a.index = b.index && Int64.equal a.pc b.pc
+  && Bool.equal a.transient b.transient
+  && Option.equal Bool.equal a.taken b.taken
+  && Option.equal (fun (x : Golden.fault) y -> x = y) a.fault b.fault
+  && Instr.equal a.instr b.instr
+
+(* Equality on every effect field: the [value] fork's test. *)
+let effect_equal (a : Golden.effect) (b : Golden.effect) =
+  Option.equal
+    (fun (r, v) (r', v') -> Reg.equal r r' && Int64.equal v v')
+    a.wb b.wb
+  && Option.equal
+       (fun (m : Golden.mem_access) (m' : Golden.mem_access) ->
+         Int64.equal m.addr m'.addr && m.size = m'.size
+         && Bool.equal m.is_store m'.is_store
+         && Int64.equal m.value m'.value
+         && Option.equal Bool.equal m.sc_success m'.sc_success)
+       a.mem b.mem
+  && fetch_visible_equal a b
+
+(* Whether two effect arrays of equal length agree from [i] on; a loop of
+   its own, as [Array.for_all2] allocates a closure per call. *)
+let rec effects_equal_from a b i =
+  i = Array.length a || (effect_equal a.(i) b.(i) && effects_equal_from a b (i + 1))
 
 type fork = { value : int; fetch : int; exec : int }
 
@@ -1146,7 +1131,7 @@ let forks cfg (o0 : Golden.outcome) (o1 : Golden.outcome) =
     let i = ref 0 in
     while !i < n && (!fetch = past_end || !exec = past_end) do
       let a = t0.(!i) and b = t1.(!i) in
-      if !value = n && not (a = b) then value := !i;
+      if !value = n && not (effect_equal a b) then value := !i;
       if !value < n then begin
         if !fetch = past_end && not (fetch_visible_equal a b) then fetch := !i;
         if !exec = past_end && not (exec_visible_equal cfg a b) then exec := !i
@@ -1164,7 +1149,12 @@ let forks cfg (o0 : Golden.outcome) (o1 : Golden.outcome) =
       (fun (pos, cont0) ->
         if pos < !cap then
           match List.assoc_opt pos o1.transients with
-          | Some cont1 -> if not (cont0 = cont1) then cap := pos
+          | Some cont1 ->
+              if
+                not
+                  (Array.length cont0 = Array.length cont1
+                  && effects_equal_from cont0 cont1 0)
+              then cap := pos
           | None -> cap := pos)
       o0.transients;
     List.iter

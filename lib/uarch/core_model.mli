@@ -51,14 +51,18 @@ val next_wake : t -> cycle:int -> int
 (** A lower bound, greater than [cycle], on the next cycle in which any
     stage of the core could act — change state or call the registry —
     given the state after [cycle]; [max_int] when the core waits only on
-    {!Memsys} or on nothing. [cycle + 1] whenever something retries every
-    cycle: a queued writeback, a [Drain_new] store, an issuable uop, a
-    dispatchable fetch-buffer head or a fetchable line. It reads only the
-    core's own state and its {!Memsys} ready tables, and is sound for any
-    state. So the machine lets the core sleep until the bound while
-    another core or {!Memsys} runs, and wakes it early only when a
-    refill writes its ready tables ({!Memsys.take_woken}); and when
-    nothing else acts, it skips every cycle below the bound. *)
+    {!Memsys} or on nothing. Each thing a stage waits on — a uop's value,
+    a uop's operands, an ICache line, the store-buffer head — has one
+    function giving the cycle it is ready ([max_int] while a refill is
+    in flight); the stage tests that cycle against the current one, and
+    the bound is the minimum over them, [cycle + 1] for what retries
+    every cycle (a queued writeback, a [Drain_new] store, an issuable
+    uop, a dispatchable fetch-buffer head, a line not yet looked up). It
+    reads only the core's own state and its {!Memsys} ready tables, and
+    is sound for any state. So the machine lets the core sleep until the
+    bound while another core or {!Memsys} runs, and wakes it early only
+    when a refill writes its ready tables ({!Memsys.take_woken}); and
+    when nothing else acts, it skips every cycle below the bound. *)
 
 (** {2 Dual-run fork rule}
 
@@ -108,10 +112,11 @@ val capture_due : t -> fork -> cycle:int -> bool
     fetch could consume a position at or past [fork.fetch], or a ROB uop
     at or past [fork.exec] could have a divergent field read — a store as
     soon as it is in the ROB (younger loads search store addresses), a
-    load or mul/div once its operands could be ready for its own issue,
-    which rides out the dependency chain delaying it. On a state that no
-    stage changes, it only turns true as [cycle] grows. Always false for
-    {!no_fork}. *)
+    load or mul/div once its operands are ready for its own issue, which
+    rides out the dependency chain delaying it. It reads the same ready
+    cycles as the stages and {!next_wake}: fetch's clamp is the line's,
+    issue's the operands'. On a state that no stage changes, it only
+    turns true as [cycle] grows. Always false for {!no_fork}. *)
 
 val clone : t -> t
 (** A checkpoint of the core's dynamic pipeline state (fetch state,

@@ -57,9 +57,6 @@ val purge_writeback : t -> keep:(int -> bool) -> unit
 (** Drop queued writeback requests whose id fails [keep] (pipeline squash),
     keeping the others in order. *)
 
-val div_latency : Config.t -> int64 -> int
-val mul_latency : Config.t -> int
-
 val clone : t -> t
 (** A checkpoint of the pool: issue-slot and busy state and the queued
     writeback requests, in a queue of its own; it shares the

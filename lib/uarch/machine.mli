@@ -35,8 +35,6 @@ type dual_stats = {
           (0 when checkpointing was off, not viable, or never captured) *)
 }
 
-val default_max_cycles : int
-
 (** Reusable run context: keeps one machine per core count — the
     contention-point registry, the memory hierarchy and the cores, the
     dominant per-run heap allocations (cache line arrays, point tables,

@@ -7,10 +7,8 @@ type transfer = {
   requester_seq : int;
   writeback : bool;
   tainted : bool;
-  mutable ready_at : int;
-  mutable granted : bool;
-  mutable complete_at : int;  (* -1 until granted *)
-  mutable processed : bool;
+  ready_at : int;  (* first cycle it may request the channel *)
+  mutable complete_at : int;  (* [max_int] until granted *)
   mshr_idx : int;  (* -1 for none *)
 }
 
@@ -147,7 +145,7 @@ let copy_tables ~src ~dst =
 
 let copy ~src ~dst =
   dst.transfers <-
-    List.map (fun tr -> { tr with ready_at = tr.ready_at }) src.transfers;
+    List.map (fun tr -> { tr with complete_at = tr.complete_at }) src.transfers;
   dst.channel_busy_until <- src.channel_busy_until;
   Array.iteri (fun i m -> Array.blit m 0 dst.mshrs.(i) 0 (Array.length m)) src.mshrs;
   copy_waiters ~src:src.load_waiters ~dst:dst.load_waiters;
@@ -191,7 +189,7 @@ let rec refill_in_flight ~core ~kind ~line = function
   | [] -> false
   | tr :: rest ->
       (tr.core = core && tr.kind = kind && Int64.equal tr.line line
-      && (not tr.writeback) && not tr.processed)
+      && not tr.writeback)
       || refill_in_flight ~core ~kind ~line rest
 
 let l2_ready_time t ~cycle ~line ~seq ~tainted =
@@ -215,9 +213,7 @@ let start_refill t ~core ~kind ~line ~seq ~cycle ~mshr_idx ~tainted =
       writeback = false;
       tainted;
       ready_at = l2_ready_time t ~cycle ~line ~seq ~tainted;
-      granted = false;
-      complete_at = -1;
-      processed = false;
+      complete_at = max_int;
       mshr_idx;
     }
   in
@@ -245,9 +241,7 @@ let enqueue_writeback t ~core ~line ~cycle ~tainted =
       writeback = true;
       tainted;
       ready_at = cycle + delay;
-      granted = false;
-      complete_at = -1;
-      processed = false;
+      complete_at = max_int;
       mshr_idx = -1;
     }
   in
@@ -273,7 +267,7 @@ let ifetch_line_key t ~core addr = Cache.line_key t.l1i.(core) addr
 
 let ifetch_ready t ~core ~addr =
   Itbl.find t.ifetch_ready_tbl.(core) (ifetch_line_key t ~core addr)
-    ~default:(-1)
+    ~default:max_int
 
 (* --- Data loads --- *)
 
@@ -311,7 +305,7 @@ let mshr_lookup t ~core ~line =
 let rec d_miss_in_flight core = function
   | [] -> false
   | tr :: rest ->
-      (tr.core = core && tr.kind = `D && (not tr.writeback) && not tr.processed)
+      (tr.core = core && tr.kind = `D && not tr.writeback)
       || d_miss_in_flight core rest
 
 let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
@@ -402,13 +396,22 @@ let dload t ~core ~seq ~rob ~addr ~cycle ~tainted =
 let dstore t ~core ~seq ~rob ~addr ~is_sc ~cycle ~tainted =
   dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store:true ~is_sc
 
-let load_ready t ~core ~rob = Itbl.find t.load_ready_tbl.(core) rob ~default:(-1)
-let store_ready t ~core ~rob = Itbl.find t.store_ready_tbl.(core) rob ~default:(-1)
+let load_ready t ~core ~rob = Itbl.find t.load_ready_tbl.(core) rob ~default:max_int
+let store_ready t ~core ~rob = Itbl.find t.store_ready_tbl.(core) rob ~default:max_int
 
 (* --- Channel arbitration and completion --- *)
 
 let read_beats = 8
 let writeback_beats = 1
+
+(* The cycle [tick] next acts on a transfer: a granted one completes at
+   its [complete_at]; an ungranted one ([complete_at = max_int]) requests
+   the channel once it is ready and the channel is free.  [tick]
+   completes the granted transfers due, then lets the ungranted ones due
+   request the channel, and [next_wake] takes the minimum. *)
+let due t tr =
+  if tr.complete_at < max_int then tr.complete_at
+  else Int.max tr.ready_at t.channel_busy_until
 
 let grant_priority tr =
   (* ICache reads first, then DCache reads, then writebacks. *)
@@ -417,7 +420,6 @@ let grant_priority tr =
 (* The one writer of a core's ready tables, so the one way a sleeping
    core's inputs change: it marks the core woken. *)
 let complete_transfer t tr ~cycle =
-  tr.processed <- true;
   if tr.writeback then ()
   else begin
     t.woken.(tr.core) <- true;
@@ -485,23 +487,24 @@ let complete_transfer t tr ~cycle =
         | None -> ())
   end
 
-(* Complete the transfers due this cycle, in list order; whether any did. *)
+(* Complete the granted transfers due this cycle, in list order; whether
+   any did.  [complete_at <= cycle] is [due]'s test on a granted
+   transfer, and never holds for an ungranted one. *)
 let rec complete_due t ~cycle any = function
   | [] -> any
   | tr :: rest ->
-      let due =
-        tr.complete_at >= 0 && tr.complete_at <= cycle && not tr.processed
-      in
-      if due then complete_transfer t tr ~cycle;
-      complete_due t ~cycle (any || due) rest
+      let completes = tr.complete_at <= cycle in
+      if completes then complete_transfer t tr ~cycle;
+      complete_due t ~cycle (any || completes) rest
 
-(* Every ready, ungranted transfer requests the channel, in list order;
-   the first of the highest priority wins. *)
+(* Every transfer due this cycle requests the channel, in list order; the
+   first of the highest priority wins.  Run once completions are done,
+   on a free channel, so only ungranted transfers are due. *)
 let rec request_channel t ~cycle winner = function
   | [] -> winner
   | tr :: rest ->
       let winner =
-        if tr.granted || tr.ready_at > cycle then winner
+        if due t tr > cycle then winner
         else begin
           Cpoint.request t.reg t.p_channel ~tainted:tr.tainted
             ~source:
@@ -514,11 +517,20 @@ let rec request_channel t ~cycle winner = function
       in
       request_channel t ~cycle winner rest
 
+(* [transfers] without the ones [complete_due] completed, in order; a
+   recursion of its own, as a filter closure over [cycle] would
+   allocate. *)
+let[@tail_mod_cons] rec in_flight ~cycle = function
+  | [] -> []
+  | tr :: rest ->
+      if tr.complete_at <= cycle then in_flight ~cycle rest
+      else tr :: in_flight ~cycle rest
+
 let tick t ~cycle =
   (* Completions due this cycle; the list is rebuilt only when one
      happened. *)
   if complete_due t ~cycle false t.transfers then begin
-    t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
+    t.transfers <- in_flight ~cycle t.transfers;
     Cpoint.mark_active t.reg
   end;
   (* Channel grant. *)
@@ -529,7 +541,6 @@ let tick t ~cycle =
           ~source:
             (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback);
         let beats = if tr.writeback then writeback_beats else read_beats in
-        tr.granted <- true;
         tr.complete_at <- cycle + beats;
         t.channel_busy_until <- cycle + beats
     | None -> ()
@@ -541,17 +552,10 @@ let take_woken t ~core =
   t.woken.(core) <- false;
   w
 
-(* The earliest cycle after [cycle] in which [tick] could act: a granted
-   transfer completes at [complete_at]; an ungranted one requests the
-   channel once it is ready and the channel is free. *)
+(* The earliest cycle after [cycle] in which [tick] could act: the
+   earliest [due] transfer. *)
 let rec wake_of t ~soon wake = function
   | [] -> wake
-  | tr :: rest ->
-      let c =
-        if tr.processed then max_int
-        else if tr.granted then tr.complete_at
-        else Int.max tr.ready_at t.channel_busy_until
-      in
-      wake_of t ~soon (Int.min wake (Int.max c soon)) rest
+  | tr :: rest -> wake_of t ~soon (Int.min wake (Int.max (due t tr) soon)) rest
 
 let next_wake t ~cycle = wake_of t ~soon:(cycle + 1) max_int t.transfers

@@ -55,8 +55,9 @@ val ifetch_line_key : t -> core:int -> int64 -> int
     ({!Cache.line_key}): the key the fetch tables use. *)
 
 val ifetch_ready : t -> core:int -> addr:int64 -> int
-(** Cycle the fetch line became available, once its refill completed;
-    -1 before. Allocates nothing and never raises. *)
+(** Cycle the fetch line becomes available, once its refill completed;
+    [max_int] before, so [ifetch_ready t ~core ~addr <= cycle] is the
+    whole readiness test. Allocates nothing and never raises. *)
 
 val dload :
   t ->
@@ -64,8 +65,8 @@ val dload :
   access_result
 
 val load_ready : t -> core:int -> rob:int -> int
-(** Cycle the load's data is ready, once its refill completed; -1 before.
-    Allocates nothing and never raises. *)
+(** Cycle the load's data is ready, once its refill completed; [max_int]
+    before, as {!ifetch_ready}. Allocates nothing and never raises. *)
 
 val dstore :
   t ->
@@ -97,6 +98,8 @@ val next_wake : t -> cycle:int -> int
 (** A lower bound, greater than [cycle], on the next cycle in which
     {!tick} could act — complete a transfer or make a channel request —
     given the state after [cycle]'s tick; [max_int] with nothing in
-    flight. A core reads its ready tables ({!ifetch_ready},
-    {!load_ready}, {!store_ready}) in its own wake bound, and a refill
-    that writes them wakes it through {!take_woken}. *)
+    flight. It is the earliest of the transfers' due cycles, which
+    {!tick}'s completion and grant tests read too. A core reads its
+    ready tables ({!ifetch_ready}, {!load_ready}, {!store_ready}) in its
+    own wake bound, and a refill that writes them wakes it through
+    {!take_woken}. *)

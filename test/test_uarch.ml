@@ -1627,7 +1627,9 @@ let test_skip_store_drain () =
 
 (* Stepped over model cycles on the cycle-exact pin's BOOM single-core
    corpus.  Stepping every cycle gives 1.0; the jump measured 0.327
-   (2,994 of 9,168 cycles), and the bound is 1.15 times that. *)
+   (2,994 of 9,168 cycles), and the bound is 1.15 times that.  The exact
+   count pins the skip rule itself: a change that moves it updates the
+   constant and says why. *)
 let test_skip_stepped_share () =
   let ctx = Machine.Ctx.create Config.boom in
   let model = ref 0 and stepped = ref 0 in
@@ -1644,6 +1646,7 @@ let test_skip_stepped_share () =
       !model + r0.Machine.cycles + r1.Machine.cycles - st.Machine.cycles_saved;
     stepped := !stepped + n
   done;
+  checki "stepped machine cycles" 2994 !stepped;
   let share = float_of_int !stepped /. float_of_int !model in
   checkb
     (Printf.sprintf "stepped/model cycles %.3f (%d/%d) <= 0.376" share !stepped
@@ -1656,7 +1659,8 @@ let test_skip_stepped_share () =
    gives 1.0.  Sleeping measured 0.525 (5,375 of 2 x 5,122), and the
    bound is 1.15 times that.  The machine cycles stepped are the 5,122
    the loop stepped before cores could sleep, so the quiet-cycle jump
-   is untouched. *)
+   is untouched.  Both counts are pinned exactly, as in the test
+   above. *)
 let test_skip_core_steps_share () =
   let ctx = Machine.Ctx.create Config.boom in
   let cycles = ref 0 and core_steps = ref 0 in
@@ -1673,6 +1677,7 @@ let test_skip_core_steps_share () =
     core_steps := !core_steps + k
   done;
   checki "stepped machine cycles" 5122 !cycles;
+  checki "core steps" 5375 !core_steps;
   let share = float_of_int !core_steps /. float_of_int (2 * !cycles) in
   checkb
     (Printf.sprintf "core steps/(2 x stepped cycles) %.3f (%d/%d) <= 0.603"
